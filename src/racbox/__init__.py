@@ -21,7 +21,7 @@ The pieces:
 - ``capacity``: channel-information bound verification for explicit
   strategies against bounded-signaling boxes.
 - ``search``: exhaustive strategy search for codes assisted by
-  one-input boxes, with symmetry reduction.
+  one-input boxes, Bob's tables first with Alice best-responding.
 - ``feasibility``: perfect-guess feasibility of message constraints.
 - ``cli``: the ``racbox`` command.
 """

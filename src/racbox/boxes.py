@@ -89,9 +89,14 @@ class BoxSignature:
         return tuple(size for _, size in self.output_vars)
 
     def output_index(self, outvals: Sequence[int]) -> int:
-        """Row-major position of an output assignment (last wire fastest)."""
+        """Row-major position of an output assignment (last wire fastest).
+
+        Raises ValueError for a symbol outside its wire's alphabet.
+        """
         idx = 0
-        for value, (_, size) in zip(outvals, self.output_vars):
+        for value, (name, size) in zip(outvals, self.output_vars):
+            if not 0 <= value < size:
+                raise ValueError(f"output symbol {value} out of range for wire {name!r}")
             idx = idx * size + value
         return idx
 

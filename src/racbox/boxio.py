@@ -114,13 +114,14 @@ def parse_box(text: str) -> Box:
         for v, s in zip(invals, sig.input_sizes):
             if not 0 <= v < s:
                 raise ValueError(f"input symbol {v} out of range in entry {invals}")
-        for v, s in zip(outvals, sig.output_sizes):
-            if not 0 <= v < s:
-                raise ValueError(f"output symbol {v} out of range in entry {outvals}")
+        try:
+            out_index = sig.output_index(outvals)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in entry {outvals}") from None
         if (invals, outvals) in seen:
             raise ValueError(f"duplicate entry for {invals} : {outvals}")
         seen.add((invals, outvals))
-        rows.setdefault(invals, list(zero_row))[sig.output_index(outvals)] = p
+        rows.setdefault(invals, list(zero_row))[out_index] = p
     table = {
         invals: tuple(rows[invals]) if invals in rows else zero_row
         for invals in iter_assignments(sig.input_sizes)

@@ -3,7 +3,8 @@
 Subcommands: build, check-ns, simulate, compile, table, capacity, search,
 feasibility.  Every subcommand supports ``--machine``, which switches the
 output to one ``key=value`` record per line, deterministically ordered,
-ending with ``status=pass|fail``.
+ending with ``status=pass|fail``, or ``status=error`` when the run stops
+with exit code 2.
 
 Exit codes: 0 the requested check passed (or the artifact was produced),
 1 a verified claim failed, 2 usage error or malformed input file,
@@ -300,13 +301,7 @@ def _cmd_capacity(params: dict, em: Emitter) -> int:
 
 def _cmd_search(params: dict, em: Emitter) -> int:
     n, k, budget = params["n"], params["rbs"], params["budget"]
-    try:
-        result = search_rac_with_rbs(n, k, budget)
-    except ValueError as exc:
-        if "budget" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        raise
+    result = search_rac_with_rbs(n, k, budget)
     em.kv("n", n)
     em.kv("rbs", k)
     em.kv("max", result.max_win_probability)
@@ -392,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--machine", action="store_true",
-        help="emit key=value records ending with status=pass|fail",
+        help="emit key=value records ending with status=pass|fail|error",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -478,11 +473,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return run(config)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ProtocolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.machine:
+            print("status=error")
         return 2
 
 

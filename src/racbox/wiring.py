@@ -323,8 +323,10 @@ def winning_probability(tree: WiringTree, p2):
     """Average success of the compiled code when each box wins with prob p2.
 
     Exact if p2 is a Fraction; float arithmetic otherwise.  Queries are
-    uniform over database positions.
+    uniform over database positions.  p2 outside [0, 1] raises ValueError.
     """
+    if not 0 <= p2 <= 1:
+        raise ValueError(f"box winning probability p2={p2} is outside [0, 1]")
     _check_shape(tree)
     paths = leaf_paths(tree)
     total = sum(path_success(len(p), p2) for p in paths)

@@ -42,6 +42,13 @@ def test_bn_box_indexing_convention():
         assert row == (HALF, F(0), F(0), HALF)  # X = Y
 
 
+def test_prob_rejects_output_symbols_outside_the_alphabet():
+    box = make_bn_box(2)
+    for outvals in ((0, -1), (0, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            box.prob((0, 0), outvals)
+
+
 def test_bn_box_targets_addressed_bit():
     box = make_bn_box(3)
     # y = 2 asks for x_2: X xor Y must equal x_2

@@ -54,3 +54,9 @@ def test_parse_reports_line_numbers():
     with pytest.raises(ValueError) as err:
         parse_box(bad)
     assert "line" in str(err.value)
+
+
+def test_parse_names_the_entry_with_an_output_out_of_range():
+    text = serialize_box(make_bn_box(2)).replace(": 1 0 =", ": 1 2 =", 1)
+    with pytest.raises(ValueError, match=r"output symbol 2 out of range .* in entry \(1, 2\)"):
+        parse_box(text)

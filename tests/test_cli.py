@@ -154,16 +154,36 @@ def test_search_subcommand_writes_witness(tmp_path):
 
 
 def test_search_budget_exhaustion_exits_3():
-    code, out = run_cli("search", "--n", "4", "--rbs", "1", "--budget", "0.5", "--machine")
+    code, out = run_cli("search", "--n", "4", "--rbs", "1", "--budget", "0", "--machine")
     assert code == 3
     d = machine_dict(out)
     assert d["complete"] == "false"
+    assert any("lower bound" in v for k, v in d.items() if k.startswith("note."))
     assert d["status"] == "fail"
 
 
 def test_search_unsupported_scale_is_usage_error():
     code, _ = run_cli("search", "--n", "6", "--rbs", "1")
     assert code == 2
+
+
+def test_table_rejects_p2_outside_the_unit_interval():
+    code, out = run_cli("table", "--p2", "1.7", "--machine")
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+
+
+def test_machine_errors_end_with_a_status_line(tmp_path):
+    code, out = run_cli(
+        "simulate", "--protocol", "resource-inequality", "--n", "1", "--machine"
+    )
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+    bad = tmp_path / "bad.box"
+    bad.write_text("var alice input x 2\nvar bob output Y 2\n0 : 5 = 1\n")
+    code, out = run_cli("check-ns", "--box", str(bad), "--machine")
+    assert code == 2
+    assert out.strip().splitlines() == ["status=error"]
 
 
 def test_feasibility_presets():

@@ -1,4 +1,4 @@
-"""Strategy search: the pinned one-box maximum, witnesses, symmetry soundness."""
+"""Strategy search: the pinned one-box maxima, witnesses, engine soundness."""
 
 import random
 import time
@@ -41,8 +41,15 @@ def test_one_box_three_bits_maximum_pinned():
     result = search_rac_with_rbs(3, 1)
     assert result.max_win_probability == F(5, 6)
     assert result.complete
-    assert result.strategies_examined == 308
-    assert result.pruned == 65228
+    assert result.strategies_examined == 25024
+    assert result.pruned == 21632
+
+
+def test_one_box_four_bits_maximum_pinned():
+    result = search_rac_with_rbs(4, 1)
+    assert result.max_win_probability == F(13, 16)
+    assert result.complete
+    assert evaluate_strategy(result.witness) == F(13, 16)
 
 
 def test_pinned_witness_reverifies_quickly():
@@ -76,7 +83,7 @@ def test_unsupported_scales_are_refused():
 
 
 def test_budget_cutoff_reports_partial_result():
-    result = search_rac_with_rbs(4, 1, budget=0.5)
+    result = search_rac_with_rbs(4, 1, budget=0)
     assert not result.complete
     assert result.strategies_examined >= 1
     assert result.max_win_probability >= F(1, 2)
@@ -122,62 +129,52 @@ def test_relay_strategy_scores_the_pinned_maximum():
     assert evaluate_strategy(strat) == F(5, 6)
 
 
-def test_symmetry_reduction_preserves_the_objective():
-    # the canonical-class engine and a transformed copy of a pair must
-    # agree on the best achievable score
+def test_count_table_agrees_with_the_simulator():
+    # the engine's objective for fixed parts, read from its count table,
+    # must match the independent exact simulator on the assembled strategy
     n = 3
-    digits = search_mod._option_digits(n)
-    rng = random.Random(99)
-    maps = search_mod._domain_maps(n)
-    full = (1 << (1 << n)) - 1
-
-    def apply_map(f: int, sigma) -> int:
-        out = 0
-        for x in range(1 << n):
-            if (f >> sigma[x]) & 1:
-                out |= 1 << x
-        return out
-
-    for _ in range(8):
-        f0 = rng.randrange(1 << (1 << n))
-        f1 = rng.randrange(1 << (1 << n))
-        base, _, _ = search_mod._best_pair_objective(
-            search_mod._score_matrix(n, f0, f1, digits)
-        )
-        sigma = maps[rng.randrange(len(maps))]
-        g0, g1 = apply_map(f0, sigma), apply_map(f1, sigma)
-        if rng.random() < 0.5:
-            g0 ^= full
-        if rng.random() < 0.5:
-            g1 ^= full
-        if rng.random() < 0.5:
-            g0, g1 = g1, g0
-        moved, _, _ = search_mod._best_pair_objective(
-            search_mod._score_matrix(n, g0, g1, digits)
-        )
-        assert moved == base, (f0, f1, g0, g1)
-
-
-def test_score_matrix_agrees_with_the_simulator():
-    # every (pair, option-pair) cell of the engine's score matrix must match
-    # the independent exact simulator on the assembled strategy
-    n = 3
-    digits = search_mod._option_digits(n)
+    counts = search_mod._correct_counts(n)
     rng = random.Random(5)
-    worlds = 1 << (n + 1)
-    for _ in range(6):
+    shape = (search_mod.N_BEHAVIOURS,) * n
+    for _ in range(24):
         f0 = rng.randrange(1 << (1 << n))
         f1 = rng.randrange(1 << (1 << n))
-        s = search_mod._score_matrix(n, f0, f1, digits)
-        for _ in range(4):
-            i = rng.randrange(s.shape[1])
-            j = rng.randrange(s.shape[1])
-            t0 = tuple(int(v) for v in digits[i])
-            t1 = tuple(int(v) for v in digits[j])
-            g = [int(s[w, i] < s[w, j]) for w in range(worlds)]
-            value = evaluate_strategy(strategy_from_parts(n, f0, f1, g, t0, t1))
-            engine = int(np.maximum(s[:, i], s[:, j]).sum())
-            assert value == F(engine, worlds * n)
+        g = [rng.randrange(2) for _ in range(1 << (n + 1))]
+        t0 = [rng.randrange(search_mod.N_BEHAVIOURS) for _ in range(n)]
+        t1 = [rng.randrange(search_mod.N_BEHAVIOURS) for _ in range(n)]
+        tables = (np.ravel_multi_index(t0, shape), np.ravel_multi_index(t1, shape))
+        engine = 0
+        for a in range(1 << n):
+            fp = ((f0 >> a) & 1) | (((f1 >> a) & 1) << 1)
+            for box_out in range(2):
+                engine += int(counts[tables[g[2 * a + box_out]], box_out, fp, a])
+        value = evaluate_strategy(strategy_from_parts(n, f0, f1, g, t0, t1))
+        assert value == F(engine, (1 << (n + 1)) * n)
+
+
+def test_best_response_witness_reproduces_the_pair_value():
+    # for any pair of Bob tables, Alice's best response assembled as a
+    # strategy must score exactly the value the engine assigns the pair
+    n = 3
+    counts = search_mod._correct_counts(n)
+    rng = random.Random(11)
+    for _ in range(24):
+        i = rng.randrange(len(counts))
+        j = rng.randrange(len(counts))
+        engine = int(search_mod._message_free(counts[i], counts[j]).max(axis=0).sum())
+        witness = search_mod._best_response(n, counts, i, j)
+        assert evaluate_strategy(witness) == F(engine, (1 << (n + 1)) * n)
+
+
+def test_mirror_skip_preserves_the_maximum():
+    # relabelling the message swaps Bob's tables, so scanning each unordered
+    # pair once must find the same maximum as scanning every ordered pair
+    counts = search_mod._correct_counts(3)
+    full = search_mod._best_table_pair(counts, search_mod._message_free, False)
+    half = search_mod._best_table_pair(counts, search_mod._message_free, True)
+    assert full[0] == half[0] == 40
+    assert full[3] == len(counts) ** 2 and full[4] == 0
+    assert half[3] + half[4] == len(counts) ** 2
 
 
 def test_relaying_beats_fixed_messages():

@@ -135,6 +135,13 @@ def test_fair_box_gives_fair_coin():
     assert winning_probability(tree, F(1, 2)) == F(1, 2)
 
 
+@pytest.mark.parametrize("p2", [F(-1, 4), 1.7, float("nan")])
+def test_win_probability_rejects_p2_outside_the_unit_interval(p2):
+    tree, _ = compile_rac(3)
+    with pytest.raises(ValueError, match="outside"):
+        winning_probability(tree, p2)
+
+
 def test_bound_table_rows():
     rows = bound_table([2, 7], [0.75, QUANTUM])
     assert rows[0].n == 2 and rows[0].rb_count == 1
