@@ -16,8 +16,8 @@ The pieces:
   protocols between boxes and codes; the erasure-channel simulation.
 - ``wiring``: box-concatenation trees, compiled n->1 codes, exact and
   noisy winning probabilities.
-- ``infotheory``: Shannon quantities on exact distributions, the
-  multi-information inequality check, and a small query interface.
+- ``infotheory``: Shannon quantities on exact distributions and the
+  multi-information inequality check.
 - ``capacity``: channel-information bound verification for explicit
   strategies against bounded-signaling boxes.
 - ``search``: exhaustive strategy search for codes assisted by
@@ -45,6 +45,8 @@ from .capacity import (
     protocol_strategy,
     send_x1_strategy,
     serialize_capacity_strategy,
+    verify_capacity_bound_bits,
+    verify_capacity_bound_dits,
 )
 from .dists import (
     JointDistribution,
@@ -57,16 +59,12 @@ from .dists import (
 )
 from .feasibility import bit_case, guessing_feasibility, trit_case
 from .infotheory import (
-    InfoQuery,
     check_lemma4,
     conditional_entropy,
     entropy,
-    evaluate_query,
     information_causality_lhs,
     multi_information,
     mutual_information,
-    verify_capacity_bound_bits,
-    verify_capacity_bound_dits,
 )
 from .protocols import (
     ErasureChannelReport,
@@ -114,7 +112,6 @@ __all__ = [
     "CapacityStrategy",
     "CostReport",
     "ErasureChannelReport",
-    "InfoQuery",
     "JointDistribution",
     "Leaf",
     "MalformedTreeError",
@@ -141,7 +138,6 @@ __all__ = [
     "conditional_entropy",
     "derive",
     "entropy",
-    "evaluate_query",
     "evaluate_strategy",
     "extend",
     "guessing_feasibility",

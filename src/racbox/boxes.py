@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from operator import is_not
 from typing import Iterable, Mapping, Sequence
 
@@ -31,6 +32,9 @@ from .dists import JointDistribution, ZERO, exact_sum, iter_assignments
 RB_VARIANTS = ("nosignaling", "signalinghalf", "plus", "minus", "three")
 BND_SIGNS = ("plus", "minus")
 DIRECTIONS = ("a2b", "b2a")
+
+# largest dense table (input rows x output cells) a box may be built with
+MAX_TABLE_CELLS = 10**7
 
 # zero is interned as dists.ZERO so that ``support`` skips it by identity
 _FRACTION_CACHE: dict[tuple[int, int], Fraction] = {(0, 1): ZERO}
@@ -91,8 +95,13 @@ class BoxSignature:
     def output_index(self, outvals: Sequence[int]) -> int:
         """Row-major position of an output assignment (last wire fastest).
 
-        Raises ValueError for a symbol outside its wire's alphabet.
+        Raises ValueError for the wrong number of values or a symbol outside
+        its wire's alphabet.
         """
+        if len(outvals) != len(self.output_vars):
+            raise ValueError(
+                f"{len(outvals)} output values for {len(self.output_vars)} output wires"
+            )
         idx = 0
         for value, (name, size) in zip(outvals, self.output_vars):
             if not 0 <= value < size:
@@ -109,7 +118,11 @@ class Box:
     table: dict[tuple[int, ...], tuple[Fraction, ...]]
 
     def prob(self, invals: Sequence[int], outvals: Sequence[int]) -> Fraction:
-        return self.table[tuple(invals)][self.signature.output_index(outvals)]
+        """P(outvals | invals); ValueError for an assignment outside the signature."""
+        row = self.table.get(tuple(invals))
+        if row is None:
+            raise ValueError(f"input assignment {tuple(invals)} is not in the box's input space")
+        return row[self.signature.output_index(outvals)]
 
     def input_assignments(self) -> Iterable[tuple[int, ...]]:
         return iter_assignments(self.signature.input_sizes)
@@ -148,8 +161,19 @@ class Box:
         return JointDistribution(sig.input_vars + sig.output_vars, probs)
 
 
+def check_table_size(sig: BoxSignature) -> None:
+    """Refuse, before building it, a dense table larger than ``MAX_TABLE_CELLS``."""
+    cells = prod(sig.input_sizes) * prod(sig.output_sizes)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"box table would have {cells} cells (input rows x output cells), "
+            f"more than the limit of {MAX_TABLE_CELLS}"
+        )
+
+
 def _dense_box(sig: BoxSignature, row_for) -> Box:
     """Build a dense table, sharing row tuples via a local cache."""
+    check_table_size(sig)
     cache: dict[object, tuple[Fraction, ...]] = {}
     table: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     for invals in iter_assignments(sig.input_sizes):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .boxes import Box, BoxSignature
+from .boxes import Box, BoxSignature, check_table_size
 from .dists import iter_assignments
 
 _PARTIES = ("alice", "bob")
@@ -102,6 +102,7 @@ def parse_box(text: str) -> Box:
         bob_inputs=tuple(wires[("bob", "input")]),
         bob_outputs=tuple(wires[("bob", "output")]),
     )
+    check_table_size(sig)
     n_out = 1
     for s in sig.output_sizes:
         n_out *= s
@@ -109,8 +110,8 @@ def parse_box(text: str) -> Box:
     rows: dict[tuple[int, ...], list[Fraction]] = {}
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for invals, outvals, p in entries:
-        if len(invals) != len(sig.input_sizes) or len(outvals) != len(sig.output_sizes):
-            raise ValueError(f"entry {invals} : {outvals} has wrong arity for the header")
+        if len(invals) != len(sig.input_sizes):
+            raise ValueError(f"entry {invals} : {outvals} has wrong input arity for the header")
         for v, s in zip(invals, sig.input_sizes):
             if not 0 <= v < s:
                 raise ValueError(f"input symbol {v} out of range in entry {invals}")

@@ -7,30 +7,24 @@ wrong symbols, and a single d-ary message.  A strategy fixes, as function
 tables, Alice's box inputs a_0..a_{n-1}, her message m, her simulated
 output X, and Bob's relay A' and simulated output Y.
 
-The verifier builds the complete joint distribution of every wire exactly,
-checks that the strategy really reproduces the target box family on
-(x_1..x_{n-1}; y -> X, Y) (the premise of the bound), and then computes
-the channel information I(z : B, b, y, s) available to Bob about z.  The
-claim under test is that this never exceeds 1/n in message-alphabet units.
+The verifier runs the game through the sequential protocol executor and
+keeps the exact joint of the inputs, Alice's X and Bob's view
+(s, m, A', B, Y).  It checks that the strategy really reproduces the target
+box family on (x_1..x_{n-1}; y -> X, Y) (the premise of the bound), and
+then computes the channel information I(z : B, y, s) available to Bob about
+z.  The claim under test is that this never exceeds 1/n in message-alphabet
+units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .boxes import make_bnd_box, make_rb
-from .dists import (
-    ZERO,
-    JointDistribution,
-    condition,
-    derive,
-    extend,
-    independent_uniform,
-    marginalize,
-)
+from .boxes import BoxSignature, make_bnd_box, make_rb
+from .dists import ZERO, JointDistribution, condition, derive, marginalize
 from .infotheory import TOLERANCE, conditional_entropy, mutual_information
+from .protocols import run_box_protocol
 from .reports import ProbeReport
 from .tables import TableFn, parse_tables, serialize_tables
 
@@ -170,52 +164,45 @@ BUILTIN_STRATEGIES = {
 
 
 def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDistribution:
-    """Joint distribution of every wire in the capacity game, exactly."""
+    """Exact joint of the capacity game's inputs, X and Bob's view.
+
+    The game runs through the sequential executor ``run_box_protocol``:
+    Alice feeds ``a_fns`` into the RAC-box and sends m; Bob relays A', queries
+    the box at y and outputs Y.  The joint covers x_1..x_{n-1}, z, y, X and
+    Bob's view (s, m, Aprime, B, Y) under uniform inputs.
+    """
     n, d = strategy.n, strategy.d
-    rb = make_rb(n, d, rb_variant)
-    base = [(f"x_{i}", d) for i in range(1, n)] + [("z", d), ("y", n), ("s", d)]
-    dist = independent_uniform(base)
-    xz_names = [f"x_{i}" for i in range(1, n)] + ["z"]
-
-    for i in range(n):
-        tab = strategy.a_fns[i]
-        dist = derive(dist, f"a_{i}", d, lambda v, tab=tab: tab(*(v[x] for x in xz_names)))
-
-    one_over_d = Fraction(1, d)
-    dist = extend(
-        dist, [("A", d)], lambda v: {(a,): one_over_d for a in range(d)}
-    )
-    dist = derive(
-        dist, "m", d,
-        lambda v: strategy.m_fn(*(v[x] for x in xz_names), v["A"]),
-    )
-    dist = derive(dist, "b", n, lambda v: v["y"])
-    dist = derive(
-        dist, "Aprime", d,
-        lambda v: strategy.aprime_fn(v["m"], v["y"], v["s"]),
+    xz_vars = _xz_vars(n, d)
+    iface = BoxSignature(
+        alice_inputs=xz_vars,
+        alice_outputs=(("X", d),),
+        bob_inputs=(("y", n),),
+        bob_outputs=(("s", d), ("m", d), ("Aprime", d), ("B", d), ("Y", d)),
     )
 
-    def b_kernel(v: dict[str, int]) -> dict[tuple[int, ...], Fraction]:
-        key = tuple(v[f"a_{i}"] for i in range(n)) + (v["Aprime"], v["b"])
-        row = rb.table[key]
-        a_val = v["A"]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for b_val in range(d):
-            p = row[a_val * d + b_val]
-            if p != 0:
-                out[(b_val,)] = p * d  # divide by P(A) = 1/d
-        return out
+    def xz(ta: dict[str, int]) -> tuple[int, ...]:
+        return tuple(ta[nm] for nm, _ in xz_vars)
 
-    dist = extend(dist, [("B", d)], b_kernel)
-    dist = derive(
-        dist, "X", d,
-        lambda v: strategy.x_fn(*(v[x] for x in xz_names), v["A"], v["s"]),
+    def bob_outputs(tb, b_out, m, s) -> dict[str, int]:
+        y, B = tb["y"], b_out["B"]
+        return {
+            "s": s, "m": m, "Aprime": strategy.aprime_fn(m, y, s),
+            "B": B, "Y": strategy.y_fn(m, y, s, B),
+        }
+
+    run = run_box_protocol(
+        f"capacity-{strategy.name}-{rb_variant}",
+        make_rb(n, d, rb_variant),
+        iface,
+        alice_box_inputs=lambda ta, s: tuple(f(*xz(ta)) for f in strategy.a_fns),
+        message=lambda ta, a_out, s, wire: wire.send(strategy.m_fn(*xz(ta), a_out["A"])),
+        alice_outputs=lambda ta, a_out, s: {"X": strategy.x_fn(*xz(ta), a_out["A"], s)},
+        bob_box_inputs=lambda tb, m, s: (strategy.aprime_fn(m, tb["y"], s), tb["y"]),
+        bob_outputs=bob_outputs,
+        message_size=d,
+        sr_size=d,
     )
-    dist = derive(
-        dist, "Y", d,
-        lambda v: strategy.y_fn(v["m"], v["y"], v["s"], v["B"]),
-    )
-    return dist
+    return run.result.joint()
 
 
 def _reproduces_box_family(dist: JointDistribution, n: int, d: int) -> tuple[bool, str]:
@@ -238,7 +225,7 @@ def _reproduces_box_family(dist: JointDistribution, n: int, d: int) -> tuple[boo
 def _zero_entropy_diagnostics(dist: JointDistribution, n: int, d: int, base: int) -> list[str]:
     """Report the conditional-entropy identities behind the bound's proof.
 
-    On the y = 0 slice, I(B : X | b, s) should equal H(X | b, s) (Bob's box
+    On the y = 0 slice, I(B : X | s) should equal H(X | s) (Bob's box
     output determines Alice's X there, given the conditioning); the dit
     argument uses the y = 1 slice with x_1 -_d X in place of X.  These are
     diagnostics about the proof route, not the gate: strategies can satisfy
@@ -246,24 +233,20 @@ def _zero_entropy_diagnostics(dist: JointDistribution, n: int, d: int, base: int
     """
     notes = []
     slice0 = condition(dist, {"y": 0})
-    lhs = mutual_information(slice0, ["B"], ["X"], ["b", "s"], base)
-    rhs = conditional_entropy(slice0, ["X"], ["b", "s"], base)
+    lhs = mutual_information(slice0, ["B"], ["X"], ["s"], base)
+    rhs = conditional_entropy(slice0, ["X"], ["s"], base)
     tag = "holds" if abs(lhs - rhs) <= TOLERANCE else "does not hold"
     notes.append(
         f"identity I(B:X|b,s,y=0) = H(X|b,s,y=0) {tag}: {lhs:.9f} vs {rhs:.9f}"
     )
-    if n >= 2:
-        slice1 = condition(dist, {"y": 1})
-        slice1 = derive(
-            slice1, "W", d, lambda v: (v["x_1"] - v["X"]) % d
-        )
-        lhs1 = mutual_information(slice1, ["B"], ["W"], ["b", "s"], base)
-        rhs1 = conditional_entropy(slice1, ["W"], ["b", "s"], base)
-        tag1 = "holds" if abs(lhs1 - rhs1) <= TOLERANCE else "does not hold"
-        notes.append(
-            f"identity I(B:x_1-X|b,s,y=1) = H(x_1-X|b,s,y=1) {tag1}: "
-            f"{lhs1:.9f} vs {rhs1:.9f}"
-        )
+    slice1 = derive(condition(dist, {"y": 1}), "W", d, lambda v: (v["x_1"] - v["X"]) % d)
+    lhs1 = mutual_information(slice1, ["B"], ["W"], ["s"], base)
+    rhs1 = conditional_entropy(slice1, ["W"], ["s"], base)
+    tag1 = "holds" if abs(lhs1 - rhs1) <= TOLERANCE else "does not hold"
+    notes.append(
+        f"identity I(B:x_1-X|b,s,y=1) = H(x_1-X|b,s,y=1) {tag1}: "
+        f"{lhs1:.9f} vs {rhs1:.9f}"
+    )
     return notes
 
 
@@ -284,14 +267,14 @@ def _verify_capacity_bound(
             witness=strategy.name,
             notes=("premise unmet: " + detail,),
         )
-    mi = mutual_information(dist, ["z"], ["B", "b", "y", "s"], (), base)
+    mi = mutual_information(dist, ["z"], ["B", "y", "s"], (), base)
     bound = Fraction(1, n)
     notes = [
         "premise met: " + detail,
         f"box variant {rb_variant}; message relayed through tables, A drawn uniform",
     ]
     notes.extend(_zero_entropy_diagnostics(dist, n, d, base))
-    full = mutual_information(dist, ["z"], ["B", "b", "y", "s", "m", "Aprime"], (), base)
+    full = mutual_information(dist, ["z"], ["B", "y", "s", "m", "Aprime"], (), base)
     notes.append(f"with the message and relay included, I(z:view) = {full:.9f} {unit}s")
     return ProbeReport(
         claim=f"channel information bounded by 1/{n} {unit} (strategy {strategy.name})",

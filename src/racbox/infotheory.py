@@ -5,27 +5,18 @@ is a float.  All measures take the log base explicitly (base 2 for bits,
 base d for dit-valued alphabets) and follow the convention 0 log 0 = 0.
 
 The capacity-bound verifiers that consume these measures live in the
-capacity module and are re-exported here for convenience.
+capacity module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .dists import JointDistribution, condition, marginalize
 from .reports import ProbeReport
 
 TOLERANCE = 1e-9
-
-MEASURES = (
-    "entropy",
-    "conditional_entropy",
-    "mutual_information",
-    "conditional_mutual_information",
-    "multi_information",
-)
 
 
 def _check_group(dist: JointDistribution, group: Sequence[str], label: str) -> tuple[str, ...]:
@@ -186,54 +177,3 @@ def information_causality_lhs(
         sliced = condition(dist, {choice_var: i})
         total += mutual_information(sliced, [key], [eavesdrop_var], (), base)
     return total
-
-
-@dataclass(frozen=True)
-class InfoQuery:
-    """A named entropy/information measurement over variable groups."""
-
-    measure: str
-    targets: tuple[tuple[str, ...], ...]
-    conditioning: tuple[str, ...] = ()
-    log_base: int = 2
-
-    def __post_init__(self) -> None:
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
-        if self.log_base < 2:
-            raise ValueError("log base must be at least 2")
-        if not self.targets or any(not g for g in self.targets):
-            raise ValueError("targets must be non-empty groups")
-
-
-def evaluate_query(dist: JointDistribution, query: InfoQuery) -> float:
-    """Dispatch an InfoQuery to the matching measure."""
-    m, t, c, b = query.measure, query.targets, query.conditioning, query.log_base
-    if m == "entropy":
-        if len(t) != 1 or c:
-            raise ValueError("entropy takes one group and no conditioning")
-        return entropy(dist, t[0], b)
-    if m == "conditional_entropy":
-        if len(t) != 1:
-            raise ValueError("conditional entropy takes one group")
-        return conditional_entropy(dist, t[0], c, b)
-    if m == "mutual_information":
-        if len(t) != 2 or c:
-            raise ValueError("mutual information takes two groups, no conditioning")
-        return mutual_information(dist, t[0], t[1], (), b)
-    if m == "conditional_mutual_information":
-        if len(t) != 2:
-            raise ValueError("conditional mutual information takes two groups")
-        return mutual_information(dist, t[0], t[1], c, b)
-    # multi_information: last group is the target
-    if len(t) < 2:
-        raise ValueError("multi-information takes at least two groups")
-    return multi_information(dist, t[:-1], t[-1], c, b)
-
-
-def __getattr__(name: str):
-    if name in ("verify_capacity_bound_bits", "verify_capacity_bound_dits"):
-        from . import capacity
-
-        return getattr(capacity, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

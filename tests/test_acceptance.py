@@ -18,15 +18,14 @@ from racbox.boxes import (
     make_bnd_box,
     make_rb,
 )
-from racbox.capacity import protocol_strategy
-from racbox.dists import JointDistribution, iter_assignments
-from racbox.feasibility import bit_case, trit_case
-from racbox.infotheory import (
-    check_lemma4,
-    mutual_information,
+from racbox.capacity import (
+    protocol_strategy,
     verify_capacity_bound_bits,
     verify_capacity_bound_dits,
 )
+from racbox.dists import JointDistribution, iter_assignments
+from racbox.feasibility import bit_case, trit_case
+from racbox.infotheory import check_lemma4, mutual_information
 from racbox.protocols import (
     bn_box_via_rb,
     bnd_box_via_rb,

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from racbox.boxes import (
+    MAX_TABLE_CELLS,
     RB_VARIANTS,
     Box,
     BoxSignature,
     check_no_signaling,
     check_normalization,
+    check_table_size,
     make_bn_box,
     make_bnd_box,
     make_rb,
@@ -47,6 +49,16 @@ def test_prob_rejects_output_symbols_outside_the_alphabet():
     for outvals in ((0, -1), (0, 2)):
         with pytest.raises(ValueError, match="out of range"):
             box.prob((0, 0), outvals)
+
+
+def test_prob_rejects_assignments_outside_the_signature():
+    box = make_bn_box(2)
+    for outvals in ((0,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="output values for 2 output wires"):
+            box.prob((0, 0), outvals)
+    for invals in ((0,), (0, 5)):
+        with pytest.raises(ValueError, match="not in the box's input space"):
+            box.prob(invals, (0, 0))
 
 
 def test_bn_box_targets_addressed_bit():
@@ -167,3 +179,19 @@ def test_support_keeps_exactly_the_nonzero_cells():
     row = (ZERO, F(0), F(1, 3), F(0, 5), F(-1, 3), ZERO, F(1))
     assert support(row) == [(2, F(1, 3)), (4, F(-1, 3)), (6, F(1))]
     assert support((ZERO, F(0))) == []
+
+
+def test_oversized_tables_are_refused_before_building():
+    def sig(rows, outs):
+        return BoxSignature((("x", rows),), (("X", outs),), (), ())
+
+    check_table_size(sig(MAX_TABLE_CELLS, 1))
+    with pytest.raises(ValueError, match="more than the limit"):
+        check_table_size(sig(MAX_TABLE_CELLS, 2))
+    # 2^29 * 30 input rows times 4 output cells: refused without building a row
+    with pytest.raises(ValueError, match="more than the limit"):
+        make_bn_box(30)
+    # the largest box the tests build stays inside the limit
+    check_table_size(BoxSignature(
+        tuple((f"a_{i}", 5) for i in range(5)), (("A", 5),), (("Aprime", 5), ("b", 5)), (("B", 5),)
+    ))

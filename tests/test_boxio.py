@@ -60,3 +60,20 @@ def test_parse_names_the_entry_with_an_output_out_of_range():
     text = serialize_box(make_bn_box(2)).replace(": 1 0 =", ": 1 2 =", 1)
     with pytest.raises(ValueError, match=r"output symbol 2 out of range .* in entry \(1, 2\)"):
         parse_box(text)
+
+
+def test_parse_names_the_entry_with_the_wrong_output_arity():
+    text = serialize_box(make_bn_box(2)).replace(": 1 0 =", ": 1 0 1 =", 1)
+    with pytest.raises(ValueError, match=r"3 output values for 2 output wires in entry \(1, 0, 1\)"):
+        parse_box(text)
+
+
+HUGE_BOX = (
+    "var alice input x 100000000\nvar alice output X 2\n"
+    "var bob input y 2\nvar bob output Y 2\n\n0 0 : 0 0 = 1\n"
+)
+
+
+def test_parse_refuses_an_oversized_header_before_densifying():
+    with pytest.raises(ValueError, match="800000000 cells .* more than the limit"):
+        parse_box(HUGE_BOX)

@@ -16,7 +16,7 @@ from racbox.capacity import (
     verify_capacity_bound_bits,
     verify_capacity_bound_dits,
 )
-from racbox.dists import condition, marginalize, probability
+from racbox.dists import probability
 from racbox.tables import TableFn
 
 F = Fraction
@@ -63,16 +63,18 @@ def test_builtin_catalog():
     assert set(BUILTIN_STRATEGIES) == {"protocol", "send-x1", "ignore-rb"}
 
 
-def test_joint_structure_of_the_protocol_strategy():
-    dist = build_capacity_joint(protocol_strategy(2, 2), "signalinghalf")
-    # Bob relays his box input: b = y always
-    assert probability(dist, lambda v: v["b"] == v["y"]) == 1
-    # on the diagnostic branch A' = A the box answers perfectly: B = a_b
-    onbranch = condition(
-        marginalize(dist, ["Aprime", "A", "B", "a_0", "a_1", "b"]), {"Aprime": 0}
-    )
-    sliced = condition(onbranch, {"A": 0})
-    assert probability(sliced, lambda v: v["B"] == (v["a_0"], v["a_1"])[v["b"]]) == 1
+@pytest.mark.parametrize(
+    "n,d,variant", [(2, 2, "signalinghalf"), (3, 2, "signalinghalf"), (2, 3, "three"), (3, 3, "three")]
+)
+def test_bob_view_of_the_protocol_strategy(n, d, variant):
+    dist = build_capacity_joint(protocol_strategy(n, d), variant)
+    xs = [f"x_{i}" for i in range(1, n)]
+    assert dist.names == tuple(xs) + ("z", "y", "X", "s", "m", "Aprime", "B", "Y")
+    # relaying m = A keeps every query on the A' = A branch
+    assert probability(dist, lambda v: v["Aprime"] == v["m"]) == 1
+    # so the box answers the queried slot of (z, x_1, ..., x_{n-1})
+    slots = ["z"] + xs
+    assert probability(dist, lambda v: v["B"] == v[slots[v["y"]]]) == 1
 
 
 def test_strategy_domain_validation():

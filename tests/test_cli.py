@@ -184,6 +184,19 @@ def test_machine_errors_end_with_a_status_line(tmp_path):
     code, out = run_cli("check-ns", "--box", str(bad), "--machine")
     assert code == 2
     assert out.strip().splitlines() == ["status=error"]
+    # a header declaring 10^8 inputs is refused before the table is densified
+    huge = tmp_path / "huge.box"
+    huge.write_text(
+        "var alice input x 100000000\nvar alice output X 2\n"
+        "var bob input y 2\nvar bob output Y 2\n\n0 0 : 0 0 = 1\n"
+    )
+    code, out = run_cli("check-ns", "--box", str(huge), "--machine")
+    assert code == 2
+    assert out.strip().splitlines() == ["status=error"]
+    # at (4, 5) the capacity game's dense induced table would have 3.9 * 10^7 cells
+    code, out = run_cli("capacity", "--n", "4", "--d", "5", "--machine")
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
 
 
 def test_feasibility_presets():

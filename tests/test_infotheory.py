@@ -15,11 +15,9 @@ from racbox.dists import (
 )
 from racbox.infotheory import (
     TOLERANCE,
-    InfoQuery,
     check_lemma4,
     conditional_entropy,
     entropy,
-    evaluate_query,
     information_causality_lhs,
     multi_information,
     mutual_information,
@@ -51,6 +49,8 @@ def test_entropy_base_conversion():
     d = uniform("x", 9)
     assert entropy(d, ["x"], 3) == pytest.approx(2.0, abs=1e-12)
     assert entropy(d, ["x"], 2) == pytest.approx(2 * math.log2(3), abs=1e-12)
+    with pytest.raises(ValueError, match="log base"):
+        entropy(d, ["x"], 1)
 
 
 def test_chain_rule():
@@ -163,44 +163,3 @@ def test_choice_alphabet_must_match_key_count():
     d = derive(d, "E", 2, lambda v: 0)
     with pytest.raises(ValueError):
         information_causality_lhs(d, ["k0", "k1"], "E", "c")
-
-
-def test_query_validation():
-    with pytest.raises(ValueError):
-        InfoQuery("surprisal", (("a",),))
-    with pytest.raises(ValueError):
-        InfoQuery("entropy", ())
-    with pytest.raises(ValueError):
-        InfoQuery("entropy", (("a",),), log_base=1)
-
-
-def test_query_dispatch_matches_direct_calls():
-    rng = random.Random(3)
-    d = _random_dist(rng, [2, 2, 3])
-    q = InfoQuery("entropy", (("v0",),))
-    assert evaluate_query(d, q) == entropy(d, ["v0"])
-    q = InfoQuery("conditional_entropy", (("v0",),), ("v2",))
-    assert evaluate_query(d, q) == conditional_entropy(d, ["v0"], ["v2"])
-    q = InfoQuery("mutual_information", (("v0",), ("v1",)))
-    assert evaluate_query(d, q) == mutual_information(d, ["v0"], ["v1"])
-    q = InfoQuery("conditional_mutual_information", (("v0",), ("v1",)), ("v2",), 3)
-    assert evaluate_query(d, q) == mutual_information(d, ["v0"], ["v1"], ["v2"], 3)
-    q = InfoQuery("multi_information", (("v0",), ("v1",), ("v2",)))
-    assert evaluate_query(d, q) == multi_information(d, [["v0"], ["v1"]], ["v2"])
-
-
-def test_query_arity_mismatches_rejected():
-    d = independent_uniform([("a", 2), ("b", 2)])
-    with pytest.raises(ValueError):
-        evaluate_query(d, InfoQuery("mutual_information", (("a",),)))
-    with pytest.raises(ValueError):
-        evaluate_query(d, InfoQuery("entropy", (("a",), ("b",))))
-
-
-def test_capacity_verifiers_reachable_from_here():
-    from racbox import infotheory
-
-    fn = infotheory.verify_capacity_bound_bits
-    from racbox.capacity import verify_capacity_bound_bits
-
-    assert fn is verify_capacity_bound_bits
