@@ -9,7 +9,8 @@ output X, and Bob's relay A' and simulated output Y.
 
 The verifier runs the game through the sequential protocol executor and
 keeps the exact joint of the inputs, Alice's X and Bob's view
-(s, m, A', B, Y).  It checks that the strategy really reproduces the target
+(s, m, B, A', Y); A' and Y are attached after the run as functions of the
+other wires.  It checks that the strategy really reproduces the target
 box family on (x_1..x_{n-1}; y -> X, Y) (the premise of the bound), and
 then computes the channel information I(z : B, y, s) available to Bob about
 z.  The claim under test is that this never exceeds 1/n in message-alphabet
@@ -169,7 +170,9 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
     The game runs through the sequential executor ``run_box_protocol``:
     Alice feeds ``a_fns`` into the RAC-box and sends m; Bob relays A', queries
     the box at y and outputs Y.  The joint covers x_1..x_{n-1}, z, y, X and
-    Bob's view (s, m, Aprime, B, Y) under uniform inputs.
+    Bob's view (s, m, B, Aprime, Y) under uniform inputs.  Aprime and Y are
+    functions of the other view wires, so they are attached after the run
+    rather than carried as outputs of the induced table.
     """
     n, d = strategy.n, strategy.d
     xz_vars = _xz_vars(n, d)
@@ -177,18 +180,11 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
         alice_inputs=xz_vars,
         alice_outputs=(("X", d),),
         bob_inputs=(("y", n),),
-        bob_outputs=(("s", d), ("m", d), ("Aprime", d), ("B", d), ("Y", d)),
+        bob_outputs=(("s", d), ("m", d), ("B", d)),
     )
 
     def xz(ta: dict[str, int]) -> tuple[int, ...]:
         return tuple(ta[nm] for nm, _ in xz_vars)
-
-    def bob_outputs(tb, b_out, m, s) -> dict[str, int]:
-        y, B = tb["y"], b_out["B"]
-        return {
-            "s": s, "m": m, "Aprime": strategy.aprime_fn(m, y, s),
-            "B": B, "Y": strategy.y_fn(m, y, s, B),
-        }
 
     run = run_box_protocol(
         f"capacity-{strategy.name}-{rb_variant}",
@@ -198,11 +194,14 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
         message=lambda ta, a_out, s, wire: wire.send(strategy.m_fn(*xz(ta), a_out["A"])),
         alice_outputs=lambda ta, a_out, s: {"X": strategy.x_fn(*xz(ta), a_out["A"], s)},
         bob_box_inputs=lambda tb, m, s: (strategy.aprime_fn(m, tb["y"], s), tb["y"]),
-        bob_outputs=bob_outputs,
+        bob_outputs=lambda tb, b_out, m, s: {"s": s, "m": m, "B": b_out["B"]},
         message_size=d,
         sr_size=d,
     )
-    return run.result.joint()
+    dist = derive(
+        run.result.joint(), "Aprime", d, lambda v: strategy.aprime_fn(v["m"], v["y"], v["s"])
+    )
+    return derive(dist, "Y", d, lambda v: strategy.y_fn(v["m"], v["y"], v["s"], v["B"]))
 
 
 def _reproduces_box_family(dist: JointDistribution, n: int, d: int) -> tuple[bool, str]:

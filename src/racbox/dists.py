@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 Assignment = tuple[int, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def exact_sum(values: Sequence[Fraction]) -> Fraction:
@@ -150,15 +149,20 @@ def derive(
     size: int,
     fn: Callable[[dict[str, int]], int],
 ) -> JointDistribution:
-    """Attach a deterministic variable computed from the existing ones."""
+    """Attach a deterministic variable computed from the existing ones.
 
-    def kernel(values: dict[str, int]) -> Mapping[Assignment, Fraction]:
-        v = fn(values)
+    The same as ``extend`` with a point-mass kernel, in one pass that keeps
+    each probability object as it is.
+    """
+    probs: dict[Assignment, Fraction] = {}
+    for key, p in dist.probs.items():
+        if not p:
+            continue
+        v = fn(dist.as_dict(key))
         if not 0 <= v < size:
             raise ValueError(f"derived value {v} out of range for {name!r}")
-        return {(v,): ONE}
-
-    return extend(dist, [(name, size)], kernel)
+        probs[key + (v,)] = p
+    return JointDistribution(dist.variables + ((name, size),), probs)
 
 
 def marginalize(dist: JointDistribution, keep: Sequence[str]) -> JointDistribution:

@@ -23,7 +23,6 @@ from .boxes import (
     Box,
     BoxSignature,
     check_no_signaling,
-    check_table_size,
     make_bn_box,
     make_bnd_box,
     make_rb,
@@ -120,15 +119,12 @@ def run_box_protocol(
     once per (Alice task input, s, A), with a fresh wire for each such round,
     and then serves every Bob task input; so ``message`` cannot depend on
     Bob's task input.  The result's normalization is checked in one place,
-    ``ProtocolRun.__post_init__``, when the returned run is built.  The
-    induced table is dense, so an ``iface`` over ``boxes.MAX_TABLE_CELLS``
-    cells is refused before anything runs.
+    ``ProtocolRun.__post_init__``, when the returned run is built.
     """
     if message_size > 1 and message is None:
         raise ProtocolError("a message alphabet was declared but no sender given")
     if message_size == 1 and message is not None:
         raise ProtocolError("message sender given but no message alphabet declared")
-    check_table_size(iface)
     if not check_no_signaling(resource, "b2a"):
         raise ProtocolError(
             "resource signals from Bob to Alice; sequential execution is unsound"

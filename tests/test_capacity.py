@@ -69,7 +69,8 @@ def test_builtin_catalog():
 def test_bob_view_of_the_protocol_strategy(n, d, variant):
     dist = build_capacity_joint(protocol_strategy(n, d), variant)
     xs = [f"x_{i}" for i in range(1, n)]
-    assert dist.names == tuple(xs) + ("z", "y", "X", "s", "m", "Aprime", "B", "Y")
+    # the interface wires, then the two wires attached as functions of the view
+    assert dist.names == tuple(xs) + ("z", "y", "X", "s", "m", "B", "Aprime", "Y")
     # relaying m = A keeps every query on the A' = A branch
     assert probability(dist, lambda v: v["Aprime"] == v["m"]) == 1
     # so the box answers the queried slot of (z, x_1, ..., x_{n-1})

@@ -7,6 +7,7 @@ import pytest
 
 from racbox.cli import RunConfig, main
 from racbox.search import parse_strategy
+from test_boxio import HUGE_BOX
 
 
 def run_cli(*argv):
@@ -123,6 +124,14 @@ def test_capacity_subcommand_builtin():
     assert any(k.startswith("note.") and "premise met" in v for k, v in d.items())
 
 
+def test_capacity_subcommand_at_four_inputs_of_five_symbols():
+    code, out = run_cli("capacity", "--n", "4", "--d", "5", "--machine")
+    assert code == 0
+    d = machine_dict(out)
+    assert d["bound"] == "1/4"
+    assert d["status"] == "pass"
+
+
 def test_capacity_subcommand_failing_strategy():
     code, out = run_cli("capacity", "--strategy", "ignore-rb", "--machine")
     assert code == 1
@@ -186,17 +195,10 @@ def test_machine_errors_end_with_a_status_line(tmp_path):
     assert out.strip().splitlines() == ["status=error"]
     # a header declaring 10^8 inputs is refused before the table is densified
     huge = tmp_path / "huge.box"
-    huge.write_text(
-        "var alice input x 100000000\nvar alice output X 2\n"
-        "var bob input y 2\nvar bob output Y 2\n\n0 0 : 0 0 = 1\n"
-    )
+    huge.write_text(HUGE_BOX)
     code, out = run_cli("check-ns", "--box", str(huge), "--machine")
     assert code == 2
     assert out.strip().splitlines() == ["status=error"]
-    # at (4, 5) the capacity game's dense induced table would have 3.9 * 10^7 cells
-    code, out = run_cli("capacity", "--n", "4", "--d", "5", "--machine")
-    assert code == 2
-    assert out.strip().splitlines()[-1] == "status=error"
 
 
 def test_feasibility_presets():
