@@ -1,9 +1,10 @@
 """Exact arithmetic toolkit for no-signaling boxes and random access codes.
 
-Everything is computed over rational probability tables (``fractions.Fraction``),
-so equalities in the verification routines are exact, not numerical.  Floating
-point enters only in the entropy calculations, which carry an explicit
-tolerance.
+Everything is computed over exact rational tables: a box holds integer
+numerators over one denominator, joint distributions hold
+``fractions.Fraction`` values, so equalities in the verification routines
+are exact, not numerical.  Floating point enters only in the entropy
+calculations, which carry an explicit tolerance.
 
 The pieces:
 

@@ -13,21 +13,22 @@ The constructors here build the three families this package studies:
   guess A' and an index b and receives B with B = a_b whenever A' = A.
   The variants fix the behaviour on the A' != A branch (see below).
 
-Tables are dense over the input product space and exact; probability
-vectors are shared between input rows that induce the same conditional,
-which keeps even the largest grid sizes cheap.
+A table is one integer array of numerators, one axis per wire (inputs,
+then outputs, in signature order), over a single denominator kept in
+lowest terms.  Every check is an axis sum and an exact integer compare;
+``Fraction`` appears only where a single probability leaves a box.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from operator import is_not
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm, prod
+from typing import Sequence
 
-from .dists import JointDistribution, ZERO, exact_sum, iter_assignments
+import numpy as np
+
+from .dists import JointDistribution
 
 RB_VARIANTS = ("nosignaling", "signalinghalf", "plus", "minus", "three")
 BND_SIGNS = ("plus", "minus")
@@ -36,26 +37,22 @@ DIRECTIONS = ("a2b", "b2a")
 # largest dense table (input rows x output cells) a box may be built with
 MAX_TABLE_CELLS = 10**7
 
-# zero is interned as dists.ZERO so that ``support`` skips it by identity
-_FRACTION_CACHE: dict[tuple[int, int], Fraction] = {(0, 1): ZERO}
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-def _frac(num: int, den: int) -> Fraction:
-    """Interned Fraction so large tables share probability objects."""
-    key = (num, den)
-    if key not in _FRACTION_CACHE:
-        _FRACTION_CACHE[key] = Fraction(num, den)
-    return _FRACTION_CACHE[key]
+def numerator_dtype(peak: int, cells: int) -> np.dtype:
+    """Narrowest signed integer type for numerators of magnitude at most ``peak``.
 
-
-def support(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    """(position, probability) of a row's nonzero cells, in row order.
-
-    Cells holding the shared ``ZERO`` object are skipped by identity, without
-    a Fraction call; any other cell is kept only if it is nonzero.
+    Python-int ``object`` is the fallback once a sum over ``cells`` such
+    numerators could pass int64, so every sum of a table stored in an integer
+    type is exact in int64.
     """
-    maybe_nonzero = itertools.compress(range(len(row)), map(is_not, row, itertools.repeat(ZERO)))
-    return [(i, row[i]) for i in maybe_nonzero if row[i]]
+    if peak * max(cells, 1) > _INT64_MAX:
+        return np.dtype(object)
+    for dtype in (np.int8, np.int16, np.int32):
+        if peak <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -110,55 +107,115 @@ class BoxSignature:
         return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
-    """signature plus dense table: input assignment -> probability vector."""
+    """signature plus an exact table: integer numerators over one denominator.
+
+    ``table`` has one axis per wire, ``input_sizes + output_sizes``, so
+    ``table[invals + outvals] / denominator`` is P(outvals | invals).  The
+    constructor brings the pair to lowest terms and stores the numerators in
+    the narrowest integer type that holds them (see ``numerator_dtype``), so
+    two boxes are equal exactly when their signatures, denominators and
+    numerator arrays are.
+    """
 
     signature: BoxSignature
-    table: dict[tuple[int, ...], tuple[Fraction, ...]]
+    table: np.ndarray
+    denominator: int
+
+    def __post_init__(self) -> None:
+        sig = self.signature
+        table = np.asarray(self.table)
+        if table.shape != sig.input_sizes + sig.output_sizes:
+            raise ValueError(
+                f"table shape {table.shape} does not match the signature's wire sizes "
+                f"{sig.input_sizes + sig.output_sizes}"
+            )
+        if table.dtype.kind not in "biuO":
+            raise ValueError(f"box numerators must be integers, got dtype {table.dtype}")
+        if table.dtype.kind == "b":
+            table = table.view(np.int8)
+        den = int(self.denominator)
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        common = gcd(den, int(np.gcd.reduce(table, axis=None))) if table.size else den
+        if common > 1:
+            table = table // common
+            den //= common
+        peak = max(den, int(table.max()), -int(table.min())) if table.size else den
+        dtype = numerator_dtype(peak, table.size)
+        if table.dtype != dtype:
+            table = table.astype(dtype)
+        # a read-only view: equality and the dtype rest on the lowest terms found above
+        table = table.view()
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "denominator", den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Box):
+            return NotImplemented
+        return (
+            self.signature == other.signature
+            and self.denominator == other.denominator
+            and bool(np.array_equal(self.table, other.table))
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _input_row(self, invals: Sequence[int]) -> tuple[int, ...]:
+        """``invals`` as a tuple; ValueError if it is not an input assignment of the box."""
+        invals = tuple(invals)
+        sizes = self.signature.input_sizes
+        if len(invals) != len(sizes) or not all(0 <= v < s for v, s in zip(invals, sizes)):
+            raise ValueError(f"input assignment {invals} is not in the box's input space")
+        return invals
 
     def prob(self, invals: Sequence[int], outvals: Sequence[int]) -> Fraction:
         """P(outvals | invals); ValueError for an assignment outside the signature."""
-        row = self.table.get(tuple(invals))
-        if row is None:
-            raise ValueError(f"input assignment {tuple(invals)} is not in the box's input space")
-        return row[self.signature.output_index(outvals)]
-
-    def input_assignments(self) -> Iterable[tuple[int, ...]]:
-        return iter_assignments(self.signature.input_sizes)
-
-    def output_assignments(self) -> Iterable[tuple[int, ...]]:
-        return iter_assignments(self.signature.output_sizes)
+        cell = self.table[self._input_row(invals)].reshape(-1)[
+            self.signature.output_index(outvals)
+        ]
+        return Fraction(int(cell), self.denominator)
 
     def joint(self, input_dist: JointDistribution | None = None) -> JointDistribution:
         """Joint over inputs and outputs; inputs default to uniform.
 
         A supplied ``input_dist`` must cover exactly the box's input wires in
-        signature order (alice inputs then bob inputs).
+        signature order (alice inputs then bob inputs).  Entries come in
+        row-major order, zeros omitted.
         """
         sig = self.signature
         if input_dist is None:
-            n_inputs = 1
-            for s in sig.input_sizes:
-                n_inputs *= s
-            in_probs: Mapping[tuple[int, ...], Fraction] = {
-                key: _frac(1, n_inputs) for key in self.input_assignments()
-            }
+            nums, den = self.table, self.denominator * prod(sig.input_sizes)
         else:
             if input_dist.variables != sig.input_vars:
                 raise ValueError(
                     f"input distribution variables {input_dist.variables} do not match "
                     f"box inputs {sig.input_vars}"
                 )
-            in_probs = input_dist.probs
-        outputs = list(self.output_assignments())
-        probs: dict[tuple[int, ...], Fraction] = {}
-        for invals, p_in in in_probs.items():
-            if not p_in:
-                continue
-            for j, p_out in support(self.table[invals]):
-                probs[invals + outputs[j]] = p_in * p_out
-        return JointDistribution(sig.input_vars + sig.output_vars, probs)
+            in_den = lcm(*(p.denominator for p in input_dist.probs.values()))
+            weights = np.zeros(sig.input_sizes + (1,) * len(sig.output_sizes), dtype=object)
+            for invals, p in input_dist.probs.items():
+                weights[self._input_row(invals)] = p.numerator * (in_den // p.denominator)
+            nums, den = weights * self.table, self.denominator * in_den
+        cells = np.nonzero(nums)
+        values = nums[cells].tolist()
+        fractions = {v: Fraction(v, den) for v in set(values)}
+        keys = zip(*(axis.tolist() for axis in cells))
+        return JointDistribution(
+            sig.input_vars + sig.output_vars,
+            {key: fractions[v] for key, v in zip(keys, values)},
+        )
+
+
+def sum_dtype(table: np.ndarray) -> np.dtype:
+    """Accumulator for sums of a box table's numerators: int64, or Python ints for object tables.
+
+    int64 is exact because ``numerator_dtype`` stores a table in an integer
+    type only when its largest magnitude times its size fits in int64.
+    """
+    return table.dtype if table.dtype == object else np.dtype(np.int64)
 
 
 def check_table_size(sig: BoxSignature) -> None:
@@ -171,17 +228,16 @@ def check_table_size(sig: BoxSignature) -> None:
         )
 
 
-def _dense_box(sig: BoxSignature, row_for) -> Box:
-    """Build a dense table, sharing row tuples via a local cache."""
-    check_table_size(sig)
-    cache: dict[object, tuple[Fraction, ...]] = {}
-    table: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-    for invals in iter_assignments(sig.input_sizes):
-        key, build = row_for(invals)
-        if key not in cache:
-            cache[key] = build()
-        table[invals] = cache[key]
-    return Box(sig, table)
+def addressed(d: int, k: int, pad: bool) -> np.ndarray:
+    """v[w_0, ..., w_{k-1}, i] = w_i: the i-th of k d-ary values, for every i and w.
+
+    With ``pad`` the index runs over (0, w_0, ..., w_{k-1}) instead, so index 0
+    addresses a constant 0 (the x_0 = 0 convention of the box families).
+    """
+    grid = np.indices((d,) * k, dtype=numerator_dtype(d, 1))
+    if pad:
+        grid = np.concatenate([np.zeros_like(grid[:1]), grid])
+    return np.moveaxis(grid, 0, -1)
 
 
 def make_bn_box(n: int) -> Box:
@@ -199,22 +255,9 @@ def make_bn_box(n: int) -> Box:
         bob_inputs=(("y", n),),
         bob_outputs=(("Y", 2),),
     )
-    half = _frac(1, 2)
-    zero = _frac(0, 1)
-
-    def row_for(invals: tuple[int, ...]):
-        xs = invals[:-1]
-        y = invals[-1]
-        target = 0 if y == 0 else xs[y - 1]
-
-        def build() -> tuple[Fraction, ...]:
-            return tuple(
-                half if (X ^ Y) == target else zero for X in range(2) for Y in range(2)
-            )
-
-        return target, build
-
-    return _dense_box(sig, row_for)
+    check_table_size(sig)
+    X, Y = np.ogrid[:2, :2]
+    return Box(sig, addressed(2, n - 1, pad=True)[..., None, None] == (X ^ Y), 2)
 
 
 def make_bnd_box(n: int, d: int, sign: str) -> Box:
@@ -232,25 +275,10 @@ def make_bnd_box(n: int, d: int, sign: str) -> Box:
         bob_inputs=(("y", n),),
         bob_outputs=(("Y", d),),
     )
-    p = _frac(1, d)
-    zero = _frac(0, 1)
-
-    def row_for(invals: tuple[int, ...]):
-        xs = invals[:-1]
-        y = invals[-1]
-        target = 0 if y == 0 else xs[y - 1]
-
-        def build() -> tuple[Fraction, ...]:
-            row = []
-            for X in range(d):
-                for Y in range(d):
-                    combo = (X + Y) % d if sign == "plus" else (X - Y) % d
-                    row.append(p if combo == target else zero)
-            return tuple(row)
-
-        return target, build
-
-    return _dense_box(sig, row_for)
+    check_table_size(sig)
+    X, Y = np.ogrid[:d, :d]
+    combo = (X + Y) % d if sign == "plus" else (X - Y) % d
+    return Box(sig, addressed(d, n - 1, pad=True)[..., None, None] == combo, d)
 
 
 def make_rb(n: int, d: int, variant: str) -> Box:
@@ -286,57 +314,37 @@ def make_rb(n: int, d: int, variant: str) -> Box:
         bob_inputs=(("Aprime", d), ("b", n)),
         bob_outputs=(("B", d),),
     )
-    pA = _frac(1, d)
-    zero = _frac(0, 1)
-
-    def b_prob(a_b: int, A: int, Aprime: int, B: int) -> Fraction:
-        """P(B | A, a_b, A') for the chosen variant (exact, sums to 1 over B)."""
-        if Aprime == A:
-            return _frac(1, 1) if B == a_b else zero
-        if variant == "nosignaling":
-            return _frac(1, 1) if B == (a_b + A + Aprime) % 2 else zero
-        if variant == "signalinghalf":
-            return _frac(1, 2)
-        if variant == "plus":
-            return _frac(1, 1) if B == (a_b - A + Aprime) % d else zero
-        if variant == "minus":
-            return _frac(1, 1) if B == (a_b + A - Aprime) % d else zero
-        # three: uniform over the wrong symbols
-        return zero if B == a_b else _frac(1, d - 1)
-
-    def row_for(invals: tuple[int, ...]):
-        a = invals[:n]
-        Aprime, b = invals[n], invals[n + 1]
-        key = (a[b], Aprime)
-
-        def build() -> tuple[Fraction, ...]:
-            row = []
-            for A in range(d):
-                for B in range(d):
-                    row.append(pA * b_prob(a[b], A, Aprime, B))
-            return tuple(row)
-
-        return key, build
-
-    return _dense_box(sig, row_for)
+    check_table_size(sig)
+    # kernel[a_b, A', A, B] = scale * P(B | a_b, A, A'); A is uniform, so a cell of the
+    # table is P(A, B | a, A', b) = kernel / (d * scale)
+    ab, Ap, A, B = np.ogrid[:d, :d, :d, :d]
+    scale = {"signalinghalf": 2, "three": d - 1}.get(variant, 1)
+    off = {
+        "nosignaling": B == (ab + A + Ap) % 2,
+        "signalinghalf": 1,
+        "plus": B == (ab - A + Ap) % d,
+        "minus": B == (ab + A - Ap) % d,
+        "three": B != ab,
+    }[variant]
+    kernel = np.where(Ap == A, scale * (B == ab), off).astype(numerator_dtype(scale, 1))
+    a_b = addressed(d, n, pad=False)[..., None, :]
+    aprime = np.arange(d).reshape((d, 1))
+    return Box(sig, kernel[a_b, aprime], d * scale)
 
 
-def _row_normalized(row: Sequence[Fraction]) -> bool:
-    """Non-negative and summing exactly to 1, read off the nonzero cells."""
-    cells = [p for _, p in support(row)]
-    return all(p.numerator > 0 for p in cells) and exact_sum(cells) == 1
+def _first_row(box: Box, flagged: np.ndarray) -> tuple[int, ...] | None:
+    """Input assignment of the first flagged row (flags in row-major input order)."""
+    hits = np.flatnonzero(flagged)
+    if not hits.size:
+        return None
+    return tuple(int(v) for v in np.unravel_index(hits[0], box.signature.input_sizes))
 
 
 def unnormalized_row(box: Box) -> tuple[int, ...] | None:
     """The first input row that has a negative cell or does not sum exactly to 1."""
-    seen: dict[int, bool] = {}
-    for invals, row in box.table.items():
-        verdict = seen.get(id(row))
-        if verdict is None:
-            verdict = seen[id(row)] = _row_normalized(row)
-        if not verdict:
-            return invals
-    return None
+    rows = box.table.reshape(prod(box.signature.input_sizes), -1)
+    sums = rows.sum(axis=1, dtype=sum_dtype(rows))
+    return _first_row(box, (rows < 0).any(axis=1) | (sums != box.denominator))
 
 
 def check_normalization(box: Box) -> bool:
@@ -344,22 +352,29 @@ def check_normalization(box: Box) -> bool:
     return unnormalized_row(box) is None
 
 
-def _party_marginal(box: Box, row: tuple[Fraction, ...], party: str) -> tuple[Fraction, ...]:
-    """Output marginal of one party from a table row."""
+def signaling_row(box: Box, direction: str) -> tuple[int, ...] | None:
+    """The first input row whose receiver marginal differs from the marginal
+    at the sender's first input, in row-major order; None if there is none.
+
+    direction "a2b": Bob's marginal P(bob outputs | inputs) is compared with
+    the one at Alice's first input; "b2a" symmetrically.
+    """
+    direction = direction.lower().replace("-", "").replace("_", "")
+    aliases = {"a2b": "a2b", "alicetobob": "a2b", "b2a": "b2a", "bobtoalice": "b2a"}
+    if direction not in aliases:
+        raise ValueError(f"direction must be one of {sorted(set(aliases))}, got {direction!r}")
     sig = box.signature
-    n_alice = 1
-    for _, s in sig.alice_outputs:
-        n_alice *= s
-    n_bob = 1
-    for _, s in sig.bob_outputs:
-        n_bob *= s
-    if party == "alice":
-        return tuple(
-            sum((row[i * n_bob + j] for j in range(n_bob)), ZERO) for i in range(n_alice)
-        )
-    return tuple(
-        sum((row[i * n_bob + j] for i in range(n_alice)), ZERO) for j in range(n_bob)
+    n_in = len(sig.input_sizes)
+    first_bob_out = n_in + len(sig.alice_outputs)
+    if aliases[direction] == "a2b":
+        summed = tuple(range(n_in, first_bob_out))
+    else:
+        summed = tuple(range(first_bob_out, box.table.ndim))
+    marg = box.table.sum(axis=summed, dtype=sum_dtype(box.table)).reshape(
+        prod(s for _, s in sig.alice_inputs), prod(s for _, s in sig.bob_inputs), -1
     )
+    ref = marg[:1] if aliases[direction] == "a2b" else marg[:, :1]
+    return _first_row(box, (marg != ref).any(axis=2))
 
 
 def check_no_signaling(box: Box, direction: str) -> bool:
@@ -368,41 +383,7 @@ def check_no_signaling(box: Box, direction: str) -> bool:
     direction "a2b": Bob's marginal P(bob outputs | bob inputs) must be the
     same for every choice of Alice's inputs; "b2a" symmetrically.
     """
-    direction = direction.lower().replace("-", "").replace("_", "")
-    aliases = {"a2b": "a2b", "alicetobob": "a2b", "b2a": "b2a", "bobtoalice": "b2a"}
-    if direction not in aliases:
-        raise ValueError(f"direction must be one of {sorted(set(aliases))}, got {direction!r}")
-    direction = aliases[direction]
-    sig = box.signature
-    n_alice_in = len(sig.alice_inputs)
-    receiver = "bob" if direction == "a2b" else "alice"
-    marg_cache: dict[int, tuple[Fraction, ...]] = {}
-
-    def marginal(row: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        m = marg_cache.get(id(row))
-        if m is None:
-            m = _party_marginal(box, row, receiver)
-            marg_cache[id(row)] = m
-        return m
-
-    reference: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-    # verdicts of comparisons already made, keyed by the cached marginals' ids
-    same: dict[tuple[int, int], bool] = {}
-    for invals, row in box.table.items():
-        # the receiver's own inputs index the reference marginal
-        local = invals[n_alice_in:] if direction == "a2b" else invals[:n_alice_in]
-        m = marginal(row)
-        ref = reference.get(local)
-        if ref is None:
-            reference[local] = m
-        elif ref is not m:
-            key = (id(ref), id(m))
-            verdict = same.get(key)
-            if verdict is None:
-                verdict = same[key] = ref == m
-            if not verdict:
-                return False
-    return True
+    return signaling_row(box, direction) is None
 
 
 def rb_blind_guess_probability(rb: Box, index: int) -> Fraction:
@@ -417,13 +398,7 @@ def rb_blind_guess_probability(rb: Box, index: int) -> Fraction:
     d = sig.alice_inputs[0][1]
     if not 0 <= index < n:
         raise ValueError(f"index {index} out of range for n={n}")
-    total = ZERO
-    count = 0
-    for a in iter_assignments([d] * n):
-        for aprime in range(d):
-            row = rb.table[a + (aprime, index)]
-            count += 1
-            for outvals, p in zip(rb.output_assignments(), row):
-                if p != 0 and outvals[1] == a[index]:
-                    total += p
-    return total / count
+    # axes a_0..a_{n-1}, A', B once b = index is fixed and A summed away
+    guess = rb.table[..., index, :, :].sum(axis=-2, dtype=sum_dtype(rb.table))
+    hits = np.diagonal(np.moveaxis(guess, index, -2), axis1=-2, axis2=-1)
+    return Fraction(int(hits.sum()), rb.denominator * d ** (n + 1))

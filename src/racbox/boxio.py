@@ -14,16 +14,17 @@ Format, one document per box::
 Header lines declare each wire as ``var <party> <input|output> <name> <size>``
 in signature order.  Body lines give input assignment, output assignment and
 an exact probability ``numerator/denominator``; zero entries are omitted and
-restored on parse.  ``parse_box(serialize_box(box)) == box`` for any box with
-a dense table.
+restored on parse.  ``parse_box(serialize_box(box)) == box`` for every box.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
-from .boxes import Box, BoxSignature, check_table_size
-from .dists import iter_assignments
+import numpy as np
+
+from .boxes import Box, BoxSignature, check_table_size, numerator_dtype
 
 _PARTIES = ("alice", "bob")
 _ROLES = ("input", "output")
@@ -43,17 +44,17 @@ def serialize_box(box: Box) -> str:
                 raise ValueError(f"wire name {name!r} contains whitespace")
             lines.append(f"var {party} {role} {name} {size}")
     lines.append("")
-    for invals in sorted(box.table):
-        row = box.table[invals]
-        for outvals, p in zip(iter_assignments(sig.output_sizes), row):
-            if p == 0:
-                continue
-            lines.append(
-                " ".join(str(v) for v in invals)
-                + " : "
-                + " ".join(str(v) for v in outvals)
-                + f" = {p.numerator}/{p.denominator}"
-            )
+    n_in = len(sig.input_sizes)
+    cells = np.nonzero(box.table)
+    values = box.table[cells].tolist()
+    probs = {}
+    for v in set(values):
+        p = Fraction(v, box.denominator)
+        probs[v] = f" = {p.numerator}/{p.denominator}"
+    for cell, v in zip(zip(*(axis.tolist() for axis in cells)), values):
+        lines.append(
+            " ".join(map(str, cell[:n_in])) + " : " + " ".join(map(str, cell[n_in:])) + probs[v]
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -76,7 +77,10 @@ def parse_box(text: str) -> Box:
             _, party, role, name, size_s = parts
             if party not in _PARTIES or role not in _ROLES:
                 raise ValueError(f"line {lineno}: unknown party/role {party!r} {role!r}")
-            size = int(size_s)
+            try:
+                size = int(size_s)
+            except ValueError:
+                raise ValueError(f"line {lineno}: wire size {size_s!r} is not an integer") from None
             if size < 1:
                 raise ValueError(f"line {lineno}: size must be positive")
             wires[(party, role)].append((name, size))
@@ -103,28 +107,25 @@ def parse_box(text: str) -> Box:
         bob_outputs=tuple(wires[("bob", "output")]),
     )
     check_table_size(sig)
-    n_out = 1
-    for s in sig.output_sizes:
-        n_out *= s
-    zero_row = tuple([Fraction(0)] * n_out)
-    rows: dict[tuple[int, ...], list[Fraction]] = {}
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    n_out = prod(sig.output_sizes)
+    den = lcm(*(p.denominator for _, _, p in entries))
+    cells: dict[int, int] = {}
     for invals, outvals, p in entries:
         if len(invals) != len(sig.input_sizes):
             raise ValueError(f"entry {invals} : {outvals} has wrong input arity for the header")
+        row = 0
         for v, s in zip(invals, sig.input_sizes):
             if not 0 <= v < s:
                 raise ValueError(f"input symbol {v} out of range in entry {invals}")
+            row = row * s + v
         try:
-            out_index = sig.output_index(outvals)
+            cell = row * n_out + sig.output_index(outvals)
         except ValueError as exc:
             raise ValueError(f"{exc} in entry {outvals}") from None
-        if (invals, outvals) in seen:
+        if cell in cells:
             raise ValueError(f"duplicate entry for {invals} : {outvals}")
-        seen.add((invals, outvals))
-        rows.setdefault(invals, list(zero_row))[out_index] = p
-    table = {
-        invals: tuple(rows[invals]) if invals in rows else zero_row
-        for invals in iter_assignments(sig.input_sizes)
-    }
-    return Box(sig, table)
+        cells[cell] = p.numerator * (den // p.denominator)
+    # every entry lies in [0, 1], so no numerator exceeds the denominator
+    table = np.zeros(prod(sig.input_sizes) * n_out, dtype=numerator_dtype(den, len(cells)))
+    table[list(cells)] = list(cells.values())
+    return Box(sig, table.reshape(sig.input_sizes + sig.output_sizes), den)

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .boxes import BoxSignature, make_bnd_box, make_rb
-from .dists import ZERO, JointDistribution, condition, derive, marginalize
+import numpy as np
+
+from .boxes import Box, BoxSignature, make_bnd_box, make_rb
+from .dists import JointDistribution, condition, derive
 from .infotheory import TOLERANCE, conditional_entropy, mutual_information
 from .protocols import run_box_protocol
 from .reports import ProbeReport
@@ -205,20 +208,34 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
 
 
 def _reproduces_box_family(dist: JointDistribution, n: int, d: int) -> tuple[bool, str]:
-    """Does P(X, Y | x_vec, y) equal the plus-family box table exactly?"""
+    """Does P(X, Y | x_vec, y) equal the plus-family box table exactly?
+
+    The induced (x_1..x_{n-1}; y -> X, Y) table is grouped out of the joint in
+    one pass, as numerators over the joint's common denominator, then
+    conditioned row by row and compared with the box as a Box.
+    """
     target = make_bnd_box(n, d, "plus")
-    x_names = [f"x_{i}" for i in range(1, n)]
-    view = marginalize(dist, x_names + ["y", "X", "Y"])
-    for invals, row in target.table.items():
-        xs, y = invals[: n - 1], invals[n - 1]
-        sliced = condition(view, {**dict(zip(x_names, xs)), "y": y})
-        for (X, Y), want in zip(target.output_assignments(), row):
-            got = sliced.probs.get((X, Y), ZERO)
-            if got != want:
-                return False, (
-                    f"P(X={X},Y={Y} | x={xs},y={y}) = {got}, box table says {want}"
-                )
-    return True, "induced (X,Y) table matches the plus-family box exactly"
+    sig = target.signature
+    at = [dist.index(name) for name, _ in sig.input_vars + sig.output_vars]
+    den = lcm(*(p.denominator for p in dist.probs.values()))
+    grouped: dict[tuple[int, ...], int] = {}
+    for key, p in dist.probs.items():
+        cell = tuple(key[i] for i in at)
+        grouped[cell] = grouped.get(cell, 0) + p.numerator * (den // p.denominator)
+    mass = np.zeros(target.table.shape, dtype=object)
+    mass[tuple(zip(*grouped))] = list(grouped.values())
+    # every (x, y) row has mass: the executor's joint has uniform inputs
+    rows = mass.reshape(target.table.shape[:n] + (-1,)).sum(axis=-1)
+    row_den = lcm(*rows.ravel().tolist())
+    induced = Box(sig, mass * (row_den // rows)[..., None, None], row_den)
+    if induced == target:
+        return True, "induced (X,Y) table matches the plus-family box exactly"
+    differs = (induced.table.astype(object) * target.denominator
+               != target.table.astype(object) * induced.denominator)
+    cell = tuple(int(v) for v in np.argwhere(differs)[0])
+    xs, y, (X, Y) = cell[: n - 1], cell[n - 1], cell[n:]
+    got, want = induced.prob(cell[:n], cell[n:]), target.prob(cell[:n], cell[n:])
+    return False, f"P(X={X},Y={Y} | x={xs},y={y}) = {got}, box table says {want}"
 
 
 def _zero_entropy_diagnostics(dist: JointDistribution, n: int, d: int, base: int) -> list[str]:

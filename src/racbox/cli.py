@@ -17,6 +17,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .boxes import (
@@ -125,16 +126,17 @@ def _build_box(params: dict):
 
 def _cmd_build(params: dict, em: Emitter) -> int:
     box = _build_box(params)
+    rows = prod(box.signature.input_sizes)
     text = serialize_box(box)
     out = params.get("out")
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-        em.text(f"wrote {len(box.table)} rows to {out}")
+        em.text(f"wrote {rows} rows to {out}")
     else:
         print(text, end="")
     em.kv("family", params["family"])
-    em.kv("rows", len(box.table))
+    em.kv("rows", rows)
     if out:
         em.kv("out", out)
     return em.finish(True)

@@ -13,22 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 Assignment = tuple[int, ...]
 
 ZERO = Fraction(0)
-
-
-def exact_sum(values: Sequence[Fraction]) -> Fraction:
-    """Exact sum of rationals, added as integers over their least common denominator.
-
-    Builds one Fraction instead of one per term, which is what makes long
-    sums of probabilities cheap.
-    """
-    den = lcm(*(p.denominator for p in values))
-    return Fraction(sum(p.numerator * (den // p.denominator) for p in values), den)
 
 
 def iter_assignments(sizes: Sequence[int]) -> Iterable[Assignment]:

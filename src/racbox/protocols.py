@@ -19,17 +19,21 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .boxes import (
     Box,
     BoxSignature,
-    check_no_signaling,
+    addressed,
     make_bn_box,
     make_bnd_box,
     make_rb,
-    support,
+    numerator_dtype,
+    signaling_row,
+    sum_dtype,
     unnormalized_row,
 )
-from .dists import ZERO, JointDistribution, exact_sum, iter_assignments
+from .dists import ZERO, JointDistribution, iter_assignments
 from .reports import ProbeReport
 
 
@@ -73,7 +77,8 @@ class ProtocolRun:
             raise ProtocolError("alphabets must have size >= 1")
         bad = unnormalized_row(self.result)
         if bad is not None:
-            total = sum(self.result.table[bad], ZERO)
+            row = self.result.table[bad]
+            total = Fraction(int(row.sum(dtype=sum_dtype(row))), self.result.denominator)
             raise ProtocolError(
                 f"result of {self.name!r} is not normalized: induced row at {bad} "
                 f"sums to {total} or has a negative cell"
@@ -125,12 +130,13 @@ def run_box_protocol(
         raise ProtocolError("a message alphabet was declared but no sender given")
     if message_size == 1 and message is not None:
         raise ProtocolError("message sender given but no message alphabet declared")
-    if not check_no_signaling(resource, "b2a"):
+    signaling = signaling_row(resource, "b2a")
+    if signaling is not None:
         raise ProtocolError(
-            "resource signals from Bob to Alice; sequential execution is unsound"
+            f"resource signals from Bob to Alice at input row {signaling}; "
+            "sequential execution is unsound"
         )
     res_sig = resource.signature
-    n_alice_out = prod(s for _, s in res_sig.alice_outputs)
     n_bob_out = prod(s for _, s in res_sig.bob_outputs)
     alice_out_dicts = [
         dict(zip([nm for nm, _ in res_sig.alice_outputs], a_out))
@@ -140,33 +146,25 @@ def run_box_protocol(
         dict(zip([nm for nm, _ in res_sig.bob_outputs], b_out))
         for b_out in iter_assignments([s for _, s in res_sig.bob_outputs])
     ]
-    ref_bob_in = next(iter_assignments([s for _, s in res_sig.bob_inputs]))
-
-    marginal_cache: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-
-    def alice_marginal(a_in: tuple[int, ...]) -> tuple[Fraction, ...]:
-        """P(resource Alice outputs | Alice inputs); Bob's input is irrelevant (checked)."""
-        m = marginal_cache.get(a_in)
-        if m is None:
-            row = resource.table[a_in + ref_bob_in]
-            m = tuple(
-                sum((row[i * n_bob_out + j] for j in range(n_bob_out)), ZERO)
-                for i in range(n_alice_out)
-            )
-            marginal_cache[a_in] = m
-        return m
-
-    p_s = Fraction(1, sr_size)
-    cells_cache: dict[int, list[list[tuple[int, Fraction]]]] = {}
-
-    def bob_cells(row: tuple[Fraction, ...]) -> list[list[tuple[int, Fraction]]]:
-        """Per Alice output: (Bob output index, p / sr_size) for the row's nonzero cells."""
-        cells = cells_cache.get(id(row))
-        if cells is None:
-            cells = cells_cache[id(row)] = [[] for _ in range(n_alice_out)]
-            for k, p in support(row):
-                cells[k // n_bob_out].append((k % n_bob_out, p * p_s))
-        return cells
+    # Each resource row is read once, as Python ints, into its nonzero cells:
+    # (Bob output index, numerator) per Alice output.  Rows with the same
+    # numerators share one such list; row_cells[a_row][b_row] holds it.
+    alice_rows = {a_in: i for i, a_in in enumerate(iter_assignments(
+        [s for _, s in res_sig.alice_inputs]))}
+    bob_rows = {b_in: i for i, b_in in enumerate(iter_assignments(
+        [s for _, s in res_sig.bob_inputs]))}
+    shared: dict[tuple[int, ...], list[list[tuple[int, int]]]] = {}
+    row_cells: list[list[list[list[tuple[int, int]]]]] = []
+    for a_block in resource.table.reshape(len(alice_rows), len(bob_rows), -1):
+        row_cells.append([])
+        for row in a_block.tolist():
+            cells = shared.get(tuple(row))
+            if cells is None:
+                cells = shared[tuple(row)] = [
+                    [(j, v) for j, v in enumerate(row[i:i + n_bob_out]) if v]
+                    for i in range(0, len(row), n_bob_out)
+                ]
+            row_cells[-1].append(cells)
 
     # (name, size, row-major stride) of each interface output wire, by party
     strides = {}
@@ -189,17 +187,17 @@ def run_box_protocol(
 
     alice_in_names = [nm for nm, _ in iface.alice_inputs]
     bob_in_names = [nm for nm, _ in iface.bob_inputs]
-    bob_task = [
-        (tb_in, dict(zip(bob_in_names, tb_in)))
-        for tb_in in iter_assignments([s for _, s in iface.bob_inputs])
-    ]
-    table: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    bob_task = [dict(zip(bob_in_names, tb_in))
+                for tb_in in iter_assignments([s for _, s in iface.bob_inputs])]
+    # the induced table's numerators over resource.denominator * sr_size, by flat cell
+    acc: dict[int, int] = {}
+    row_base = 0
     for ta_in in iter_assignments([s for _, s in iface.alice_inputs]):
         ta_dict = dict(zip(alice_in_names, ta_in))
-        accs: list[dict[int, Fraction]] = [{} for _ in bob_task]
         for s_val in range(sr_size):
-            a_in = tuple(alice_box_inputs(ta_dict, s_val))
-            marg = alice_marginal(a_in)
+            a_cells = row_cells[alice_rows[tuple(alice_box_inputs(ta_dict, s_val))]]
+            # Alice's marginal ignores Bob's input (checked above): read it at his first
+            marg = [sum(v for _, v in part) for part in a_cells[0]]
             for a_idx, a_out_dict in enumerate(alice_out_dicts):
                 if not marg[a_idx]:
                     continue
@@ -209,25 +207,25 @@ def run_box_protocol(
                     if wire.uses == 0:
                         raise ProtocolError("declared message was never sent")
                 m_val = wire.value
-                base = output_part(alice_outputs(ta_dict, a_out_dict, s_val), alice_wires)
-                for (_, tb_dict), acc in zip(bob_task, accs):
-                    b_in = tuple(bob_box_inputs(tb_dict, m_val, s_val))
-                    for b_idx, p in bob_cells(resource.table[a_in + b_in])[a_idx]:
+                alice_idx = output_part(alice_outputs(ta_dict, a_out_dict, s_val), alice_wires)
+                for tb_pos, tb_dict in enumerate(bob_task):
+                    base = row_base + tb_pos * n_iface_out + alice_idx
+                    b_row = bob_rows[tuple(bob_box_inputs(tb_dict, m_val, s_val))]
+                    for b_idx, v in a_cells[b_row][a_idx]:
                         tb_out = bob_outputs(tb_dict, bob_out_dicts[b_idx], m_val, s_val)
                         idx = base + output_part(tb_out, bob_wires)
-                        prev = acc.get(idx)
-                        acc[idx] = p if prev is None else prev + p
-        for (tb_in, _), acc in zip(bob_task, accs):
-            cells = [ZERO] * n_iface_out
-            for idx, p in acc.items():
-                cells[idx] = p
-            table[ta_in + tb_in] = tuple(cells)
+                        acc[idx] = acc.get(idx, 0) + v
+        row_base += len(bob_task) * n_iface_out
+    denominator = resource.denominator * sr_size
+    peak = max(map(abs, acc.values()), default=0)
+    table = np.zeros(row_base, dtype=numerator_dtype(max(peak, denominator), row_base))
+    table[list(acc)] = list(acc.values())
     return ProtocolRun(
         name=name,
         resources=(resource,),
         message_alphabet=message_size,
         shared_randomness_alphabet=sr_size,
-        result=Box(iface, table),
+        result=Box(iface, table.reshape(iface.input_sizes + iface.output_sizes), denominator),
     )
 
 
@@ -388,26 +386,18 @@ def resource_inequality_sim(
         message_size=d,
         sr_size=d,
     )
-    # measure the channel: zhat must be z exactly when y = 0 and erased otherwise
-    erased_y = set()
-    clear_y = set()
-    outputs = list(run.result.output_assignments())
-    for invals, row in run.result.table.items():
-        z = invals[n - 1]
-        y = invals[n]
-        for j, p in support(row):
-            zhat = outputs[j][2]
-            if zhat == d:
-                erased_y.add(y)
-            else:
-                clear_y.add(y)
-                if zhat != z:
-                    raise ProtocolError("non-erased channel output differs from z")
-    if erased_y & clear_y:
+    # measure the channel: zhat must be z exactly when y = 0 and erased otherwise;
+    # seen[z, y, zhat]: some cell with channel input z and query y outputs zhat
+    seen = (run.result.table != 0).any(axis=tuple(range(n - 1)) + (n + 1, n + 2))
+    if (seen[:, :, :d] & ~np.eye(d, dtype=bool)[:, None, :]).any():
+        raise ProtocolError("non-erased channel output differs from z")
+    erased_y = seen[:, :, d].any(axis=0)
+    clear_y = seen[:, :, :d].any(axis=(0, 2))
+    if (erased_y & clear_y).any():
         raise ProtocolError("channel erasure is not a deterministic function of y")
     report = ErasureChannelReport(
-        erasure_probability=Fraction(len(erased_y), n),
-        capacity=Fraction(len(clear_y), n),
+        erasure_probability=Fraction(int(erased_y.sum()), n),
+        capacity=Fraction(int(clear_y.sum()), n),
     )
     return run, report
 
@@ -428,18 +418,8 @@ def induced_bbox(run: ProtocolRun, z: int) -> Box:
         bob_inputs=(("y", n),),
         bob_outputs=(("Y", d),),
     )
-    outputs = list(run.result.output_assignments())
-    table: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-    for xs in iter_assignments([d] * n_x):
-        for y in range(n):
-            row = run.result.table[xs + (z, y)]
-            out = [ZERO] * (d * d)
-            for j, p in support(row):
-                X, Y, _ = outputs[j]
-                k = X * d + Y
-                out[k] = out[k] + p if out[k] else p
-            table[xs + (y,)] = tuple(out)
-    return Box(iface, table)
+    table = run.result.table[(slice(None),) * n_x + (z,)]
+    return Box(iface, table.sum(axis=-1, dtype=sum_dtype(table)), run.result.denominator)
 
 
 def channel_joint(run: ProtocolRun) -> JointDistribution:
@@ -450,17 +430,21 @@ def channel_joint(run: ProtocolRun) -> JointDistribution:
     """
     box = run.result
     sig = box.signature
-    z_at = [nm for nm, _ in sig.input_vars].index("z")
-    zhat_at = [nm for nm, _ in sig.output_vars].index("zhat")
-    zhats = [outvals[zhat_at] for outvals in box.output_assignments()]
-    terms: dict[tuple[int, int], list[Fraction]] = {}
-    for invals in box.input_assignments():
-        z = invals[z_at]
-        for j, p in support(box.table[invals]):
-            terms.setdefault((z, zhats[j]), []).append(p)
-    p_in = Fraction(1, prod(sig.input_sizes))
-    variables = (sig.input_vars[z_at], sig.output_vars[zhat_at])
-    return JointDistribution(variables, {key: p_in * exact_sum(ps) for key, ps in terms.items()})
+    wires = sig.input_vars + sig.output_vars
+    names = [nm for nm, _ in wires]
+    z_at, zhat_at = names.index("z"), names.index("zhat")
+    others = tuple(ax for ax in range(box.table.ndim) if ax not in (z_at, zhat_at))
+    mass = box.table.sum(axis=others, dtype=sum_dtype(box.table))
+    # keys in the order of their first nonzero cell, as the full joint lists its entries
+    cells = np.nonzero(box.table)
+    codes = cells[z_at] * mass.shape[1] + cells[zhat_at]
+    firsts = np.unique(codes, return_index=True)[1]
+    den = box.denominator * prod(sig.input_sizes)
+    probs = {}
+    for code in codes[np.sort(firsts)].tolist():
+        key = divmod(code, mass.shape[1])
+        probs[key] = Fraction(int(mass[key]), den)
+    return JointDistribution((wires[z_at], wires[zhat_at]), probs)
 
 
 def rac_win_probability(run: ProtocolRun) -> Fraction:
@@ -468,19 +452,16 @@ def rac_win_probability(run: ProtocolRun) -> Fraction:
 
     Equals 1 exactly iff the protocol wins on every single input assignment.
     """
-    sig = run.result.signature
+    box = run.result
+    sig = box.signature
     n = sig.bob_inputs[0][1]
-    outputs = list(run.result.output_assignments())
-    total = ZERO
-    count = 0
-    for invals, row in run.result.table.items():
-        a = invals[:n]
-        b = invals[n]
-        count += 1
-        for j, p in support(row):
-            if outputs[j][0] == a[b]:
-                total += p
-    return total / count
+    first_out = len(sig.input_vars)
+    # P(B | a, b) for B the first output wire, any other outputs summed away
+    answers = box.table.sum(axis=tuple(range(first_out + 1, box.table.ndim)),
+                            dtype=sum_dtype(box.table))
+    wins = np.take_along_axis(answers, addressed(sig.alice_inputs[0][1], n, pad=False)[..., None],
+                              axis=-1)
+    return Fraction(int(wins.sum()), box.denominator * prod(sig.input_sizes))
 
 
 def verify_lemma1(n: int, d: int = 2) -> ProbeReport:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from racbox.boxes import (
@@ -16,10 +17,11 @@ from racbox.boxes import (
     make_bnd_box,
     make_rb,
     rb_blind_guess_probability,
-    support,
+    signaling_row,
     unnormalized_row,
 )
-from racbox.dists import ZERO
+from racbox.boxio import parse_box, serialize_box
+from racbox.dists import JointDistribution, independent_uniform
 
 F = Fraction
 HALF = F(1, 2)
@@ -41,7 +43,8 @@ def test_bn_box_indexing_convention():
     box = make_bn_box(4)
     for x in range(8):  # x_1 x_2 x_3
         row = box.table[(x >> 2 & 1, x >> 1 & 1, x & 1, 0)]
-        assert row == (HALF, F(0), F(0), HALF)  # X = Y
+        assert box.denominator == 2
+        assert row.tolist() == [[1, 0], [0, 1]]  # X = Y, each with probability 1/2
 
 
 def test_prob_rejects_output_symbols_outside_the_alphabet():
@@ -84,7 +87,10 @@ def test_bnd_box_plus_and_minus_tables():
 
 
 def test_bnd_reduces_to_bn_at_d2():
-    assert make_bnd_box(3, 2, "plus").table == make_bn_box(3).table
+    bnd, bn = make_bnd_box(3, 2, "plus"), make_bn_box(3)
+    assert bnd.denominator == bn.denominator
+    assert np.array_equal(bnd.table, bn.table)
+    assert bnd == bn
 
 
 def test_rb_nosignaling_table():
@@ -168,17 +174,10 @@ def test_negative_cell_fails_normalization_although_the_row_sums_to_one():
     sig = BoxSignature(
         alice_inputs=(("x", 2),), alice_outputs=(("X", 2),), bob_inputs=(), bob_outputs=()
     )
-    box = Box(sig, {(0,): (HALF, HALF), (1,): (F(3, 2), F(-1, 2))})
-    assert sum(box.table[(1,)]) == 1
+    box = Box(sig, np.array([[1, 1], [3, -1]]), 2)
+    assert box.table[1].sum() == box.denominator
     assert not check_normalization(box)
     assert unnormalized_row(box) == (1,)
-
-
-def test_support_keeps_exactly_the_nonzero_cells():
-    # zeros that are not the shared ZERO object are still dropped
-    row = (ZERO, F(0), F(1, 3), F(0, 5), F(-1, 3), ZERO, F(1))
-    assert support(row) == [(2, F(1, 3)), (4, F(-1, 3)), (6, F(1))]
-    assert support((ZERO, F(0))) == []
 
 
 def test_oversized_tables_are_refused_before_building():
@@ -195,3 +194,72 @@ def test_oversized_tables_are_refused_before_building():
     check_table_size(BoxSignature(
         tuple((f"a_{i}", 5) for i in range(5)), (("A", 5),), (("Aprime", 5), ("b", 5)), (("B", 5),)
     ))
+
+
+def test_unreduced_denominator_is_brought_to_lowest_terms():
+    box = make_rb(2, 3, "three")
+    tripled = Box(box.signature, box.table.astype(np.int64) * 3, box.denominator * 3)
+    assert tripled == box
+    assert tripled.denominator == box.denominator == 6
+    assert tripled.table.dtype == box.table.dtype
+
+
+def test_numerators_use_the_narrowest_integer_type():
+    # 1.95 million cells over denominator 20
+    box = make_rb(5, 5, "three")
+    assert box.denominator == 20
+    assert box.table.dtype == np.int8
+    assert box.table.size == 5**7 * 25
+    with pytest.raises(ValueError, match="read-only"):
+        box.table[(0,) * 9] = 1
+
+
+# two coprime denominators whose lcm passes 2^63: the table falls back to Python ints
+P, Q = 2**61 - 1, 2**62 + 1
+HUGE_DENOMINATORS = (
+    "var alice input x 2\nvar alice output X 2\nvar bob input y 2\nvar bob output Y 1\n\n"
+    f"0 0 : 0 0 = 1/{P}\n0 0 : 1 0 = {P - 1}/{P}\n"
+    f"0 1 : 0 0 = 1/{P}\n0 1 : 1 0 = {P - 2}/{P}\n"
+    f"1 0 : 0 0 = 1/{Q}\n1 0 : 1 0 = {Q - 1}/{Q}\n"
+    f"1 1 : 0 0 = 1/{Q}\n1 1 : 1 0 = {Q - 1}/{Q}\n"
+)
+
+
+def test_denominators_past_int64_stay_exact():
+    box = parse_box(HUGE_DENOMINATORS)
+    assert box.denominator == P * Q > 2**63
+    assert box.table.dtype == object
+    assert serialize_box(box) == HUGE_DENOMINATORS
+    assert parse_box(serialize_box(box)) == box
+    # row (0, 1) sums to 1 - 1/P, which a float sum rounds to 1
+    assert float(F(1, P)) + float(F(P - 2, P)) == 1.0
+    assert unnormalized_row(box) == (0, 1)
+    assert not check_normalization(box)
+    # with a one-symbol Y, Bob's marginal is the row sum: (1, 1) differs from (0, 1)
+    assert signaling_row(box, "a2b") == (1, 1)
+    assert not check_no_signaling(box, "a2b")
+    # Alice's marginal at x = 0 moves from y = 0 to y = 1
+    assert signaling_row(box, "b2a") == (0, 1)
+    assert not check_no_signaling(box, "b2a")
+    assert box.prob((0, 1), (1, 0)) == F(P - 2, P)
+
+
+def test_signaling_row_names_the_first_row_that_moves_the_receiver():
+    rb = make_rb(3, 2, "signalinghalf")
+    # (a_0, a_1, a_2, A', b): a_2 = 1 first changes Bob's marginal when b = 2
+    assert signaling_row(rb, "a2b") == (0, 0, 1, 0, 2)
+    assert signaling_row(rb, "b2a") is None
+    assert signaling_row(make_rb(3, 2, "nosignaling"), "a2b") is None
+
+
+def test_joint_under_an_input_distribution():
+    box = make_bn_box(2)
+    inputs = box.signature.input_vars
+    assert box.joint(independent_uniform(inputs)) == box.joint()
+    # y = 1 asks for x_1: X xor Y = x_1, each satisfying pair with probability 1/2
+    skewed = JointDistribution(inputs, {(0, 1): F(1, 3), (1, 1): F(2, 3)})
+    assert box.joint(skewed).probs == {
+        (0, 1, 0, 0): F(1, 6), (0, 1, 1, 1): F(1, 6), (1, 1, 0, 1): F(1, 3), (1, 1, 1, 0): F(1, 3),
+    }
+    with pytest.raises(ValueError, match="not in the box's input space"):
+        box.joint(JointDistribution(inputs, {(-1, 0): F(1)}))

@@ -1,5 +1,6 @@
 """Box serialization round trips and malformed-input handling."""
 
+import numpy as np
 import pytest
 
 from racbox.boxes import check_normalization, make_bn_box, make_bnd_box, make_rb
@@ -20,7 +21,8 @@ from racbox.boxio import parse_box, serialize_box
 def test_round_trip(box):
     again = parse_box(serialize_box(box))
     assert again.signature == box.signature
-    assert again.table == box.table
+    assert again.denominator == box.denominator
+    assert np.array_equal(again.table, box.table)
 
 
 def test_serialized_form_is_line_stable():
@@ -66,6 +68,14 @@ def test_parse_names_the_entry_with_the_wrong_output_arity():
     text = serialize_box(make_bn_box(2)).replace(": 1 0 =", ": 1 0 1 =", 1)
     with pytest.raises(ValueError, match=r"3 output values for 2 output wires in entry \(1, 0, 1\)"):
         parse_box(text)
+
+
+NON_INTEGER_SIZE = "var alice input x two\nvar alice output X 2\n"
+
+
+def test_parse_names_the_line_of_a_non_integer_wire_size():
+    with pytest.raises(ValueError, match=r"^line 1: wire size 'two' is not an integer$"):
+        parse_box(NON_INTEGER_SIZE)
 
 
 HUGE_BOX = (

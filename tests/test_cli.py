@@ -7,7 +7,7 @@ import pytest
 
 from racbox.cli import RunConfig, main
 from racbox.search import parse_strategy
-from test_boxio import HUGE_BOX
+from test_boxio import HUGE_BOX, NON_INTEGER_SIZE
 
 
 def run_cli(*argv):
@@ -199,6 +199,15 @@ def test_machine_errors_end_with_a_status_line(tmp_path):
     code, out = run_cli("check-ns", "--box", str(huge), "--machine")
     assert code == 2
     assert out.strip().splitlines() == ["status=error"]
+
+
+def test_check_ns_on_a_non_integer_wire_size_names_the_line(tmp_path, capsys):
+    box = tmp_path / "words.box"
+    box.write_text(NON_INTEGER_SIZE)
+    code, out = run_cli("check-ns", "--box", str(box), "--machine")
+    assert code == 2
+    assert out.strip().splitlines() == ["status=error"]
+    assert "error: line 1: wire size 'two' is not an integer" in capsys.readouterr().err
 
 
 def test_feasibility_presets():

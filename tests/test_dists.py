@@ -10,7 +10,6 @@ from racbox.dists import (
     JointDistribution,
     condition,
     derive,
-    exact_sum,
     extend,
     independent_uniform,
     iter_assignments,
@@ -145,9 +144,3 @@ def test_conditioning_then_averaging_recovers_marginal(dist):
             recovered[key] = recovered.get(key, F(0)) + p * q
     direct = marginalize(dist, rest)
     assert recovered == {k: v for k, v in direct.items()}
-
-
-def test_exact_sum_matches_fraction_addition():
-    values = [Fraction(1, 6), Fraction(-2, 9), Fraction(5, 4), Fraction(0), 3]
-    assert exact_sum(values) == sum(values, Fraction(0)) == Fraction(151, 36)
-    assert exact_sum([]) == 0

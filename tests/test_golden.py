@@ -1,0 +1,51 @@
+"""Golden ``--machine`` output: each command's stdout must match its file byte for byte.
+
+The files under ``tests/golden/`` were captured from the CLI before box tables
+became integer-numerator arrays; any change to a record, its order or its
+formatting shows up here.  ``search`` is left out because its ``elapsed=``
+record varies from run to run.
+"""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from racbox.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "build-bn-3": ["build", "--family", "bn", "--n", "3"],
+    "build-rb-3-3-three": ["build", "--family", "rb", "--n", "3", "--d", "3", "--variant", "three"],
+    "build-bnd-2-5-minus": ["build", "--family", "bnd", "--n", "2", "--d", "5", "--sign", "minus"],
+    "check-ns-rb-mixture": ["check-ns", "--box", "rb-mixture.box"],
+    "simulate-rac-via-bn-4": ["simulate", "--protocol", "rac-via-bn", "--n", "4"],
+    "simulate-rac-via-bnd-3-3-minus": [
+        "simulate", "--protocol", "rac-via-bnd", "--n", "3", "--d", "3", "--sign", "minus"],
+    "simulate-bn-via-rb-5": ["simulate", "--protocol", "bn-via-rb", "--n", "5"],
+    "simulate-bnd-via-rb-3-3-plus-three": [
+        "simulate", "--protocol", "bnd-via-rb", "--n", "3", "--d", "3", "--variant", "three"],
+    "simulate-ri-6-3": ["simulate", "--protocol", "resource-inequality", "--n", "6", "--d", "3"],
+    "simulate-ri-3-3-three": [
+        "simulate", "--protocol", "resource-inequality", "--n", "3", "--d", "3", "--variant", "three"],
+    "capacity-protocol-3-3": ["capacity", "--n", "3", "--d", "3"],
+    "capacity-ignore-rb-2-3": ["capacity", "--n", "2", "--d", "3", "--strategy", "ignore-rb"],
+    "table-10": ["table", "--nmax", "10"],
+    "feasibility-trit-3": ["feasibility", "--preset", "trit-3"],
+}
+
+
+def machine_stdout(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main(argv + ["--machine"])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_machine_output_matches_golden(name, monkeypatch):
+    # check-ns names its box file in a record, so it is given relative to GOLDEN
+    monkeypatch.chdir(GOLDEN)
+    assert machine_stdout(CASES[name]) == (GOLDEN / f"{name}.out").read_text()

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from racbox.boxes import Box, BoxSignature, check_normalization, make_bn_box, make_bnd_box, make_rb
@@ -114,18 +115,15 @@ def test_sequential_execution_rejects_backward_signaling():
         bob_inputs=(("y", 2),),
         bob_outputs=(("Y", 1),),
     )
-    table = {
-        (0, 0): (F(1), F(0)),  # X = 0
-        (0, 1): (F(0), F(1)),  # X = 1
-    }
-    backward = Box(sig, table)
+    # axes (x, y, X, Y): X = 0 when y = 0 and X = 1 when y = 1
+    backward = Box(sig, np.array([[[[1], [0]], [[0], [1]]]]), 1)
     iface = BoxSignature(
         alice_inputs=(("u", 1),),
         alice_outputs=(("U", 2),),
         bob_inputs=(("v", 2),),
         bob_outputs=(("V", 1),),
     )
-    with pytest.raises(ProtocolError, match="signals"):
+    with pytest.raises(ProtocolError, match=r"signals from Bob to Alice at input row \(0, 1\)"):
         run_box_protocol(
             "copy",
             backward,
@@ -190,8 +188,8 @@ def test_hand_built_run_with_a_negative_cell_is_rejected():
         bob_inputs=(("y", 1),),
         bob_outputs=(),
     )
-    box = Box(sig, {(0, 0): (F(3, 2), F(-1, 2))})
-    assert sum(box.table[(0, 0)]) == 1
+    box = Box(sig, np.array([[[3, -1]]]), 2)
+    assert box.table[0, 0].sum() == box.denominator
     assert not check_normalization(box)
     with pytest.raises(ProtocolError, match=r"not normalized: induced row at \(0, 0\)"):
         ProtocolRun("hand-built", (), 1, 1, box)
@@ -201,7 +199,7 @@ def test_unnormalized_resource_is_rejected_at_its_induced_row():
     # halving every cell keeps Alice's marginal free of Bob's input, so the
     # resource passes the b2a check and only normalization can catch it
     rb = make_rb(2, 2, "nosignaling")
-    half = Box(rb.signature, {k: tuple(p / 2 for p in row) for k, row in rb.table.items()})
+    half = Box(rb.signature, rb.table, 2 * rb.denominator)
     with pytest.raises(ProtocolError, match=r"induced row at \(0, 0, 0\) sums to 1/2"):
         _relay(half)
 
@@ -214,7 +212,7 @@ def test_alice_side_runs_once_per_round():
         wire.send(a["A"])
 
     run = _relay(make_rb(2, 2, "nosignaling"), message=message)
-    assert run.result.table[(0, 1, 1)] == (F(0), F(1))
+    assert [run.result.prob((0, 1, 1), (V,)) for V in range(2)] == [F(0), F(1)]
     # one round per (task input, s, A), not one per Bob task input as well
     assert sorted(calls) == sorted(set(calls))
     assert len(calls) == 4 * 2 * 2
