@@ -1,15 +1,16 @@
 """Exact arithmetic toolkit for no-signaling boxes and random access codes.
 
-Everything is computed over exact rational tables: a box holds integer
-numerators over one denominator, joint distributions hold
-``fractions.Fraction`` values, so equalities in the verification routines
-are exact, not numerical.  Floating point enters only in the entropy
-calculations, which carry an explicit tolerance.
+Everything is computed over exact rational tables: a box and a joint
+distribution each hold integer numerators over one denominator, so
+equalities in the verification routines are exact, not numerical.
+Floating point enters only in the entropy calculations, which carry an
+explicit tolerance; information identities are also checked exactly, as
+rational combinations of logs of primes.
 
 The pieces:
 
 - ``dists``: finite joint distributions with exact marginalization,
-  conditioning, and extension by a kernel.
+  conditioning, and wires derived from function tables.
 - ``boxes``: the box families (the XOR game box and its n-input, d-ary
   relatives, plus the bounded-signaling resource boxes) and the
   no-signaling checks.
@@ -49,23 +50,15 @@ from .capacity import (
     verify_capacity_bound_bits,
     verify_capacity_bound_dits,
 )
-from .dists import (
-    JointDistribution,
-    condition,
-    derive,
-    extend,
-    independent_uniform,
-    marginalize,
-    uniform,
-)
+from .dists import JointDistribution, condition, derive, marginalize
 from .feasibility import bit_case, guessing_feasibility, trit_case
 from .infotheory import (
     check_lemma4,
     conditional_entropy,
     entropy,
-    information_causality_lhs,
     multi_information,
     mutual_information,
+    mutual_information_exponents,
 )
 from .protocols import (
     ErasureChannelReport,
@@ -140,17 +133,15 @@ __all__ = [
     "derive",
     "entropy",
     "evaluate_strategy",
-    "extend",
     "guessing_feasibility",
     "ignore_rb_strategy",
-    "independent_uniform",
-    "information_causality_lhs",
     "make_bn_box",
     "make_bnd_box",
     "make_rb",
     "marginalize",
     "multi_information",
     "mutual_information",
+    "mutual_information_exponents",
     "parse_box",
     "parse_capacity_strategy",
     "parse_strategy",
@@ -170,7 +161,6 @@ __all__ = [
     "tree_win_probability_exact",
     "tree_wins_always",
     "trit_case",
-    "uniform",
     "verify_capacity_bound_bits",
     "verify_capacity_bound_dits",
     "verify_lemma1",

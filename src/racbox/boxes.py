@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Sequence
 
 import numpy as np
 
-from .dists import JointDistribution
+from .dists import JointDistribution, numerator_dtype, sum_dtype
 
 RB_VARIANTS = ("nosignaling", "signalinghalf", "plus", "minus", "three")
 BND_SIGNS = ("plus", "minus")
@@ -36,23 +36,6 @@ DIRECTIONS = ("a2b", "b2a")
 
 # largest dense table (input rows x output cells) a box may be built with
 MAX_TABLE_CELLS = 10**7
-
-_INT64_MAX = np.iinfo(np.int64).max
-
-
-def numerator_dtype(peak: int, cells: int) -> np.dtype:
-    """Narrowest signed integer type for numerators of magnitude at most ``peak``.
-
-    Python-int ``object`` is the fallback once a sum over ``cells`` such
-    numerators could pass int64, so every sum of a table stored in an integer
-    type is exact in int64.
-    """
-    if peak * max(cells, 1) > _INT64_MAX:
-        return np.dtype(object)
-    for dtype in (np.int8, np.int16, np.int32):
-        if peak <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -179,11 +162,11 @@ class Box:
         return Fraction(int(cell), self.denominator)
 
     def joint(self, input_dist: JointDistribution | None = None) -> JointDistribution:
-        """Joint over inputs and outputs; inputs default to uniform.
+        """Joint over inputs then outputs: the nonzero cells of the table, weighted
+        by P(inputs), which defaults to uniform.
 
         A supplied ``input_dist`` must cover exactly the box's input wires in
-        signature order (alice inputs then bob inputs).  Entries come in
-        row-major order, zeros omitted.
+        signature order (alice inputs then bob inputs).
         """
         sig = self.signature
         if input_dist is None:
@@ -194,28 +177,11 @@ class Box:
                     f"input distribution variables {input_dist.variables} do not match "
                     f"box inputs {sig.input_vars}"
                 )
-            in_den = lcm(*(p.denominator for p in input_dist.probs.values()))
-            weights = np.zeros(sig.input_sizes + (1,) * len(sig.output_sizes), dtype=object)
-            for invals, p in input_dist.probs.items():
-                weights[self._input_row(invals)] = p.numerator * (in_den // p.denominator)
-            nums, den = weights * self.table, self.denominator * in_den
-        cells = np.nonzero(nums)
-        values = nums[cells].tolist()
-        fractions = {v: Fraction(v, den) for v in set(values)}
-        keys = zip(*(axis.tolist() for axis in cells))
-        return JointDistribution(
-            sig.input_vars + sig.output_vars,
-            {key: fractions[v] for key, v in zip(keys, values)},
-        )
-
-
-def sum_dtype(table: np.ndarray) -> np.dtype:
-    """Accumulator for sums of a box table's numerators: int64, or Python ints for object tables.
-
-    int64 is exact because ``numerator_dtype`` stores a table in an integer
-    type only when its largest magnitude times its size fits in int64.
-    """
-    return table.dtype if table.dtype == object else np.dtype(np.int64)
+            weights = np.zeros(sig.input_sizes, dtype=object)
+            weights[tuple(input_dist.keys.T)] = input_dist.counts.astype(object)
+            weights = weights.reshape(sig.input_sizes + (1,) * len(sig.output_sizes))
+            nums, den = weights * self.table, self.denominator * input_dist.denominator
+        return JointDistribution.from_table(sig.input_vars + sig.output_vars, nums, den)
 
 
 def check_table_size(sig: BoxSignature) -> None:

@@ -24,7 +24,8 @@ from math import lcm, prod
 
 import numpy as np
 
-from .boxes import Box, BoxSignature, check_table_size, numerator_dtype
+from .boxes import Box, BoxSignature, check_table_size
+from .dists import numerator_dtype
 
 _PARTIES = ("alice", "bob")
 _ROLES = ("input", "output")

@@ -9,12 +9,13 @@ output X, and Bob's relay A' and simulated output Y.
 
 The verifier runs the game through the sequential protocol executor and
 keeps the exact joint of the inputs, Alice's X and Bob's view
-(s, m, B, A', Y); A' and Y are attached after the run as functions of the
-other wires.  It checks that the strategy really reproduces the target
-box family on (x_1..x_{n-1}; y -> X, Y) (the premise of the bound), and
-then computes the channel information I(z : B, y, s) available to Bob about
-z.  The claim under test is that this never exceeds 1/n in message-alphabet
-units.
+(s, m, B, A', Y): the support of the induced table as integer counts over
+one denominator, with A' and Y appended afterwards as columns read from
+their strategy tables.  It checks that the strategy really reproduces the
+target box family on (x_1..x_{n-1}; y -> X, Y) (the premise of the bound),
+using the (x, y, X, Y) marginal, and then computes the channel information
+I(z : B, y, s) available to Bob about z from the marginal counts.  The
+claim under test is that this never exceeds 1/n in message-alphabet units.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import lcm
 import numpy as np
 
 from .boxes import Box, BoxSignature, make_bnd_box, make_rb
-from .dists import JointDistribution, condition, derive
+from .dists import JointDistribution, condition, derive, marginalize
 from .infotheory import TOLERANCE, conditional_entropy, mutual_information
 from .protocols import run_box_protocol
 from .reports import ProbeReport
@@ -174,8 +175,9 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
     Alice feeds ``a_fns`` into the RAC-box and sends m; Bob relays A', queries
     the box at y and outputs Y.  The joint covers x_1..x_{n-1}, z, y, X and
     Bob's view (s, m, B, Aprime, Y) under uniform inputs.  Aprime and Y are
-    functions of the other view wires, so they are attached after the run
-    rather than carried as outputs of the induced table.
+    functions of the other view wires, so ``derive`` appends them after the
+    run as columns read from ``aprime_fn`` and ``y_fn``, rather than
+    carrying them as outputs of the induced table.
     """
     n, d = strategy.n, strategy.d
     xz_vars = _xz_vars(n, d)
@@ -201,29 +203,21 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
         message_size=d,
         sr_size=d,
     )
-    dist = derive(
-        run.result.joint(), "Aprime", d, lambda v: strategy.aprime_fn(v["m"], v["y"], v["s"])
-    )
-    return derive(dist, "Y", d, lambda v: strategy.y_fn(v["m"], v["y"], v["s"], v["B"]))
+    return derive(derive(run.result.joint(), strategy.aprime_fn), strategy.y_fn)
 
 
 def _reproduces_box_family(dist: JointDistribution, n: int, d: int) -> tuple[bool, str]:
     """Does P(X, Y | x_vec, y) equal the plus-family box table exactly?
 
-    The induced (x_1..x_{n-1}; y -> X, Y) table is grouped out of the joint in
-    one pass, as numerators over the joint's common denominator, then
-    conditioned row by row and compared with the box as a Box.
+    The (x_1..x_{n-1}, y, X, Y) marginal of the joint is laid out densely,
+    as numerators over one denominator, then conditioned row by row and
+    compared with the box as a Box.
     """
     target = make_bnd_box(n, d, "plus")
     sig = target.signature
-    at = [dist.index(name) for name, _ in sig.input_vars + sig.output_vars]
-    den = lcm(*(p.denominator for p in dist.probs.values()))
-    grouped: dict[tuple[int, ...], int] = {}
-    for key, p in dist.probs.items():
-        cell = tuple(key[i] for i in at)
-        grouped[cell] = grouped.get(cell, 0) + p.numerator * (den // p.denominator)
+    marg = marginalize(dist, [name for name, _ in sig.input_vars + sig.output_vars])
     mass = np.zeros(target.table.shape, dtype=object)
-    mass[tuple(zip(*grouped))] = list(grouped.values())
+    mass[tuple(marg.keys.T)] = marg.counts.astype(object)
     # every (x, y) row has mass: the executor's joint has uniform inputs
     rows = mass.reshape(target.table.shape[:n] + (-1,)).sum(axis=-1)
     row_den = lcm(*rows.ravel().tolist())
@@ -255,7 +249,8 @@ def _zero_entropy_diagnostics(dist: JointDistribution, n: int, d: int, base: int
     notes.append(
         f"identity I(B:X|b,s,y=0) = H(X|b,s,y=0) {tag}: {lhs:.9f} vs {rhs:.9f}"
     )
-    slice1 = derive(condition(dist, {"y": 1}), "W", d, lambda v: (v["x_1"] - v["X"]) % d)
+    w_fn = TableFn.from_callable("W", (("x_1", d), ("X", d)), d, lambda x1, X: (x1 - X) % d)
+    slice1 = derive(condition(dist, {"y": 1}), w_fn)
     lhs1 = mutual_information(slice1, ["B"], ["W"], ["s"], base)
     rhs1 = conditional_entropy(slice1, ["W"], ["s"], base)
     tag1 = "holds" if abs(lhs1 - rhs1) <= TOLERANCE else "does not hold"

@@ -37,7 +37,7 @@ from .capacity import (
     verify_capacity_bound_dits,
 )
 from .feasibility import BIT_CASES, TRIT_CASES, bit_case, guessing_feasibility, trit_case
-from .infotheory import mutual_information
+from .infotheory import log_exponents, mutual_information, mutual_information_exponents
 from .protocols import (
     ProtocolError,
     bn_box_via_rb,
@@ -205,13 +205,14 @@ def _cmd_simulate(params: dict, em: Emitter) -> int:
     target = make_bnd_box(n, d, "plus")
     reproduced = all(induced_bbox(run, z) == target for z in range(d))
     em.kv("reproduced", reproduced)
-    mi = mutual_information(channel_joint(run), ["z"], ["zhat"], (), d)
+    channel = channel_joint(run)
+    mi = mutual_information(channel, ["z"], ["zhat"], (), d)
     em.kv("channel_mi", f"{mi:.12f}")
-    ok = (
-        rep.erasure_probability == Fraction(n - 1, n)
-        and reproduced
-        and abs(mi - 1.0 / n) < 1e-9
-    )
+    # I(z : zhat) = (1/n) log d, checked exactly
+    saturated = mutual_information_exponents(channel, ["z"], ["zhat"]) == {
+        p: e / n for p, e in log_exponents(d).items()
+    }
+    ok = rep.erasure_probability == Fraction(n - 1, n) and reproduced and saturated
     em.text(
         f"{run.name}: erasure {rep.erasure_probability}, capacity {rep.capacity}, "
         f"channel information {mi:.6f} (base {d}), box family reproduced: {reproduced}"

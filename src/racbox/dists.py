@@ -1,23 +1,39 @@
 """Exact joint distributions over named finite variables.
 
-Everything downstream (boxes, protocol pipelines, channel extraction,
-entropy bookkeeping) reduces to manipulating a joint table of rational
-probabilities, so this module keeps that one structure small and exact:
-a tuple of (name, cardinality) pairs plus a dict from assignment tuples
-to ``fractions.Fraction``.  Floats never appear here; they enter only
-when entropies are taken.
+A joint is stored the way a ``Box`` table is: integer numerators over one
+denominator.  Only the support is kept, as two arrays:
+
+* ``keys``: one row per support point, one column per wire, sorted
+  row-major (last wire fastest) with no repeated row;
+* ``counts``: the numerator of each row, positive, over ``denominator``,
+  in lowest terms and in the narrowest integer type that holds them.
+
+So two joints are equal exactly when their wires, denominators and arrays
+are.  Each operation is one array step with exact integer sums:
+``marginalize`` sorts and sums counts per kept key, ``condition`` masks
+rows and takes the masked mass as the new denominator, and ``derive``
+appends a column read from a function table.  Floats never appear here;
+they enter only when entropies are taken.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from math import gcd, lcm, prod
+from numbers import Rational
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from .tables import TableFn
 
 Assignment = tuple[int, ...]
 
-ZERO = Fraction(0)
+_INT64_MAX = np.iinfo(np.int64).max
+_NARROW = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.int8, np.int16, np.int32, np.int64))
 
 
 def iter_assignments(sizes: Sequence[int]) -> Iterable[Assignment]:
@@ -25,25 +41,132 @@ def iter_assignments(sizes: Sequence[int]) -> Iterable[Assignment]:
     return itertools.product(*(range(s) for s in sizes))
 
 
-@dataclass(frozen=True)
+def numerator_dtype(peak: int, cells: int) -> np.dtype:
+    """Narrowest signed integer type for numerators of magnitude at most ``peak``.
+
+    Python-int ``object`` is the fallback once a sum over ``cells`` such
+    numerators could pass int64, so every sum of a table stored in an integer
+    type is exact in int64.
+    """
+    if peak * max(cells, 1) > _INT64_MAX:
+        return np.dtype(object)
+    for dtype, top in _NARROW:
+        if peak <= top:
+            return dtype
+
+
+def sum_dtype(table: np.ndarray) -> np.dtype:
+    """Accumulator for sums of stored numerators: int64, or Python ints for object tables.
+
+    int64 is exact because ``numerator_dtype`` stores a table in an integer
+    type only when its largest magnitude times its size fits in int64.
+    """
+    return table.dtype if table.dtype == object else np.dtype(np.int64)
+
+
+def _key_dtype(variables: Sequence[tuple[str, int]]) -> np.dtype:
+    return numerator_dtype(max((size for _, size in variables), default=1), 1)
+
+
+def _row_codes(keys: np.ndarray, columns: Sequence[int], sizes: Sequence[int]) -> np.ndarray:
+    """int64 codes whose order is the row-major order of ``keys[:, columns]``,
+    whose alphabets are ``sizes``."""
+    if prod(sizes) <= _INT64_MAX:
+        codes = np.zeros(len(keys), dtype=np.int64)
+        for i, size in zip(columns, sizes):
+            codes *= size
+            codes += keys[:, i]
+        return codes
+    # too wide for one mixed radix (say 64 binary wires): rank the codes of each half
+    half = len(columns) // 2
+    head = np.unique(_row_codes(keys, columns[:half], sizes[:half]), return_inverse=True)[1]
+    tail_codes, tail = np.unique(_row_codes(keys, columns[half:], sizes[half:]),
+                                 return_inverse=True)
+    return head * len(tail_codes) + tail
+
+
+def _joint(variables, keys: np.ndarray, counts: np.ndarray, den: int) -> JointDistribution:
+    return object.__new__(JointDistribution)._fill(variables, keys, counts, den)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class JointDistribution:
-    """A finitely supported joint distribution.
+    """A finitely supported joint distribution: integer counts over one denominator.
 
     variables: ordered (name, cardinality) pairs; symbols are 0..cardinality-1.
-    probs: map from full assignment tuples (aligned with ``variables``) to
-    exact probabilities.  Zero-probability assignments may be omitted.
+    ``JointDistribution(variables, probs)`` takes a map from full assignment
+    tuples to exact probabilities (``Fraction`` or ``int``); zeros are dropped.
     """
 
     variables: tuple[tuple[str, int], ...]
-    probs: dict[Assignment, Fraction] = field(compare=True)
+    keys: np.ndarray
+    counts: np.ndarray
+    denominator: int
 
-    def __post_init__(self) -> None:
-        names = [name for name, _ in self.variables]
+    def __init__(
+        self, variables: Sequence[tuple[str, int]], probs: Mapping[Assignment, Rational]
+    ) -> None:
+        items = sorted((key, p) for key, p in probs.items() if p)
+        den = lcm(*(p.denominator for _, p in items))
+        counts = np.array([p.numerator * (den // p.denominator) for _, p in items])
+        keys = np.array([key for key, _ in items], dtype=np.int64)
+        if not items or keys.shape != (len(items), len(variables)):
+            raise ValueError(f"need assignments of positive probability, one value per "
+                             f"variable of {tuple(variables)}")
+        sizes = [size for _, size in variables]
+        if (keys < 0).any() or (keys >= sizes).any() or (counts < 0).any():
+            raise ValueError(f"an assignment is out of range for {tuple(variables)} "
+                             "or has negative probability")
+        self._fill(variables, keys.astype(_key_dtype(variables)), counts, den)
+
+    def _fill(self, variables, keys: np.ndarray, counts: np.ndarray, den) -> JointDistribution:
+        """Take sorted, distinct keys and their positive counts; store the
+        counts in lowest terms and the narrowest dtype."""
+        variables = tuple(variables)
+        names = [name for name, _ in variables]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names: {names}")
-        for name, size in self.variables:
-            if size < 1:
-                raise ValueError(f"variable {name!r} has empty alphabet")
+        if any(size < 1 for _, size in variables):
+            raise ValueError(f"a variable of {variables} has an empty alphabet")
+        den = int(den)
+        common = gcd(den, int(np.gcd.reduce(counts)))
+        if common > 1:
+            counts, den = counts // common, den // common
+        peak = max(den, int(counts.max()))
+        counts = counts.astype(numerator_dtype(peak, len(counts)), copy=False)
+        # the arrays are this joint's own (or another joint's, already read-only)
+        keys.flags.writeable = counts.flags.writeable = False
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "denominator", den)
+        return self
+
+    @classmethod
+    def from_table(
+        cls, variables: Sequence[tuple[str, int]], table: np.ndarray, denominator: int
+    ) -> JointDistribution:
+        """The joint whose numerators are a dense array, one axis per wire."""
+        flat = np.flatnonzero(table)
+        keys = np.empty((len(flat), table.ndim), dtype=_key_dtype(variables))
+        counts = table.reshape(-1)[flat]
+        for axis in reversed(range(table.ndim)):
+            flat, keys[:, axis] = np.divmod(flat, table.shape[axis])
+        return _joint(variables, keys, counts, denominator)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, JointDistribution):
+            return NotImplemented
+        return (self.variables == other.variables and self.denominator == other.denominator
+                and np.array_equal(self.keys, other.keys)
+                and np.array_equal(self.counts, other.counts))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The support's numerators over ``denominator`` (read-only), row by row of ``keys``."""
+        return self.counts
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -60,112 +183,43 @@ class JointDistribution:
         raise KeyError(f"unknown variable {name!r}; have {self.names}")
 
     def total(self) -> Fraction:
-        return sum(self.probs.values(), ZERO)
-
-    def as_dict(self, assignment: Assignment) -> dict[str, int]:
-        return {name: value for (name, _), value in zip(self.variables, assignment)}
-
-    def items(self):
-        """Support items in a deterministic order, zeros skipped."""
-        for key in sorted(self.probs):
-            p = self.probs[key]
-            if p != 0:
-                yield key, p
+        return Fraction(int(self.counts.sum(dtype=sum_dtype(self.counts))), self.denominator)
 
 
-def validate(dist: JointDistribution) -> None:
-    """Raise if probabilities are negative, out of range, or do not sum to 1."""
-    for key, p in dist.probs.items():
-        if len(key) != len(dist.variables):
-            raise ValueError(f"assignment {key} has wrong arity")
-        for value, (name, size) in zip(key, dist.variables):
-            if not 0 <= value < size:
-                raise ValueError(f"value {value} out of range for {name!r} (size {size})")
-        if p < 0:
-            raise ValueError(f"negative probability at {key}")
-    if dist.total() != 1:
-        raise ValueError(f"probabilities sum to {dist.total()}, not 1")
+def derive(dist: JointDistribution, table: TableFn) -> JointDistribution:
+    """Append the wire ``table.name``, the table's value on each support row.
 
-
-def uniform(name: str, size: int) -> JointDistribution:
-    p = Fraction(1, size)
-    return JointDistribution(((name, size),), {(v,): p for v in range(size)})
-
-
-def independent_uniform(pairs: Sequence[tuple[str, int]]) -> JointDistribution:
-    """Product of independent uniform variables."""
-    pairs = tuple(pairs)
-    sizes = [size for _, size in pairs]
-    total = 1
-    for s in sizes:
-        total *= s
-    p = Fraction(1, total)
-    return JointDistribution(pairs, {key: p for key in iter_assignments(sizes)})
-
-
-def extend(
-    dist: JointDistribution,
-    new_vars: Sequence[tuple[str, int]],
-    kernel: Callable[[dict[str, int]], Mapping[Assignment, Fraction]],
-) -> JointDistribution:
-    """Attach new variables via an exact conditional kernel.
-
-    ``kernel`` maps an assignment of the existing variables (as a name->value
-    dict) to a distribution over the new variables' value tuples.  Each kernel
-    output must sum to 1.
+    The table's inputs must name wires of ``dist`` with the same alphabets.
     """
-    new_vars = tuple(new_vars)
-    variables = dist.variables + new_vars
-    probs: dict[Assignment, Fraction] = {}
-    for key, p in dist.probs.items():
-        if p == 0:
-            continue
-        row = kernel(dist.as_dict(key))
-        row_total = ZERO
-        for new_key, q in row.items():
-            row_total += q
-            if q == 0:
-                continue
-            probs[key + tuple(new_key)] = probs.get(key + tuple(new_key), ZERO) + p * q
-        if row_total != 1:
-            raise ValueError(f"kernel at {key} sums to {row_total}, not 1")
-    return JointDistribution(variables, probs)
+    idx = [dist.index(name) for name, _ in table.inputs]
+    if tuple(dist.variables[i] for i in idx) != table.inputs:
+        raise ValueError(f"table {table.name!r} reads {table.inputs}, the joint has "
+                         f"{tuple(dist.variables[i] for i in idx)}")
+    variables = dist.variables + ((table.name, table.output_size),)
+    keys = np.empty((len(dist.keys), len(variables)), dtype=_key_dtype(variables))
+    keys[:, :-1] = dist.keys
+    keys[:, -1] = np.asarray(table.entries)[
+        _row_codes(dist.keys, idx, [size for _, size in table.inputs])]
+    return _joint(variables, keys, dist.counts, dist.denominator)
 
 
-def derive(
-    dist: JointDistribution,
-    name: str,
-    size: int,
-    fn: Callable[[dict[str, int]], int],
-) -> JointDistribution:
-    """Attach a deterministic variable computed from the existing ones.
-
-    The same as ``extend`` with a point-mass kernel, in one pass that keeps
-    each probability object as it is.
-    """
-    probs: dict[Assignment, Fraction] = {}
-    for key, p in dist.probs.items():
-        if not p:
-            continue
-        v = fn(dist.as_dict(key))
-        if not 0 <= v < size:
-            raise ValueError(f"derived value {v} out of range for {name!r}")
-        probs[key + (v,)] = p
-    return JointDistribution(dist.variables + ((name, size),), probs)
+def grouped_counts(dist: JointDistribution, keep: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The marginal over ``keep`` as (the row of ``dist`` heading each group,
+    its numerator over ``dist.denominator``), groups in row-major order."""
+    idx = [dist.index(name) for name in keep]
+    codes = _row_codes(dist.keys, idx, [dist.variables[i][1] for i in idx])
+    order = codes.argsort(kind="stable")
+    codes = codes[order]
+    starts = np.concatenate(([True], codes[1:] != codes[:-1])).nonzero()[0]
+    return order[starts], np.add.reduceat(dist.counts[order], starts, dtype=sum_dtype(dist.counts))
 
 
 def marginalize(dist: JointDistribution, keep: Sequence[str]) -> JointDistribution:
     """Marginal over ``keep`` (result variables in the order given)."""
-    keep = list(keep)
     idx = [dist.index(name) for name in keep]
-    variables = tuple((name, dist.variables[i][1]) for name, i in zip(keep, idx))
-    probs: dict[Assignment, Fraction] = {}
-    for key, p in dist.probs.items():
-        if p == 0:
-            continue
-        sub = tuple(key[i] for i in idx)
-        probs[sub] = probs.get(sub, ZERO) + p
-    return JointDistribution(variables, probs)
+    heads, counts = grouped_counts(dist, keep)
+    return _joint([dist.variables[i] for i in idx], dist.keys[heads][:, idx], counts,
+                  dist.denominator)
 
 
 def condition(dist: JointDistribution, assignment: Mapping[str, int]) -> JointDistribution:
@@ -174,31 +228,15 @@ def condition(dist: JointDistribution, assignment: Mapping[str, int]) -> JointDi
     The conditioned variables are removed; the rest keep their order.
     """
     fixed = {dist.index(name): value for name, value in assignment.items()}
+    mask = np.ones(len(dist.keys), dtype=bool)
     for i, value in fixed.items():
         name, size = dist.variables[i]
         if not 0 <= value < size:
             raise ValueError(f"value {value} out of range for {name!r} (size {size})")
-    keep_idx = [i for i in range(len(dist.variables)) if i not in fixed]
-    mass = ZERO
-    rows: dict[Assignment, Fraction] = {}
-    for key, p in dist.probs.items():
-        if p == 0:
-            continue
-        if all(key[i] == v for i, v in fixed.items()):
-            mass += p
-            sub = tuple(key[i] for i in keep_idx)
-            rows[sub] = rows.get(sub, ZERO) + p
-    if mass == 0:
+        mask &= dist.keys[:, i] == value
+    counts = dist.counts[mask]
+    if not counts.size:
         raise ValueError(f"conditioning event {dict(assignment)} has probability zero")
-    variables = tuple(dist.variables[i] for i in keep_idx)
-    probs = {key: p / mass for key, p in rows.items()}
-    return JointDistribution(variables, probs)
-
-
-def probability(dist: JointDistribution, predicate: Callable[[dict[str, int]], bool]) -> Fraction:
-    """Exact probability of an event given as a predicate on assignments."""
-    mass = ZERO
-    for key, p in dist.probs.items():
-        if p != 0 and predicate(dist.as_dict(key)):
-            mass += p
-    return mass
+    keep = [i for i in range(len(dist.variables)) if i not in fixed]
+    return _joint([dist.variables[i] for i in keep], dist.keys[mask][:, keep], counts,
+                  int(counts.sum(dtype=sum_dtype(counts))))

@@ -28,13 +28,13 @@ from .boxes import (
     make_bn_box,
     make_bnd_box,
     make_rb,
-    numerator_dtype,
     signaling_row,
-    sum_dtype,
     unnormalized_row,
 )
-from .dists import ZERO, JointDistribution, iter_assignments
+from .dists import JointDistribution, iter_assignments, numerator_dtype, sum_dtype
 from .reports import ProbeReport
+
+ZERO = Fraction(0)
 
 
 class ProtocolError(ValueError):
@@ -97,6 +97,11 @@ class ErasureChannelReport:
             raise ProtocolError(f"erasure probability {self.erasure_probability} out of range")
         if self.capacity != 1 - self.erasure_probability:
             raise ProtocolError("capacity must equal 1 - erasure probability")
+
+
+def _outside_alphabet(party: str, wires: Sequence[tuple[str, int]], values: tuple) -> str:
+    return (f"{party} fed the resource inputs {[nm for nm, _ in wires]} the values "
+            f"{list(values)}, outside their alphabets {[size for _, size in wires]}")
 
 
 def run_box_protocol(
@@ -195,7 +200,11 @@ def run_box_protocol(
     for ta_in in iter_assignments([s for _, s in iface.alice_inputs]):
         ta_dict = dict(zip(alice_in_names, ta_in))
         for s_val in range(sr_size):
-            a_cells = row_cells[alice_rows[tuple(alice_box_inputs(ta_dict, s_val))]]
+            a_in = tuple(alice_box_inputs(ta_dict, s_val))
+            a_row = alice_rows.get(a_in)
+            if a_row is None:
+                raise ProtocolError(_outside_alphabet("Alice", res_sig.alice_inputs, a_in))
+            a_cells = row_cells[a_row]
             # Alice's marginal ignores Bob's input (checked above): read it at his first
             marg = [sum(v for _, v in part) for part in a_cells[0]]
             for a_idx, a_out_dict in enumerate(alice_out_dicts):
@@ -210,7 +219,10 @@ def run_box_protocol(
                 alice_idx = output_part(alice_outputs(ta_dict, a_out_dict, s_val), alice_wires)
                 for tb_pos, tb_dict in enumerate(bob_task):
                     base = row_base + tb_pos * n_iface_out + alice_idx
-                    b_row = bob_rows[tuple(bob_box_inputs(tb_dict, m_val, s_val))]
+                    b_in = tuple(bob_box_inputs(tb_dict, m_val, s_val))
+                    b_row = bob_rows.get(b_in)
+                    if b_row is None:
+                        raise ProtocolError(_outside_alphabet("Bob", res_sig.bob_inputs, b_in))
                     for b_idx, v in a_cells[b_row][a_idx]:
                         tb_out = bob_outputs(tb_dict, bob_out_dicts[b_idx], m_val, s_val)
                         idx = base + output_part(tb_out, bob_wires)
@@ -426,25 +438,19 @@ def channel_joint(run: ProtocolRun) -> JointDistribution:
     """The extracted channel: joint distribution of (z, zhat) under uniform inputs.
 
     Equals ``marginalize(run.result.joint(), ["z", "zhat"])``, summed straight
-    into the (z, zhat) cells instead of through the full joint.
+    out of the induced table's (z, zhat) axes instead of through the full joint.
     """
     box = run.result
     sig = box.signature
     wires = sig.input_vars + sig.output_vars
     names = [nm for nm, _ in wires]
-    z_at, zhat_at = names.index("z"), names.index("zhat")
-    others = tuple(ax for ax in range(box.table.ndim) if ax not in (z_at, zhat_at))
-    mass = box.table.sum(axis=others, dtype=sum_dtype(box.table))
-    # keys in the order of their first nonzero cell, as the full joint lists its entries
-    cells = np.nonzero(box.table)
-    codes = cells[z_at] * mass.shape[1] + cells[zhat_at]
-    firsts = np.unique(codes, return_index=True)[1]
-    den = box.denominator * prod(sig.input_sizes)
-    probs = {}
-    for code in codes[np.sort(firsts)].tolist():
-        key = divmod(code, mass.shape[1])
-        probs[key] = Fraction(int(mass[key]), den)
-    return JointDistribution((wires[z_at], wires[zhat_at]), probs)
+    at = (names.index("z"), names.index("zhat"))
+    others = tuple(ax for ax in range(box.table.ndim) if ax not in at)
+    return JointDistribution.from_table(
+        [wires[i] for i in at],
+        box.table.sum(axis=others, dtype=sum_dtype(box.table)),
+        box.denominator * prod(sig.input_sizes),
+    )
 
 
 def rac_win_probability(run: ProtocolRun) -> Fraction:

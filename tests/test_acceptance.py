@@ -25,7 +25,7 @@ from racbox.capacity import (
 )
 from racbox.dists import JointDistribution, iter_assignments
 from racbox.feasibility import bit_case, trit_case
-from racbox.infotheory import check_lemma4, mutual_information
+from racbox.infotheory import check_lemma4, log_exponents, mutual_information_exponents
 from racbox.protocols import (
     bn_box_via_rb,
     bnd_box_via_rb,
@@ -101,8 +101,9 @@ def test_criterion_2_erasure_channel(capsys):
                 failures.append(f"erasure ({n},{d})")
             if any(induced_bbox(run, z) != make_bnd_box(n, d, "plus") for z in range(d)):
                 failures.append(f"box not reproduced ({n},{d})")
-            mi = mutual_information(channel_joint(run), ["z"], ["zhat"], (), d)
-            if abs(mi - 1.0 / n) > 1e-9:
+            # I(z : zhat) = (1/n) log d, exactly
+            mi = mutual_information_exponents(channel_joint(run), ["z"], ["zhat"])
+            if mi != {p: e / n for p, e in log_exponents(d).items()}:
                 failures.append(f"channel information ({n},{d}): {mi}")
             took = time.monotonic() - t1
             if took > slowest:

@@ -21,7 +21,7 @@ from racbox.boxes import (
     unnormalized_row,
 )
 from racbox.boxio import parse_box, serialize_box
-from racbox.dists import JointDistribution, independent_uniform
+from racbox.dists import JointDistribution, iter_assignments
 
 F = Fraction
 HALF = F(1, 2)
@@ -255,11 +255,13 @@ def test_signaling_row_names_the_first_row_that_moves_the_receiver():
 def test_joint_under_an_input_distribution():
     box = make_bn_box(2)
     inputs = box.signature.input_vars
-    assert box.joint(independent_uniform(inputs)) == box.joint()
+    uniform = JointDistribution(inputs, {key: F(1, 4) for key in iter_assignments([2, 2])})
+    assert box.joint(uniform) == box.joint()
     # y = 1 asks for x_1: X xor Y = x_1, each satisfying pair with probability 1/2
     skewed = JointDistribution(inputs, {(0, 1): F(1, 3), (1, 1): F(2, 3)})
-    assert box.joint(skewed).probs == {
-        (0, 1, 0, 0): F(1, 6), (0, 1, 1, 1): F(1, 6), (1, 1, 0, 1): F(1, 3), (1, 1, 1, 0): F(1, 3),
-    }
-    with pytest.raises(ValueError, match="not in the box's input space"):
-        box.joint(JointDistribution(inputs, {(-1, 0): F(1)}))
+    assert skewed.keys.tolist() == [[0, 1], [1, 1]]
+    joint = box.joint(skewed)
+    assert joint.keys.tolist() == [[0, 1, 0, 0], [0, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
+    assert (joint.counts.tolist(), joint.denominator) == ([1, 1, 2, 2], 6)
+    with pytest.raises(ValueError, match="do not match box inputs"):
+        box.joint(JointDistribution(inputs[::-1], {(0, 0): F(1)}))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from racbox.capacity import (
@@ -16,7 +17,7 @@ from racbox.capacity import (
     verify_capacity_bound_bits,
     verify_capacity_bound_dits,
 )
-from racbox.dists import probability
+from racbox.dists import marginalize
 from racbox.tables import TableFn
 
 F = Fraction
@@ -71,11 +72,13 @@ def test_bob_view_of_the_protocol_strategy(n, d, variant):
     xs = [f"x_{i}" for i in range(1, n)]
     # the interface wires, then the two wires attached as functions of the view
     assert dist.names == tuple(xs) + ("z", "y", "X", "s", "m", "B", "Aprime", "Y")
-    # relaying m = A keeps every query on the A' = A branch
-    assert probability(dist, lambda v: v["Aprime"] == v["m"]) == 1
+    # relaying m = A keeps every query on the A' = A branch: the (Aprime, m)
+    # marginal lies on the diagonal
+    relay = marginalize(dist, ["Aprime", "m"]).keys
+    assert (relay[:, 0] == relay[:, 1]).all()
     # so the box answers the queried slot of (z, x_1, ..., x_{n-1})
-    slots = ["z"] + xs
-    assert probability(dist, lambda v: v["B"] == v[slots[v["y"]]]) == 1
+    view = marginalize(dist, ["B", "y", "z"] + xs).keys.astype(int)
+    assert (view[:, 0] == view[np.arange(len(view)), 2 + view[:, 1]]).all()
 
 
 def test_strategy_domain_validation():

@@ -1,25 +1,90 @@
-"""Exact joint-distribution plumbing."""
+"""Exact joint-distribution plumbing, checked against a plain Fraction-dict reference."""
 
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racbox.boxes import make_rb
 from racbox.dists import (
     JointDistribution,
     condition,
     derive,
-    extend,
-    independent_uniform,
     iter_assignments,
     marginalize,
-    probability,
-    uniform,
-    validate,
 )
+from racbox.infotheory import entropy
+from racbox.tables import TableFn
 
 F = Fraction
+
+
+def _uniform(pairs):
+    keys = list(iter_assignments([size for _, size in pairs]))
+    return JointDistribution(pairs, {key: F(1, len(keys)) for key in keys})
+
+
+def _fn(name, inputs, size, fn):
+    return TableFn.from_callable(name, inputs, size, fn)
+
+
+# --- the reference: a dict from assignment tuples to Fractions --------------
+
+
+def ref_probs(dist):
+    return {tuple(key): F(count, dist.denominator)
+            for key, count in zip(dist.keys.tolist(), dist.counts.tolist())}
+
+
+def ref_marginalize(dist, keep):
+    idx = [dist.index(name) for name in keep]
+    out = {}
+    for key, p in ref_probs(dist).items():
+        sub = tuple(key[i] for i in idx)
+        out[sub] = out.get(sub, F(0)) + p
+    return out
+
+
+def ref_condition(dist, assignment):
+    fixed = {dist.index(name): value for name, value in assignment.items()}
+    rows = {key: p for key, p in ref_probs(dist).items()
+            if all(key[i] == v for i, v in fixed.items())}
+    mass = sum(rows.values(), F(0))
+    keep = [i for i in range(len(dist.variables)) if i not in fixed]
+    out = {}
+    for key, p in rows.items():
+        sub = tuple(key[i] for i in keep)
+        out[sub] = out.get(sub, F(0)) + p / mass
+    return out
+
+
+def ref_derive(dist, table):
+    idx = [dist.index(name) for name, _ in table.inputs]
+    return {key + (table(*(key[i] for i in idx)),): p for key, p in ref_probs(dist).items()}
+
+
+def ref_entropy(dist, keep, base):
+    h = 0.0
+    for _, p in sorted(ref_marginalize(dist, keep).items()):
+        pf = float(p)
+        h -= pf * math.log(pf)
+    return h / math.log(base)
+
+
+def assert_invariants(dist):
+    """Sorted row-major, no repeated key, positive counts in lowest terms, in range."""
+    keys = dist.keys.tolist()
+    assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
+    counts = dist.counts.tolist()
+    assert all(c > 0 for c in counts)
+    assert math.gcd(dist.denominator, *counts) == 1
+    for column, size in zip(zip(*keys), dist.sizes):
+        assert all(0 <= v < size for v in column)
+    assert not dist.keys.flags.writeable and not dist.counts.flags.writeable
 
 
 def test_iter_assignments_row_major_order():
@@ -29,17 +94,36 @@ def test_iter_assignments_row_major_order():
 
 
 def test_uniform_and_validate():
-    d = uniform("x", 4)
-    validate(d)
+    d = _uniform((("x", 4),))
     assert d.total() == 1
-    assert d.probs[(2,)] == F(1, 4)
+    assert d.keys.tolist() == [[0], [1], [2], [3]]
+    assert (d.counts.tolist(), d.denominator) == ([1, 1, 1, 1], 4)
+    # the constructor validates what it is given
+    with pytest.raises(ValueError, match="out of range"):
+        JointDistribution((("x", 2),), {(2,): F(1)})
+    with pytest.raises(ValueError, match="negative probability"):
+        JointDistribution((("x", 2),), {(0,): F(3, 2), (1,): F(-1, 2)})
+    with pytest.raises(ValueError, match="one value per"):
+        JointDistribution((("x", 2),), {(0, 1): F(1)})
+    with pytest.raises(ValueError, match="positive probability"):
+        JointDistribution((("x", 2),), {(0,): F(0)})
 
 
 def test_independent_uniform_factorizes():
-    d = independent_uniform([("a", 2), ("b", 3)])
+    d = _uniform((("a", 2), ("b", 3)))
     assert d.names == ("a", "b")
-    assert d.probs[(1, 2)] == F(1, 6)
+    assert ref_probs(d)[(1, 2)] == F(1, 6)
     assert d.total() == 1
+    assert ref_probs(marginalize(d, ["a"])) == {(0,): F(1, 2), (1,): F(1, 2)}
+
+
+def test_constructor_sorts_and_reduces():
+    d = JointDistribution((("a", 2), ("b", 2)), {(1, 0): F(2, 4), (0, 1): F(1, 4), (0, 0): F(1, 4)})
+    assert d.keys.tolist() == [[0, 0], [0, 1], [1, 0]]
+    assert (d.counts.tolist(), d.denominator) == ([1, 1, 2], 4)
+    assert d.probs is d.counts
+    assert d == JointDistribution((("a", 2), ("b", 2)),
+                                  {(0, 0): F(1, 4), (0, 1): F(1, 4), (1, 0): F(1, 2)})
 
 
 def test_duplicate_variable_name_rejected():
@@ -48,62 +132,64 @@ def test_duplicate_variable_name_rejected():
 
 
 def test_marginalize_reorders_and_sums():
-    d = independent_uniform([("a", 2), ("b", 2)])
-    d = derive(d, "c", 2, lambda v: v["a"] ^ v["b"])
+    d = _uniform((("a", 2), ("b", 2)))
+    d = derive(d, _fn("c", (("a", 2), ("b", 2)), 2, lambda a, b: a ^ b))
     m = marginalize(d, ["c", "a"])
     assert m.names == ("c", "a")
-    assert m.probs[(0, 1)] == F(1, 4)
+    assert ref_probs(m)[(0, 1)] == F(1, 4)
     assert m.total() == 1
 
 
 def test_condition_renormalizes():
-    d = independent_uniform([("a", 2), ("b", 2)])
-    d = derive(d, "c", 2, lambda v: v["a"] & v["b"])
+    d = _uniform((("a", 2), ("b", 2)))
+    d = derive(d, _fn("c", (("a", 2), ("b", 2)), 2, lambda a, b: a & b))
     c = condition(d, {"c": 1})
     # only a=b=1 survives
-    assert c.probs == {(1, 1): F(1)}
+    assert ref_probs(c) == {(1, 1): F(1)}
     assert c.names == ("a", "b")
 
 
 def test_condition_on_impossible_event_raises():
-    d = uniform("x", 2)
-    d = derive(d, "y", 3, lambda v: v["x"])
+    d = _uniform((("x", 2),))
+    d = derive(d, _fn("y", (("x", 2),), 3, lambda x: x))
     with pytest.raises(ValueError):
         condition(d, {"y": 2})
 
 
-def test_extend_rejects_unnormalized_kernel():
-    d = uniform("x", 2)
-    with pytest.raises(ValueError):
-        extend(d, [("y", 2)], lambda v: {(0,): F(1, 3)})
-
-
-def test_extend_attaches_noisy_bit():
-    d = uniform("x", 2)
-    d = extend(
-        d,
-        [("y", 2)],
-        lambda v: {(v["x"],): F(3, 4), (1 - v["x"],): F(1, 4)},
-    )
-    assert d.probs[(0, 0)] == F(3, 8)
-    assert d.probs[(0, 1)] == F(1, 8)
-    assert probability(d, lambda v: v["x"] == v["y"]) == F(3, 4)
-
-
 def test_derive_range_check():
-    d = uniform("x", 2)
-    with pytest.raises(ValueError):
-        derive(d, "y", 2, lambda v: v["x"] + 2)
+    d = _uniform((("x", 2),))
+    # the table reads x with the wrong alphabet
+    with pytest.raises(ValueError, match="reads"):
+        derive(d, _fn("y", (("x", 3),), 2, lambda x: x % 2))
+    with pytest.raises(KeyError):
+        derive(d, _fn("y", (("w", 2),), 2, lambda w: w))
+    with pytest.raises(ValueError, match="duplicate"):
+        derive(d, _fn("x", (("x", 2),), 2, lambda x: x))
 
 
 def test_probability_predicate():
-    d = independent_uniform([("a", 2), ("b", 2), ("c", 2)])
-    assert probability(d, lambda v: v["a"] ^ v["b"] ^ v["c"] == 1) == F(1, 2)
+    # P(a xor b xor c = 1), read off a derived parity wire
+    d = _uniform((("a", 2), ("b", 2), ("c", 2)))
+    d = derive(d, _fn("odd", d.variables, 2, lambda a, b, c: a ^ b ^ c))
+    assert ref_probs(marginalize(d, ["odd"]))[(1,)] == F(1, 2)
+
+
+def test_box_joint_is_the_support_of_its_table():
+    box = make_rb(2, 2, "signalinghalf")
+    sig = box.signature
+    joint = box.joint()
+    assert joint.variables == sig.input_vars + sig.output_vars
+    rows = math.prod(sig.input_sizes)
+    assert ref_probs(joint) == {
+        tuple(cell): F(int(box.table[tuple(cell)]), box.denominator * rows)
+        for cell in np.argwhere(box.table).tolist()
+    }
+    assert_invariants(joint)
 
 
 @st.composite
 def rational_dists(draw):
-    n_vars = draw(st.integers(1, 3))
+    n_vars = draw(st.integers(1, 4))
     sizes = [draw(st.integers(1, 3)) for _ in range(n_vars)]
     keys = list(iter_assignments(sizes))
     weights = [draw(st.integers(0, 5)) for _ in keys]
@@ -115,10 +201,96 @@ def rational_dists(draw):
     return JointDistribution(variables, probs)
 
 
+def check_against_reference(dist, data_or_rng):
+    """marginalize, condition, derive and entropy agree with the Fraction reference."""
+    draw = data_or_rng
+    names = list(dist.names)
+    assert_invariants(dist)
+    keep = draw.sample(names, draw.randint(1, len(names)))
+    m = marginalize(dist, keep)
+    assert_invariants(m)
+    assert m.names == tuple(keep)
+    assert ref_probs(m) == ref_marginalize(dist, keep)
+    for base in (2, 3):
+        assert entropy(dist, keep, base) == ref_entropy(dist, keep, base)
+    pivot = draw.choice(names)
+    size = dist.sizes[dist.index(pivot)]
+    value = draw.randrange(size)
+    if value in set(dist.keys[:, dist.index(pivot)].tolist()):
+        c = condition(dist, {pivot: value})
+        assert_invariants(c)
+        assert ref_probs(c) == ref_condition(dist, {pivot: value})
+    else:
+        with pytest.raises(ValueError, match="probability zero"):
+            condition(dist, {pivot: value})
+    inputs = [(nm, dist.sizes[dist.index(nm)]) for nm in draw.sample(names, min(3, len(names)))]
+    out = draw.randint(1, 4)
+    domain = math.prod(s for _, s in inputs)
+    entries = tuple(draw.randrange(out) for _ in range(domain))
+    table = TableFn("new", tuple(inputs), out, entries)
+    derived = derive(dist, table)
+    assert_invariants(derived)
+    assert derived.variables == dist.variables + (("new", out),)
+    assert ref_probs(derived) == ref_derive(dist, table)
+
+
+class _Draws:
+    """random.Random's interface on top of hypothesis data."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def randint(self, lo, hi):
+        return self.data.draw(st.integers(lo, hi))
+
+    def randrange(self, n):
+        return self.data.draw(st.integers(0, n - 1))
+
+    def choice(self, seq):
+        return self.data.draw(st.sampled_from(seq))
+
+    def sample(self, seq, k):
+        return self.data.draw(st.permutations(seq))[:k]
+
+
+@given(rational_dists(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_operations_match_the_fraction_reference(dist, data):
+    check_against_reference(dist, _Draws(data))
+
+
+def test_denominator_past_int64_uses_python_ints():
+    big = 3 ** 45  # > 2**63
+    dist = JointDistribution(
+        (("a", 2), ("b", 3)),
+        {(0, 0): F(1, big), (0, 2): F(2, big), (1, 1): 1 - F(3, big)},
+    )
+    assert dist.counts.dtype == object and dist.denominator == big
+    rng = random.Random(3)
+    for _ in range(20):
+        check_against_reference(dist, rng)
+
+
+def test_sixty_four_binary_wires_sort_without_overflow():
+    rng = random.Random(64)
+    variables = tuple((f"w{i}", 2) for i in range(64))
+    rows = {tuple(rng.randrange(2) for _ in range(64)) for _ in range(40)}
+    # rows that differ only in the last wire, where a wrapped code would collide first
+    rows |= {(1,) * 63 + (0,), (1,) * 64, (0,) * 64}
+    dist = JointDistribution(variables, {row: F(1, len(rows)) for row in rows})
+    assert dist.keys.tolist() == sorted(map(list, rows))
+    reversed_names = list(reversed(dist.names))
+    m = marginalize(dist, reversed_names)
+    assert ref_probs(m) == ref_marginalize(dist, reversed_names)
+    assert_invariants(m)
+    for _ in range(20):
+        check_against_reference(dist, rng)
+
+
 @given(rational_dists(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_marginalize_preserves_total_and_commutes(dist, data):
-    validate(dist)
+    assert dist.total() == 1
     keep = data.draw(st.permutations(list(dist.names)))
     split = data.draw(st.integers(0, len(keep)))
     kept = list(keep[:split]) or [dist.names[0]]
@@ -138,9 +310,8 @@ def test_conditioning_then_averaging_recovers_marginal(dist):
         return
     marg = marginalize(dist, [pivot])
     recovered = {}
-    for (value,), p in marg.items():
+    for (value,), p in ref_probs(marg).items():
         sliced = condition(dist, {pivot: value})
-        for key, q in sliced.items():
+        for key, q in ref_probs(sliced).items():
             recovered[key] = recovered.get(key, F(0)) + p * q
-    direct = marginalize(dist, rest)
-    assert recovered == {k: v for k, v in direct.items()}
+    assert recovered == ref_probs(marginalize(dist, rest))

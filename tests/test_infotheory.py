@@ -6,24 +6,31 @@ from fractions import Fraction
 
 import pytest
 
-from racbox.dists import (
-    JointDistribution,
-    derive,
-    independent_uniform,
-    iter_assignments,
-    uniform,
-)
+from racbox.dists import JointDistribution, derive, iter_assignments
 from racbox.infotheory import (
     TOLERANCE,
     check_lemma4,
     conditional_entropy,
     entropy,
-    information_causality_lhs,
+    log_exponents,
     multi_information,
     mutual_information,
+    mutual_information_exponents,
 )
+from racbox.protocols import channel_joint, resource_inequality_sim
+from racbox.tables import TableFn
 
 F = Fraction
+
+
+def uniform(*pairs):
+    keys = list(iter_assignments([size for _, size in pairs]))
+    return JointDistribution(pairs, {key: F(1, len(keys)) for key in keys})
+
+
+def xor_of(d, name, inputs):
+    return derive(d, TableFn.from_callable(name, [(v, 2) for v in inputs], 2,
+                                           lambda *bits: sum(bits) % 2))
 
 
 def _random_dist(rng, sizes, names=None):
@@ -40,13 +47,13 @@ def _random_dist(rng, sizes, names=None):
 
 
 def test_entropy_of_uniform_and_deterministic():
-    assert entropy(uniform("x", 8), ["x"]) == pytest.approx(3.0, abs=1e-12)
+    assert entropy(uniform(("x", 8)), ["x"]) == pytest.approx(3.0, abs=1e-12)
     point = JointDistribution((("x", 4),), {(2,): F(1)})
     assert entropy(point, ["x"]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_base_conversion():
-    d = uniform("x", 9)
+    d = uniform(("x", 9))
     assert entropy(d, ["x"], 3) == pytest.approx(2.0, abs=1e-12)
     assert entropy(d, ["x"], 2) == pytest.approx(2 * math.log2(3), abs=1e-12)
     with pytest.raises(ValueError, match="log base"):
@@ -62,10 +69,9 @@ def test_chain_rule():
 
 
 def test_mutual_information_of_copies_and_independents():
-    d = uniform("x", 2)
-    d = derive(d, "y", 2, lambda v: v["x"])
+    d = xor_of(uniform(("x", 2)), "y", ["x"])
     assert mutual_information(d, ["x"], ["y"]) == pytest.approx(1.0, abs=1e-12)
-    ind = independent_uniform([("a", 2), ("b", 4)])
+    ind = uniform(("a", 2), ("b", 4))
     assert mutual_information(ind, ["a"], ["b"]) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -80,14 +86,13 @@ def test_mutual_information_symmetry_and_conditioning():
 
 
 def test_conditioning_on_xor_couples_inputs():
-    d = independent_uniform([("a", 2), ("b", 2)])
-    d = derive(d, "c", 2, lambda v: v["a"] ^ v["b"])
+    d = xor_of(uniform(("a", 2), ("b", 2)), "c", ["a", "b"])
     assert mutual_information(d, ["a"], ["b"]) == pytest.approx(0.0, abs=1e-12)
     assert mutual_information(d, ["a"], ["b"], ["c"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_overlapping_groups_rejected():
-    d = independent_uniform([("a", 2), ("b", 2)])
+    d = uniform(("a", 2), ("b", 2))
     with pytest.raises(ValueError):
         mutual_information(d, ["a"], ["a"])
     with pytest.raises(ValueError):
@@ -98,8 +103,7 @@ def test_overlapping_groups_rejected():
 
 def test_multi_information_two_groups_is_not_pairwise_sum():
     # three-way XOR: every pair independent, yet jointly determined
-    d = independent_uniform([("a", 2), ("b", 2)])
-    d = derive(d, "t", 2, lambda v: v["a"] ^ v["b"])
+    d = xor_of(uniform(("a", 2), ("b", 2)), "t", ["a", "b"])
     pair_sum = mutual_information(d, ["a"], ["t"]) + mutual_information(d, ["b"], ["t"])
     multi = multi_information(d, [["a"], ["b"]], ["t"])
     assert pair_sum == pytest.approx(0.0, abs=1e-12)
@@ -107,12 +111,9 @@ def test_multi_information_two_groups_is_not_pairwise_sum():
 
 
 def test_grouped_information_bound_on_xor_and_copies():
-    d = independent_uniform([("a", 2), ("b", 2)])
-    d = derive(d, "t", 2, lambda v: v["a"] ^ v["b"])
+    d = xor_of(uniform(("a", 2), ("b", 2)), "t", ["a", "b"])
     assert check_lemma4(d, [["a"], ["b"]], ["t"]).passed
-    d2 = uniform("a", 2)
-    d2 = derive(d2, "b", 2, lambda v: v["a"])
-    d2 = derive(d2, "t", 2, lambda v: v["a"])
+    d2 = xor_of(xor_of(uniform(("a", 2)), "b", ["a"]), "t", ["a"])
     report = check_lemma4(d2, [["a"], ["b"]], ["t"])
     # copies saturate: both sides are 2 bits... the bound still holds
     assert report.passed
@@ -143,23 +144,48 @@ def test_grouped_information_bound_conditioned():
         assert report.passed
 
 
-def test_eavesdropper_sum_on_a_shared_key():
-    # E carries key_0 when choice = 0 and key_1 when choice = 1
-    d = independent_uniform([("k0", 2), ("k1", 2), ("c", 2)])
-    d = derive(d, "E", 2, lambda v: v["k0"] if v["c"] == 0 else v["k1"])
-    got = information_causality_lhs(d, ["k0", "k1"], "E", "c")
-    assert got == pytest.approx(2.0, abs=1e-9)
-    # a blind eavesdropper learns nothing
-    blind = derive(
-        independent_uniform([("k0", 2), ("k1", 2), ("c", 2)]), "E", 1, lambda v: 0
-    )
-    assert information_causality_lhs(blind, ["k0", "k1"], "E", "c") == pytest.approx(
-        0.0, abs=1e-12
-    )
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(2, 7) for d in (2, 3)] + [(4, 6)])
+def test_erasure_channel_information_is_exactly_one_nth_of_log_d(n, d):
+    run, _ = resource_inequality_sim(n, d)
+    exact = mutual_information_exponents(channel_joint(run), ["z"], ["zhat"])
+    assert exact == {p: e / n for p, e in log_exponents(d).items()}
 
 
-def test_choice_alphabet_must_match_key_count():
-    d = independent_uniform([("k0", 2), ("k1", 2), ("c", 3)])
-    d = derive(d, "E", 2, lambda v: 0)
+def test_exact_check_rejects_a_perturbation_the_float_tolerance_misses():
+    run, _ = resource_inequality_sim(3, 2)
+    channel = channel_joint(run)
+    assert mutual_information_exponents(channel, ["z"], ["zhat"]) == {2: F(1, 3)}
+    # move 1/(4 * 10**12) of mass from an erased cell onto the clear one
+    big = 10**12
+    probs = {tuple(key): F(int(count) * big, channel.denominator * big)
+             for key, count in zip(channel.keys.tolist(), channel.counts.tolist())}
+    probs[(0, 0)] += F(1, 4 * big)
+    probs[(0, 2)] -= F(1, 4 * big)
+    perturbed = JointDistribution(channel.variables, probs)
+    assert abs(mutual_information(perturbed, ["z"], ["zhat"]) - 1 / 3) < 1e-9
+    assert mutual_information_exponents(perturbed, ["z"], ["zhat"]) != {2: F(1, 3)}
+
+
+def test_exact_information_of_simple_joints():
+    assert log_exponents(12) == {2: 2, 3: 1}
+    assert log_exponents(1) == {}
     with pytest.raises(ValueError):
-        information_causality_lhs(d, ["k0", "k1"], "E", "c")
+        log_exponents(0)
+    assert log_exponents(9 * (2**31 - 1)) == {3: 2, 2**31 - 1: 1}
+    # past trial division's reach the factorization is refused, not searched for
+    with pytest.raises(ValueError, match="cannot factor"):
+        log_exponents(2**61 - 1)
+    # a copied bit carries log 2; independent wires carry nothing
+    copy = xor_of(uniform(("x", 2)), "y", ["x"])
+    assert mutual_information_exponents(copy, ["x"], ["y"]) == {2: 1}
+    assert mutual_information_exponents(uniform(("a", 2), ("b", 3)), ["a"], ["b"]) == {}
+    # conditioning on the xor couples the inputs: I(a : b | c) = log 2
+    d = xor_of(uniform(("a", 2), ("b", 2)), "c", ["a", "b"])
+    assert mutual_information_exponents(d, ["a"], ["b"], ["c"]) == {2: 1}
+    # a skewed joint: I = sum e_p log p agrees with the float
+    rng = random.Random(9)
+    for _ in range(10):
+        d = _random_dist(rng, [2, 3, 2])
+        exact = mutual_information_exponents(d, ["v0"], ["v1"], ["v2"])
+        value = sum(float(e) * math.log(p) for p, e in exact.items()) / math.log(2)
+        assert value == pytest.approx(mutual_information(d, ["v0"], ["v1"], ["v2"]), abs=1e-9)
