@@ -5,7 +5,10 @@ became integer-numerator arrays, and ``capacity-send-x1-2-2`` before joint
 distributions became integer counts: its quantity, 1 - h(1/4), is an
 irrational float whose last digits depend on the order of summation.  Any
 change to a record, its order or its formatting shows up here.  ``search``
-is left out because its ``elapsed=`` record varies from run to run.
+is left out because its ``elapsed=`` record varies from run to run; its
+witness text is pinned in ``tests/test_search.py`` instead.  The ``compile``
+outputs and the Graphviz file of the 7-bit tree were captured before the
+wiring evaluators moved onto one flat form of the tree.
 """
 
 import io
@@ -36,6 +39,8 @@ CASES = {
     "capacity-send-x1-2-2": ["capacity", "--n", "2", "--d", "2", "--strategy", "send-x1"],
     "capacity-ignore-rb-2-3": ["capacity", "--n", "2", "--d", "3", "--strategy", "ignore-rb"],
     "table-10": ["table", "--nmax", "10"],
+    "compile-7": ["compile", "--n", "7"],
+    "compile-16": ["compile", "--n", "16"],
     "feasibility-trit-3": ["feasibility", "--preset", "trit-3"],
 }
 
@@ -52,3 +57,9 @@ def test_machine_output_matches_golden(name, monkeypatch):
     # check-ns names its box file in a record, so it is given relative to GOLDEN
     monkeypatch.chdir(GOLDEN)
     assert machine_stdout(CASES[name]) == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_dot_file_matches_golden(tmp_path):
+    out = tmp_path / "tree.dot"
+    machine_stdout(["compile", "--n", "7", "--dot", str(out)])
+    assert out.read_text() == (GOLDEN / "compile-7.dot").read_text()

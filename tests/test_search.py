@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +202,12 @@ def test_strategy_serialization_round_trip():
         text = serialize_strategy(strat)
         again = parse_strategy(text)
         assert again == strat
+
+
+def test_tree_strategy_text_matches_golden():
+    # the witness text of ``racbox search --n 5 --rbs 4``
+    golden = Path(__file__).parent / "golden" / "tree-strategy-5.txt"
+    assert serialize_strategy(tree_strategy(5)) == golden.read_text()
 
 
 def test_parse_strategy_rejects_foreign_kind():
