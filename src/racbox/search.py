@@ -35,7 +35,7 @@ import numpy as np
 
 from .reports import ProbeReport
 from .tables import TableFn, parse_tables, serialize_tables
-from .wiring import Leaf, RBNode, compile_rac, leaf_paths
+from .wiring import compile_rac, flatten
 
 __all__ = [
     "Strategy",
@@ -71,10 +71,6 @@ class Strategy:
     rb_names: tuple[str, ...]
     alice_encoders: tuple[TableFn, ...]
     bob_decoders: tuple[TableFn, ...]
-
-    @property
-    def wiring_order(self) -> tuple[str, ...]:
-        return self.rb_names
 
     def __post_init__(self) -> None:
         n, k = self.n, len(self.rb_names)
@@ -164,68 +160,33 @@ def tree_strategy(n: int) -> Strategy:
 
     Alice wires each box with its children's values (task bit or child
     output A), sends the root output, and Bob XORs the message with the
-    box outputs along his query's root-to-leaf path.
+    box outputs along his query's root-to-leaf path.  Box j of the flat
+    tree is named rb<j>; its wires index Alice's table inputs directly,
+    since those are the task bits followed by the upstream box outputs.
     """
     if not 2 <= n <= 8:
         raise ValueError("tree strategies are built for 2 <= n <= 8")
     tree, _ = compile_rac(n)
-    paths = leaf_paths(tree)
-
-    post: list[RBNode] = []
-
-    def walk(node) -> None:
-        if isinstance(node, RBNode):
-            walk(node.left)
-            walk(node.right)
-            post.append(node)
-
-    walk(tree)
-    names = tuple(f"rb{j}" for j in range(len(post)))
-    order = {id(node): j for j, node in enumerate(post)}
-    leaf_no: dict[int, int] = {}
-
-    def number(node, counter: list[int]) -> None:
-        if isinstance(node, Leaf):
-            leaf_no[id(node)] = counter[0]
-            counter[0] += 1
-        else:
-            number(node.left, counter)
-            number(node.right, counter)
-
-    number(tree, [0])
-
-    def symbol(node) -> tuple[str, int]:
-        if isinstance(node, Leaf):
-            return ("a", leaf_no[id(node)])
-        return ("A", order[id(node)])
+    flat = flatten(tree)
+    names = tuple(f"rb{j}" for j in range(len(flat.boxes)))
 
     task = tuple((f"a_{i}", 2) for i in range(n))
     encoders: list[TableFn] = []
-    for j, node in enumerate(post):
+    for j, wires in enumerate(flat.boxes):
         upstream = tuple((f"A_{names[i]}", 2) for i in range(j))
-        for slot, child in (("a0", node.left), ("a1", node.right)):
-            kind, idx = symbol(child)
-            pos = idx if kind == "a" else n + idx
+        for slot, wire in zip(("a0", "a1"), wires):
 
-            def fn(*vals, pos=pos):
-                return vals[pos]
+            def fn(*vals, wire=wire):
+                return vals[wire]
 
             encoders.append(TableFn.from_callable(f"{names[j]}.{slot}", task + upstream, 2, fn))
     all_a = tuple((f"A_{name}", 2) for name in names)
-    root_pos = n + order[id(tree)]
     encoders.append(
-        TableFn.from_callable("m", task + all_a, 2, lambda *vals: vals[root_pos])
+        TableFn.from_callable("m", task + all_a, 2, lambda *vals: vals[flat.root])
     )
 
     # per query: which boxes sit on the path, and the direction taken at each
-    on_path: list[dict[int, int]] = []
-    for path in paths:
-        node = tree
-        steps: dict[int, int] = {}
-        for step in path:
-            steps[order[id(node)]] = step
-            node = node.left if step == 0 else node.right
-        on_path.append(steps)
+    on_path = [dict(path) for path in flat.paths]
 
     rev = tuple(reversed(names))
     head = (("btilde", n), ("m", 2))
@@ -248,61 +209,6 @@ def tree_strategy(n: int) -> Strategy:
             if j in on_path[btilde]:
                 val ^= outs[r]
         return val
-
-    decoders.append(TableFn.from_callable("Btilde", head + all_b, 2, out_fn))
-    return Strategy(n=n, rb_names=names, alice_encoders=tuple(encoders), bob_decoders=tuple(decoders))
-
-
-def _pad_strategy(strategy: Strategy, k: int) -> Strategy:
-    """Extend a strategy with idle boxes (fed zeros, queried at 0, ignored)."""
-    n = strategy.n
-    k0 = len(strategy.rb_names)
-    if k < k0:
-        raise ValueError("cannot pad downward")
-    if k == k0:
-        return strategy
-    names = strategy.rb_names + tuple(f"idle{j}" for j in range(k - k0))
-    task = tuple((f"a_{i}", 2) for i in range(n))
-    encoders = list(strategy.alice_encoders[:-1])
-    for j in range(k0, k):
-        upstream = tuple((f"A_{name}", 2) for name in names[:j])
-        encoders.append(TableFn.constant(f"{names[j]}.a0", task + upstream, 2, 0))
-        encoders.append(TableFn.constant(f"{names[j]}.a1", task + upstream, 2, 0))
-    old_m = strategy.alice_encoders[-1]
-    all_a = tuple((f"A_{name}", 2) for name in names)
-
-    def m_fn(*vals):
-        return old_m(*vals[: n + k0])
-
-    encoders.append(TableFn.from_callable("m", task + all_a, 2, m_fn))
-
-    rev = tuple(reversed(names))
-    head = (("btilde", n), ("m", 2))
-    decoders: list[TableFn] = []
-    idle_count = k - k0
-    for r in range(idle_count):  # idle boxes are queried first and ignored
-        prev = tuple((f"B_{name}", 2) for name in rev[:r])
-        decoders.append(TableFn.constant(f"{rev[r]}.b", head + prev, 2, 0))
-        decoders.append(TableFn.constant(f"{rev[r]}.aprime", head + prev, 2, 0))
-    for r0 in range(k0):
-        rb = rev[idle_count + r0]
-        prev = tuple((f"B_{name}", 2) for name in rev[: idle_count + r0])
-        old_b = strategy.bob_decoders[2 * r0]
-        old_ap = strategy.bob_decoders[2 * r0 + 1]
-
-        def lift(tab, r0=r0):
-            def fn(btilde, m, *outs):
-                return tab(btilde, m, *outs[idle_count: idle_count + r0])
-
-            return fn
-
-        decoders.append(TableFn.from_callable(f"{rb}.b", head + prev, 2, lift(old_b)))
-        decoders.append(TableFn.from_callable(f"{rb}.aprime", head + prev, 2, lift(old_ap)))
-    all_b = tuple((f"B_{name}", 2) for name in rev)
-    old_out = strategy.bob_decoders[-1]
-
-    def out_fn(btilde, m, *outs):
-        return old_out(btilde, m, *outs[idle_count:])
 
     decoders.append(TableFn.from_callable("Btilde", head + all_b, 2, out_fn))
     return Strategy(n=n, rb_names=names, alice_encoders=tuple(encoders), bob_decoders=tuple(decoders))
@@ -457,18 +363,28 @@ def _best_response(n: int, counts: np.ndarray, i: int, j: int) -> Strategy:
 def search_rac_with_rbs(n: int, k_rbs: int, budget: float = 3600.0) -> SearchResult:
     """Maximum winning probability of n->1 with k boxes and one message bit.
 
-    k >= n-1 returns 1 immediately with the compiled-tree witness; the
-    one-box case runs the exact engine (13/16 at n = 4; a budget cut leaves
-    a lower bound flagged incomplete).  Anything else is beyond desk scale.
+    k >= n-1 returns 1 immediately with the compiled-tree witness of n-1
+    boxes (any further boxes are left idle); the one-box case runs the
+    exact engine (13/16 at n = 4; a budget cut leaves a lower bound flagged
+    incomplete).  Anything else is beyond desk scale.
     """
     if n < 2 or k_rbs < 1:
         raise ValueError("need n >= 2 and k_rbs >= 1")
     start = time.monotonic()
     if k_rbs >= n - 1:
-        witness = _pad_strategy(tree_strategy(n), k_rbs)
+        witness = tree_strategy(n)
         value = evaluate_strategy(witness)
         if value != 1:
             raise AssertionError("tree construction failed to win with certainty")
+        notes = [
+            "construction witness: the compiled wiring tree wins every input",
+            CONVEXITY_NOTE,
+        ]
+        if k_rbs > n - 1:
+            notes.append(
+                f"the witness wires n-1 = {n - 1} of the {k_rbs} boxes "
+                f"and leaves the other {k_rbs - (n - 1)} idle"
+            )
         return SearchResult(
             max_win_probability=Fraction(1),
             witness=witness,
@@ -476,10 +392,7 @@ def search_rac_with_rbs(n: int, k_rbs: int, budget: float = 3600.0) -> SearchRes
             pruned=0,
             complete=True,
             elapsed_seconds=time.monotonic() - start,
-            notes=(
-                "construction witness: the compiled wiring tree wins every input",
-                CONVEXITY_NOTE,
-            ),
+            notes=tuple(notes),
         )
     if k_rbs != 1 or n not in (3, 4):
         raise ValueError(

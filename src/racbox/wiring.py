@@ -10,6 +10,13 @@ A' = 0, and XORs the message with every box output on the path.  The
 telescoping cancellation of the Alice outputs leaves exactly the queried
 bit, so the construction wins with certainty on perfect boxes.
 
+Trees are built from `Leaf` and `RBNode` objects, and `flatten` is the
+only code that walks them.  It numbers the wires once (database bits
+first, then box outputs with the boxes in post order), records each
+query's root-to-leaf path, and rejects a node object that appears twice
+(one physical box fed twice) or a foreign node type.  Every evaluator
+here, and the search's tree witness, reads that flat form.
+
 With noisy boxes that answer each query correctly with probability p2
 independently, the decoded bit is correct iff an even number of path
 boxes err, which the closed-form recursion below tracks per depth.  An
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Sequence, Union
 
 from .reports import ProbeReport
@@ -43,6 +51,65 @@ class RBNode:
 
 
 WiringTree = Union[Leaf, RBNode]
+
+
+@dataclass(frozen=True)
+class FlatTree:
+    """A wiring tree as numbered wires.
+
+    Wire i < leaves carries database bit i (leaves numbered left to right);
+    wire leaves + j carries the Alice output of box j.  Boxes are listed in
+    post order, so each box comes after the boxes that feed it.
+    """
+
+    leaves: int
+    boxes: tuple[tuple[int, int], ...]  # (left wire, right wire) fed to box j
+    root: int  # the wire Alice sends as the message
+    paths: tuple[tuple[tuple[int, int], ...], ...]  # per query: (box, 0 = left) from the root
+
+
+def flatten(tree: WiringTree) -> FlatTree:
+    """The flat form of `tree`; the one walk over `Leaf`/`RBNode` objects.
+
+    Structural equality is fine (two equal subtrees are still two boxes);
+    object identity reuse is not, because it would feed one physical box
+    twice.
+    """
+    seen: set[int] = set()
+    order: list[WiringTree] = []
+    stack = [tree]
+    while stack:  # node, right subtree, left subtree: post order reversed
+        node = stack.pop()
+        if id(node) in seen:
+            raise MalformedTreeError("node object appears twice: a box cannot be reused")
+        seen.add(id(node))
+        if isinstance(node, RBNode):
+            stack += (node.left, node.right)
+        elif not isinstance(node, Leaf):
+            raise MalformedTreeError(f"foreign node type {type(node).__name__}")
+        order.append(node)
+    order.reverse()
+    leaves = len(order) - sum(isinstance(node, RBNode) for node in order)
+    wire: dict[int, int] = {}
+    boxes: list[tuple[int, int]] = []
+    for node in order:
+        if isinstance(node, RBNode):
+            boxes.append((wire[id(node.left)], wire[id(node.right)]))
+            wire[id(node)] = leaves + len(boxes) - 1
+        else:
+            wire[id(node)] = len(wire) - len(boxes)
+    root = wire[id(tree)]
+    paths: list[tuple[tuple[int, int], ...]] = [()] * leaves
+    down = [(root, ())]
+    while down:
+        w, path = down.pop()
+        if w < leaves:
+            paths[w] = path
+            continue
+        j = w - leaves
+        for step, child in enumerate(boxes[j]):
+            down.append((child, path + ((j, step),)))
+    return FlatTree(leaves=leaves, boxes=tuple(boxes), root=root, paths=tuple(paths))
 
 
 @dataclass(frozen=True)
@@ -74,35 +141,13 @@ def add(left: WiringTree, right: WiringTree) -> WiringTree:
     return RBNode(left, right)
 
 
-def leaf_count(tree: WiringTree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return leaf_count(tree.left) + leaf_count(tree.right)
-
-
-def internal_count(tree: WiringTree) -> int:
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + internal_count(tree.left) + internal_count(tree.right)
-
-
 def leaf_paths(tree: WiringTree) -> tuple[tuple[int, ...], ...]:
     """Root-to-leaf direction words (0 = left), one per leaf, left to right.
 
     The position of a path in this tuple is the database index its leaf
     serves, so queries route by plain indexing.
     """
-    out: list[tuple[int, ...]] = []
-
-    def walk(node: WiringTree, prefix: tuple[int, ...]) -> None:
-        if isinstance(node, Leaf):
-            out.append(prefix)
-            return
-        walk(node.left, prefix + (0,))
-        walk(node.right, prefix + (1,))
-
-    walk(tree, ())
-    return tuple(out)
+    return tuple(tuple(step for _, step in path) for path in flatten(tree).paths)
 
 
 def compile_rac(n: int) -> tuple[WiringTree, CostReport]:
@@ -129,39 +174,12 @@ def compile_rac(n: int) -> tuple[WiringTree, CostReport]:
     assert tree is not None
     report = CostReport(
         n=n,
-        rb_count=internal_count(tree),
+        rb_count=len(flatten(tree).boxes),
         message_bits=1,
         concatenation_uses=concat_uses,
         addition_uses=add_uses,
     )
     return tree, report
-
-
-def _check_shape(tree: WiringTree) -> tuple[int, int]:
-    """Walk the tree, rejecting reused node objects and foreign types.
-
-    Returns (leaves, internals).  Structural equality is fine (two equal
-    subtrees are still two boxes); object identity reuse is not, because it
-    would feed one physical box twice.
-    """
-    seen: set[int] = set()
-    leaves = 0
-    internals = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            raise MalformedTreeError("node object appears twice: a box cannot be reused")
-        seen.add(id(node))
-        if isinstance(node, Leaf):
-            leaves += 1
-        elif isinstance(node, RBNode):
-            internals += 1
-            stack.append(node.left)
-            stack.append(node.right)
-        else:
-            raise MalformedTreeError(f"foreign node type {type(node).__name__}")
-    return leaves, internals
 
 
 def check_tree_lemma(tree: WiringTree) -> ProbeReport:
@@ -171,7 +189,8 @@ def check_tree_lemma(tree: WiringTree) -> ProbeReport:
     acyclic graph on V vertices has V - 1 edges; both counts are taken
     directly from the structure and compared.
     """
-    leaves, internals = _check_shape(tree)
+    flat = flatten(tree)
+    leaves, internals = flat.leaves, len(flat.boxes)
     vertices = leaves + internals
     edges = 2 * internals
     handshake_ok = edges == vertices - 1
@@ -195,41 +214,18 @@ def check_tree_lemma(tree: WiringTree) -> ProbeReport:
 def tree_wins_always(tree: WiringTree) -> bool:
     """Symbolic check that decoding returns the queried bit identically.
 
-    Wire values are tracked as XOR-sets of formal tokens: leaf i carries
-    token x_i, internal node v publishes its Alice output token A_v.  The
-    decoder's XOR accumulates token sets by symmetric difference; the
-    protocol is perfect iff every query reduces to exactly {x_i}.
+    Wire values are tracked as XOR-sets of formal tokens, one per wire:
+    leaf i carries token x_i, box j publishes its Alice output token A_j.
+    Box j answers Bob with B_j = (the value fed on the queried side) xor A_j,
+    and the decoder XORs the message with every B on the path; the protocol
+    is perfect iff every query reduces to exactly {x_i}.
     """
-    _check_shape(tree)
-    token: dict[int, frozenset] = {}
-    index_of_leaf: dict[int, int] = {}
-
-    def assign(node: WiringTree, next_leaf: list[int]) -> None:
-        if isinstance(node, Leaf):
-            index_of_leaf[id(node)] = next_leaf[0]
-            token[id(node)] = frozenset({("x", next_leaf[0])})
-            next_leaf[0] += 1
-            return
-        assign(node.left, next_leaf)
-        assign(node.right, next_leaf)
-        token[id(node)] = frozenset({("A", id(node))})
-
-    assign(tree, [0])
-
-    def decoded(path: Sequence[int]) -> frozenset:
-        acc = token[id(tree)] if isinstance(tree, RBNode) else frozenset()
-        node = tree
-        for step in path:
-            child = node.left if step == 0 else node.right
-            # B_v = value(child) xor A_v
-            acc = acc ^ token[id(child)] ^ frozenset({("A", id(node))})
-            node = child
-        return acc
-
-    if isinstance(tree, Leaf):
-        return True
-    for i, path in enumerate(leaf_paths(tree)):
-        if decoded(path) != frozenset({("x", i)}):
+    flat = flatten(tree)
+    for i, path in enumerate(flat.paths):
+        decoded = {flat.root}
+        for j, step in path:
+            decoded ^= {flat.boxes[j][step], flat.leaves + j}
+        if decoded != {i}:
             return False
     return True
 
@@ -242,66 +238,22 @@ def tree_win_probability_exact(tree: WiringTree) -> Fraction:
     pattern j).  Nothing is assumed about cancellations, which makes this
     the oracle for the symbolic check.
     """
-    _check_shape(tree)
-    paths = leaf_paths(tree)
-    n_leaves = len(paths)
-    internals: list[int] = []
-
-    def collect(node: WiringTree) -> None:
-        if isinstance(node, RBNode):
-            internals.append(id(node))
-            collect(node.left)
-            collect(node.right)
-
-    collect(tree)
-    n_int = len(internals)
-    pos = {v: i for i, v in enumerate(internals)}
+    flat = flatten(tree)
+    n_leaves, n_boxes = flat.leaves, len(flat.boxes)
     size = 1 << n_leaves
     full = (1 << size) - 1
-
-    leaf_masks = []
-    for i in range(n_leaves):
-        m = 0
-        for j in range(size):
-            if (j >> i) & 1:
-                m |= 1 << j
-        leaf_masks.append(m)
-
-    leaf_index: dict[int, int] = {}
-
-    def number_leaves(node: WiringTree, next_leaf: list[int]) -> None:
-        if isinstance(node, Leaf):
-            leaf_index[id(node)] = next_leaf[0]
-            next_leaf[0] += 1
-            return
-        number_leaves(node.left, next_leaf)
-        number_leaves(node.right, next_leaf)
-
-    number_leaves(tree, [0])
+    leaf_masks = [sum(1 << j for j in range(size) if (j >> i) & 1) for i in range(n_leaves)]
 
     wins = 0
-    trials = 0
-    for apat in range(1 << n_int):
-        def wire_value(node: WiringTree) -> int:
-            if isinstance(node, Leaf):
-                return leaf_masks[leaf_index[id(node)]]
-            return full if (apat >> pos[id(node)]) & 1 else 0
-
-        for i, path in enumerate(paths):
-            if isinstance(tree, Leaf):
-                decoded = leaf_masks[0]
-            else:
-                decoded = wire_value(tree)  # the message m = A_root
-                node = tree
-                for step in path:
-                    child = node.left if step == 0 else node.right
-                    a_v = full if (apat >> pos[id(node)]) & 1 else 0
-                    decoded ^= wire_value(child) ^ a_v
-                    node = child
+    for apat in range(1 << n_boxes):
+        value = leaf_masks + [full if (apat >> j) & 1 else 0 for j in range(n_boxes)]
+        for i, path in enumerate(flat.paths):
+            decoded = value[flat.root]  # the message m = A_root
+            for j, step in path:
+                decoded ^= value[flat.boxes[j][step]] ^ value[n_leaves + j]
             agree = ~(decoded ^ leaf_masks[i]) & full
             wins += agree.bit_count()
-            trials += size
-    return Fraction(wins, trials)
+    return Fraction(wins, (1 << n_boxes) * n_leaves * size)
 
 
 # --- noisy-box analysis -----------------------------------------------------
@@ -319,18 +271,19 @@ def path_success(length: int, p2):
     return r
 
 
+def _mean_path_success(flat: FlatTree, p2):
+    if not 0 <= p2 <= 1:
+        raise ValueError(f"box winning probability p2={p2} is outside [0, 1]")
+    return sum(path_success(len(p), p2) for p in flat.paths) / flat.leaves
+
+
 def winning_probability(tree: WiringTree, p2):
     """Average success of the compiled code when each box wins with prob p2.
 
     Exact if p2 is a Fraction; float arithmetic otherwise.  Queries are
     uniform over database positions.  p2 outside [0, 1] raises ValueError.
     """
-    if not 0 <= p2 <= 1:
-        raise ValueError(f"box winning probability p2={p2} is outside [0, 1]")
-    _check_shape(tree)
-    paths = leaf_paths(tree)
-    total = sum(path_success(len(p), p2) for p in paths)
-    return total / len(paths)
+    return _mean_path_success(flatten(tree), p2)
 
 
 def winning_probability_oracle(tree: WiringTree, p2):
@@ -340,27 +293,9 @@ def winning_probability_oracle(tree: WiringTree, p2):
     iff its path meets the subset an even number of times.  Exponential in
     the box count, so only for small trees.
     """
-    paths = leaf_paths(tree)
-    internals: list[int] = []
-
-    def collect(node: WiringTree) -> None:
-        if isinstance(node, RBNode):
-            internals.append(id(node))
-            collect(node.left)
-            collect(node.right)
-
-    collect(tree)
-    pos = {v: i for i, v in enumerate(internals)}
-    path_masks = []
-    for path in paths:
-        mask = 0
-        node = tree
-        for step in path:
-            mask |= 1 << pos[id(node)]
-            node = node.left if step == 0 else node.right
-        path_masks.append(mask)
-
-    k = len(internals)
+    flat = flatten(tree)
+    path_masks = [sum(1 << j for j, _ in path) for path in flat.paths]
+    k = len(flat.boxes)
     total = p2 * 0
     for flips in range(1 << k):
         weight = p2 * 0 + 1
@@ -369,7 +304,7 @@ def winning_probability_oracle(tree: WiringTree, p2):
         for mask in path_masks:
             if (flips & mask).bit_count() % 2 == 0:
                 total = total + weight
-    return total / len(paths)
+    return total / flat.leaves
 
 
 # --- bound table ------------------------------------------------------------
@@ -390,8 +325,9 @@ def bound_table(ns: Iterable[int], p2s: Sequence) -> list[BoundRow]:
     rows = []
     for n in ns:
         tree, cost = compile_rac(n)
-        depths = tuple(len(p) for p in leaf_paths(tree))
-        values = tuple(winning_probability(tree, p2) for p2 in p2s)
+        flat = flatten(tree)
+        depths = tuple(len(p) for p in flat.paths)
+        values = tuple(_mean_path_success(flat, p2) for p2 in p2s)
         rows.append(BoundRow(n=n, rb_count=cost.rb_count, depths=depths, values=values))
     return rows
 
@@ -410,23 +346,20 @@ def format_bound_table(rows: Sequence[BoundRow], headers: Sequence[str], digits:
 
 def to_dot(tree: WiringTree) -> str:
     """Graphviz rendering, leaves labelled with their database index."""
+    flat = flatten(tree)
     lines = ["digraph wiring {", "  node [shape=circle];"]
-    counter = [0]
-    leaf_no = [0]
+    names = count()
 
-    def walk(node: WiringTree) -> str:
-        name = f"v{counter[0]}"
-        counter[0] += 1
-        if isinstance(node, Leaf):
-            lines.append(f'  {name} [shape=box, label="x{leaf_no[0]}"];')
-            leaf_no[0] += 1
+    def draw(wire: int) -> str:
+        name = f"v{next(names)}"
+        if wire < flat.leaves:
+            lines.append(f'  {name} [shape=box, label="x{wire}"];')
             return name
         lines.append(f'  {name} [label="RB"];')
-        for child in (node.left, node.right):
-            cname = walk(child)
-            lines.append(f"  {name} -> {cname};")
+        for child in flat.boxes[wire - flat.leaves]:
+            lines.append(f"  {name} -> {draw(child)};")
         return name
 
-    walk(tree)
+    draw(flat.root)
     lines.append("}")
     return "\n".join(lines)

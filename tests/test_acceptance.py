@@ -19,6 +19,7 @@ from racbox.boxes import (
     make_rb,
 )
 from racbox.capacity import (
+    build_capacity_joint,
     protocol_strategy,
     verify_capacity_bound_bits,
     verify_capacity_bound_dits,
@@ -120,8 +121,11 @@ def test_criterion_3_capacity_bound(capsys):
     failures = []
     for n in (2, 3):
         report = verify_capacity_bound_bits(n, protocol_strategy(n, 2))
-        if not report.passed or abs(report.quantity - 1.0 / n) > 1e-9:
-            failures.append(f"bits n={n}")
+        # I(z : B y s) = (1/n) log 2, exactly
+        joint = build_capacity_joint(protocol_strategy(n, 2), "signalinghalf")
+        mi = mutual_information_exponents(joint, ["z"], ["B", "y", "s"])
+        if not report.passed or mi != {2: F(1, n)}:
+            failures.append(f"bits n={n}: {mi}")
     report = verify_capacity_bound_dits(2, 3, protocol_strategy(2, 3))
     if not report.passed or report.bound != F(1, 2):
         failures.append("dits (2,3)")

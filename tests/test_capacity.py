@@ -18,6 +18,7 @@ from racbox.capacity import (
     verify_capacity_bound_dits,
 )
 from racbox.dists import marginalize
+from racbox.infotheory import log_exponents, mutual_information_exponents
 from racbox.tables import TableFn
 
 F = Fraction
@@ -28,7 +29,9 @@ def test_protocol_strategy_saturates_the_bit_bound(n):
     report = verify_capacity_bound_bits(n, protocol_strategy(n, 2))
     assert report.passed
     assert report.bound == F(1, n)
-    assert abs(report.quantity - 1.0 / n) < 1e-9
+    # I(z : B y s) = (1/n) log 2, exactly
+    joint = build_capacity_joint(protocol_strategy(n, 2), "signalinghalf")
+    assert mutual_information_exponents(joint, ["z"], ["B", "y", "s"]) == {2: F(1, n)}
     assert any("premise met" in note for note in report.notes)
 
 
@@ -36,7 +39,11 @@ def test_protocol_strategy_saturates_the_bit_bound(n):
 def test_protocol_strategy_saturates_the_dit_bound(n, d):
     report = verify_capacity_bound_dits(n, d, protocol_strategy(n, d))
     assert report.passed
-    assert abs(report.quantity - 1.0 / n) < 1e-9
+    # I(z : B y s) = (1/n) log d, exactly
+    joint = build_capacity_joint(protocol_strategy(n, d), "three")
+    assert mutual_information_exponents(joint, ["z"], ["B", "y", "s"]) == {
+        p: e / n for p, e in log_exponents(d).items()
+    }
 
 
 def test_send_x1_meets_premise_but_carries_nothing():

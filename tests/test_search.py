@@ -69,11 +69,21 @@ def test_two_boxes_restore_perfection_for_three_bits():
     assert len(result.witness.rb_names) == 2
 
 
-def test_padded_construction_for_extra_boxes():
+def test_extra_boxes_are_left_idle():
+    # the witness wires n-1 boxes whatever k is; the rest stay unused
     result = search_rac_with_rbs(2, 3)
     assert result.max_win_probability == 1
-    assert len(result.witness.rb_names) == 3
+    assert len(result.witness.rb_names) == 1
+    assert any("leaves the other 2 idle" in note for note in result.notes)
     assert evaluate_strategy(result.witness) == 1
+
+
+def test_many_extra_boxes_cost_nothing():
+    t0 = time.monotonic()
+    result = search_rac_with_rbs(3, 40)
+    assert time.monotonic() - t0 < 1.0
+    assert result.max_win_probability == 1
+    assert len(result.witness.rb_names) == 2
 
 
 def test_unsupported_scales_are_refused():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from racbox.wiring import (
+    FlatTree,
     Leaf,
     MalformedTreeError,
     RBNode,
@@ -14,9 +15,8 @@ from racbox.wiring import (
     check_tree_lemma,
     compile_rac,
     concatenate,
+    flatten,
     format_bound_table,
-    internal_count,
-    leaf_count,
     leaf_paths,
     path_success,
     to_dot,
@@ -31,10 +31,10 @@ QUANTUM = (2 + math.sqrt(2)) / 4
 
 
 def test_concatenate_shapes():
-    assert leaf_count(concatenate(0)) == 1
-    t = concatenate(2)
-    assert leaf_count(t) == 4
-    assert internal_count(t) == 3
+    assert flatten(concatenate(0)).leaves == 1
+    flat = flatten(concatenate(2))
+    assert flat.leaves == 4
+    assert len(flat.boxes) == 3
     with pytest.raises(ValueError):
         concatenate(-1)
 
@@ -44,6 +44,41 @@ def test_node_reuse_is_rejected():
     tree = RBNode(shared, shared)
     with pytest.raises(MalformedTreeError, match="twice"):
         check_tree_lemma(tree)
+
+
+@pytest.mark.parametrize("evaluate", [
+    flatten,
+    leaf_paths,
+    check_tree_lemma,
+    tree_wins_always,
+    tree_win_probability_exact,
+    lambda tree: winning_probability(tree, F(3, 4)),
+    lambda tree: winning_probability_oracle(tree, F(3, 4)),
+    to_dot,
+], ids=["flatten", "leaf_paths", "check_tree_lemma", "tree_wins_always",
+        "tree_win_probability_exact", "winning_probability", "winning_probability_oracle",
+        "to_dot"])
+def test_every_evaluator_rejects_a_reused_box(evaluate):
+    # one physical box with two parents: refused, never scored or drawn
+    shared = RBNode(Leaf(), Leaf())
+    with pytest.raises(MalformedTreeError, match="twice"):
+        evaluate(RBNode(shared, shared))
+
+
+def test_foreign_node_type_is_rejected():
+    with pytest.raises(MalformedTreeError, match="foreign"):
+        flatten(RBNode(Leaf(), "x"))
+
+
+def test_flat_form_of_the_three_bit_code():
+    # x0 joined with a depth-1 tree of x1, x2: the inner box comes first
+    tree, _ = compile_rac(3)
+    flat = flatten(tree)
+    assert flat.leaves == 3
+    assert flat.boxes == ((1, 2), (0, 3))  # wires 0..2 are bits, 3 and 4 boxes
+    assert flat.root == 4
+    assert flat.paths == (((1, 0),), ((1, 1), (0, 0)), ((1, 1), (0, 1)))
+    assert flatten(Leaf()) == FlatTree(leaves=1, boxes=(), root=0, paths=((),))
 
 
 def test_fresh_equal_subtrees_are_fine():
@@ -56,8 +91,9 @@ def test_compiled_cost_is_n_minus_1_boxes(n):
     tree, cost = compile_rac(n)
     assert cost.rb_count == n - 1
     assert cost.message_bits == 1
-    assert cost.rb_count == internal_count(tree)
-    assert leaf_count(tree) == n
+    flat = flatten(tree)
+    assert cost.rb_count == len(flat.boxes)
+    assert flat.leaves == n
     assert cost.concatenation_uses == bin(n).count("1")
     assert cost.addition_uses == bin(n).count("1") - 1
 
