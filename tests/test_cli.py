@@ -176,6 +176,18 @@ def test_search_unsupported_scale_is_usage_error():
     assert code == 2
 
 
+def test_search_past_the_tree_witness_cap_is_usage_error():
+    code, out = run_cli("search", "--n", "10", "--rbs", "9", "--machine")
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+
+
+def test_compile_past_the_size_cap_is_usage_error():
+    code, out = run_cli("compile", "--n", str(2 ** 16 + 1), "--machine")
+    assert code == 2
+    assert out.strip().splitlines() == ["status=error"]
+
+
 def test_table_rejects_p2_outside_the_unit_interval():
     code, out = run_cli("table", "--p2", "1.7", "--machine")
     assert code == 2

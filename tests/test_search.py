@@ -1,8 +1,10 @@
 """Strategy search: the pinned one-box maxima, witnesses, engine soundness."""
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +22,104 @@ from racbox.search import (
     tree_strategy,
     verify_observation2,
 )
+from racbox.tables import TableFn
 
 F = Fraction
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def _walk_strategy(strategy):
+    """Reference simulator: one ``TableFn`` call per lookup, round by round.
+
+    Every call checks its arguments' count and ranges, so a table read
+    outside its declared domain raises here instead of wrapping.
+    """
+    n, names = strategy.n, strategy.rb_names
+    k = len(names)
+    enc, dec = strategy.alice_encoders, strategy.bob_decoders
+    wins = 0
+    for a in product(range(2), repeat=n):
+        for a_vec in product(range(2), repeat=k):
+            box_inputs = []
+            for j in range(k):
+                upstream = a_vec[:j]
+                box_inputs.append(
+                    (enc[2 * j](*a, *upstream), enc[2 * j + 1](*a, *upstream))
+                )
+            m = enc[-1](*a, *a_vec)
+            for btilde in range(n):
+                outs = []
+                for r in range(k):
+                    b = dec[2 * r](btilde, m, *outs)
+                    aprime = dec[2 * r + 1](btilde, m, *outs)
+                    j = k - 1 - r  # boxes are queried in reverse wiring order
+                    outs.append(box_inputs[j][b] ^ a_vec[j] ^ aprime)
+                if dec[-1](btilde, m, *outs) == a[btilde]:
+                    wins += 1
+    return Fraction(wins, 2 ** n * 2 ** k * n)
+
+
+def _negate_query(strategy, query):
+    """The strategy with Bob's final answer flipped wherever btilde = query."""
+    out = strategy.bob_decoders[-1]
+    block = len(out.entries) // strategy.n
+    entries = list(out.entries)
+    for i in range(query * block, (query + 1) * block):
+        entries[i] ^= 1
+    flipped = dataclasses.replace(out, entries=tuple(entries))
+    return _replace_table(strategy, "bob_decoders", -1, flipped)
+
+
+def test_simulator_matches_the_walk_on_random_one_box_strategies():
+    rng = random.Random(2024)
+    for n in (2, 3, 4):
+        for _ in range(70):
+            f0 = rng.randrange(1 << (1 << n))
+            f1 = rng.randrange(1 << (1 << n))
+            g = [rng.randrange(2) for _ in range(1 << (n + 1))]
+            t0 = [rng.randrange(search_mod.N_BEHAVIOURS) for _ in range(n)]
+            t1 = [rng.randrange(search_mod.N_BEHAVIOURS) for _ in range(n)]
+            strat = strategy_from_parts(n, f0, f1, g, t0, t1)
+            assert evaluate_strategy(strat) == _walk_strategy(strat)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_simulator_matches_the_walk_on_tree_witnesses(n):
+    strat = tree_strategy(n)
+    assert evaluate_strategy(strat) == _walk_strategy(strat) == 1
+
+
+@pytest.mark.parametrize("n, value", [(3, F(5, 6)), (4, F(13, 16))])
+def test_simulator_matches_the_walk_on_search_witnesses(n, value):
+    witness = search_rac_with_rbs(n, 1).witness
+    assert evaluate_strategy(witness) == _walk_strategy(witness) == value
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_corrupted_trees_lose_exactly_their_query(n):
+    # the tree wins every world; negating one query's answer loses exactly
+    # that query's worlds
+    tree = tree_strategy(n)
+    for query in range(n):
+        bad = _negate_query(tree, query)
+        assert evaluate_strategy(bad) == _walk_strategy(bad) == F(n - 1, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
 def test_tree_strategy_wins_always(n):
     strat = tree_strategy(n)
     assert len(strat.rb_names) == n - 1
     assert evaluate_strategy(strat) == 1
+
+
+def test_nine_bit_tree_witness_rechecks():
+    result = search_rac_with_rbs(9, 8)
+    assert result.max_win_probability == 1
+    assert evaluate_strategy(result.witness) == 1
+
+
+def test_tree_witness_cap_names_the_message_table():
+    with pytest.raises(ValueError, match=r"2\^\(2n-1\) = 524288 entries"):
+        tree_strategy(10)
 
 
 def test_one_box_two_bits_is_perfect():
@@ -235,3 +326,29 @@ def test_strategy_table_names_are_validated():
             alice_encoders=strat.alice_encoders,
             bob_decoders=strat.bob_decoders,
         )
+
+
+def _replace_table(strat, side, index, table):
+    tables = list(getattr(strat, side))
+    tables[index] = table
+    return dataclasses.replace(strat, **{side: tuple(tables)})
+
+
+def test_strategy_shape_checks_cover_the_simulator_invariant():
+    # evaluate_strategy gathers without per-lookup range checks; these are
+    # the shapes that would let a gather index or a gathered value run
+    # outside its alphabet
+    strat = tree_strategy(3)
+    out = strat.bob_decoders[-1]
+    wide = TableFn(out.name, out.inputs, 3, out.entries)
+    with pytest.raises(ValueError, match="output table"):
+        _replace_table(strat, "bob_decoders", -1, wide)
+    first = strat.bob_decoders[0]
+    loose = TableFn.constant(first.name, (("btilde", strat.n + 1),) + first.inputs[1:], 2, 0)
+    with pytest.raises(ValueError, match="decoder table"):
+        _replace_table(strat, "bob_decoders", 0, loose)
+    enc = strat.alice_encoders[2]  # the second box sees the first box's output
+    assert enc.inputs[-1] == ("A_rb0", 2)
+    short = TableFn.constant(enc.name, enc.inputs[:-1], 2, 0)
+    with pytest.raises(ValueError, match="encoder table"):
+        _replace_table(strat, "alice_encoders", 2, short)

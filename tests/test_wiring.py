@@ -194,3 +194,20 @@ def test_to_dot_mentions_every_leaf():
     for i in range(3):
         assert f'label="x{i}"' in dot
     assert dot.count('label="RB"') == 2
+
+
+def test_compile_refuses_oversized_codes():
+    with pytest.raises(ValueError, match="compile cap"):
+        compile_rac(2 ** 16 + 1)
+
+
+def test_to_dot_draws_a_chain_deeper_than_the_recursion_limit():
+    tree = Leaf()
+    for _ in range(3000):
+        tree = RBNode(Leaf(), tree)
+    lines = to_dot(tree).splitlines()
+    assert sum('label="RB"' in line for line in lines) == 3000
+    assert sum("shape=box" in line for line in lines) == 3001
+    assert sum("->" in line for line in lines) == 6000
+    # the root's edges come last: each edge follows its child's subtree
+    assert lines[-3:] == ["  v2 -> v4;", "  v0 -> v2;", "}"]
