@@ -150,7 +150,8 @@ def leaf_paths(tree: WiringTree) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(step for _, step in path) for path in flatten(tree).paths)
 
 
-# n = 2^16 compiles in about 1.4 s and 93 MB; time and memory grow as n log n
+# `compile --n 65536` takes about 2 s and 93 MB max RSS on a 2-vCPU VM;
+# time and memory grow as n log n
 MAX_COMPILE_N = 1 << 16
 
 

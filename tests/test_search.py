@@ -30,8 +30,8 @@ F = Fraction
 def _walk_strategy(strategy):
     """Reference simulator: one ``TableFn`` call per lookup, round by round.
 
-    Every call checks its arguments' count and ranges, so a table read
-    outside its declared domain raises here instead of wrapping.
+    Every call checks its arguments' count and ranges, so a lookup outside
+    a table's declared domain raises.
     """
     n, names = strategy.n, strategy.rb_names
     k = len(names)
@@ -56,6 +56,12 @@ def _walk_strategy(strategy):
                 if dec[-1](btilde, m, *outs) == a[btilde]:
                     wins += 1
     return Fraction(wins, 2 ** n * 2 ** k * n)
+
+
+def _replace_table(strat, side, index, table):
+    tables = list(getattr(strat, side))
+    tables[index] = table
+    return dataclasses.replace(strat, **{side: tuple(tables)})
 
 
 def _negate_query(strategy, query):
@@ -326,12 +332,6 @@ def test_strategy_table_names_are_validated():
             alice_encoders=strat.alice_encoders,
             bob_decoders=strat.bob_decoders,
         )
-
-
-def _replace_table(strat, side, index, table):
-    tables = list(getattr(strat, side))
-    tables[index] = table
-    return dataclasses.replace(strat, **{side: tuple(tables)})
 
 
 def test_strategy_shape_checks_cover_the_simulator_invariant():
