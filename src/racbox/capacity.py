@@ -178,27 +178,29 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
     functions of the other view wires, so ``derive`` appends them after the
     run as columns read from ``aprime_fn`` and ``y_fn``, rather than
     carrying them as outputs of the induced table.
+
+    Each callback reads its tables with ``TableFn.at`` over the executor's
+    whole arrays.  Those lookups skip range checks, which is sound because
+    ``CapacityStrategy.__post_init__`` fixes every table's inputs by name and
+    alphabet, and every wire the executor hands over (task inputs, A, B, s
+    and the range-checked message) lies inside those alphabets.
     """
     n, d = strategy.n, strategy.d
-    xz_vars = _xz_vars(n, d)
     iface = BoxSignature(
-        alice_inputs=xz_vars,
+        alice_inputs=_xz_vars(n, d),
         alice_outputs=(("X", d),),
         bob_inputs=(("y", n),),
         bob_outputs=(("s", d), ("m", d), ("B", d)),
     )
-
-    def xz(ta: dict[str, int]) -> tuple[int, ...]:
-        return tuple(ta[nm] for nm, _ in xz_vars)
-
     run = run_box_protocol(
         f"capacity-{strategy.name}-{rb_variant}",
         make_rb(n, d, rb_variant),
         iface,
-        alice_box_inputs=lambda ta, s: tuple(f(*xz(ta)) for f in strategy.a_fns),
-        message=lambda ta, a_out, s, wire: wire.send(strategy.m_fn(*xz(ta), a_out["A"])),
-        alice_outputs=lambda ta, a_out, s: {"X": strategy.x_fn(*xz(ta), a_out["A"], s)},
-        bob_box_inputs=lambda tb, m, s: (strategy.aprime_fn(m, tb["y"], s), tb["y"]),
+        alice_box_inputs=lambda ta, s: tuple(f.at(ta) for f in strategy.a_fns),
+        message=lambda ta, a_out, s: strategy.m_fn.at({**ta, **a_out}),
+        alice_outputs=lambda ta, a_out, s: {"X": strategy.x_fn.at({**ta, **a_out, "s": s})},
+        bob_box_inputs=lambda tb, m, s: (
+            strategy.aprime_fn.at({"m": m, "y": tb["y"], "s": s}), tb["y"]),
         bob_outputs=lambda tb, b_out, m, s: {"s": s, "m": m, "B": b_out["B"]},
         message_size=d,
         sr_size=d,

@@ -198,8 +198,7 @@ def derive(dist: JointDistribution, table: TableFn) -> JointDistribution:
     variables = dist.variables + ((table.name, table.output_size),)
     keys = np.empty((len(dist.keys), len(variables)), dtype=_key_dtype(variables))
     keys[:, :-1] = dist.keys
-    keys[:, -1] = np.asarray(table.entries)[
-        _row_codes(dist.keys, idx, [size for _, size in table.inputs])]
+    keys[:, -1] = table.at({name: dist.keys[:, i] for (name, _), i in zip(table.inputs, idx)})
     return _joint(variables, keys, dist.counts, dist.denominator)
 
 

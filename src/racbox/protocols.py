@@ -3,8 +3,10 @@
 Each protocol here is a one-round pipeline: Alice feeds a resource box,
 optionally sends a single message, both parties post-process locally, and
 the whole pipeline induces an effective box on the task interface.  The
-executor enumerates every input, shared-randomness symbol and box outcome
-with exact rationals, no sampling anywhere.
+executor lays the run out as one integer grid over every task input,
+shared-randomness symbol and box outcome, calls the parties' callbacks on
+whole arrays of that grid, and sums the resource's numerators into the
+induced table exactly; there is no sampling anywhere.
 
 The resource box is queried sequentially (Alice first, then Bob, whose box
 inputs may depend on the message).  That split is only sound when the box
@@ -22,44 +24,28 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .boxes import (
+    DIRECTIONS,
     Box,
     BoxSignature,
     addressed,
+    check_no_signaling,
     make_bn_box,
     make_bnd_box,
     make_rb,
     signaling_row,
     unnormalized_row,
 )
-from .dists import JointDistribution, iter_assignments, numerator_dtype, sum_dtype
+from .dists import JointDistribution, numerator_dtype, sum_dtype
 from .reports import ProbeReport
 
 ZERO = Fraction(0)
 
+# one wire array per name, broadcasting over the executor's grid
+Wires = dict[str, np.ndarray]
+
 
 class ProtocolError(ValueError):
     """A protocol violated its own contract (budget, normalization, shape)."""
-
-
-class MessageWire:
-    """One-shot classical channel from Alice to Bob.
-
-    A second ``send`` within the same round exceeds the message budget and
-    is rejected immediately, which is what makes the budget testable.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self.value: int | None = None
-        self.uses = 0
-
-    def send(self, value: int) -> None:
-        self.uses += 1
-        if self.uses > 1:
-            raise ProtocolError("message budget exceeded: one use per round")
-        if not 0 <= value < self.size:
-            raise ProtocolError(f"message {value} outside alphabet of size {self.size}")
-        self.value = value
 
 
 @dataclass(frozen=True)
@@ -99,9 +85,49 @@ class ErasureChannelReport:
             raise ProtocolError("capacity must equal 1 - erasure probability")
 
 
-def _outside_alphabet(party: str, wires: Sequence[tuple[str, int]], values: tuple) -> str:
-    return (f"{party} fed the resource inputs {[nm for nm, _ in wires]} the values "
-            f"{list(values)}, outside their alphabets {[size for _, size in wires]}")
+# grid cells one block of Alice task rows may span: bounds the executor's scratch memory
+BLOCK_CELLS = 1 << 16
+
+
+def _digits(wires: Sequence[tuple[str, int]], flat: np.ndarray, axis: int) -> dict[str, np.ndarray]:
+    """Each wire's value at each row-major index in ``flat``, laid along ``axis`` of the grid."""
+    shape = [1] * 5
+    shape[axis] = len(flat)
+    values = {}
+    for name, size in reversed(wires):
+        flat, value = np.divmod(flat, size)
+        values[name] = value.reshape(shape)
+    return values
+
+
+def _row_major(values: Sequence,
+               wires: Sequence[tuple[str, int]]) -> tuple[np.ndarray, tuple | None]:
+    """The int64 row-major index over ``wires`` of broadcastable integer arrays,
+    one per wire, and the values at the first cell where one falls outside its
+    wire's alphabet (None when every value is inside)."""
+    values = [np.asarray(v) for v in values]
+    idx = np.zeros((), dtype=np.int64)
+    for value, (_, size) in zip(values, wires):
+        idx = idx * size + value
+    if all(v.min() >= 0 and v.max() < size for v, (_, size) in zip(values, wires)):
+        return idx, None
+    cols = np.broadcast_arrays(*values)
+    bad = np.logical_or.reduce([(c < 0) | (c >= size) for c, (_, size) in zip(cols, wires)])
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    return idx, tuple(int(c[at]) for c in cols)
+
+
+def _resource_row(party: str, values: Sequence, wires: Sequence[tuple[str, int]]) -> np.ndarray:
+    """The resource input row a party feeds, checked against the wires' alphabets."""
+    values = tuple(values)
+    names, sizes = [nm for nm, _ in wires], [size for _, size in wires]
+    if len(values) != len(wires):
+        raise ProtocolError(f"{party} fed {len(values)} values to the resource inputs {names}")
+    idx, bad = _row_major(values, wires)
+    if bad is not None:
+        raise ProtocolError(f"{party} fed the resource inputs {names} the values {list(bad)}, "
+                            f"outside their alphabets {sizes}")
+    return idx
 
 
 def run_box_protocol(
@@ -109,27 +135,39 @@ def run_box_protocol(
     resource: Box,
     iface: BoxSignature,
     *,
-    alice_box_inputs: Callable[[dict[str, int], int], Sequence[int]],
-    bob_box_inputs: Callable[[dict[str, int], int | None, int], Sequence[int]],
-    alice_outputs: Callable[[dict[str, int], dict[str, int], int], Mapping[str, int]],
-    bob_outputs: Callable[[dict[str, int], dict[str, int], int | None, int], Mapping[str, int]],
-    message: Callable[[dict[str, int], dict[str, int], int, MessageWire], None] | None = None,
+    alice_box_inputs: Callable[[Wires, np.ndarray], Sequence],
+    bob_box_inputs: Callable[[Wires, np.ndarray | None, np.ndarray], Sequence],
+    alice_outputs: Callable[[Wires, Wires, np.ndarray], Mapping[str, np.ndarray]],
+    bob_outputs: Callable[[Wires, Wires, np.ndarray | None, np.ndarray], Mapping[str, np.ndarray]],
+    message: Callable[[Wires, Wires, np.ndarray], np.ndarray] | None = None,
     message_size: int = 1,
     sr_size: int = 1,
 ) -> ProtocolRun:
     """Run a single-resource protocol exactly and return the induced box.
 
-    ``alice_box_inputs(task_inputs, s)`` and ``bob_box_inputs(task_inputs, m, s)``
-    yield the resource wires in signature order; ``message`` must push exactly
-    one symbol through the wire when a message alphabet is declared.
-    ``alice_outputs`` must name every Alice output wire of ``iface`` and
-    ``bob_outputs`` every Bob output wire.
+    The run is laid out on the grid (Alice task input, s, A, Bob task input,
+    B), A and B being the resource's output assignments, and is taken in
+    blocks of Alice task rows of at most ``BLOCK_CELLS`` cells.  Each
+    callback is called once per block.  Every wire it is given is an integer
+    array that broadcasts over the grid, with size-1 axes where the wire does
+    not vary: task inputs and resource outputs come as dicts by wire name
+    (``ta``, ``tb``, ``a_out``, ``b_out``), ``s`` is the shared randomness
+    and ``m`` the message (None when no message alphabet is declared).
 
-    Alice's side (her box inputs, the message and her outputs) is evaluated
-    once per (Alice task input, s, A), with a fresh wire for each such round,
-    and then serves every Bob task input; so ``message`` cannot depend on
-    Bob's task input.  The result's normalization is checked in one place,
-    ``ProtocolRun.__post_init__``, when the returned run is built.
+    ``alice_box_inputs(ta, s)`` and ``bob_box_inputs(tb, m, s)`` return the
+    resource wires in signature order; ``message(ta, a_out, s)`` returns the
+    message symbols, each in ``range(message_size)``.
+    ``alice_outputs(ta, a_out, s)`` must name every Alice output wire of
+    ``iface`` and ``bob_outputs(tb, b_out, m, s)`` every Bob output wire.
+    Alice's callbacks see no Bob axis, so her side runs once per (Alice task
+    input, s, A) round and the message cannot depend on Bob's task input.
+    Callbacks are evaluated on zero-probability A and B as well, and every
+    value they return is range-checked there too.
+
+    The resource numerators are gathered with one fancy index and summed
+    into the induced table with an exact integer scatter (on Python ints
+    once a sum could pass int64).  The result's normalization is checked in
+    one place, ``ProtocolRun.__post_init__``, when the returned run is built.
     """
     if message_size > 1 and message is None:
         raise ProtocolError("a message alphabet was declared but no sender given")
@@ -142,102 +180,60 @@ def run_box_protocol(
             "sequential execution is unsound"
         )
     res_sig = resource.signature
-    n_bob_out = prod(s for _, s in res_sig.bob_outputs)
-    alice_out_dicts = [
-        dict(zip([nm for nm, _ in res_sig.alice_outputs], a_out))
-        for a_out in iter_assignments([s for _, s in res_sig.alice_outputs])
-    ]
-    bob_out_dicts = [
-        dict(zip([nm for nm, _ in res_sig.bob_outputs], b_out))
-        for b_out in iter_assignments([s for _, s in res_sig.bob_outputs])
-    ]
-    # Each resource row is read once, as Python ints, into its nonzero cells:
-    # (Bob output index, numerator) per Alice output.  Rows with the same
-    # numerators share one such list; row_cells[a_row][b_row] holds it.
-    alice_rows = {a_in: i for i, a_in in enumerate(iter_assignments(
-        [s for _, s in res_sig.alice_inputs]))}
-    bob_rows = {b_in: i for i, b_in in enumerate(iter_assignments(
-        [s for _, s in res_sig.bob_inputs]))}
-    shared: dict[tuple[int, ...], list[list[tuple[int, int]]]] = {}
-    row_cells: list[list[list[list[tuple[int, int]]]]] = []
-    for a_block in resource.table.reshape(len(alice_rows), len(bob_rows), -1):
-        row_cells.append([])
-        for row in a_block.tolist():
-            cells = shared.get(tuple(row))
-            if cells is None:
-                cells = shared[tuple(row)] = [
-                    [(j, v) for j, v in enumerate(row[i:i + n_bob_out]) if v]
-                    for i in range(0, len(row), n_bob_out)
-                ]
-            row_cells[-1].append(cells)
-
-    # (name, size, row-major stride) of each interface output wire, by party
-    strides = {}
-    n_iface_out = 1
-    for nm, size in reversed(iface.output_vars):
-        strides[nm] = n_iface_out
-        n_iface_out *= size
-    alice_wires = [(nm, size, strides[nm]) for nm, size in iface.alice_outputs]
-    bob_wires = [(nm, size, strides[nm]) for nm, size in iface.bob_outputs]
-
-    def output_part(outs: Mapping[str, int], wires: list[tuple[str, int, int]]) -> int:
-        """One party's share of the interface output index."""
-        idx = 0
-        for nm, size, stride in wires:
-            value = outs[nm]
-            if not 0 <= value < size:
-                raise ProtocolError(f"output {nm}={value} outside its alphabet of size {size}")
-            idx += value * stride
-        return idx
-
-    alice_in_names = [nm for nm, _ in iface.alice_inputs]
-    bob_in_names = [nm for nm, _ in iface.bob_inputs]
-    bob_task = [dict(zip(bob_in_names, tb_in))
-                for tb_in in iter_assignments([s for _, s in iface.bob_inputs])]
-    # the induced table's numerators over resource.denominator * sr_size, by flat cell
-    acc: dict[int, int] = {}
-    row_base = 0
-    for ta_in in iter_assignments([s for _, s in iface.alice_inputs]):
-        ta_dict = dict(zip(alice_in_names, ta_in))
-        for s_val in range(sr_size):
-            a_in = tuple(alice_box_inputs(ta_dict, s_val))
-            a_row = alice_rows.get(a_in)
-            if a_row is None:
-                raise ProtocolError(_outside_alphabet("Alice", res_sig.alice_inputs, a_in))
-            a_cells = row_cells[a_row]
-            # Alice's marginal ignores Bob's input (checked above): read it at his first
-            marg = [sum(v for _, v in part) for part in a_cells[0]]
-            for a_idx, a_out_dict in enumerate(alice_out_dicts):
-                if not marg[a_idx]:
-                    continue
-                wire = MessageWire(message_size)
-                if message is not None:
-                    message(ta_dict, a_out_dict, s_val, wire)
-                    if wire.uses == 0:
-                        raise ProtocolError("declared message was never sent")
-                m_val = wire.value
-                alice_idx = output_part(alice_outputs(ta_dict, a_out_dict, s_val), alice_wires)
-                for tb_pos, tb_dict in enumerate(bob_task):
-                    base = row_base + tb_pos * n_iface_out + alice_idx
-                    b_in = tuple(bob_box_inputs(tb_dict, m_val, s_val))
-                    b_row = bob_rows.get(b_in)
-                    if b_row is None:
-                        raise ProtocolError(_outside_alphabet("Bob", res_sig.bob_inputs, b_in))
-                    for b_idx, v in a_cells[b_row][a_idx]:
-                        tb_out = bob_outputs(tb_dict, bob_out_dicts[b_idx], m_val, s_val)
-                        idx = base + output_part(tb_out, bob_wires)
-                        acc[idx] = acc.get(idx, 0) + v
-        row_base += len(bob_task) * n_iface_out
+    n_a, n_b = prod(s for _, s in res_sig.alice_outputs), prod(s for _, s in res_sig.bob_outputs)
+    n_ta, n_tb = prod(s for _, s in iface.alice_inputs), prod(s for _, s in iface.bob_inputs)
+    n_out = prod(iface.output_sizes)
+    # nums[Alice row, Bob row, A, B]: the resource's numerators
+    nums = resource.table.reshape(-1, prod(s for _, s in res_sig.bob_inputs), n_a, n_b)
+    peak = max(int(nums.max()), -int(nums.min()))
+    exact = object if peak * sr_size * n_a * n_b > np.iinfo(np.int64).max else np.int64
+    s_val = np.arange(sr_size).reshape(1, -1, 1, 1, 1)
+    a_out = _digits(res_sig.alice_outputs, np.arange(n_a), 2)
+    tb = _digits(iface.bob_inputs, np.arange(n_tb), 3)
+    b_out = _digits(res_sig.bob_outputs, np.arange(n_b), 4)
+    a_cell = np.arange(n_a).reshape(1, 1, -1, 1, 1)
+    tb_row = np.arange(n_tb).reshape(1, 1, 1, -1, 1)
+    b_cell = np.arange(n_b).reshape(1, 1, 1, 1, -1)
+    rows_per_block = max(1, BLOCK_CELLS // (sr_size * n_a * n_tb * n_b))
     denominator = resource.denominator * sr_size
-    peak = max(map(abs, acc.values()), default=0)
-    table = np.zeros(row_base, dtype=numerator_dtype(max(peak, denominator), row_base))
-    table[list(acc)] = list(acc.values())
+    blocks = []
+    for start in range(0, n_ta, rows_per_block):
+        rows = np.arange(start, min(start + rows_per_block, n_ta))
+        ta = _digits(iface.alice_inputs, rows, 0)
+        a_row = _resource_row("Alice", alice_box_inputs(ta, s_val), res_sig.alice_inputs)
+        m_val = None
+        if message is not None:
+            sent = message(ta, a_out, s_val)
+            if sent is None:
+                raise ProtocolError("declared message was never sent")
+            m_val, bad = _row_major([sent], [("m", message_size)])
+            if bad is not None:
+                raise ProtocolError(f"message {bad[0]} outside alphabet of size {message_size}")
+            m_val = np.broadcast_to(m_val, (len(rows), sr_size, n_a, 1, 1))
+        b_row = _resource_row("Bob", bob_box_inputs(tb, m_val, s_val), res_sig.bob_inputs)
+        outs = {**alice_outputs(ta, a_out, s_val), **bob_outputs(tb, b_out, m_val, s_val)}
+        out_idx, bad = _row_major([outs[nm] for nm, _ in iface.output_vars], iface.output_vars)
+        if bad is not None:
+            nm, size, value = next((nm, size, v) for (nm, size), v in zip(iface.output_vars, bad)
+                                   if not 0 <= v < size)
+            raise ProtocolError(f"output {nm}={value} outside its alphabet of size {size}")
+        grid = (len(rows), sr_size, n_a, n_tb, n_b)
+        cell_nums = np.broadcast_to(nums[a_row, b_row, a_cell, b_cell], grid)
+        cells = np.broadcast_to(
+            ((rows - start).reshape(-1, 1, 1, 1, 1) * n_tb + tb_row) * n_out + out_idx, grid)
+        nonzero = cell_nums != 0
+        acc = np.zeros(len(rows) * n_tb * n_out, dtype=exact)
+        np.add.at(acc, cells[nonzero], cell_nums[nonzero])
+        # stored narrow at once, so the blocks never hold the whole table as int64
+        top = max(int(acc.max()), -int(acc.min()), denominator)
+        blocks.append(acc.astype(numerator_dtype(top, n_ta * n_tb * n_out)))
+    table = np.concatenate(blocks).reshape(iface.input_sizes + iface.output_sizes)
     return ProtocolRun(
         name=name,
         resources=(resource,),
         message_alphabet=message_size,
         shared_randomness_alphabet=sr_size,
-        result=Box(iface, table.reshape(iface.input_sizes + iface.output_sizes), denominator),
+        result=Box(iface, table, denominator),
     )
 
 
@@ -266,29 +262,16 @@ def _rac_via_bnd_box(n: int, d: int, sign: str, box: Box | None, name: str) -> P
     if resource.signature != want:
         raise ProtocolError("resource box has the wrong interface for this protocol")
 
-    def alice_box_inputs(a: dict[str, int], s: int) -> tuple[int, ...]:
-        return tuple((a[f"a_{i}"] - a["a_0"]) % d for i in range(1, n))
-
-    def message(a: dict[str, int], a_out: dict[str, int], s: int, wire: MessageWire) -> None:
-        wire.send((a_out["X"] + a["a_0"]) % d)
-
-    def bob_box_inputs(tb: dict[str, int], m: int | None, s: int) -> tuple[int, ...]:
-        return (tb["b"],)
-
-    def bob_outputs(tb, b_out, m, s) -> dict[str, int]:
-        if sign == "plus":
-            return {"B": (m + b_out["Y"]) % d}
-        return {"B": (m - b_out["Y"]) % d}
-
+    step = 1 if sign == "plus" else -1
     return run_box_protocol(
         name,
         resource,
         _rac_iface(n, d),
-        alice_box_inputs=alice_box_inputs,
-        bob_box_inputs=bob_box_inputs,
+        alice_box_inputs=lambda a, s: tuple((a[f"a_{i}"] - a["a_0"]) % d for i in range(1, n)),
+        bob_box_inputs=lambda tb, m, s: (tb["b"],),
         alice_outputs=lambda a, a_out, s: {},
-        bob_outputs=bob_outputs,
-        message=message,
+        bob_outputs=lambda tb, b_out, m, s: {"B": (m + step * b_out["Y"]) % d},
+        message=lambda a, a_out, s: (a_out["X"] + a["a_0"]) % d,
         message_size=d,
     )
 
@@ -319,13 +302,7 @@ def bnd_box_via_rb(n: int, d: int, sign: str, rb_variant: str | None = None) -> 
 def _bnd_box_via_rb(n: int, d: int, sign: str, variant: str, name: str) -> ProtocolRun:
     rb = make_rb(n, d, variant)
 
-    def alice_box_inputs(x: dict[str, int], s: int) -> tuple[int, ...]:
-        vals = [0]
-        for i in range(1, n):
-            xi = x[f"x_{i}"]
-            vals.append(xi if sign == "plus" else (-xi) % d)
-        return tuple(vals)
-
+    step = 1 if sign == "plus" else -1
     iface = BoxSignature(
         alice_inputs=tuple((f"x_{i}", d) for i in range(1, n)),
         alice_outputs=(("X", d),),
@@ -336,7 +313,7 @@ def _bnd_box_via_rb(n: int, d: int, sign: str, variant: str, name: str) -> Proto
         name,
         rb,
         iface,
-        alice_box_inputs=alice_box_inputs,
+        alice_box_inputs=lambda x, s: (0,) + tuple(step * x[f"x_{i}"] % d for i in range(1, n)),
         bob_box_inputs=lambda tb, m, s: (0, tb["y"]),
         alice_outputs=lambda x, a_out, s: {"X": a_out["A"]},
         bob_outputs=lambda tb, b_out, m, s: {"Y": b_out["B"]},
@@ -374,27 +351,20 @@ def resource_inequality_sim(
         bob_outputs=(("Y", d), ("zhat", d + 1)),
     )
 
-    def alice_box_inputs(a: dict[str, int], s: int) -> tuple[int, ...]:
-        return (a["z"],) + tuple(a[f"x_{i}"] for i in range(1, n))
-
-    def message(a, a_out, s, wire: MessageWire) -> None:
-        wire.send(a_out["A"])
-
-    def bob_outputs(tb, b_out, m, s) -> dict[str, int]:
-        B = b_out["B"]
-        if tb["y"] == 0:
-            return {"Y": (-s) % d, "zhat": B}
-        return {"Y": (B - s) % d, "zhat": d}
+    def bob_outputs(tb: Wires, b_out: Wires, m: np.ndarray, s: np.ndarray) -> Wires:
+        clear = tb["y"] == 0
+        return {"Y": np.where(clear, -s, b_out["B"] - s) % d,
+                "zhat": np.where(clear, b_out["B"], d)}
 
     run = run_box_protocol(
         f"resource-inequality-{n}-{d}-{rb_variant}",
         rb,
         iface,
-        alice_box_inputs=alice_box_inputs,
+        alice_box_inputs=lambda a, s: (a["z"],) + tuple(a[f"x_{i}"] for i in range(1, n)),
         bob_box_inputs=lambda tb, m, s: (m, tb["y"]),
         alice_outputs=lambda a, a_out, s: {"X": s},
         bob_outputs=bob_outputs,
-        message=message,
+        message=lambda a, a_out, s: a_out["A"],
         message_size=d,
         sr_size=d,
     )
@@ -471,63 +441,49 @@ def rac_win_probability(run: ProtocolRun) -> Fraction:
 
 
 def verify_lemma1(n: int, d: int = 2) -> ProbeReport:
-    """Derive the off-branch behaviour forced on a no-signaling RAC-box.
+    """Is the off-branch (A' != A) behaviour of a no-signaling RAC-box forced?
 
-    Starting only from: B = a_b whenever A' = A, Alice's output uniform and
-    independent, uniform inputs and no signaling from Alice to Bob, propagate
-    the resulting linear constraints on Bob's marginal.  For d = 2 this pins
-    the whole table (B = a_b xor 1 on the A' != A branch); for d >= 3 only
-    P(B = a_b | A' != A) = 0 is forced and the probe reports the branch as
-    under-determined.
+    At d = 2 the paper's Lemma 1 pins it to B = a_b xor 1; the report states
+    that verdict, since the min/max LP over the no-signaling polytope that
+    would derive it is not implemented.  At d >= 3 the verdict is derived
+    from an exact witness: the "plus" and "minus" completions of ``make_rb``
+    are both no-signaling in both directions, agree on the A' = A branch and
+    differ off it, so no-signaling leaves the off-branch cells free.  The
+    report names the first cell where they differ.
     """
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
-    one_over_d = Fraction(1, d)
-    forced_zero = True
-    # For each of Bob's contexts, bound his output marginal from below:
-    # c_beta >= max over Alice inputs of P(A = A') * [a_b = beta].
-    for b in range(n):
-        lower = []
-        for beta in range(d):
-            best = ZERO
-            for a_b in range(d):
-                contribution = one_over_d if a_b == beta else ZERO
-                if contribution > best:
-                    best = contribution
-            lower.append(best)
-        if sum(lower, ZERO) != 1:
-            forced_zero = False
-    # Slack zero means c_beta = 1/d exactly, so on the A' != A branch the
-    # correct symbol gets probability (c_beta - 1/d * [beta = a_b]) * d/(d-1) = 0.
-    notes = [
-        "P(B = a_b | A' != A) = 0 is forced for every d (zero slack in the marginal bound)",
-        "off-branch mass per wrong symbol: 1/(d-1) * (d-1) values",
-    ]
-    if not forced_zero:
-        return ProbeReport(
-            claim=f"forced off-branch behaviour (n={n}, d={d})",
-            passed=False,
-            notes=("marginal bound left slack; nothing is forced",),
-        )
+    claim = f"forced off-branch behaviour (n={n}, d={d})"
     if d == 2:
         return ProbeReport(
-            claim=f"forced off-branch behaviour (n={n}, d={d})",
+            claim=claim,
             passed=True,
             quantity=ZERO,
             bound=ZERO,
             witness="B = a_b xor 1 on A' != A",
-            notes=tuple(notes),
+            notes=("stated by Lemma 1, not derived: the LP over the no-signaling polytope "
+                   "is not implemented",),
         )
+    plus, minus = make_rb(n, d, "plus"), make_rb(n, d, "minus")
+    no_signaling = all(check_no_signaling(box, direction)
+                       for box in (plus, minus) for direction in DIRECTIONS)
+    # the tables' last four axes are (A', b, A, B)
+    differs = (plus.table.astype(np.int64) * minus.denominator
+               != minus.table.astype(np.int64) * plus.denominator)
+    aprime_axis, a_axis = np.ogrid[:d, :d]
+    on_branch = (aprime_axis == a_axis)[:, None, :, None]
+    off_cells = np.argwhere(differs & ~on_branch)
+    if not no_signaling or (differs & on_branch).any() or not len(off_cells):
+        return ProbeReport(claim=claim, passed=False,
+                           notes=("undecided: the plus and minus completions are no witness",))
+    cell = tuple(int(v) for v in off_cells[0])
+    a, (aprime, b, a_out, b_out) = cell[:n], cell[n:]
+    probs = [box.prob(cell[:n + 2], cell[n + 2:]) for box in (plus, minus)]
     return ProbeReport(
-        claim=f"forced off-branch behaviour (n={n}, d={d})",
+        claim=claim,
         passed=False,
-        quantity=ZERO,
-        bound=ZERO,
-        notes=tuple(
-            notes
-            + [
-                f"under-determined: the remaining mass can spread over {d - 1} wrong "
-                "symbols in more than one way (plus, minus and the uniform completion all qualify)"
-            ]
-        ),
+        witness=(f"a={a}, A'={aprime}, b={b}; A={a_out}, B={b_out}: "
+                 f"P = {probs[0]} (plus) vs {probs[1]} (minus)"),
+        notes=("under-determined: make_rb plus and minus are no-signaling in both "
+               "directions, agree on the A' = A branch and differ off it",),
     )

@@ -130,12 +130,12 @@ def evaluate_strategy(strategy: Strategy) -> Fraction:
     search engine claims for its witnesses.  Each world (a, A_0..A_{k-1}) is
     one column of bits, numbered row-major over those variables; Bob's k
     rounds run over the (btilde, world) grid.  Every table is read with one
-    gather at its own row-major index over its declared inputs: 2k + 1
-    gathers over the 2^(n+k) worlds for Alice and 2k + 1 over the n * 2^(n+k)
-    grid cells for Bob, and the wins are counted exactly.
+    ``TableFn.at`` gather at its own row-major index over its declared
+    inputs: 2k + 1 gathers over the 2^(n+k) worlds for Alice and 2k + 1 over
+    the n * 2^(n+k) grid cells for Bob, and the wins are counted exactly.
 
-    The gathers skip the per-lookup range checks of ``TableFn.__call__``
-    because ``Strategy.__post_init__`` already implies them: it fixes every
+    ``TableFn.at`` skips the per-lookup range checks of ``TableFn.__call__``,
+    which is sound because ``Strategy.__post_init__`` already implies them: it fixes every
     table's inputs by name and alphabet (2 for bits, n for btilde) and every
     output alphabet to 2, and ``TableFn`` range-checks its entries.  So each
     column fed to a table holds values inside the declared alphabet, and
@@ -150,28 +150,18 @@ def evaluate_strategy(strategy: Strategy) -> Fraction:
         var: ((world >> (len(bits) - 1 - i)) & 1).astype(np.uint8)
         for i, var in enumerate(bits)
     }
-    cols["m"] = _gather(enc[-1], cols)
+    cols["m"] = enc[-1].at(cols)
     cols["btilde"] = np.arange(n, dtype=np.uint8)[:, None]
     for r, name in enumerate(reversed(names)):
         j = k - 1 - r
-        b = _gather(dec[2 * r], cols)
-        out = np.where(b, _gather(enc[2 * j + 1], cols), _gather(enc[2 * j], cols))
+        b = dec[2 * r].at(cols)
+        out = np.where(b, enc[2 * j + 1].at(cols), enc[2 * j].at(cols))
         out ^= cols[f"A_{name}"]
-        out ^= _gather(dec[2 * r + 1], cols)
+        out ^= dec[2 * r + 1].at(cols)
         cols[f"B_{name}"] = out
-    guess = _gather(dec[-1], cols)
+    guess = dec[-1].at(cols)
     wins = sum(int(np.count_nonzero(guess[q] == cols[f"a_{q}"])) for q in range(n))
     return Fraction(wins, 2 ** n * 2 ** k * n)
-
-
-def _gather(tab: TableFn, cols: dict[str, np.ndarray]) -> np.ndarray:
-    """``tab`` read at every cell: the row-major index over its inputs' columns."""
-    shape = np.broadcast_shapes(*(cols[var].shape for var, _ in tab.inputs))
-    idx = np.zeros(shape, dtype=np.int32)
-    for var, size in tab.inputs:
-        idx *= size
-        idx += cols[var]
-    return np.array(tab.entries, dtype=np.uint8)[idx]
 
 
 def tree_strategy(n: int) -> Strategy:

@@ -25,7 +25,9 @@ line width.  Blank lines and ``#`` comments are ignored everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .dists import iter_assignments
 
@@ -58,6 +60,10 @@ class TableFn:
         for e in self.entries:
             if not 0 <= e < self.output_size:
                 raise ValueError(f"table {self.name!r} entry {e} outside output alphabet")
+        # the entries as the array ``at`` reads, built once: the protocol
+        # executor reads each table once per block
+        object.__setattr__(self, "_lookup", np.array(
+            self.entries, dtype=np.uint8 if self.output_size <= 256 else np.int64))
 
     def __call__(self, *args: int) -> int:
         if len(args) != len(self.inputs):
@@ -70,6 +76,22 @@ class TableFn:
                 raise ValueError(f"argument {var}={val} outside its alphabet of size {s}")
             idx = idx * s + val
         return self.entries[idx]
+
+    def at(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """The table read at every cell of ``columns``, one integer array per
+        input by name, broadcast together: uint8 for output alphabets up to
+        256, else int64.
+
+        Each cell is read at its row-major index over the inputs, built in
+        place.  Unlike ``__call__`` nothing is range-checked: callers feed
+        columns whose values they know to lie inside the declared alphabets.
+        """
+        shape = np.broadcast_shapes(*(columns[var].shape for var, _ in self.inputs))
+        idx = np.zeros(shape, dtype=np.int32 if len(self.entries) < 2 ** 31 else np.int64)
+        for var, size in self.inputs:
+            idx *= size
+            idx += columns[var]
+        return self._lookup[idx]
 
     @classmethod
     def from_callable(

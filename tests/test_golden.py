@@ -8,7 +8,9 @@ change to a record, its order or its formatting shows up here.  ``search``
 is left out because its ``elapsed=`` record varies from run to run; its
 witness text is pinned in ``tests/test_search.py`` instead.  The ``compile``
 outputs and the Graphviz file of the 7-bit tree were captured before the
-wiring evaluators moved onto one flat form of the tree.
+wiring evaluators moved onto one flat form of the tree.  The two larger
+``capacity`` outputs, (6,3) and (8,2), were captured before the protocol
+executor became one whole-array pass.
 """
 
 import io
@@ -36,6 +38,8 @@ CASES = {
     "simulate-ri-3-3-three": [
         "simulate", "--protocol", "resource-inequality", "--n", "3", "--d", "3", "--variant", "three"],
     "capacity-protocol-3-3": ["capacity", "--n", "3", "--d", "3"],
+    "capacity-protocol-6-3": ["capacity", "--n", "6", "--d", "3"],
+    "capacity-protocol-8-2": ["capacity", "--n", "8", "--d", "2"],
     "capacity-send-x1-2-2": ["capacity", "--n", "2", "--d", "2", "--strategy", "send-x1"],
     "capacity-ignore-rb-2-3": ["capacity", "--n", "2", "--d", "3", "--strategy", "ignore-rb"],
     "table-10": ["table", "--nmax", "10"],

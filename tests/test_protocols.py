@@ -1,15 +1,17 @@
 """Protocol execution: equivalences, the erasure channel, forced completions."""
 
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import numpy as np
 import pytest
 
+from racbox import capacity, protocols
 from racbox.boxes import Box, BoxSignature, check_normalization, make_bn_box, make_bnd_box, make_rb
-from racbox.dists import marginalize
+from racbox.dists import iter_assignments, marginalize
 from racbox.infotheory import mutual_information
 from racbox.protocols import (
-    MessageWire,
     ProtocolError,
     ProtocolRun,
     bn_box_via_rb,
@@ -25,16 +27,6 @@ from racbox.protocols import (
 )
 
 F = Fraction
-
-
-def test_message_wire_budget():
-    wire = MessageWire(2)
-    wire.send(1)
-    with pytest.raises(ProtocolError):
-        wire.send(0)
-    wire = MessageWire(2)
-    with pytest.raises(ProtocolError):
-        wire.send(2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -152,7 +144,7 @@ def test_declared_message_must_be_sent():
             bob_box_inputs=lambda t, m, s: (0, t["v"]),
             alice_outputs=lambda t, a, s: {},
             bob_outputs=lambda t, b, m, s: {"V": b["B"]},
-            message=lambda t, a, s, wire: None,
+            message=lambda t, a, s: None,
             message_size=2,
         )
 
@@ -165,7 +157,7 @@ _MUTE_IFACE = BoxSignature(
 )
 
 
-def _relay(resource, message=lambda t, a, s, wire: wire.send(a["A"]), bob_outputs=None):
+def _relay(resource, message=lambda t, a, s: a["A"], bob_outputs=None):
     """Alice feeds (u, w) and sends her box output; Bob feeds it back with v."""
     return run_box_protocol(
         "relay",
@@ -223,20 +215,6 @@ def test_unnormalized_resource_is_rejected_at_its_induced_row():
         _relay(half)
 
 
-def test_alice_side_runs_once_per_round():
-    calls = []
-
-    def message(t, a, s, wire):
-        calls.append((t["u"], t["w"], s, a["A"]))
-        wire.send(a["A"])
-
-    run = _relay(make_rb(2, 2, "nosignaling"), message=message)
-    assert [run.result.prob((0, 1, 1), (V,)) for V in range(2)] == [F(0), F(1)]
-    # one round per (task input, s, A), not one per Bob task input as well
-    assert sorted(calls) == sorted(set(calls))
-    assert len(calls) == 4 * 2 * 2
-
-
 def test_output_outside_its_alphabet_is_rejected():
     with pytest.raises(ProtocolError, match="outside its alphabet"):
         _relay(make_rb(2, 2, "nosignaling"), bob_outputs=lambda t, b, m, s: {"V": 2})
@@ -265,6 +243,194 @@ def test_forced_wrong_answer_in_the_bit_case():
 
 
 def test_forced_zero_but_free_spread_beyond_bits():
-    report = verify_lemma1(2, d=3)
-    assert not report.passed
-    assert any("under-determined" in note for note in report.notes)
+    for n, d in ((2, 3), (3, 3), (2, 4)):
+        report = verify_lemma1(n, d=d)
+        assert not report.passed
+        assert any("under-determined" in note for note in report.notes)
+        # plus and minus first differ at the all-zero row, off the branch
+        assert report.witness == (f"a={(0,) * n}, A'=0, b=0; A=1, B=1: "
+                                  f"P = 0 (plus) vs 1/{d} (minus)")
+
+
+def test_declared_message_outside_its_alphabet_is_rejected():
+    with pytest.raises(ProtocolError, match="message 2 outside alphabet of size 2"):
+        _relay(make_rb(2, 2, "nosignaling"), message=lambda t, a, s: a["A"] + 2)
+
+
+@pytest.mark.parametrize("block_cells,blocks", [(protocols.BLOCK_CELLS, 1), (1, 4)],
+                         ids=["one-block", "four-blocks"])
+def test_each_callback_runs_once_per_block_and_alice_sees_no_bob_axis(
+        monkeypatch, block_cells, blocks):
+    calls = {}
+
+    def spy(name, fn):
+        def call(*args):
+            calls.setdefault(name, []).append(args)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(protocols, "BLOCK_CELLS", block_cells)
+    run = run_box_protocol(
+        "relay",
+        make_rb(2, 2, "nosignaling"),
+        _MUTE_IFACE,
+        alice_box_inputs=spy("alice_box_inputs", lambda t, s: (t["u"], t["w"])),
+        bob_box_inputs=spy("bob_box_inputs", lambda t, m, s: (m, t["v"])),
+        alice_outputs=spy("alice_outputs", lambda t, a, s: {}),
+        bob_outputs=spy("bob_outputs", lambda t, b, m, s: {"V": b["B"]}),
+        message=spy("message", lambda t, a, s: a["A"]),
+        message_size=2,
+        sr_size=2,
+    )
+    assert run.result == _relay(make_rb(2, 2, "nosignaling")).result
+    assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(calls, blocks)
+    assert len(calls) == 5
+    # grid axes (Alice task input, s, A, Bob task input, B): Alice's wires span no Bob axis
+    for name in ("alice_box_inputs", "message", "alice_outputs"):
+        for args in calls[name]:
+            wires = [v for arg in args for v in (arg.values() if isinstance(arg, dict) else [arg])]
+            assert all(np.ndim(v) == 5 and np.shape(v)[3:] == (1, 1) for v in wires)
+    # Bob's side sees Alice's rounds only through the message
+    for tb, m, s in calls["bob_box_inputs"]:
+        assert np.shape(m) == (4 // blocks, 2, 2, 1, 1)
+
+
+def test_backward_signaling_resource_is_rejected_before_any_callback_runs():
+    # perfbench's control: an RB-shaped resource with A = A' + 1 and B = a_b
+    n, d = 3, 3
+    rb = make_rb(n, d, "plus")
+    table = np.zeros(rb.table.shape, dtype=np.int8)
+    for a in product(range(d), repeat=n):
+        for aprime, b in product(range(d), range(n)):
+            table[a + (aprime, b, (aprime + 1) % d, a[b])] = 1
+    iface = BoxSignature(
+        alice_inputs=tuple((f"x_{i}", d) for i in range(1, n)),
+        alice_outputs=(("X", d),),
+        bob_inputs=(("y", n),),
+        bob_outputs=(("Y", d),),
+    )
+
+    def never(*args):
+        pytest.fail("a callback ran before the backward-signaling check")
+
+    with pytest.raises(ProtocolError, match="signals from Bob to Alice"):
+        run_box_protocol(
+            "backward", Box(rb.signature, table, 1), iface,
+            alice_box_inputs=never, bob_box_inputs=never,
+            alice_outputs=never, bob_outputs=never,
+        )
+
+
+def _walk_protocol(name, resource, iface, *, alice_box_inputs, bob_box_inputs, alice_outputs,
+                   bob_outputs, message=None, message_size=1, sr_size=1) -> Box:
+    """Reference executor: one step per (task input, s, A, B) cell, scalar wires.
+
+    Calls the executor's own callbacks with numpy integer scalars and adds
+    each nonzero resource numerator into the induced table as a Python int.
+    """
+    def assignments(wires):
+        names = [nm for nm, _ in wires]
+        return [dict(zip(names, map(np.int64, vals)))
+                for vals in iter_assignments([s for _, s in wires])]
+
+    sig = resource.signature
+    table = np.zeros(iface.input_sizes + iface.output_sizes, dtype=object)
+    for ta, s in product(assignments(iface.alice_inputs), map(np.int64, range(sr_size))):
+        a_in = tuple(int(v) for v in alice_box_inputs(ta, s))
+        for a_out in assignments(sig.alice_outputs):
+            m = None if message is None else np.int64(message(ta, a_out, s))
+            assert m is None or 0 <= m < message_size
+            alice = alice_outputs(ta, a_out, s)
+            for tb in assignments(iface.bob_inputs):
+                b_in = tuple(int(v) for v in bob_box_inputs(tb, m, s))
+                for b_out in assignments(sig.bob_outputs):
+                    num = resource.table[a_in + b_in + tuple(a_out.values()) + tuple(b_out.values())]
+                    if num:
+                        outs = {**alice, **bob_outputs(tb, b_out, m, s)}
+                        cell = (tuple(ta.values()) + tuple(tb.values())
+                                + tuple(int(outs[nm]) for nm, _ in iface.output_vars))
+                        table[cell] += int(num)
+    return Box(iface, table, resource.denominator * sr_size)
+
+
+def _executor_runs(monkeypatch, build):
+    """Every (arguments, run) of ``run_box_protocol`` made while ``build()`` runs."""
+    runs = []
+    real = protocols.run_box_protocol
+
+    def spy(*args, **kwargs):
+        runs.append((args, kwargs, real(*args, **kwargs)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(protocols, "run_box_protocol", spy)
+    monkeypatch.setattr(capacity, "run_box_protocol", spy)
+    build()
+    return runs
+
+
+def _assert_walk_agrees(monkeypatch, build):
+    runs = _executor_runs(monkeypatch, build)
+    assert runs
+    for args, kwargs, run in runs:
+        walked = _walk_protocol(*args, **kwargs)
+        assert run.result == walked
+        assert np.array_equal(run.result.table, walked.table)
+        assert run.result.denominator == walked.denominator
+
+
+COMPLETIONS = {2: ("nosignaling", "signalinghalf", "plus", "minus", "three"),
+               3: ("plus", "minus", "three")}
+CONSTRUCTIONS = {
+    "rac-via-bn": lambda n, d: [rac_via_bn_box(n)],
+    "rac-via-bnd": lambda n, d: [rac_via_bnd_box(n, d, sign) for sign in ("plus", "minus")],
+    "bn-via-rb": lambda n, d: [bn_box_via_rb(n, v) for v in COMPLETIONS[d]],
+    "bnd-via-rb": lambda n, d: [bnd_box_via_rb(n, d, sign, v)
+                                for sign in ("plus", "minus") for v in COMPLETIONS[d]],
+    "resource-inequality": lambda n, d: [resource_inequality_sim(n, d, v) for v in COMPLETIONS[d]],
+}
+
+
+@pytest.mark.parametrize(
+    "construction,n,d",
+    [(c, n, d) for c in sorted(CONSTRUCTIONS) for n in (2, 3, 4) for d in (2, 3)
+     if d == 2 or c not in ("rac-via-bn", "bn-via-rb")],
+)
+def test_executor_matches_the_reference_walk(monkeypatch, construction, n, d):
+    _assert_walk_agrees(monkeypatch, lambda: CONSTRUCTIONS[construction](n, d))
+
+
+@pytest.mark.parametrize(
+    "strategy,n,d",
+    [(name, n, d) for name in sorted(capacity.BUILTIN_STRATEGIES)
+     for n, d in ((2, 2), (3, 2), (2, 3), (3, 3)) if n == 2 or name != "send-x1"],
+)
+def test_capacity_game_matches_the_reference_walk(monkeypatch, strategy, n, d):
+    variant = "signalinghalf" if d == 2 else "three"
+    build = capacity.BUILTIN_STRATEGIES[strategy]
+    _assert_walk_agrees(monkeypatch,
+                        lambda: capacity.build_capacity_joint(build(n, d), variant))
+
+
+def test_executor_sums_exactly_past_int64():
+    # weight 1/3^45 on the signaling completion (which never signals from Bob
+    # to Alice either): the mixture's denominator passes int64
+    q = 3 ** 45
+    nosig, half = make_rb(2, 2, "nosignaling"), make_rb(2, 2, "signalinghalf")
+    den = lcm(nosig.denominator, half.denominator)
+    mixture = Box(nosig.signature,
+                  nosig.table.astype(object) * (den // nosig.denominator * (q - 1))
+                  + half.table.astype(object) * (den // half.denominator), den * q)
+    assert mixture.denominator > np.iinfo(np.int64).max and mixture.table.dtype == object
+    # Bob feeds back the wrong A', so every cell is read off the A' = A branch
+    kwargs = dict(
+        alice_box_inputs=lambda t, s: (t["u"], t["w"]),
+        bob_box_inputs=lambda t, m, s: ((m + 1) % 2, t["v"]),
+        alice_outputs=lambda t, a, s: {},
+        bob_outputs=lambda t, b, m, s: {"V": b["B"]},
+        message=lambda t, a, s: a["A"],
+        message_size=2,
+        sr_size=2,
+    )
+    run = run_box_protocol("relay", mixture, _MUTE_IFACE, **kwargs)
+    assert run.result.table.dtype == object
+    assert run.result == _walk_protocol("relay", mixture, _MUTE_IFACE, **kwargs)

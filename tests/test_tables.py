@@ -1,5 +1,6 @@
 """Finite function tables and their text format."""
 
+import numpy as np
 import pytest
 
 from racbox.tables import TableFn, parse_tables, serialize_tables
@@ -11,6 +12,16 @@ def test_call_uses_mixed_radix_indexing():
     assert t(0, 2) == 2
     assert t(1, 0) == 3
     assert t(1, 2) == 1
+
+
+def test_at_reads_every_cell_of_broadcast_columns_like_call():
+    t = TableFn("f", (("x", 2), ("y", 3)), 4, (0, 1, 2, 3, 0, 1))
+    # columns by name, in any order, broadcast together: x down, y across
+    got = t.at({"y": np.arange(3)[None, :], "x": np.arange(2)[:, None], "unused": 7})
+    assert got.dtype == np.uint8 and got.shape == (2, 3)
+    assert got.tolist() == [[t(x, y) for y in range(3)] for x in range(2)]
+    wide = TableFn.from_callable("g", (("x", 2),), 300, lambda x: 299 * x)
+    assert wide.at({"x": np.arange(2)}).tolist() == [0, 299]
 
 
 def test_from_callable_round_trip():
