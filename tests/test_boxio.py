@@ -1,10 +1,26 @@
 """Box serialization round trips and malformed-input handling."""
 
+import re
+from fractions import Fraction
+from math import lcm, prod
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from racbox.boxes import check_normalization, make_bn_box, make_bnd_box, make_rb
-from racbox.boxio import parse_box, serialize_box
+from racbox.boxes import (
+    Box,
+    BoxSignature,
+    check_normalization,
+    check_table_size,
+    make_bn_box,
+    make_bnd_box,
+    make_rb,
+)
+from racbox.boxio import BLOCK_LINES, parse_box, serialize_box
+from racbox.dists import numerator_dtype
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize(
@@ -87,3 +103,222 @@ HUGE_BOX = (
 def test_parse_refuses_an_oversized_header_before_densifying():
     with pytest.raises(ValueError, match="800000000 cells .* more than the limit"):
         parse_box(HUGE_BOX)
+
+
+def test_parse_refuses_an_oversized_header_before_reading_the_body():
+    # the body line is malformed, but the header alone is over the cap
+    with pytest.raises(ValueError, match="800000000 cells .* more than the limit"):
+        parse_box(HUGE_BOX.replace("0 0 : 0 0 = 1", "not an entry"))
+
+
+def _parse_lines(text: str) -> Box:
+    """Reference parser: one line at a time, every entry checked after the last line.
+
+    Reports entry errors (arity, range, duplicates) without a line number and
+    after every syntax error in the file, and checks the size cap after the
+    body; otherwise it accepts exactly the language ``parse_box`` does.
+    """
+    wires = {(p, r): [] for p in ("alice", "bob") for r in ("input", "output")}
+    entries = []
+    in_header = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("var "):
+            if not in_header:
+                raise ValueError(f"line {lineno}: var declaration after body started")
+            parts = line.split()
+            if len(parts) != 5:
+                raise ValueError(f"line {lineno}: expected 'var party role name size'")
+            _, party, role, name, size_s = parts
+            if (party, role) not in wires:
+                raise ValueError(f"line {lineno}: unknown party/role {party!r} {role!r}")
+            try:
+                size = int(size_s)
+            except ValueError:
+                raise ValueError(f"line {lineno}: wire size {size_s!r} is not an integer") from None
+            if size < 1:
+                raise ValueError(f"line {lineno}: size must be positive")
+            wires[(party, role)].append((name, size))
+            continue
+        in_header = False
+        if ":" not in line or "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'invals : outvals = num/den'")
+        in_part, rest = line.split(":", 1)
+        out_part, prob_part = rest.split("=", 1)
+        try:
+            invals = tuple(int(tok) for tok in in_part.split())
+            outvals = tuple(int(tok) for tok in out_part.split())
+            p = Fraction(prob_part.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not 0 <= p <= 1:
+            raise ValueError(f"line {lineno}: probability {p} outside [0, 1]")
+        entries.append((invals, outvals, p))
+
+    sig = BoxSignature(*(tuple(wires[key]) for key in wires))
+    check_table_size(sig)
+    n_out = prod(sig.output_sizes)
+    den = lcm(*(p.denominator for _, _, p in entries))
+    cells = {}
+    for invals, outvals, p in entries:
+        if len(invals) != len(sig.input_sizes):
+            raise ValueError(f"entry {invals} : {outvals} has wrong input arity for the header")
+        row = 0
+        for v, s in zip(invals, sig.input_sizes):
+            if not 0 <= v < s:
+                raise ValueError(f"input symbol {v} out of range in entry {invals}")
+            row = row * s + v
+        try:
+            cell = row * n_out + sig.output_index(outvals)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in entry {outvals}") from None
+        if cell in cells:
+            raise ValueError(f"duplicate entry for {invals} : {outvals}")
+        cells[cell] = p.numerator * (den // p.denominator)
+    table = np.zeros(prod(sig.input_sizes) * n_out, dtype=numerator_dtype(den, len(cells)))
+    table[list(cells)] = list(cells.values())
+    return Box(sig, table.reshape(sig.input_sizes + sig.output_sizes), den)
+
+
+def _serialize_lines(box: Box) -> str:
+    """Reference serializer: one joined string per nonzero cell."""
+    sig = box.signature
+    lines = [
+        f"var {party} {role} {name} {size}"
+        for party, role, pairs in (
+            ("alice", "input", sig.alice_inputs),
+            ("alice", "output", sig.alice_outputs),
+            ("bob", "input", sig.bob_inputs),
+            ("bob", "output", sig.bob_outputs),
+        )
+        for name, size in pairs
+    ]
+    lines.append("")
+    n_in = len(sig.input_sizes)
+    cells = np.nonzero(box.table)
+    for cell, v in zip(zip(*(axis.tolist() for axis in cells)), box.table[cells].tolist()):
+        p = Fraction(v, box.denominator)
+        lines.append(
+            " ".join(map(str, cell[:n_in])) + " : " + " ".join(map(str, cell[n_in:]))
+            + f" = {p.numerator}/{p.denominator}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+FAMILIES = {
+    "bn3": make_bn_box(3),
+    "bnd33plus": make_bnd_box(3, 3, "plus"),
+    "bnd24minus": make_bnd_box(2, 4, "minus"),
+    **{f"rb32{v}": make_rb(3, 2, v) for v in ("nosignaling", "signalinghalf")},
+    **{f"rb33{v}": make_rb(3, 3, v) for v in ("plus", "minus", "three")},
+}
+
+
+def _assert_parsers_agree(text):
+    box = parse_box(text)
+    assert box == _parse_lines(text)
+    return box
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_block_parser_matches_the_line_parser_on_round_trips(name):
+    box = FAMILIES[name]
+    assert _assert_parsers_agree(serialize_box(box)) == box
+
+
+def test_block_parser_matches_the_line_parser_across_blocks():
+    box = make_rb(5, 3, "plus")
+    text = serialize_box(box)
+    assert text.count("\n") > 2 * BLOCK_LINES
+    assert _assert_parsers_agree(text) == box
+
+
+def test_block_parser_matches_the_line_parser_on_the_golden_mixture():
+    box = _assert_parsers_agree((GOLDEN / "rb-mixture.box").read_text())
+    assert check_normalization(box)
+
+
+@pytest.mark.parametrize("token", ["2/4", "0.5", "1e-1", "1", " 1/2 ", "0"])
+def test_block_parser_reads_every_fraction_token(token):
+    text = serialize_box(make_bn_box(2)).replace("1/2", token)
+    box = _assert_parsers_agree(text)
+    assert box.prob((0, 0), (0, 0)) == Fraction(token)
+
+
+def test_block_parser_skips_comments_and_blank_lines_between_entries():
+    lines = serialize_box(make_rb(2, 2, "plus")).splitlines()
+    spaced = []
+    for i, line in enumerate(lines):
+        spaced += [line, "", "   # note : 1 = 2"] if i % 3 == 0 else ["  " + line + "\t"]
+    assert _assert_parsers_agree("\n".join(spaced)) == make_rb(2, 2, "plus")
+
+
+def _body_line(lines, k):
+    """Index of the k-th nonblank line after the header."""
+    return [i for i, line in enumerate(lines) if line and not line.startswith("var ")][k]
+
+
+# (name, box, which body line, replacement); ``{}`` in a replacement is the original line
+MUTATIONS = [
+    ("not-a-number", make_bn_box(2), 1, "0 0 : 0 0 = not-a-number"),
+    ("above-one", make_bn_box(2), 2, "{} + 1"),
+    ("zero-denominator", make_bn_box(2), 0, "0 0 : 0 0 = 1/0"),
+    ("probability-above-one", make_bn_box(2), 3, "0 1 : 1 0 = 3/2"),
+    ("no-colon", make_bn_box(2), 1, "0 0 0 0 = 1/2"),
+    ("equals-before-colon", make_bn_box(2), 1, "0 0 = 1/2 : 0 0"),
+    ("two-colons", make_bn_box(2), 2, "0 0 : 0 : 0 = 1/2"),
+    ("var-in-body", make_bn_box(2), 2, "var bob input z 2"),
+    ("non-integer-symbol", make_bn_box(2), 1, "0 x : 0 0 = 1/2"),
+    ("input-arity", make_bn_box(2), 3, "0 0 0 : 0 0 = 1/2"),
+    ("input-range", make_bn_box(2), 2, "0 2 : 0 0 = 1/2"),
+    ("negative-input", make_bn_box(2), 2, "-1 0 : 0 0 = 1/2"),
+    ("huge-input", make_bn_box(2), 2, "99999999999999999999 0 : 0 0 = 1/2"),
+    ("output-arity", make_bn_box(2), 4, "1 0 : 1 = 1/2"),
+    ("output-range", make_bn_box(2), 4, "1 0 : 1 2 = 1/2"),
+    ("duplicate", make_bn_box(2), 5, "0 0 : 0 0 = 1/2"),
+    ("duplicate-with-other-spacing", make_bn_box(2), 5, "0  0 :0 0=  0"),
+    ("past-the-first-block", make_rb(5, 3, "plus"), BLOCK_LINES + 100, "{} x"),
+    ("duplicate-past-the-first-block", make_rb(5, 3, "plus"), 2 * BLOCK_LINES + 7,
+     "0 0 0 0 0 0 0 : 0 0 = 1/3"),
+]
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+def test_block_parser_raises_the_line_parsers_error_and_names_the_line(mutation):
+    _, box, k, replacement = mutation
+    lines = serialize_box(box).splitlines()
+    i = _body_line(lines, k)
+    lines[i] = replacement.format(lines[i])
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ValueError) as new:
+        parse_box(text)
+    with pytest.raises(ValueError) as old:
+        _parse_lines(text)
+    assert str(new.value).startswith(f"line {i + 1}: ")
+    old_text = re.sub(r"^line \d+: ", "", str(old.value))
+    assert str(new.value).removeprefix(f"line {i + 1}: ") == old_text
+
+
+@pytest.mark.parametrize("later", [10, 3 * BLOCK_LINES // 2], ids=["same-block", "next-block"])
+def test_the_first_bad_line_in_file_order_is_reported(later):
+    text = serialize_box(make_rb(5, 3, "plus")).splitlines()
+    first, second = _body_line(text, 3), _body_line(text, later)
+    # a repeated cell before a syntax error
+    lines = list(text)
+    lines[first], lines[second] = lines[_body_line(text, 0)], "not an entry"
+    with pytest.raises(ValueError, match=rf"^line {first + 1}: duplicate entry"):
+        parse_box("\n".join(lines))
+    # a syntax error before a repeated cell
+    lines[first], lines[second] = "0 0 0 0 0 0 0 : 0 0 : 1 = 1/3", lines[first]
+    with pytest.raises(ValueError, match=rf"^line {first + 1}: invalid literal for int"):
+        parse_box("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "box", [make_rb(5, 3, "plus"), make_bn_box(8), make_bnd_box(3, 4, "minus")],
+    ids=["rb53plus", "bn8", "bnd34minus"],
+)
+def test_serialize_matches_the_line_serializer(box):
+    assert serialize_box(box) == _serialize_lines(box)

@@ -222,6 +222,26 @@ def test_check_ns_on_a_non_integer_wire_size_names_the_line(tmp_path, capsys):
     assert "error: line 1: wire size 'two' is not an integer" in capsys.readouterr().err
 
 
+BIT_HEADER = "var alice input x 2\nvar alice output X 2\nvar bob input y 2\nvar bob output Y 2\n\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0 0 : 0 0 = 1/2\n0 0 : 0 0 = 1/2\n", "line 7: duplicate entry for (0, 0) : (0, 0)"),
+        ("0 0 = 1/2 : 0 0\n", "line 6: not enough values to unpack (expected 2, got 1)"),
+    ],
+    ids=["duplicate", "equals-first"],
+)
+def test_check_ns_names_the_line_of_a_bad_entry(tmp_path, capsys, body, message):
+    box = tmp_path / "bad.box"
+    box.write_text(BIT_HEADER + body)
+    code, out = run_cli("check-ns", "--box", str(box), "--machine")
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_feasibility_presets():
     code, out = run_cli("feasibility", "--preset", "bit-c", "--machine")
     assert code == 1
