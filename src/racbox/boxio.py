@@ -23,15 +23,17 @@ parse; blank lines and lines starting with ``#`` are skipped.
 body in blocks of ``BLOCK_LINES`` lines with whole-list string calls, and
 reads each distinct string once: an input or output assignment by ``int``
 and one range compare against the wire sizes, a probability by
-``Fraction``.  Repeated cells are found by one sort after the last block.
-Every body error names its line (``line N: ...``), and the error reported
-is that of the first bad line in file order; a repeated cell is the bad
-line of the later entry.  A block with a bad line is read again one line at
-a time, which finds the line and its error.
+``Fraction`` once its decimal exponent, if any, is within Python's
+integer-string digit limit.  Repeated cells are found by one sort after
+the last block.  Every body error names its line (``line N: ...``), and
+the error reported is that of the first bad line in file order; a
+repeated cell is the bad line of the later entry.  A block with a bad line
+is read again one line at a time, which finds the line and its error.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, product, repeat
@@ -184,12 +186,9 @@ def _read_block(
     probs = list(map(str.strip, prob_parts))
     for token in set(probs).difference(tokens.prob_ids):
         try:
-            p = Fraction(token)
+            tokens.add_prob(token, _probability(token))
         except (ValueError, ZeroDivisionError):
             return None
-        if not 0 <= p <= 1:
-            return None
-        tokens.add_prob(token, p)
     ids = np.fromiter(map(tokens.prob_ids.__getitem__, probs), np.int32, len(probs))
     return rows * prod(sig.output_sizes) + outs, ids
 
@@ -236,11 +235,9 @@ def _read_line(sig: BoxSignature, raw: str, lineno: int) -> tuple | None:
         invals = tuple(int(tok) for tok in in_part.split())
         outvals = tuple(int(tok) for tok in out_part.split())
         token = prob_part.strip()
-        p = Fraction(token)
+        p = _probability(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
-    if not 0 <= p <= 1:
-        raise ValueError(f"line {lineno}: probability {p} outside [0, 1]")
     if len(invals) != len(sig.input_sizes):
         raise ValueError(
             f"line {lineno}: entry {invals} : {outvals} has wrong input arity for the header"
@@ -255,6 +252,20 @@ def _read_line(sig: BoxSignature, raw: str, lineno: int) -> tuple | None:
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc} in entry {outvals}") from None
     return lineno, invals, outvals, cell, token, p
+
+
+def _probability(token: str) -> Fraction:
+    """``Fraction(token)`` if it lies in [0, 1], else ValueError quoting the token.
+    An exponent past Python's integer-string digit limit is refused before
+    ``Fraction`` builds its power of ten, which takes seconds at 10^7."""
+    digits = token.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if digits.isdecimal() and int(digits) > limit:
+        raise ValueError(f"probability {token} has an exponent past the digit limit {limit}")
+    p = Fraction(token)
+    if not 0 <= p <= 1:
+        raise ValueError(f"probability {token} outside [0, 1]")
+    return p
 
 
 def _walk_block(

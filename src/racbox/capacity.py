@@ -84,36 +84,28 @@ def _xz_vars(n: int, d: int) -> tuple[tuple[str, int], ...]:
     return tuple((f"x_{i}", d) for i in range(1, n)) + (("z", d),)
 
 
+def _bob_vars(n: int, d: int) -> tuple[tuple[str, int], ...]:
+    return (("m", d), ("y", n), ("s", d))
+
+
 def protocol_strategy(n: int, d: int) -> CapacityStrategy:
     """The saturating strategy: hide z in a_0, relay m = A, decode with s.
 
     Exactly the resource-inequality protocol with the channel half dropped:
     X = s and Y = -s or B - s depending on whether y points at the z slot.
     """
-    xz = _xz_vars(n, d)
-
-    def a_i(i: int):
-        if i == 0:
-            return lambda *v: v[n - 1]  # z is the last of the xz block
-        return lambda *v, i=i: v[i - 1]
-
-    a_fns = tuple(
-        TableFn.from_callable(f"a_{i}", xz, d, a_i(i)) for i in range(n)
-    )
-    m_fn = TableFn.from_callable("m", xz + (("A", d),), d, lambda *v: v[n])
-    x_fn = TableFn.from_callable("X", xz + (("A", d), ("s", d)), d, lambda *v: v[n + 1])
-    aprime_fn = TableFn.from_callable(
-        "Aprime", (("m", d), ("y", n), ("s", d)), d, lambda m, y, s: m
-    )
-    y_fn = TableFn.from_callable(
-        "Y",
-        (("m", d), ("y", n), ("s", d), ("B", d)),
-        d,
-        lambda m, y, s, B: (-s) % d if y == 0 else (B - s) % d,
-    )
+    xz, bob, dit = _xz_vars(n, d), _bob_vars(n, d), np.arange(d)
+    x = np.indices((d,) * n, sparse=True)  # x_1..x_{n-1}, z
+    # a_0 is z, the last axis; a_i is x_i
+    a_fns = tuple(TableFn.from_array(f"a_{i}", xz, d, x[i - 1]) for i in range(n))
+    _, y, s, B = np.indices((d, n, d, d), sparse=True)
+    # ``dit`` broadcasts along the last input: m = A and X = s
     return CapacityStrategy(
         name=f"protocol-{n}-{d}", n=n, d=d, a_fns=a_fns,
-        m_fn=m_fn, x_fn=x_fn, aprime_fn=aprime_fn, y_fn=y_fn,
+        m_fn=TableFn.from_array("m", xz + (("A", d),), d, dit),
+        x_fn=TableFn.from_array("X", xz + (("A", d), ("s", d)), d, dit),
+        aprime_fn=TableFn.from_array("Aprime", bob, d, dit[:, None, None]),
+        y_fn=TableFn.from_array("Y", bob + (("B", d),), d, np.where(y == 0, -s, B - s) % d),
     )
 
 
@@ -126,38 +118,29 @@ def send_x1_strategy(n: int, d: int) -> CapacityStrategy:
     """
     if n != 2:
         raise ValueError("the send-x_1 strategy is a two-input construction")
-    xz = _xz_vars(n, d)
-    a_fns = tuple(
-        TableFn.from_callable(f"a_{i}", xz, d, lambda x1, z: z) for i in range(n)
-    )
-    m_fn = TableFn.from_callable("m", xz + (("A", d),), d, lambda x1, z, A: x1)
-    x_fn = TableFn.from_callable(
-        "X", xz + (("A", d), ("s", d)), d, lambda x1, z, A, s: s
-    )
-    aprime_fn = TableFn.constant("Aprime", (("m", d), ("y", n), ("s", d)), d, 0)
-    y_fn = TableFn.from_callable(
-        "Y",
-        (("m", d), ("y", n), ("s", d), ("B", d)),
-        d,
-        lambda m, y, s, B: (-s) % d if y == 0 else (m - s) % d,
-    )
+    xz, bob, dit = _xz_vars(n, d), _bob_vars(n, d), np.arange(d)
+    m, y, s, _ = np.indices((d, n, d, d), sparse=True)
+    # ``dit`` broadcasts along the last input: a_i = z and X = s; m = x_1
     return CapacityStrategy(
-        name=f"send-x1-{n}-{d}", n=n, d=d, a_fns=a_fns,
-        m_fn=m_fn, x_fn=x_fn, aprime_fn=aprime_fn, y_fn=y_fn,
+        name=f"send-x1-{n}-{d}", n=n, d=d,
+        a_fns=tuple(TableFn.from_array(f"a_{i}", xz, d, dit) for i in range(n)),
+        m_fn=TableFn.from_array("m", xz + (("A", d),), d, dit[:, None, None]),
+        x_fn=TableFn.from_array("X", xz + (("A", d), ("s", d)), d, dit),
+        aprime_fn=TableFn.from_array("Aprime", bob, d, 0),
+        y_fn=TableFn.from_array("Y", bob + (("B", d),), d, np.where(y == 0, -s, m - s) % d),
     )
 
 
 def ignore_rb_strategy(n: int, d: int) -> CapacityStrategy:
     """A lazy strategy that outputs constants; fails the reproduction premise."""
-    xz = _xz_vars(n, d)
-    a_fns = tuple(TableFn.constant(f"a_{i}", xz, d, 0) for i in range(n))
-    m_fn = TableFn.constant("m", xz + (("A", d),), d, 0)
-    x_fn = TableFn.constant("X", xz + (("A", d), ("s", d)), d, 0)
-    aprime_fn = TableFn.constant("Aprime", (("m", d), ("y", n), ("s", d)), d, 0)
-    y_fn = TableFn.constant("Y", (("m", d), ("y", n), ("s", d), ("B", d)), d, 0)
+    xz, bob = _xz_vars(n, d), _bob_vars(n, d)
     return CapacityStrategy(
-        name=f"ignore-rb-{n}-{d}", n=n, d=d, a_fns=a_fns,
-        m_fn=m_fn, x_fn=x_fn, aprime_fn=aprime_fn, y_fn=y_fn,
+        name=f"ignore-rb-{n}-{d}", n=n, d=d,
+        a_fns=tuple(TableFn.from_array(f"a_{i}", xz, d, 0) for i in range(n)),
+        m_fn=TableFn.from_array("m", xz + (("A", d),), d, 0),
+        x_fn=TableFn.from_array("X", xz + (("A", d), ("s", d)), d, 0),
+        aprime_fn=TableFn.from_array("Aprime", bob, d, 0),
+        y_fn=TableFn.from_array("Y", bob + (("B", d),), d, 0),
     )
 
 
@@ -251,7 +234,8 @@ def _zero_entropy_diagnostics(dist: JointDistribution, n: int, d: int, base: int
     notes.append(
         f"identity I(B:X|b,s,y=0) = H(X|b,s,y=0) {tag}: {lhs:.9f} vs {rhs:.9f}"
     )
-    w_fn = TableFn.from_callable("W", (("x_1", d), ("X", d)), d, lambda x1, X: (x1 - X) % d)
+    x1, X = np.indices((d, d), sparse=True)
+    w_fn = TableFn.from_array("W", (("x_1", d), ("X", d)), d, (x1 - X) % d)
     slice1 = derive(condition(dist, {"y": 1}), w_fn)
     lhs1 = mutual_information(slice1, ["B"], ["W"], ["s"], base)
     rhs1 = conditional_entropy(slice1, ["W"], ["s"], base)

@@ -130,16 +130,18 @@ def evaluate_strategy(strategy: Strategy) -> Fraction:
     search engine claims for its witnesses.  Each world (a, A_0..A_{k-1}) is
     one column of bits, numbered row-major over those variables; Bob's k
     rounds run over the (btilde, world) grid.  Every table is read with one
-    ``TableFn.at`` gather at its own row-major index over its declared
-    inputs: 2k + 1 gathers over the 2^(n+k) worlds for Alice and 2k + 1 over
-    the n * 2^(n+k) grid cells for Bob, and the wins are counted exactly.
+    ``TableFn.at`` gather from its entries array, at the row-major index
+    over its declared inputs: 2k + 1 gathers over the 2^(n+k) worlds for
+    Alice and 2k + 1 over the n * 2^(n+k) grid cells for Bob, and the wins
+    are counted exactly.
 
     ``TableFn.at`` skips the per-lookup range checks of ``TableFn.__call__``,
     which is sound because ``Strategy.__post_init__`` already implies them: it fixes every
     table's inputs by name and alphabet (2 for bits, n for btilde) and every
-    output alphabet to 2, and ``TableFn`` range-checks its entries.  So each
-    column fed to a table holds values inside the declared alphabet, and
-    each gathered value is a bit.
+    output alphabet to 2, and ``TableFn`` checks its entries array against
+    the output alphabet once, when the table is built.  So each column fed
+    to a table holds values inside the declared alphabet, and each gathered
+    value is a bit.
     """
     n, names = strategy.n, strategy.rb_names
     k = len(names)
@@ -184,47 +186,39 @@ def tree_strategy(n: int) -> Strategy:
     flat = flatten(tree)
     names = tuple(f"rb{j}" for j in range(len(flat.boxes)))
 
+    k = len(names)
     task = tuple((f"a_{i}", 2) for i in range(n))
+    all_a = tuple((f"A_{name}", 2) for name in names)
     encoders: list[TableFn] = []
     for j, wires in enumerate(flat.boxes):
-        upstream = tuple((f"A_{names[i]}", 2) for i in range(j))
-        for slot, wire in zip(("a0", "a1"), wires):
+        domain = task + all_a[:j]
+        bits = np.indices((2,) * len(domain), sparse=True)
+        encoders += [TableFn.from_array(f"{names[j]}.{slot}", domain, 2, bits[w])
+                     for slot, w in zip(("a0", "a1"), wires)]
+    bits = np.indices((2,) * (n + k), sparse=True)
+    encoders.append(TableFn.from_array("m", task + all_a, 2, bits[flat.root]))
 
-            def fn(*vals, wire=wire):
-                return vals[wire]
-
-            encoders.append(TableFn.from_callable(f"{names[j]}.{slot}", task + upstream, 2, fn))
-    all_a = tuple((f"A_{name}", 2) for name in names)
-    encoders.append(
-        TableFn.from_callable("m", task + all_a, 2, lambda *vals: vals[flat.root])
-    )
-
-    # per query: which boxes sit on the path, and the direction taken at each
-    on_path = [dict(path) for path in flat.paths]
+    # per query q and box j: is j on q's path, and the direction taken there
+    on_path = np.zeros((n, k), dtype=np.int64)
+    turn = np.zeros((n, k), dtype=np.int64)
+    for q, path in enumerate(flat.paths):
+        for j, direction in path:
+            on_path[q, j], turn[q, j] = 1, direction
 
     rev = tuple(reversed(names))
     head = (("btilde", n), ("m", 2))
+    all_b = tuple((f"B_{name}", 2) for name in rev)
     decoders: list[TableFn] = []
     for r, rb in enumerate(rev):
-        j = len(names) - 1 - r
-        prev = tuple((f"B_{name}", 2) for name in rev[:r])
-
-        def b_fn(btilde, m, *outs, j=j):
-            return on_path[btilde].get(j, 0)
-
-        decoders.append(TableFn.from_callable(f"{rb}.b", head + prev, 2, b_fn))
-        decoders.append(TableFn.constant(f"{rb}.aprime", head + prev, 2, 0))
-    all_b = tuple((f"B_{name}", 2) for name in rev)
-
-    def out_fn(btilde, m, *outs):
-        val = m
-        for r in range(len(rev)):
-            j = len(names) - 1 - r
-            if j in on_path[btilde]:
-                val ^= outs[r]
-        return val
-
-    decoders.append(TableFn.from_callable("Btilde", head + all_b, 2, out_fn))
+        domain = head + all_b[:r]
+        # the direction depends on btilde alone, the first of the r + 2 inputs
+        decoders.append(TableFn.from_array(
+            f"{rb}.b", domain, 2, turn[:, k - 1 - r].reshape((n,) + (1,) * (r + 1))))
+        decoders.append(TableFn.from_array(f"{rb}.aprime", domain, 2, 0))
+    btilde, guess, *outs = np.indices((n, 2) + (2,) * k, sparse=True)
+    for r, out in enumerate(outs):
+        guess = guess ^ (on_path[btilde, k - 1 - r] & out)
+    decoders.append(TableFn.from_array("Btilde", head + all_b, 2, guess))
     return Strategy(n=n, rb_names=names, alice_encoders=tuple(encoders), bob_decoders=tuple(decoders))
 
 
@@ -233,6 +227,9 @@ def tree_strategy(n: int) -> Strategy:
 # Behaviour order per Bob cell: 0 = output 0, 1 = output 1, then (query j,
 # sign eps) in the order (0,0), (0,1), (1,0), (1,1); prediction f_j(a) ^ A ^ eps.
 N_BEHAVIOURS = 6
+# per behaviour: the box input Bob queries, and his output for box output B = 0, 1
+_QUERY = np.array([0, 0, 0, 0, 1, 1])
+_OUTPUT = np.array([[0, 0], [1, 1], [0, 1], [1, 0], [0, 1], [1, 0]])
 # Bob tables per block of the pair scan; bounds every temporary to
 # CHUNK * 6^n * 2^(n+3) one-byte cells (2.7 MB at n = 4)
 CHUNK = 16
@@ -317,36 +314,26 @@ def strategy_from_parts(
         raise ValueError("encoder table out of range")
     if len(g_bits) != (1 << (n + 1)) or len(t0) != n or len(t1) != n:
         raise ValueError("wrong part sizes")
-    g_bits, opts = tuple(g_bits), (tuple(t0), tuple(t1))
+    if not all(0 <= beta < N_BEHAVIOURS for beta in (*t0, *t1)):
+        raise ValueError("Bob behaviour out of range")
     task = tuple((f"a_{i}", 2) for i in range(n))
+    # a packed index holds a_0 in its lowest bit; reshaped row-major it holds
+    # a_0 on the last axis, so reversing the a-axes gives the table order
+    a_axes = tuple(range(n - 1, -1, -1))
+    f0_tab, f1_tab = (np.array([(f >> p) & 1 for p in range(1 << n)]).reshape((2,) * n).transpose(a_axes)
+                      for f in (f0, f1))
+    g = np.array(g_bits).reshape((2,) * (n + 1)).transpose(a_axes + (n,))
     enc = [
-        TableFn.from_callable(
-            "rb0.a0", task, 2, lambda *a: (f0 >> _pack(a)) & 1
-        ),
-        TableFn.from_callable(
-            "rb0.a1", task, 2, lambda *a: (f1 >> _pack(a)) & 1
-        ),
-        TableFn.from_callable(
-            "m", task + (("A_rb0", 2),), 2,
-            lambda *v: g_bits[2 * _pack(v[:-1]) + v[-1]],
-        ),
+        TableFn.from_array("rb0.a0", task, 2, f0_tab),
+        TableFn.from_array("rb0.a1", task, 2, f1_tab),
+        TableFn.from_array("m", task + (("A_rb0", 2),), 2, g),
     ]
     head = (("btilde", n), ("m", 2))
-
-    def b_fn(btilde, m):
-        beta = opts[m][btilde]
-        return 0 if beta < 2 else (beta - 2) // 2
-
-    def out_fn(btilde, m, B):
-        beta = opts[m][btilde]
-        if beta < 2:
-            return beta
-        return B ^ ((beta - 2) % 2)
-
+    beta = np.array([t0, t1]).T  # Bob's behaviour per cell (btilde, m)
     dec = [
-        TableFn.from_callable("rb0.b", head, 2, b_fn),
-        TableFn.constant("rb0.aprime", head, 2, 0),
-        TableFn.from_callable("Btilde", head + (("B_rb0", 2),), 2, out_fn),
+        TableFn.from_array("rb0.b", head, 2, _QUERY[beta]),
+        TableFn.from_array("rb0.aprime", head, 2, 0),
+        TableFn.from_array("Btilde", head + (("B_rb0", 2),), 2, _OUTPUT[beta]),
     ]
     return Strategy(n=n, rb_names=("rb0",), alice_encoders=tuple(enc), bob_decoders=tuple(dec))
 

@@ -1,8 +1,10 @@
 """Deterministic function tables with a plain-text file format.
 
-A TableFn is a total function on a finite product domain, stored row-major.
-Strategy files for the search and capacity tools are collections of these
-tables plus a small key-value preamble, so both share one parser.
+A TableFn is a total function on a finite product domain: one read-only
+integer array of entries, one per domain point in row-major order (the
+last declared input varies fastest).  Strategy files for the search and
+capacity tools are collections of these tables plus a small key-value
+preamble, so both share one parser.
 
 File format, by example::
 
@@ -18,31 +20,34 @@ File format, by example::
 Preamble lines are ``key value`` pairs (value may contain spaces), ended by
 the first ``table`` line.  Each table block declares the output alphabet
 size, its inputs in order, then exactly one integer per domain point in
-row-major order (the last declared input varies fastest), wrapped at any
-line width.  Blank lines and ``#`` comments are ignored everywhere.
+row-major order, wrapped at any line width.  Blank lines and ``#`` comments
+are ignored everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dists import iter_assignments
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableFn:
-    """A total deterministic function as an explicit truth table."""
+    """A total deterministic function as an explicit truth table.
+
+    ``entries`` takes a flat sequence of one integer per domain point,
+    row-major, and is kept as a private read-only array: uint8 for output
+    alphabets up to 256, else int64.
+    """
 
     name: str
     inputs: tuple[tuple[str, int], ...]
     output_size: int
-    entries: tuple[int, ...]
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.name or any(ch.isspace() for ch in self.name):
+        if self.name.split() != [self.name]:
             raise ValueError(f"bad table name {self.name!r}")
         if self.output_size < 1:
             raise ValueError("output alphabet must be non-empty")
@@ -50,20 +55,45 @@ class TableFn:
         for var, s in self.inputs:
             if s < 1:
                 raise ValueError(f"input {var!r} has empty alphabet")
-            if not var or any(ch.isspace() for ch in var):
+            if var.split() != [var]:
                 raise ValueError(f"bad input name {var!r}")
             size *= s
-        if len(self.entries) != size:
-            raise ValueError(
-                f"table {self.name!r} has {len(self.entries)} entries, domain has {size}"
-            )
-        for e in self.entries:
-            if not 0 <= e < self.output_size:
-                raise ValueError(f"table {self.name!r} entry {e} outside output alphabet")
-        # the entries as the array ``at`` reads, built once: the protocol
-        # executor reads each table once per block
-        object.__setattr__(self, "_lookup", np.array(
-            self.entries, dtype=np.uint8 if self.output_size <= 256 else np.int64))
+        values = np.asarray(self.entries)
+        if values.shape != (size,):
+            raise ValueError(f"table {self.name!r} has entries of shape {values.shape}, "
+                             f"its domain needs ({size},)")
+        if values.dtype.kind not in "biu":
+            raise ValueError(f"table {self.name!r} entries must be 64-bit integers, got {values.dtype}")
+        lo, hi = values.min(), values.max()
+        if lo < 0 or hi >= self.output_size:
+            raise ValueError(f"table {self.name!r} entry {lo if lo < 0 else hi} outside output alphabet")
+        entries = values.astype(np.uint8 if self.output_size <= 256 else np.int64)
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def from_array(cls, name: str, inputs: Sequence[tuple[str, int]], output_size: int, values) -> TableFn:
+        """The table whose entry at (v_1, .., v_k) is ``values[v_1, .., v_k]``: a
+        scalar, or an array with one axis per input, broadcast to the domain
+        shape (``np.indices(shape, sparse=True)`` gives one such axis per input)."""
+        inputs = tuple(inputs)
+        shape = tuple(s for _, s in inputs)
+        values = np.asarray(values)
+        full = np.empty(shape, values.dtype)
+        try:
+            full[...] = values
+        except ValueError:
+            raise ValueError(f"table {name!r}: values of shape {values.shape} do not broadcast "
+                             f"to the domain shape {shape}") from None
+        return cls(name, inputs, output_size, full.reshape(-1))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TableFn):
+            return NotImplemented
+        return ((self.name, self.inputs, self.output_size) == (other.name, other.inputs, other.output_size)
+                and bool(np.array_equal(self.entries, other.entries)))
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __call__(self, *args: int) -> int:
         if len(args) != len(self.inputs):
@@ -75,41 +105,23 @@ class TableFn:
             if not 0 <= val < s:
                 raise ValueError(f"argument {var}={val} outside its alphabet of size {s}")
             idx = idx * s + val
-        return self.entries[idx]
+        return self.entries.item(idx)
 
     def at(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        """The table read at every cell of ``columns``, one integer array per
-        input by name, broadcast together: uint8 for output alphabets up to
-        256, else int64.
+        """The entries array read at every cell of ``columns``, one integer
+        array per input by name, broadcast together: uint8 for output
+        alphabets up to 256, else int64.
 
         Each cell is read at its row-major index over the inputs, built in
         place.  Unlike ``__call__`` nothing is range-checked: callers feed
         columns whose values they know to lie inside the declared alphabets.
         """
         shape = np.broadcast_shapes(*(columns[var].shape for var, _ in self.inputs))
-        idx = np.zeros(shape, dtype=np.int32 if len(self.entries) < 2 ** 31 else np.int64)
+        idx = np.zeros(shape, dtype=np.int32 if self.entries.size < 2 ** 31 else np.int64)
         for var, size in self.inputs:
             idx *= size
             idx += columns[var]
-        return self._lookup[idx]
-
-    @classmethod
-    def from_callable(
-        cls,
-        name: str,
-        inputs: Sequence[tuple[str, int]],
-        output_size: int,
-        fn: Callable[..., int],
-    ) -> "TableFn":
-        inputs = tuple(inputs)
-        entries = tuple(fn(*vals) for vals in iter_assignments([s for _, s in inputs]))
-        return cls(name=name, inputs=inputs, output_size=output_size, entries=entries)
-
-    @classmethod
-    def constant(
-        cls, name: str, inputs: Sequence[tuple[str, int]], output_size: int, value: int
-    ) -> "TableFn":
-        return cls.from_callable(name, inputs, output_size, lambda *args: value)
+        return self.entries[idx]
 
 
 def serialize_tables(
@@ -127,14 +139,8 @@ def serialize_tables(
         for var, size in tab.inputs:
             lines.append(f"in {var} {size}")
         lines.append("entries")
-        row: list[str] = []
-        for e in tab.entries:
-            row.append(str(e))
-            if len(row) == 20:
-                lines.append(" ".join(row))
-                row = []
-        if row or not tab.entries:
-            lines.append(" ".join(row))
+        tokens = list(map(str, tab.entries.tolist()))
+        lines += [" ".join(tokens[i:i + 20]) for i in range(0, len(tokens), 20)]
     lines.append("")
     return "\n".join(lines)
 
@@ -159,7 +165,7 @@ def parse_tables(text: str) -> tuple[dict[str, str], list[TableFn]]:
                     name=name,
                     inputs=tuple(inputs),
                     output_size=output_size,
-                    entries=tuple(entries),
+                    entries=entries,
                 )
             )
         except ValueError as exc:

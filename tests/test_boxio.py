@@ -17,6 +17,7 @@ from racbox.boxes import (
     make_bnd_box,
     make_rb,
 )
+from racbox import boxio
 from racbox.boxio import BLOCK_LINES, parse_box, serialize_box
 from racbox.dists import numerator_dtype
 
@@ -64,6 +65,24 @@ def test_parse_rejects_probability_above_one():
     text = serialize_box(make_bn_box(2)).replace("1/2", "3/2", 1)
     with pytest.raises(ValueError):
         parse_box(text)
+
+
+@pytest.mark.parametrize("token", ["1e10000000", "1E-10000000", "2.5e+1_000_000"])
+def test_huge_exponent_is_refused_before_fraction_runs(token, monkeypatch):
+    # Fraction would build 10^(10^7) first, which takes seconds
+    seen = []
+
+    def fraction(*args):
+        seen.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(boxio, "Fraction", fraction)
+    lines = serialize_box(make_bn_box(2)).splitlines()
+    i = _body_line(lines, 2)
+    lines[i] = f"0 1 : 0 1 = {token}"
+    with pytest.raises(ValueError, match=rf"^line {i + 1}: probability {re.escape(token)} has an exponent"):
+        parse_box("\n".join(lines))
+    assert (token,) not in seen
 
 
 def test_parse_reports_line_numbers():
@@ -154,7 +173,7 @@ def _parse_lines(text: str) -> Box:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if not 0 <= p <= 1:
-            raise ValueError(f"line {lineno}: probability {p} outside [0, 1]")
+            raise ValueError(f"line {lineno}: probability {prob_part.strip()} outside [0, 1]")
         entries.append((invals, outvals, p))
 
     sig = BoxSignature(*(tuple(wires[key]) for key in wires))
@@ -266,6 +285,8 @@ MUTATIONS = [
     ("above-one", make_bn_box(2), 2, "{} + 1"),
     ("zero-denominator", make_bn_box(2), 0, "0 0 : 0 0 = 1/0"),
     ("probability-above-one", make_bn_box(2), 3, "0 1 : 1 0 = 3/2"),
+    ("decimal-above-one", make_bn_box(2), 3, "0 1 : 1 0 = 1.5"),
+    ("exponent-at-the-digit-limit", make_bn_box(2), 3, "0 1 : 1 0 = 1e4300"),
     ("no-colon", make_bn_box(2), 1, "0 0 0 0 = 1/2"),
     ("equals-before-colon", make_bn_box(2), 1, "0 0 = 1/2 : 0 0"),
     ("two-colons", make_bn_box(2), 2, "0 0 : 0 : 0 = 1/2"),

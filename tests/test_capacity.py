@@ -1,6 +1,7 @@
 """Channel-information bound: premise gates, exact values, serialization."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +110,15 @@ def test_serialize_parse_round_trip():
         text = serialize_capacity_strategy(strat)
         again = parse_capacity_strategy(text)
         assert again == strat
+
+
+@pytest.mark.parametrize("name, n, d", [("protocol", 3, 3), ("send-x1", 2, 3), ("ignore-rb", 2, 3)])
+def test_strategy_text_matches_golden(name, n, d):
+    # captured while every table was still built one Python callback per entry
+    golden = Path(__file__).parent / "golden" / f"capacity-strategy-{name}-{n}-{d}.txt"
+    text = serialize_capacity_strategy(BUILTIN_STRATEGIES[name](n, d))
+    assert text == golden.read_text()
+    assert parse_capacity_strategy(text) == BUILTIN_STRATEGIES[name](n, d)
 
 
 def test_parse_rejects_missing_tables():

@@ -242,6 +242,17 @@ def test_check_ns_names_the_line_of_a_bad_entry(tmp_path, capsys, body, message)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_check_ns_refuses_a_huge_exponent_at_once(tmp_path, capsys):
+    # Fraction("1e10000000") alone takes seconds; the token is refused unread
+    box = tmp_path / "huge-exponent.box"
+    box.write_text(BIT_HEADER + "0 0 : 0 0 = 1e10000000\n")
+    code, out = run_cli("check-ns", "--box", str(box), "--machine")
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+    assert capsys.readouterr().err.startswith(
+        "error: line 6: probability 1e10000000 has an exponent past the digit limit")
+
+
 def test_feasibility_presets():
     code, out = run_cli("feasibility", "--preset", "bit-c", "--machine")
     assert code == 1

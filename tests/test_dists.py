@@ -29,7 +29,9 @@ def _uniform(pairs):
 
 
 def _fn(name, inputs, size, fn):
-    return TableFn.from_callable(name, inputs, size, fn)
+    """The table of ``fn`` applied to one broadcastable index array per input."""
+    axes = np.indices([s for _, s in inputs], sparse=True)
+    return TableFn.from_array(name, inputs, size, fn(*axes))
 
 
 # --- the reference: a dict from assignment tuples to Fractions --------------

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from racbox.dists import JointDistribution, derive, iter_assignments
@@ -29,8 +30,8 @@ def uniform(*pairs):
 
 
 def xor_of(d, name, inputs):
-    return derive(d, TableFn.from_callable(name, [(v, 2) for v in inputs], 2,
-                                           lambda *bits: sum(bits) % 2))
+    bits = np.indices((2,) * len(inputs), sparse=True)
+    return derive(d, TableFn.from_array(name, [(v, 2) for v in inputs], 2, sum(bits) % 2))
 
 
 def _random_dist(rng, sizes, names=None):

@@ -190,6 +190,20 @@ def test_unsupported_scales_are_refused():
         search_rac_with_rbs(4, 2)
 
 
+def test_strategy_from_parts_refuses_bad_parts():
+    good = (0x96, 0x3C, [0, 1] * 8, [2, 3, 4], [5, 0, 1])
+    assert evaluate_strategy(strategy_from_parts(3, *good)) == _walk_strategy(
+        strategy_from_parts(3, *good))
+    # Bob's behaviour tables index constant arrays, where -1 would read behaviour 5
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="behaviour out of range"):
+            strategy_from_parts(3, *good[:3], [2, bad, 4], good[4])
+    with pytest.raises(ValueError, match="entry 2 outside"):
+        strategy_from_parts(3, *good[:2], [0, 2] * 8, *good[3:])
+    with pytest.raises(ValueError, match="encoder table out of range"):
+        strategy_from_parts(3, 256, *good[1:])
+
+
 def test_budget_cutoff_reports_partial_result():
     result = search_rac_with_rbs(4, 1, budget=0)
     assert not result.complete
@@ -344,11 +358,11 @@ def test_strategy_shape_checks_cover_the_simulator_invariant():
     with pytest.raises(ValueError, match="output table"):
         _replace_table(strat, "bob_decoders", -1, wide)
     first = strat.bob_decoders[0]
-    loose = TableFn.constant(first.name, (("btilde", strat.n + 1),) + first.inputs[1:], 2, 0)
+    loose = TableFn.from_array(first.name, (("btilde", strat.n + 1),) + first.inputs[1:], 2, 0)
     with pytest.raises(ValueError, match="decoder table"):
         _replace_table(strat, "bob_decoders", 0, loose)
     enc = strat.alice_encoders[2]  # the second box sees the first box's output
     assert enc.inputs[-1] == ("A_rb0", 2)
-    short = TableFn.constant(enc.name, enc.inputs[:-1], 2, 0)
+    short = TableFn.from_array(enc.name, enc.inputs[:-1], 2, 0)
     with pytest.raises(ValueError, match="encoder table"):
         _replace_table(strat, "alice_encoders", 2, short)

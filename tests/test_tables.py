@@ -20,19 +20,74 @@ def test_at_reads_every_cell_of_broadcast_columns_like_call():
     got = t.at({"y": np.arange(3)[None, :], "x": np.arange(2)[:, None], "unused": 7})
     assert got.dtype == np.uint8 and got.shape == (2, 3)
     assert got.tolist() == [[t(x, y) for y in range(3)] for x in range(2)]
-    wide = TableFn.from_callable("g", (("x", 2),), 300, lambda x: 299 * x)
-    assert wide.at({"x": np.arange(2)}).tolist() == [0, 299]
+    wide = TableFn.from_array("g", (("x", 2),), 300, [0, 299])
+    got = wide.at({"x": np.arange(2)})
+    assert got.dtype == np.int64 and got.tolist() == [0, 299]
 
 
-def test_from_callable_round_trip():
-    t = TableFn.from_callable("xor", (("a", 2), ("b", 2)), 2, lambda a, b: a ^ b)
-    assert t.entries == (0, 1, 1, 0)
+def test_from_array_broadcasts_a_scalar():
+    t = TableFn.from_array("z", (("a", 2), ("b", 3)), 3, 2)
+    assert t.entries.tolist() == [2] * 6
+    assert t(1, 2) == 2
+
+
+def test_from_array_reads_one_axis_per_input():
+    a, b = np.indices((2, 2), sparse=True)
+    t = TableFn.from_array("xor", (("a", 2), ("b", 2)), 2, a ^ b)
+    assert t.entries.tolist() == [0, 1, 1, 0]
     assert t(1, 1) == 0
+    # a length-1 axis is constant along its input: here the table reads b alone
+    assert TableFn.from_array("b", (("a", 2), ("b", 3)), 3, [[0, 1, 2]]).entries.tolist() == [
+        0, 1, 2, 0, 1, 2]
+    assert TableFn.from_array("t", (("a", 2), ("b", 2)), 2, [[0, 1], [1, 1]]) == TableFn(
+        "t", (("a", 2), ("b", 2)), 2, (0, 1, 1, 1))
 
 
-def test_constant_table():
-    t = TableFn.constant("z", (("a", 2),), 3, 2)
-    assert t.entries == (2, 2)
+def test_from_array_refuses_a_wrong_shape_naming_both_shapes():
+    with pytest.raises(ValueError, match=r"'f'.*\(4,\).*\(2, 2\)"):
+        TableFn.from_array("f", (("a", 2), ("b", 2)), 2, [0, 1, 1, 0])
+    with pytest.raises(ValueError, match=r"\(3,\).*\(2,\)"):
+        TableFn.from_array("f", (("a", 2),), 2, [0, 1, 1])
+
+
+def test_entries_are_one_read_only_private_array():
+    values = np.array([0, 1, 1, 0])
+    t = TableFn("f", (("a", 2), ("b", 2)), 2, values)
+    assert t.entries.dtype == np.uint8 and not t.entries.flags.writeable
+    with pytest.raises(ValueError):
+        t.entries[0] = 1
+    values[0] = 1  # the table keeps its own copy
+    assert t.entries.tolist() == [0, 1, 1, 0]
+    assert not TableFn.from_array("g", (("a", 2),), 2, 1).entries.flags.writeable
+
+
+def test_from_array_text_round_trip():
+    x, y = np.indices((3, 4), sparse=True)
+    t = TableFn.from_array("sum", (("x", 3), ("y", 4)), 6, x + y)
+    (parsed,) = parse_tables(serialize_tables([], [t]))[1]
+    assert parsed == t
+    assert parsed.entries.tolist() == (x + y).ravel().tolist()
+
+
+def test_non_integer_entries_are_refused():
+    with pytest.raises(ValueError, match="table 'f' entries must be 64-bit integers"):
+        TableFn("f", (("x", 2),), 2, (0.5, 1))
+    with pytest.raises(ValueError, match="table 'g' entries must be 64-bit integers"):
+        TableFn.from_array("g", (("x", 2),), 2, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="table 'h' entries must be 64-bit integers"):
+        TableFn.from_array("h", (("x", 2),), 2, 0.5)
+    # an integer past 64 bits reads as an object array
+    with pytest.raises(ValueError, match=r"line 4: table 'f' entries must be 64-bit integers, got object"):
+        parse_tables("table f 2\nin x 2\nentries\n0 99999999999999999999\n")
+
+
+def test_negative_entries_are_refused_not_wrapped():
+    # at output_size 256 the entries are stored as uint8, where -1 would be 255
+    with pytest.raises(ValueError, match="entry -1 outside"):
+        TableFn("f", (("x", 2),), 256, np.array([0, -1], dtype=np.int64))
+    with pytest.raises(ValueError, match="entry -1 outside"):
+        TableFn.from_array("f", (("x", 2),), 256, np.array([-1, 255]))
+    assert TableFn("f", (("x", 2),), 256, np.array([0, 255])).entries.tolist() == [0, 255]
 
 
 def test_validation():
@@ -55,9 +110,10 @@ def test_call_range_check():
 
 
 def test_text_round_trip_with_preamble():
+    a, b = np.indices((2, 2), sparse=True)
     tables = [
-        TableFn.from_callable("f", (("a", 2), ("b", 2)), 2, lambda a, b: a & b),
-        TableFn.constant("g", (("a", 3),), 5, 4),
+        TableFn.from_array("f", (("a", 2), ("b", 2)), 2, a & b),
+        TableFn.from_array("g", (("a", 3),), 5, 4),
     ]
     text = serialize_tables([("kind", "demo"), ("n", "2")], tables)
     preamble, parsed = parse_tables(text)
@@ -78,7 +134,7 @@ def test_comments_and_blank_lines_ignored():
     noisy = "# leading comment\n\n" + text.replace("entries", "# mid comment\nentries")
     preamble, parsed = parse_tables(noisy)
     assert preamble == {"k": "v"}
-    assert parsed[0].entries == (0, 1)
+    assert parsed[0].entries.tolist() == [0, 1]
 
 
 def test_parse_errors_carry_line_numbers():
