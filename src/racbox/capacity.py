@@ -28,7 +28,7 @@ import numpy as np
 
 from .boxes import Box, BoxSignature, make_bnd_box, make_rb
 from .dists import JointDistribution, condition, derive, marginalize
-from .infotheory import TOLERANCE, conditional_entropy, mutual_information
+from .infotheory import TOLERANCE, information_and_entropy, mutual_information
 from .protocols import run_box_protocol
 from .reports import ProbeReport
 from .tables import TableFn, parse_tables, serialize_tables
@@ -228,8 +228,7 @@ def _zero_entropy_diagnostics(dist: JointDistribution, n: int, d: int, base: int
     """
     notes = []
     slice0 = condition(dist, {"y": 0})
-    lhs = mutual_information(slice0, ["B"], ["X"], ["s"], base)
-    rhs = conditional_entropy(slice0, ["X"], ["s"], base)
+    lhs, rhs = information_and_entropy(slice0, ["B"], ["X"], ["s"], base)
     tag = "holds" if abs(lhs - rhs) <= TOLERANCE else "does not hold"
     notes.append(
         f"identity I(B:X|b,s,y=0) = H(X|b,s,y=0) {tag}: {lhs:.9f} vs {rhs:.9f}"
@@ -237,8 +236,7 @@ def _zero_entropy_diagnostics(dist: JointDistribution, n: int, d: int, base: int
     x1, X = np.indices((d, d), sparse=True)
     w_fn = TableFn.from_array("W", (("x_1", d), ("X", d)), d, (x1 - X) % d)
     slice1 = derive(condition(dist, {"y": 1}), w_fn)
-    lhs1 = mutual_information(slice1, ["B"], ["W"], ["s"], base)
-    rhs1 = conditional_entropy(slice1, ["W"], ["s"], base)
+    lhs1, rhs1 = information_and_entropy(slice1, ["B"], ["W"], ["s"], base)
     tag1 = "holds" if abs(lhs1 - rhs1) <= TOLERANCE else "does not hold"
     notes.append(
         f"identity I(B:x_1-X|b,s,y=1) = H(x_1-X|b,s,y=1) {tag1}: "

@@ -10,20 +10,21 @@ denominator.  Only the support is kept, as two arrays:
 
 So two joints are equal exactly when their wires, denominators and arrays
 are.  Each operation is one array step with exact integer sums:
-``marginalize`` sorts and sums counts per kept key, ``condition`` masks
+``marginalize`` counts the kept rows with one ``bincount`` (or sorts them
+where counting cannot be exact, see ``grouped_counts``), ``condition`` masks
 rows and takes the masked mass as the new denominator, and ``derive``
-appends a column read from a function table.  Floats never appear here;
-they enter only when entropies are taken.
+appends a column read from a function table.  A float here only ever
+carries an integer below 2^53, which it holds exactly; inexact floats
+enter only when entropies are taken.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from numbers import Rational
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -33,12 +34,9 @@ if TYPE_CHECKING:
 Assignment = tuple[int, ...]
 
 _INT64_MAX = np.iinfo(np.int64).max
+_FLOAT_EXACT = 2**53  # float64 holds every integer below this
+_DENSE_CELLS = 2**16  # counting may use this many bins even on a smaller joint
 _NARROW = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.int8, np.int16, np.int32, np.int64))
-
-
-def iter_assignments(sizes: Sequence[int]) -> Iterable[Assignment]:
-    """All value tuples for the given cardinalities, row-major (last varies fastest)."""
-    return itertools.product(*(range(s) for s in sizes))
 
 
 def numerator_dtype(peak: int, cells: int) -> np.dtype:
@@ -70,13 +68,11 @@ def _key_dtype(variables: Sequence[tuple[str, int]]) -> np.dtype:
 
 def _row_codes(keys: np.ndarray, columns: Sequence[int], sizes: Sequence[int]) -> np.ndarray:
     """int64 codes whose order is the row-major order of ``keys[:, columns]``,
-    whose alphabets are ``sizes``."""
+    whose alphabets are ``sizes``: the mixed-radix cell index while that fits."""
     if prod(sizes) <= _INT64_MAX:
-        codes = np.zeros(len(keys), dtype=np.int64)
-        for i, size in zip(columns, sizes):
-            codes *= size
-            codes += keys[:, i]
-        return codes
+        if not columns:
+            return np.zeros(len(keys), dtype=np.int64)
+        return np.ravel_multi_index(tuple(keys[:, i] for i in columns), sizes)
     # too wide for one mixed radix (say 64 binary wires): rank the codes of each half
     half = len(columns) // 2
     head = np.unique(_row_codes(keys, columns[:half], sizes[:half]), return_inverse=True)[1]
@@ -85,7 +81,35 @@ def _row_codes(keys: np.ndarray, columns: Sequence[int], sizes: Sequence[int]) -
     return head * len(tail_codes) + tail
 
 
-def _joint(variables, keys: np.ndarray, counts: np.ndarray, den: int) -> JointDistribution:
+def _cell_keys(cells: np.ndarray, sizes: Sequence[int], dtype: np.dtype) -> np.ndarray:
+    """The rows whose row-major cell indices over ``sizes`` are ``cells``."""
+    keys = np.empty((len(cells), len(sizes)), dtype=dtype)
+    for axis in reversed(range(len(sizes))):
+        cells, keys[:, axis] = np.divmod(cells, sizes[axis])
+    return keys
+
+
+def _sums_fit_float(counts: np.ndarray) -> bool:
+    """Is every partial sum of ``counts`` exact in float64, i.e. is their total below 2^53?
+
+    The counts are non-negative, so no partial sum exceeds the total.
+    """
+    if counts.dtype == object:
+        return False
+    # each signed count is below 2^(bits - 1), which bounds the total without a sum
+    return (len(counts) << (8 * counts.dtype.itemsize - 1) <= _FLOAT_EXACT
+            or int(counts.sum()) < _FLOAT_EXACT)
+
+
+def _joint(variables, keys: np.ndarray, counts: np.ndarray, den) -> JointDistribution:
+    """The joint of sorted, distinct keys and their positive counts over ``den``,
+    stored in lowest terms and the narrowest dtype."""
+    den = int(den)
+    common = gcd(den, int(np.gcd.reduce(counts)))
+    if common > 1:
+        counts, den = counts // common, den // common
+    peak = max(den, int(counts.max()))
+    counts = counts.astype(numerator_dtype(peak, len(counts)), copy=False)
     return object.__new__(JointDistribution)._fill(variables, keys, counts, den)
 
 
@@ -108,32 +132,32 @@ class JointDistribution:
     ) -> None:
         items = sorted((key, p) for key, p in probs.items() if p)
         den = lcm(*(p.denominator for _, p in items))
-        counts = np.array([p.numerator * (den // p.denominator) for _, p in items])
+        nums = [p.numerator * (den // p.denominator) for _, p in items]
         keys = np.array([key for key, _ in items], dtype=np.int64)
         if not items or keys.shape != (len(items), len(variables)):
             raise ValueError(f"need assignments of positive probability, one value per "
                              f"variable of {tuple(variables)}")
-        sizes = [size for _, size in variables]
-        if (keys < 0).any() or (keys >= sizes).any() or (counts < 0).any():
+        # one scan of the keys: a negative value is past every size as uint64
+        sizes = np.array([size for _, size in variables], dtype=np.uint64)
+        if min(nums) < 0 or (keys.view(np.uint64) >= sizes).any():
             raise ValueError(f"an assignment is out of range for {tuple(variables)} "
                              "or has negative probability")
+        # the few numerators of a hand-written joint reduce faster as Python ints
+        common = gcd(den, *nums)
+        if common > 1:
+            nums, den = [count // common for count in nums], den // common
+        counts = np.array(nums, dtype=numerator_dtype(max(den, *nums), len(nums)))
         self._fill(variables, keys.astype(_key_dtype(variables)), counts, den)
 
-    def _fill(self, variables, keys: np.ndarray, counts: np.ndarray, den) -> JointDistribution:
-        """Take sorted, distinct keys and their positive counts; store the
-        counts in lowest terms and the narrowest dtype."""
+    def _fill(self, variables, keys: np.ndarray, counts: np.ndarray, den: int) -> JointDistribution:
+        """Store sorted, distinct keys and their counts, already in lowest terms
+        and the narrowest dtype."""
         variables = tuple(variables)
         names = [name for name, _ in variables]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names: {names}")
         if any(size < 1 for _, size in variables):
             raise ValueError(f"a variable of {variables} has an empty alphabet")
-        den = int(den)
-        common = gcd(den, int(np.gcd.reduce(counts)))
-        if common > 1:
-            counts, den = counts // common, den // common
-        peak = max(den, int(counts.max()))
-        counts = counts.astype(numerator_dtype(peak, len(counts)), copy=False)
         # the arrays are this joint's own (or another joint's, already read-only)
         keys.flags.writeable = counts.flags.writeable = False
         object.__setattr__(self, "variables", variables)
@@ -148,10 +172,8 @@ class JointDistribution:
     ) -> JointDistribution:
         """The joint whose numerators are a dense array, one axis per wire."""
         flat = np.flatnonzero(table)
-        keys = np.empty((len(flat), table.ndim), dtype=_key_dtype(variables))
+        keys = _cell_keys(flat, table.shape, _key_dtype(variables))
         counts = table.reshape(-1)[flat]
-        for axis in reversed(range(table.ndim)):
-            flat, keys[:, axis] = np.divmod(flat, table.shape[axis])
         return _joint(variables, keys, counts, denominator)
 
     def __eq__(self, other: object) -> bool:
@@ -202,22 +224,40 @@ def derive(dist: JointDistribution, table: TableFn) -> JointDistribution:
     return _joint(variables, keys, dist.counts, dist.denominator)
 
 
-def grouped_counts(dist: JointDistribution, keep: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The marginal over ``keep`` as (the row of ``dist`` heading each group,
-    its numerator over ``dist.denominator``), groups in row-major order."""
+def grouped_counts(
+    dist: JointDistribution, keep: Sequence[str], *, with_keys: bool = False
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The marginal over ``keep`` as (its rows if ``with_keys``, else None; their
+    numerators over ``dist.denominator``), rows of positive mass in row-major order.
+
+    The numerators are counted: one ``bincount`` of the rows' cell indices,
+    weighted by their counts, whose nonzero bins come out in row-major order.
+    Every bin is a sum of non-negative integers no larger than the joint's
+    total, so it is exact in float64 while that total is below 2^53.  A stable
+    sort and ``reduceat`` group the rows instead when counting cannot be
+    exact (Python-int counts, or a total of 2^53 or more) or would need more
+    bins than max(2^16, rows).
+    """
     idx = [dist.index(name) for name in keep]
-    codes = _row_codes(dist.keys, idx, [dist.variables[i][1] for i in idx])
+    sizes = [dist.variables[i][1] for i in idx]
+    codes = _row_codes(dist.keys, idx, sizes)
+    cells = prod(sizes)
+    if cells <= max(_DENSE_CELLS, len(codes)) and _sums_fit_float(dist.counts):
+        bins = np.bincount(codes, weights=dist.counts, minlength=cells)
+        present = bins.nonzero()[0]
+        rows = _cell_keys(present, sizes, dist.keys.dtype) if with_keys else None
+        return rows, bins[present].astype(np.int64)
     order = codes.argsort(kind="stable")
     codes = codes[order]
     starts = np.concatenate(([True], codes[1:] != codes[:-1])).nonzero()[0]
-    return order[starts], np.add.reduceat(dist.counts[order], starts, dtype=sum_dtype(dist.counts))
+    rows = dist.keys[order[starts]][:, idx] if with_keys else None
+    return rows, np.add.reduceat(dist.counts[order], starts, dtype=sum_dtype(dist.counts))
 
 
 def marginalize(dist: JointDistribution, keep: Sequence[str]) -> JointDistribution:
     """Marginal over ``keep`` (result variables in the order given)."""
-    idx = [dist.index(name) for name in keep]
-    heads, counts = grouped_counts(dist, keep)
-    return _joint([dist.variables[i] for i in idx], dist.keys[heads][:, idx], counts,
+    rows, counts = grouped_counts(dist, keep, with_keys=True)
+    return _joint([dist.variables[dist.index(name)] for name in keep], rows, counts,
                   dist.denominator)
 
 

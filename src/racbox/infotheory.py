@@ -3,7 +3,9 @@
 Probabilities stay integer counts over one denominator all the way to the
 log; only the final entropy is a float.  All measures take the log base
 explicitly (base 2 for bits, base d for dit-valued alphabets) and follow
-the convention 0 log 0 = 0.
+the convention 0 log 0 = 0.  Each query checks its groups once and groups
+each distinct marginal it needs once (``_query``); the formulas add their
+entropies in a fixed order, so every float is reproducible.
 
 Identities are checked exactly instead.  With counts c_i over N,
 N*H = N log N - sum_i c_i log c_i, so every entropy and every mutual
@@ -21,12 +23,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .dists import JointDistribution, grouped_counts
 from .reports import ProbeReport
 
 TOLERANCE = 1e-9
+
+_V = TypeVar("_V")
 
 
 def _checked(
@@ -46,29 +50,76 @@ def _checked(
     return groups
 
 
-def entropy(dist: JointDistribution, vars: Sequence[str], base: int = 2) -> float:
-    """H(vars) in the given base; exact marginalization, float logs."""
-    group, _ = _checked(dist, (), vars)
+def _query(
+    dist: JointDistribution,
+    given: Sequence[str],
+    groups: Sequence[Sequence[str]],
+    measure: Callable[[list[int], int], _V],
+) -> tuple[list[tuple[str, ...]], tuple[str, ...], Callable[[tuple[str, ...]], _V]]:
+    """Check one query's groups once; return them, ``given`` and its ``H``.
+
+    ``H(group)`` is ``measure(counts, denominator)`` of the marginal over an
+    ordered tuple of wires, grouped once per distinct tuple.  Tuples are
+    told apart by order too: the column order fixes the order in which an
+    entropy's float terms are added.
+    """
+    *groups, given = _checked(dist, given, *groups)
+    values: dict[tuple[str, ...], _V] = {}
+
+    def H(group: tuple[str, ...]) -> _V:
+        if group not in values:
+            values[group] = measure(grouped_counts(dist, group)[1].tolist(), dist.denominator)
+        return values[group]
+
+    return groups, given, H
+
+
+def _entropy_in(base: int) -> Callable[[list[int], int], float]:
+    """The measure taking marginal counts over a denominator to their entropy in ``base``."""
     if base < 2:
         raise ValueError("log base must be at least 2")
     log_base = math.log(base)
-    den = dist.denominator
-    h = 0.0
-    # Python floats in sorted key order, so every printed entropy is reproducible
-    for count in grouped_counts(dist, group)[1].tolist():
-        p = count / den
-        h -= p * math.log(p)
-    return h / log_base
+
+    def measure(counts: list[int], den: int) -> float:
+        h = 0.0
+        # Python floats in row-major key order, so every printed entropy is reproducible
+        for count in counts:
+            p = count / den
+            h -= p * math.log(p)
+        return h / log_base
+
+    return measure
+
+
+def _conditional(H, targets, given):
+    return H(targets + given) - H(given) if given else H(targets)
+
+
+def _information(H, group_a, group_b, given):
+    h_given = H(given) if given else 0.0
+    return H(group_a + given) + H(group_b + given) - H(group_a + group_b + given) - h_given
+
+
+def _multi(H, groups, target, given):
+    total = _conditional(H, target, given)
+    for g in groups:
+        total += _conditional(H, g, given)
+    everything = tuple(v for g in groups for v in g) + target
+    return total - _conditional(H, everything, given)
+
+
+def entropy(dist: JointDistribution, vars: Sequence[str], base: int = 2) -> float:
+    """H(vars) in the given base; exact marginalization, float logs."""
+    (group,), _, H = _query(dist, (), (vars,), _entropy_in(base))
+    return H(group)
 
 
 def conditional_entropy(
     dist: JointDistribution, targets: Sequence[str], given: Sequence[str] = (), base: int = 2
 ) -> float:
     """H(targets | given) = H(targets, given) - H(given)."""
-    targets, given = _checked(dist, given, targets)
-    if not given:
-        return entropy(dist, targets, base)
-    return entropy(dist, targets + given, base) - entropy(dist, given, base)
+    (targets,), given, H = _query(dist, given, (targets,), _entropy_in(base))
+    return _conditional(H, targets, given)
 
 
 def mutual_information(
@@ -79,12 +130,24 @@ def mutual_information(
     base: int = 2,
 ) -> float:
     """I(A : B | given) via the four-entropy expansion."""
-    group_a, group_b, given = _checked(dist, given, group_a, group_b)
-    h_ac = entropy(dist, group_a + given, base)
-    h_bc = entropy(dist, group_b + given, base)
-    h_abc = entropy(dist, group_a + group_b + given, base)
-    h_c = entropy(dist, given, base) if given else 0.0
-    return h_ac + h_bc - h_abc - h_c
+    (group_a, group_b), given, H = _query(dist, given, (group_a, group_b), _entropy_in(base))
+    return _information(H, group_a, group_b, given)
+
+
+def information_and_entropy(
+    dist: JointDistribution,
+    group_a: Sequence[str],
+    group_b: Sequence[str],
+    given: Sequence[str] = (),
+    base: int = 2,
+) -> tuple[float, float]:
+    """I(A : B | given) and H(B | given) from one query.
+
+    The two share H(B, given) and H(given), so each marginal is grouped once.
+    They are equal exactly when B is a function of (A, given) on the support.
+    """
+    (group_a, group_b), given, H = _query(dist, given, (group_a, group_b), _entropy_in(base))
+    return _information(H, group_a, group_b, given), _conditional(H, group_b, given)
 
 
 def log_exponents(value: int) -> dict[int, Fraction]:
@@ -104,10 +167,9 @@ def log_exponents(value: int) -> dict[int, Fraction]:
     return {p: Fraction(e) for p, e in exps.items()}
 
 
-def _entropy_exponents(dist: JointDistribution, group: Sequence[str]) -> dict[int, Fraction]:
-    """H(group) in nats as prime-log exponents: (S log N - sum_i c_i log c_i) / N."""
-    den = dist.denominator
-    counts = grouped_counts(dist, group)[1].tolist()
+def _entropy_exponents(counts: list[int], den: int) -> dict[int, Fraction]:
+    """H in nats of ``counts`` over ``den`` as prime-log exponents:
+    (S log N - sum_i c_i log c_i) / N."""
     scaled = {p: sum(counts) * e for p, e in log_exponents(den).items()}
     for count, times in Counter(counts).items():
         for p, e in log_exponents(count).items():
@@ -126,12 +188,12 @@ def mutual_information_exponents(
     Compare two informations by comparing these maps; (1/n) log d is
     ``{p: e / n for p, e in log_exponents(d).items()}``.
     """
-    group_a, group_b, given = _checked(dist, given, group_a, group_b)
+    (group_a, group_b), given, H = _query(dist, given, (group_a, group_b), _entropy_exponents)
     total: dict[int, Fraction] = {}
     for group, sign in ((group_a + given, 1), (group_b + given, 1),
                         (group_a + group_b + given, -1), (given, -1)):
         if group:
-            for p, e in _entropy_exponents(dist, group).items():
+            for p, e in H(group).items():
                 total[p] = total.get(p, 0) + sign * e
     return {p: e for p, e in sorted(total.items()) if e}
 
@@ -146,13 +208,8 @@ def multi_information(
     """I(S_1 : ... : S_n : T | V) = sum H(S_i|V) + H(T|V) - H(S_1..S_n,T|V)."""
     if not groups:
         raise ValueError("need at least one group")
-    *groups, target, given = _checked(dist, given, *groups, target)
-    total = conditional_entropy(dist, target, given, base)
-    for g in groups:
-        total += conditional_entropy(dist, g, given, base)
-    everything = [v for g in groups for v in g] + list(target)
-    total -= conditional_entropy(dist, everything, given, base)
-    return total
+    (*groups, target), given, H = _query(dist, given, (*groups, target), _entropy_in(base))
+    return _multi(H, groups, target, given)
 
 
 def check_lemma4(
@@ -167,12 +224,15 @@ def check_lemma4(
     for every distribution by strong subadditivity; reported with a small
     float tolerance since the entropies are floats.
     """
-    lhs = sum(mutual_information(dist, g, target, given, 2) for g in groups)
-    rhs = multi_information(dist, groups, target, given, 2)
+    if not groups:
+        raise ValueError("need at least one group")
+    (*groups, target), given, H = _query(dist, given, (*groups, target), _entropy_in(2))
+    lhs = sum(_information(H, g, target, given) for g in groups)
+    rhs = _multi(H, groups, target, given)
     return ProbeReport(
         claim="sum of single-group informations is at most the multi-information",
         passed=lhs <= rhs + TOLERANCE,
         quantity=lhs,
         bound=rhs,
-        notes=(f"groups={len(list(groups))}", "base=2"),
+        notes=(f"groups={len(groups)}", "base=2"),
     )

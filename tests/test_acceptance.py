@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+from assignments import iter_assignments
 from racbox.boxes import (
     check_no_signaling,
     check_normalization,
@@ -24,7 +25,7 @@ from racbox.capacity import (
     verify_capacity_bound_bits,
     verify_capacity_bound_dits,
 )
-from racbox.dists import JointDistribution, iter_assignments
+from racbox.dists import JointDistribution
 from racbox.feasibility import bit_case, trit_case
 from racbox.infotheory import check_lemma4, log_exponents, mutual_information_exponents
 from racbox.protocols import (

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from assignments import iter_assignments
 from racbox.boxes import (
     MAX_TABLE_CELLS,
     RB_VARIANTS,
@@ -21,7 +22,7 @@ from racbox.boxes import (
     unnormalized_row,
 )
 from racbox.boxio import parse_box, serialize_box
-from racbox.dists import JointDistribution, iter_assignments
+from racbox.dists import JointDistribution
 
 F = Fraction
 HALF = F(1, 2)

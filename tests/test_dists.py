@@ -3,18 +3,21 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assignments import iter_assignments
 from racbox.boxes import make_rb
+from racbox.capacity import build_capacity_joint, protocol_strategy
 from racbox.dists import (
     JointDistribution,
     condition,
     derive,
-    iter_assignments,
+    grouped_counts,
     marginalize,
 )
 from racbox.infotheory import entropy
@@ -75,6 +78,18 @@ def ref_entropy(dist, keep, base):
         pf = float(p)
         h -= pf * math.log(pf)
     return h / math.log(base)
+
+
+def sort_grouping(dist, keep):
+    """The stable sort and ``reduceat`` that counting replaced: (rows, counts)."""
+    idx = [dist.index(name) for name in keep]
+    codes = np.zeros(len(dist.keys), dtype=np.int64)
+    for i in idx:
+        codes = codes * dist.sizes[i] + dist.keys[:, i]
+    order = codes.argsort(kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    return dist.keys[order[starts]][:, idx], np.add.reduceat(
+        dist.counts[order].astype(np.int64), starts)
 
 
 def assert_invariants(dist):
@@ -287,6 +302,70 @@ def test_sixty_four_binary_wires_sort_without_overflow():
     assert_invariants(m)
     for _ in range(20):
         check_against_reference(dist, rng)
+
+
+@given(rational_dists(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_counting_groups_like_the_sort(dist, data):
+    names = data.draw(st.permutations(list(dist.names)))
+    keep = names[:data.draw(st.integers(1, len(names)))]
+    want_rows, want_counts = sort_grouping(dist, keep)
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as counted:
+        rows, counts = grouped_counts(dist, keep, with_keys=True)
+    assert counted.call_count == 1
+    assert (rows.tolist(), counts.tolist()) == (want_rows.tolist(), want_counts.tolist())
+    assert counts.dtype == np.int64 and rows.dtype == dist.keys.dtype
+
+
+def _sixty_four_wires():
+    rng = random.Random(64)
+    variables = tuple((f"w{i}", 2) for i in range(64))
+    rows = {tuple(rng.randrange(2) for _ in range(64)) for _ in range(40)} | {(0,) * 64}
+    dist = JointDistribution(variables, {row: F(1, len(rows)) for row in rows})
+    return dist, list(reversed(dist.names))
+
+
+def _denominator_past_int64():
+    big = 3 ** 45
+    dist = JointDistribution(
+        (("a", 2), ("b", 3)), {(0, 0): F(1, big), (0, 2): F(2, big), (1, 1): 1 - F(3, big)})
+    assert dist.counts.dtype == object
+    return dist, ["b", "a"]
+
+
+def _total_past_two_to_the_53():
+    # int64 counts whose marginal b = 1 sums to 2^53 + 1, which no float64 holds
+    big = 2**53 + 3
+    dist = JointDistribution(
+        (("a", 2), ("b", 2)), {(0, 0): F(1, big), (1, 0): F(1, big), (1, 1): F(big - 2, big)})
+    assert dist.counts.dtype == np.int64
+    assert grouped_counts(dist, ["b"])[1].tolist() == [2, 2**53 + 1]
+    return dist, ["b"]
+
+
+@pytest.mark.parametrize("case", [_sixty_four_wires, _denominator_past_int64,
+                                  _total_past_two_to_the_53])
+def test_groupings_counting_cannot_hold_exactly_are_sorted(case, monkeypatch):
+    dist, keep = case()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted a grouping that float64 cannot hold exactly")
+
+    monkeypatch.setattr(np, "bincount", refuse)
+    m = marginalize(dist, keep)
+    assert_invariants(m)
+    assert ref_probs(m) == ref_marginalize(dist, keep)
+    assert entropy(dist, keep, 2) == ref_entropy(dist, keep, 2)
+
+
+def test_entropy_of_large_joints_equals_the_reference():
+    joints = [make_rb(3, 3, "three").joint(),
+              build_capacity_joint(protocol_strategy(3, 3), "three")]
+    for dist in joints:
+        names = list(dist.names)
+        for keep in [[name] for name in names] + [names[::2], names[::-1]]:
+            for base in (2, 3):
+                assert entropy(dist, keep, base) == ref_entropy(dist, keep, base)
 
 
 @given(rational_dists(), st.data())

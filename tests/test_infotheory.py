@@ -7,12 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from racbox.dists import JointDistribution, derive, iter_assignments
+from assignments import iter_assignments
+from racbox import infotheory
+from racbox.dists import JointDistribution, derive, grouped_counts
 from racbox.infotheory import (
     TOLERANCE,
     check_lemma4,
     conditional_entropy,
     entropy,
+    information_and_entropy,
     log_exponents,
     multi_information,
     mutual_information,
@@ -143,6 +146,76 @@ def test_grouped_information_bound_conditioned():
         d = _random_dist(rng, [2, 2, 2, 2])
         report = check_lemma4(d, [["v0"], ["v1"]], ["v2"], ["v3"])
         assert report.passed
+
+
+def old_conditional_entropy(d, targets, given):
+    return entropy(d, targets + given) - entropy(d, given) if given else entropy(d, targets)
+
+
+def old_lemma4(d, groups, target, given):
+    """check_lemma4's two sides as it computed them before: one entropy per call."""
+    def info(a):
+        h_c = entropy(d, given) if given else 0.0
+        h_at = entropy(d, a + target + given)
+        return entropy(d, a + given) + entropy(d, target + given) - h_at - h_c
+
+    lhs = sum(info(g) for g in groups)
+    rhs = old_conditional_entropy(d, target, given)
+    for g in groups:
+        rhs += old_conditional_entropy(d, g, given)
+    everything = [v for g in groups for v in g] + target
+    return lhs, rhs - old_conditional_entropy(d, everything, given)
+
+
+def test_grouped_information_bound_equals_the_entropy_by_entropy_formulas():
+    rng = random.Random(1200)
+    for trial in range(200):
+        k = rng.randint(2, 5)
+        d = _random_dist(rng, [rng.choice((2, 3)) for _ in range(k)])
+        names = list(d.names)
+        rng.shuffle(names)
+        given = names[-1:] if k > 2 and rng.random() < 0.5 else []
+        target, rest = names[:1], names[1:len(names) - len(given)]
+        cut = rng.randint(1, len(rest))
+        groups = [g for g in (rest[:cut], rest[cut:]) if g] if rng.random() < 0.3 else [
+            [v] for v in rest]
+        report = check_lemma4(d, groups, target, given)
+        assert (report.quantity, report.bound) == old_lemma4(d, groups, target, given), trial
+
+
+@pytest.fixture
+def grouping_passes(monkeypatch):
+    """The kept wires of every grouping pass the information queries make."""
+    passes = []
+
+    def counted(dist, keep, **kwargs):
+        passes.append(tuple(keep))
+        return grouped_counts(dist, keep, **kwargs)
+
+    monkeypatch.setattr(infotheory, "grouped_counts", counted)
+    return passes
+
+
+def test_check_lemma4_groups_each_distinct_marginal_once(grouping_passes):
+    rng = random.Random(4)
+    for k in range(2, 7):
+        d = _random_dist(rng, [2] * k)
+        grouping_passes.clear()
+        check_lemma4(d, [[f"v{i}"] for i in range(1, k)], ["v0"])
+        # H(T), each H(S_i) and H(S_i, T), and H(S_1..S_n, T), which is H(S_1, T) at k = 2
+        assert len(grouping_passes) == (3 if k == 2 else 2 * k)
+        assert len(set(grouping_passes)) == len(grouping_passes)
+
+
+def test_information_and_entropy_share_their_marginals(grouping_passes):
+    rng = random.Random(8)
+    for _ in range(20):
+        d = _random_dist(rng, [2, 3, 2])
+        grouping_passes.clear()
+        both = information_and_entropy(d, ["v0"], ["v1"], ["v2"], 3)
+        assert len(grouping_passes) == 4
+        assert both == (mutual_information(d, ["v0"], ["v1"], ["v2"], 3),
+                        conditional_entropy(d, ["v1"], ["v2"], 3))
 
 
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(2, 7) for d in (2, 3)] + [(4, 6)])

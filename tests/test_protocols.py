@@ -7,9 +7,10 @@ from math import lcm
 import numpy as np
 import pytest
 
+from assignments import iter_assignments
 from racbox import capacity, protocols
 from racbox.boxes import Box, BoxSignature, check_normalization, make_bn_box, make_bnd_box, make_rb
-from racbox.dists import iter_assignments, marginalize
+from racbox.dists import marginalize
 from racbox.infotheory import mutual_information
 from racbox.protocols import (
     ProtocolError,
