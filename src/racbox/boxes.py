@@ -161,27 +161,12 @@ class Box:
         ]
         return Fraction(int(cell), self.denominator)
 
-    def joint(self, input_dist: JointDistribution | None = None) -> JointDistribution:
-        """Joint over inputs then outputs: the nonzero cells of the table, weighted
-        by P(inputs), which defaults to uniform.
-
-        A supplied ``input_dist`` must cover exactly the box's input wires in
-        signature order (alice inputs then bob inputs).
-        """
+    def joint(self) -> JointDistribution:
+        """Joint over inputs then outputs under uniform inputs: the nonzero
+        cells of the table."""
         sig = self.signature
-        if input_dist is None:
-            nums, den = self.table, self.denominator * prod(sig.input_sizes)
-        else:
-            if input_dist.variables != sig.input_vars:
-                raise ValueError(
-                    f"input distribution variables {input_dist.variables} do not match "
-                    f"box inputs {sig.input_vars}"
-                )
-            weights = np.zeros(sig.input_sizes, dtype=object)
-            weights[tuple(input_dist.keys.T)] = input_dist.counts.astype(object)
-            weights = weights.reshape(sig.input_sizes + (1,) * len(sig.output_sizes))
-            nums, den = weights * self.table, self.denominator * input_dist.denominator
-        return JointDistribution.from_table(sig.input_vars + sig.output_vars, nums, den)
+        return JointDistribution.from_table(
+            sig.input_vars + sig.output_vars, self.table, self.denominator * prod(sig.input_sizes))
 
 
 def check_table_size(sig: BoxSignature) -> None:
@@ -232,7 +217,6 @@ def make_bnd_box(n: int, d: int, sign: str) -> Box:
         raise ValueError(f"need n >= 2, got {n}")
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    sign = sign.lower()
     if sign not in BND_SIGNS:
         raise ValueError(f"sign must be one of {BND_SIGNS}, got {sign!r}")
     sig = BoxSignature(
@@ -269,7 +253,6 @@ def make_rb(n: int, d: int, variant: str) -> Box:
         raise ValueError(f"need n >= 2, got {n}")
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    variant = variant.lower().replace("-", "").replace("_", "")
     if variant not in RB_VARIANTS:
         raise ValueError(f"variant must be one of {RB_VARIANTS}, got {variant!r}")
     if variant in ("nosignaling", "signalinghalf") and d != 2:
@@ -325,21 +308,19 @@ def signaling_row(box: Box, direction: str) -> tuple[int, ...] | None:
     direction "a2b": Bob's marginal P(bob outputs | inputs) is compared with
     the one at Alice's first input; "b2a" symmetrically.
     """
-    direction = direction.lower().replace("-", "").replace("_", "")
-    aliases = {"a2b": "a2b", "alicetobob": "a2b", "b2a": "b2a", "bobtoalice": "b2a"}
-    if direction not in aliases:
-        raise ValueError(f"direction must be one of {sorted(set(aliases))}, got {direction!r}")
+    if direction not in ("a2b", "b2a"):
+        raise ValueError(f"direction must be a2b or b2a, got {direction!r}")
     sig = box.signature
     n_in = len(sig.input_sizes)
     first_bob_out = n_in + len(sig.alice_outputs)
-    if aliases[direction] == "a2b":
+    if direction == "a2b":
         summed = tuple(range(n_in, first_bob_out))
     else:
         summed = tuple(range(first_bob_out, box.table.ndim))
     marg = box.table.sum(axis=summed, dtype=sum_dtype(box.table)).reshape(
         prod(s for _, s in sig.alice_inputs), prod(s for _, s in sig.bob_inputs), -1
     )
-    ref = marg[:1] if aliases[direction] == "a2b" else marg[:, :1]
+    ref = marg[:1] if direction == "a2b" else marg[:, :1]
     return _first_row(box, (marg != ref).any(axis=2))
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Mapping
 
 import numpy as np
 
@@ -31,61 +32,48 @@ from .dists import JointDistribution, condition, derive, marginalize
 from .infotheory import TOLERANCE, information_and_entropy, mutual_information
 from .protocols import run_box_protocol
 from .reports import ProbeReport
-from .tables import TableFn, parse_tables, serialize_tables
+from .tables import Domain, TableFn, build_tables, parse_tables, serialize_tables
+
+
+def capacity_domains(n: int, d: int) -> dict[str, Domain]:
+    """The tables of a capacity strategy, in file order; alphabets are d-ary
+    except y, which is n-ary.
+
+      a_0 .. a_{n-1}(x_1..x_{n-1}, z)   Alice's box inputs
+      m(x_1..x_{n-1}, z, A)             the message dit
+      X(x_1..x_{n-1}, z, A, s)          Alice's simulated box output
+      Aprime(m, y, s)                   Bob's relay into the box
+      Y(m, y, s, B)                     Bob's simulated box output
+    """
+    xz = tuple((f"x_{i}", d) for i in range(1, n)) + (("z", d),)
+    bob = (("m", d), ("y", n), ("s", d))
+    return {
+        **{f"a_{i}": (xz, d) for i in range(n)},
+        "m": (xz + (("A", d),), d),
+        "X": (xz + (("A", d), ("s", d)), d),
+        "Aprime": (bob, d),
+        "Y": (bob + (("B", d),), d),
+    }
 
 
 @dataclass(frozen=True)
 class CapacityStrategy:
-    """Deterministic wire assignments for the capacity game, as tables.
+    """Deterministic wire assignments for the capacity game, as tables by name.
 
-    Table domains (all alphabets d-ary unless noted):
-      a_fns[i](x_1..x_{n-1}, z)      box input a_i
-      m_fn(x_1..x_{n-1}, z, A)       the message dit
-      x_fn(x_1..x_{n-1}, z, A, s)    Alice's simulated box output X
-      aprime_fn(m, y, s)             Bob's relay into the box (y is n-ary)
-      y_fn(m, y, s, B)               Bob's simulated box output Y
+    ``tables`` holds exactly the tables of ``capacity_domains(n, d)``, each a
+    TableFn or the values ``TableFn.from_array`` builds it from; they are
+    kept as a read-only mapping of TableFns in that order.
     """
 
     name: str
     n: int
     d: int
-    a_fns: tuple[TableFn, ...]
-    m_fn: TableFn
-    x_fn: TableFn
-    aprime_fn: TableFn
-    y_fn: TableFn
+    tables: Mapping[str, TableFn]
 
     def __post_init__(self) -> None:
-        n, d = self.n, self.d
-        if n < 2 or d < 2:
+        if self.n < 2 or self.d < 2:
             raise ValueError("need n >= 2 and d >= 2")
-        if len(self.a_fns) != n:
-            raise ValueError(f"need {n} box-input tables, got {len(self.a_fns)}")
-        xz = tuple((f"x_{i}", d) for i in range(1, n)) + (("z", d),)
-        expected = {
-            **{f"a_{i}": (xz, d) for i in range(n)},
-            "m": (xz + (("A", d),), d),
-            "X": (xz + (("A", d), ("s", d)), d),
-            "Aprime": ((("m", d), ("y", n), ("s", d)), d),
-            "Y": ((("m", d), ("y", n), ("s", d), ("B", d)), d),
-        }
-        for tab in self.a_fns + (self.m_fn, self.x_fn, self.aprime_fn, self.y_fn):
-            want = expected.get(tab.name)
-            if want is None:
-                raise ValueError(f"unexpected table {tab.name!r}")
-            if tab.inputs != want[0] or tab.output_size != want[1]:
-                raise ValueError(f"table {tab.name!r} has the wrong domain")
-        names = [t.name for t in self.a_fns]
-        if names != [f"a_{i}" for i in range(n)]:
-            raise ValueError("box-input tables must be a_0..a_{n-1} in order")
-
-
-def _xz_vars(n: int, d: int) -> tuple[tuple[str, int], ...]:
-    return tuple((f"x_{i}", d) for i in range(1, n)) + (("z", d),)
-
-
-def _bob_vars(n: int, d: int) -> tuple[tuple[str, int], ...]:
-    return (("m", d), ("y", n), ("s", d))
+        object.__setattr__(self, "tables", build_tables(self.tables, capacity_domains(self.n, self.d)))
 
 
 def protocol_strategy(n: int, d: int) -> CapacityStrategy:
@@ -94,19 +82,18 @@ def protocol_strategy(n: int, d: int) -> CapacityStrategy:
     Exactly the resource-inequality protocol with the channel half dropped:
     X = s and Y = -s or B - s depending on whether y points at the z slot.
     """
-    xz, bob, dit = _xz_vars(n, d), _bob_vars(n, d), np.arange(d)
+    dit = np.arange(d)
     x = np.indices((d,) * n, sparse=True)  # x_1..x_{n-1}, z
-    # a_0 is z, the last axis; a_i is x_i
-    a_fns = tuple(TableFn.from_array(f"a_{i}", xz, d, x[i - 1]) for i in range(n))
     _, y, s, B = np.indices((d, n, d, d), sparse=True)
-    # ``dit`` broadcasts along the last input: m = A and X = s
-    return CapacityStrategy(
-        name=f"protocol-{n}-{d}", n=n, d=d, a_fns=a_fns,
-        m_fn=TableFn.from_array("m", xz + (("A", d),), d, dit),
-        x_fn=TableFn.from_array("X", xz + (("A", d), ("s", d)), d, dit),
-        aprime_fn=TableFn.from_array("Aprime", bob, d, dit[:, None, None]),
-        y_fn=TableFn.from_array("Y", bob + (("B", d),), d, np.where(y == 0, -s, B - s) % d),
-    )
+    # a_0 is z, the last axis; a_i is x_i.  ``dit`` broadcasts along the last
+    # input: m = A and X = s
+    return CapacityStrategy(f"protocol-{n}-{d}", n, d, {
+        **{f"a_{i}": x[i - 1] for i in range(n)},
+        "m": dit,
+        "X": dit,
+        "Aprime": dit[:, None, None],
+        "Y": np.where(y == 0, -s, B - s) % d,
+    })
 
 
 def send_x1_strategy(n: int, d: int) -> CapacityStrategy:
@@ -118,30 +105,22 @@ def send_x1_strategy(n: int, d: int) -> CapacityStrategy:
     """
     if n != 2:
         raise ValueError("the send-x_1 strategy is a two-input construction")
-    xz, bob, dit = _xz_vars(n, d), _bob_vars(n, d), np.arange(d)
+    dit = np.arange(d)
     m, y, s, _ = np.indices((d, n, d, d), sparse=True)
     # ``dit`` broadcasts along the last input: a_i = z and X = s; m = x_1
-    return CapacityStrategy(
-        name=f"send-x1-{n}-{d}", n=n, d=d,
-        a_fns=tuple(TableFn.from_array(f"a_{i}", xz, d, dit) for i in range(n)),
-        m_fn=TableFn.from_array("m", xz + (("A", d),), d, dit[:, None, None]),
-        x_fn=TableFn.from_array("X", xz + (("A", d), ("s", d)), d, dit),
-        aprime_fn=TableFn.from_array("Aprime", bob, d, 0),
-        y_fn=TableFn.from_array("Y", bob + (("B", d),), d, np.where(y == 0, -s, m - s) % d),
-    )
+    return CapacityStrategy(f"send-x1-{n}-{d}", n, d, {
+        **{f"a_{i}": dit for i in range(n)},
+        "m": dit[:, None, None],
+        "X": dit,
+        "Aprime": 0,
+        "Y": np.where(y == 0, -s, m - s) % d,
+    })
 
 
 def ignore_rb_strategy(n: int, d: int) -> CapacityStrategy:
     """A lazy strategy that outputs constants; fails the reproduction premise."""
-    xz, bob = _xz_vars(n, d), _bob_vars(n, d)
-    return CapacityStrategy(
-        name=f"ignore-rb-{n}-{d}", n=n, d=d,
-        a_fns=tuple(TableFn.from_array(f"a_{i}", xz, d, 0) for i in range(n)),
-        m_fn=TableFn.from_array("m", xz + (("A", d),), d, 0),
-        x_fn=TableFn.from_array("X", xz + (("A", d), ("s", d)), d, 0),
-        aprime_fn=TableFn.from_array("Aprime", bob, d, 0),
-        y_fn=TableFn.from_array("Y", bob + (("B", d),), d, 0),
-    )
+    return CapacityStrategy(f"ignore-rb-{n}-{d}", n, d, {
+        **{f"a_{i}": 0 for i in range(n)}, "m": 0, "X": 0, "Aprime": 0, "Y": 0})
 
 
 BUILTIN_STRATEGIES = {
@@ -155,22 +134,24 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
     """Exact joint of the capacity game's inputs, X and Bob's view.
 
     The game runs through the sequential executor ``run_box_protocol``:
-    Alice feeds ``a_fns`` into the RAC-box and sends m; Bob relays A', queries
-    the box at y and outputs Y.  The joint covers x_1..x_{n-1}, z, y, X and
-    Bob's view (s, m, B, Aprime, Y) under uniform inputs.  Aprime and Y are
-    functions of the other view wires, so ``derive`` appends them after the
-    run as columns read from ``aprime_fn`` and ``y_fn``, rather than
-    carrying them as outputs of the induced table.
+    Alice feeds the tables a_0..a_{n-1} into the RAC-box and sends m; Bob
+    relays A', queries the box at y and outputs Y.  The joint covers
+    x_1..x_{n-1}, z, y, X and Bob's view (s, m, B, Aprime, Y) under uniform
+    inputs.  Aprime and Y are functions of the other view wires, so
+    ``derive`` appends them after the run as columns read from their tables,
+    rather than carrying them as outputs of the induced table.
 
     Each callback reads its tables with ``TableFn.at`` over the executor's
     whole arrays.  Those lookups skip range checks, which is sound because
-    ``CapacityStrategy.__post_init__`` fixes every table's inputs by name and
+    ``CapacityStrategy`` holds its tables to ``capacity_domains`` with
+    ``check_tables``, which fixes every table's inputs by name and
     alphabet, and every wire the executor hands over (task inputs, A, B, s
     and the range-checked message) lies inside those alphabets.
     """
-    n, d = strategy.n, strategy.d
+    n, d, t = strategy.n, strategy.d, strategy.tables
+    box_inputs = [t[f"a_{i}"] for i in range(n)]
     iface = BoxSignature(
-        alice_inputs=_xz_vars(n, d),
+        alice_inputs=t["a_0"].inputs,
         alice_outputs=(("X", d),),
         bob_inputs=(("y", n),),
         bob_outputs=(("s", d), ("m", d), ("B", d)),
@@ -179,16 +160,15 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
         f"capacity-{strategy.name}-{rb_variant}",
         make_rb(n, d, rb_variant),
         iface,
-        alice_box_inputs=lambda ta, s: tuple(f.at(ta) for f in strategy.a_fns),
-        message=lambda ta, a_out, s: strategy.m_fn.at({**ta, **a_out}),
-        alice_outputs=lambda ta, a_out, s: {"X": strategy.x_fn.at({**ta, **a_out, "s": s})},
-        bob_box_inputs=lambda tb, m, s: (
-            strategy.aprime_fn.at({"m": m, "y": tb["y"], "s": s}), tb["y"]),
+        alice_box_inputs=lambda ta, s: tuple(f.at(ta) for f in box_inputs),
+        message=lambda ta, a_out, s: t["m"].at({**ta, **a_out}),
+        alice_outputs=lambda ta, a_out, s: {"X": t["X"].at({**ta, **a_out, "s": s})},
+        bob_box_inputs=lambda tb, m, s: (t["Aprime"].at({"m": m, "y": tb["y"], "s": s}), tb["y"]),
         bob_outputs=lambda tb, b_out, m, s: {"s": s, "m": m, "B": b_out["B"]},
         message_size=d,
         sr_size=d,
     )
-    return derive(derive(run.result.joint(), strategy.aprime_fn), strategy.y_fn)
+    return derive(derive(run.result.joint(), t["Aprime"]), t["Y"])
 
 
 def _reproduces_box_family(dist: JointDistribution, n: int, d: int) -> tuple[bool, str]:
@@ -298,29 +278,12 @@ def serialize_capacity_strategy(strategy: CapacityStrategy) -> str:
         ("n", str(strategy.n)),
         ("d", str(strategy.d)),
     ]
-    tables = list(strategy.a_fns) + [
-        strategy.m_fn, strategy.x_fn, strategy.aprime_fn, strategy.y_fn
-    ]
-    return serialize_tables(preamble, tables)
+    return serialize_tables(preamble, strategy.tables.values())
 
 
 def parse_capacity_strategy(text: str) -> CapacityStrategy:
     preamble, tables = parse_tables(text)
     if preamble.get("strategy-kind") != "capacity":
         raise ValueError("not a capacity strategy file")
-    n = int(preamble["n"])
-    d = int(preamble["d"])
-    by_name = {t.name: t for t in tables}
-    try:
-        return CapacityStrategy(
-            name=preamble.get("name", "from-file"),
-            n=n,
-            d=d,
-            a_fns=tuple(by_name[f"a_{i}"] for i in range(n)),
-            m_fn=by_name["m"],
-            x_fn=by_name["X"],
-            aprime_fn=by_name["Aprime"],
-            y_fn=by_name["Y"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"capacity strategy file is missing table {exc}") from None
+    return CapacityStrategy(
+        preamble.get("name", "from-file"), int(preamble["n"]), int(preamble["d"]), tables)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Sequence
@@ -62,19 +61,6 @@ from .wiring import (
 )
 
 QUANTUM_P2 = (2 + 2 ** 0.5) / 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated CLI invocation."""
-
-    subcommand: str
-    parameters: dict
-    output_mode: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.output_mode not in ("text", "machine"):
-            raise ValueError(f"unknown output mode {self.output_mode!r}")
 
 
 class Emitter:
@@ -455,27 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit code."""
-    handler = _COMMANDS.get(config.subcommand)
-    if handler is None:
-        print(f"unknown subcommand {config.subcommand!r}", file=sys.stderr)
-        return 2
-    em = Emitter(machine=config.output_mode == "machine")
-    return handler(config.parameters, em)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "machine")}
-    config = RunConfig(
-        subcommand=args.subcommand,
-        parameters=params,
-        output_mode="machine" if args.machine else "text",
-    )
     try:
-        return run(config)
+        return _COMMANDS[args.subcommand](params, Emitter(args.machine))
     except (FileNotFoundError, ValueError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.machine:

@@ -40,7 +40,10 @@ def guessing_feasibility(
     declares each variable's alphabet (all uniform, mutually independent).
     Passes iff feasible; when infeasible the witness names a product-space
     cell that must carry probability zero yet has positive mass under the
-    declared marginals.
+    declared marginals.  Refuses a plan whose space or guess combinations
+    exceed ``DESK_LIMIT``, and one whose exhaustive search would test more
+    than ``DESK_LIMIT`` cells (combinations times space) once the canonical
+    guess fails to cover.
     """
     if message_size < 1:
         raise ValueError("message alphabet must be non-empty")
@@ -132,6 +135,11 @@ def guessing_feasibility(
     best_guess = canonical
     feasible = canon_covered == space
     if not feasible:
+        if space * combos > DESK_LIMIT:
+            raise ValueError(
+                f"exhaustive feasibility would test {combos} guess combinations over "
+                f"{space} cells each, more than the limit of {DESK_LIMIT} cell tests"
+            )
         for values in product(*(range(sizes[var]) for var, _ in slots)):
             guess = dict(zip(slots, values))
             covered, _ = coverage(guess)

@@ -246,22 +246,16 @@ def _rac_iface(n: int, d: int) -> BoxSignature:
     )
 
 
-def rac_via_bnd_box(n: int, d: int, sign: str, box: Box | None = None) -> ProtocolRun:
+def rac_via_bnd_box(n: int, d: int, sign: str) -> ProtocolRun:
     """Win the (n->1) d-ary RAC perfectly with one box use and one message dit.
 
     Alice feeds x_i = a_i -_d a_0, sends m = X +_d a_0; Bob answers
     m +_d Y for the "plus" family and m -_d Y for the "minus" family.
     """
-    sign = sign.lower()
-    return _rac_via_bnd_box(n, d, sign, box, f"rac-via-b{n}{d}-{sign}")
+    return _rac_via_bnd_box(n, d, sign, make_bnd_box(n, d, sign), f"rac-via-b{n}{d}-{sign}")
 
 
-def _rac_via_bnd_box(n: int, d: int, sign: str, box: Box | None, name: str) -> ProtocolRun:
-    resource = make_bnd_box(n, d, sign) if box is None else box
-    want = make_bnd_box(n, d, sign).signature
-    if resource.signature != want:
-        raise ProtocolError("resource box has the wrong interface for this protocol")
-
+def _rac_via_bnd_box(n: int, d: int, sign: str, resource: Box, name: str) -> ProtocolRun:
     step = 1 if sign == "plus" else -1
     return run_box_protocol(
         name,
@@ -276,10 +270,9 @@ def _rac_via_bnd_box(n: int, d: int, sign: str, box: Box | None, name: str) -> P
     )
 
 
-def rac_via_bn_box(n: int, box: Box | None = None) -> ProtocolRun:
+def rac_via_bn_box(n: int) -> ProtocolRun:
     """Bit special case: x_i = a_0 xor a_i, m = a_0 xor X, answer m xor Y."""
-    resource = make_bn_box(n) if box is None else box
-    return _rac_via_bnd_box(n, 2, "plus", resource, f"rac-via-bn-{n}")
+    return _rac_via_bnd_box(n, 2, "plus", make_bn_box(n), f"rac-via-bn-{n}")
 
 
 def bnd_box_via_rb(n: int, d: int, sign: str, rb_variant: str | None = None) -> ProtocolRun:
@@ -292,7 +285,6 @@ def bnd_box_via_rb(n: int, d: int, sign: str, rb_variant: str | None = None) -> 
     ``rb_variant`` may be overridden (e.g. "three") to see the reproduction
     fail for box families that do not extend the group law.
     """
-    sign = sign.lower()
     if sign not in ("plus", "minus"):
         raise ProtocolError(f"sign must be plus or minus, got {sign!r}")
     variant = sign if rb_variant is None else rb_variant
@@ -323,9 +315,6 @@ def _bnd_box_via_rb(n: int, d: int, sign: str, variant: str, name: str) -> Proto
 def bn_box_via_rb(n: int, rb_variant: str = "nosignaling") -> ProtocolRun:
     """Bit special case of the converse direction (a_0 = 0, A' = 0, no message)."""
     return _bnd_box_via_rb(n, 2, "plus", rb_variant, f"bn-via-rb-{n}")
-
-
-ERASURE = "erasure"
 
 
 def resource_inequality_sim(

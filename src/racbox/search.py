@@ -28,16 +28,17 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .reports import ProbeReport
-from .tables import TableFn, parse_tables, serialize_tables
+from .tables import Domain, TableFn, build_tables, parse_tables, serialize_tables
 from .wiring import compile_rac, flatten
 
 __all__ = [
     "Strategy",
+    "strategy_domains",
     "SearchResult",
     "search_rac_with_rbs",
     "evaluate_strategy",
@@ -54,22 +55,44 @@ CONVEXITY_NOTE = (
 )
 
 
+def strategy_domains(n: int, rb_names: Sequence[str]) -> dict[str, Domain]:
+    """The tables of an n-bit strategy with boxes ``rb_names``, in file order.
+
+    Alice's side evaluates boxes in ``rb_names`` order: box j's encoder
+    tables ``<box>.a0`` and ``<box>.a1`` see (a_0..a_{n-1}) plus the outputs
+    A of the boxes before it, and the message table ``m`` sees all task
+    inputs and all A's.  Bob queries boxes in reverse order; his tables
+    ``<box>.b`` (the box input he queries) and ``<box>.aprime`` (his relay)
+    see (btilde, m) plus the outputs B of boxes he already queried, and the
+    final output table ``Btilde`` sees (btilde, m) and every B in query
+    order.  Every input and output is a bit, except btilde, which is n-ary.
+    """
+    task = tuple((f"a_{i}", 2) for i in range(n))
+    a_outs = tuple((f"A_{name}", 2) for name in rb_names)
+    domains: dict[str, Domain] = {}
+    for j, name in enumerate(rb_names):
+        domains[f"{name}.a0"] = domains[f"{name}.a1"] = (task + a_outs[:j], 2)
+    domains["m"] = (task + a_outs, 2)
+    head = (("btilde", n), ("m", 2))
+    b_outs = tuple((f"B_{name}", 2) for name in reversed(rb_names))
+    for r, name in enumerate(reversed(rb_names)):
+        domains[f"{name}.b"] = domains[f"{name}.aprime"] = (head + b_outs[:r], 2)
+    domains["Btilde"] = (head + b_outs, 2)
+    return domains
+
+
 @dataclass(frozen=True)
 class Strategy:
-    """Deterministic strategy, all parts as explicit truth tables.
+    """Deterministic strategy, all parts as explicit truth tables by name.
 
-    Alice's side evaluates boxes in ``rb_names`` order: the encoder tables
-    for the j-th box see (a_0..a_{n-1}) plus the outputs A of the boxes
-    before it, and the message table sees all task inputs and all A's.
-    Bob queries boxes in reverse order; his per-box tables see (btilde, m)
-    plus the outputs B of boxes he already queried, and the final output
-    table sees (btilde, m) and every B in query order.
+    ``tables`` holds exactly the tables of ``strategy_domains(n, rb_names)``,
+    each a TableFn or the values ``TableFn.from_array`` builds it from; they
+    are kept as a read-only mapping of TableFns in that order.
     """
 
     n: int
     rb_names: tuple[str, ...]
-    alice_encoders: tuple[TableFn, ...]
-    bob_decoders: tuple[TableFn, ...]
+    tables: Mapping[str, TableFn]
 
     def __post_init__(self) -> None:
         n, k = self.n, len(self.rb_names)
@@ -79,31 +102,7 @@ class Strategy:
             raise ValueError("need at least one box")
         if len(set(self.rb_names)) != k:
             raise ValueError("box names must be unique")
-        if len(self.alice_encoders) != 2 * k + 1:
-            raise ValueError(f"expected {2 * k + 1} encoder tables, got {len(self.alice_encoders)}")
-        if len(self.bob_decoders) != 2 * k + 1:
-            raise ValueError(f"expected {2 * k + 1} decoder tables, got {len(self.bob_decoders)}")
-        task = tuple((f"a_{i}", 2) for i in range(n))
-        for j, rb in enumerate(self.rb_names):
-            upstream = tuple((f"A_{name}", 2) for name in self.rb_names[:j])
-            for slot, tab in (("a0", self.alice_encoders[2 * j]), ("a1", self.alice_encoders[2 * j + 1])):
-                if tab.name != f"{rb}.{slot}" or tab.inputs != task + upstream or tab.output_size != 2:
-                    raise ValueError(f"encoder table {tab.name!r} has the wrong shape")
-        m_tab = self.alice_encoders[-1]
-        all_a = tuple((f"A_{name}", 2) for name in self.rb_names)
-        if m_tab.name != "m" or m_tab.inputs != task + all_a or m_tab.output_size != 2:
-            raise ValueError("message table has the wrong shape")
-        rev = tuple(reversed(self.rb_names))
-        head = (("btilde", n), ("m", 2))
-        for r, rb in enumerate(rev):
-            prev = tuple((f"B_{name}", 2) for name in rev[:r])
-            for slot, tab in (("b", self.bob_decoders[2 * r]), ("aprime", self.bob_decoders[2 * r + 1])):
-                if tab.name != f"{rb}.{slot}" or tab.inputs != head + prev or tab.output_size != 2:
-                    raise ValueError(f"decoder table {tab.name!r} has the wrong shape")
-        out_tab = self.bob_decoders[-1]
-        all_b = tuple((f"B_{name}", 2) for name in rev)
-        if out_tab.name != "Btilde" or out_tab.inputs != head + all_b or out_tab.output_size != 2:
-            raise ValueError("output table has the wrong shape")
+        object.__setattr__(self, "tables", build_tables(self.tables, strategy_domains(n, self.rb_names)))
 
 
 @dataclass(frozen=True)
@@ -136,34 +135,31 @@ def evaluate_strategy(strategy: Strategy) -> Fraction:
     are counted exactly.
 
     ``TableFn.at`` skips the per-lookup range checks of ``TableFn.__call__``,
-    which is sound because ``Strategy.__post_init__`` already implies them: it fixes every
-    table's inputs by name and alphabet (2 for bits, n for btilde) and every
-    output alphabet to 2, and ``TableFn`` checks its entries array against
-    the output alphabet once, when the table is built.  So each column fed
-    to a table holds values inside the declared alphabet, and each gathered
-    value is a bit.
+    which is sound because ``Strategy`` holds its tables to
+    ``strategy_domains`` with ``check_tables``: that fixes every table's
+    inputs by name and alphabet (2 for bits, n for btilde) and every output
+    alphabet to 2, and ``TableFn`` checks its entries array against the
+    output alphabet once, when the table is built.  So each column fed to a
+    table holds values inside the declared alphabet, and each gathered value
+    is a bit.
     """
-    n, names = strategy.n, strategy.rb_names
-    k = len(names)
-    enc, dec = strategy.alice_encoders, strategy.bob_decoders
+    n, names, t = strategy.n, strategy.rb_names, strategy.tables
     bits = [f"a_{i}" for i in range(n)] + [f"A_{name}" for name in names]
     world = np.arange(1 << len(bits), dtype=np.int32)
     cols = {
         var: ((world >> (len(bits) - 1 - i)) & 1).astype(np.uint8)
         for i, var in enumerate(bits)
     }
-    cols["m"] = enc[-1].at(cols)
+    cols["m"] = t["m"].at(cols)
     cols["btilde"] = np.arange(n, dtype=np.uint8)[:, None]
-    for r, name in enumerate(reversed(names)):
-        j = k - 1 - r
-        b = dec[2 * r].at(cols)
-        out = np.where(b, enc[2 * j + 1].at(cols), enc[2 * j].at(cols))
+    for name in reversed(names):
+        out = np.where(t[f"{name}.b"].at(cols), t[f"{name}.a1"].at(cols), t[f"{name}.a0"].at(cols))
         out ^= cols[f"A_{name}"]
-        out ^= dec[2 * r + 1].at(cols)
+        out ^= t[f"{name}.aprime"].at(cols)
         cols[f"B_{name}"] = out
-    guess = dec[-1].at(cols)
+    guess = t["Btilde"].at(cols)
     wins = sum(int(np.count_nonzero(guess[q] == cols[f"a_{q}"])) for q in range(n))
-    return Fraction(wins, 2 ** n * 2 ** k * n)
+    return Fraction(wins, 2 ** n * 2 ** len(names) * n)
 
 
 def tree_strategy(n: int) -> Strategy:
@@ -185,18 +181,12 @@ def tree_strategy(n: int) -> Strategy:
     tree, _ = compile_rac(n)
     flat = flatten(tree)
     names = tuple(f"rb{j}" for j in range(len(flat.boxes)))
-
     k = len(names)
-    task = tuple((f"a_{i}", 2) for i in range(n))
-    all_a = tuple((f"A_{name}", 2) for name in names)
-    encoders: list[TableFn] = []
-    for j, wires in enumerate(flat.boxes):
-        domain = task + all_a[:j]
-        bits = np.indices((2,) * len(domain), sparse=True)
-        encoders += [TableFn.from_array(f"{names[j]}.{slot}", domain, 2, bits[w])
-                     for slot, w in zip(("a0", "a1"), wires)]
-    bits = np.indices((2,) * (n + k), sparse=True)
-    encoders.append(TableFn.from_array("m", task + all_a, 2, bits[flat.root]))
+    values: dict[str, object] = {}
+    for j, (name, wires) in enumerate(zip(names, flat.boxes)):
+        bits = np.indices((2,) * (n + j), sparse=True)
+        values[f"{name}.a0"], values[f"{name}.a1"] = (bits[w] for w in wires)
+    values["m"] = np.indices((2,) * (n + k), sparse=True)[flat.root]
 
     # per query q and box j: is j on q's path, and the direction taken there
     on_path = np.zeros((n, k), dtype=np.int64)
@@ -205,21 +195,16 @@ def tree_strategy(n: int) -> Strategy:
         for j, direction in path:
             on_path[q, j], turn[q, j] = 1, direction
 
-    rev = tuple(reversed(names))
-    head = (("btilde", n), ("m", 2))
-    all_b = tuple((f"B_{name}", 2) for name in rev)
-    decoders: list[TableFn] = []
-    for r, rb in enumerate(rev):
-        domain = head + all_b[:r]
-        # the direction depends on btilde alone, the first of the r + 2 inputs
-        decoders.append(TableFn.from_array(
-            f"{rb}.b", domain, 2, turn[:, k - 1 - r].reshape((n,) + (1,) * (r + 1))))
-        decoders.append(TableFn.from_array(f"{rb}.aprime", domain, 2, 0))
+    for j, name in enumerate(names):
+        # Bob queries box j after the k - 1 - j boxes behind it; the direction
+        # depends on btilde alone, the first of his k + 1 - j inputs
+        values[f"{name}.b"] = turn[:, j].reshape((n,) + (1,) * (k - j))
+        values[f"{name}.aprime"] = 0
     btilde, guess, *outs = np.indices((n, 2) + (2,) * k, sparse=True)
     for r, out in enumerate(outs):
         guess = guess ^ (on_path[btilde, k - 1 - r] & out)
-    decoders.append(TableFn.from_array("Btilde", head + all_b, 2, guess))
-    return Strategy(n=n, rb_names=names, alice_encoders=tuple(encoders), bob_decoders=tuple(decoders))
+    values["Btilde"] = guess
+    return Strategy(n, names, values)
 
 
 # --- the one-box engine -----------------------------------------------------
@@ -316,26 +301,20 @@ def strategy_from_parts(
         raise ValueError("wrong part sizes")
     if not all(0 <= beta < N_BEHAVIOURS for beta in (*t0, *t1)):
         raise ValueError("Bob behaviour out of range")
-    task = tuple((f"a_{i}", 2) for i in range(n))
     # a packed index holds a_0 in its lowest bit; reshaped row-major it holds
     # a_0 on the last axis, so reversing the a-axes gives the table order
     a_axes = tuple(range(n - 1, -1, -1))
     f0_tab, f1_tab = (np.array([(f >> p) & 1 for p in range(1 << n)]).reshape((2,) * n).transpose(a_axes)
                       for f in (f0, f1))
-    g = np.array(g_bits).reshape((2,) * (n + 1)).transpose(a_axes + (n,))
-    enc = [
-        TableFn.from_array("rb0.a0", task, 2, f0_tab),
-        TableFn.from_array("rb0.a1", task, 2, f1_tab),
-        TableFn.from_array("m", task + (("A_rb0", 2),), 2, g),
-    ]
-    head = (("btilde", n), ("m", 2))
     beta = np.array([t0, t1]).T  # Bob's behaviour per cell (btilde, m)
-    dec = [
-        TableFn.from_array("rb0.b", head, 2, _QUERY[beta]),
-        TableFn.from_array("rb0.aprime", head, 2, 0),
-        TableFn.from_array("Btilde", head + (("B_rb0", 2),), 2, _OUTPUT[beta]),
-    ]
-    return Strategy(n=n, rb_names=("rb0",), alice_encoders=tuple(enc), bob_decoders=tuple(dec))
+    return Strategy(n, ("rb0",), {
+        "rb0.a0": f0_tab,
+        "rb0.a1": f1_tab,
+        "m": np.array(g_bits).reshape((2,) * (n + 1)).transpose(a_axes + (n,)),
+        "rb0.b": _QUERY[beta],
+        "rb0.aprime": 0,
+        "Btilde": _OUTPUT[beta],
+    })
 
 
 def _pack(bits: Sequence[int]) -> int:
@@ -477,32 +456,14 @@ def serialize_strategy(strategy: Strategy) -> str:
         ("rbs", str(len(strategy.rb_names))),
         ("wiring-order", " ".join(strategy.rb_names)),
     ]
-    return serialize_tables(preamble, list(strategy.alice_encoders) + list(strategy.bob_decoders))
+    return serialize_tables(preamble, strategy.tables.values())
 
 
 def parse_strategy(text: str) -> Strategy:
     preamble, tables = parse_tables(text)
     if preamble.get("strategy-kind") != "rac-with-rbs":
         raise ValueError("not a box-strategy file")
-    n = int(preamble["n"])
     names = tuple(preamble.get("wiring-order", "").split())
     if len(names) != int(preamble.get("rbs", len(names))):
         raise ValueError("wiring order disagrees with the declared box count")
-    by_name = {t.name: t for t in tables}
-    try:
-        encoders = []
-        for rb in names:
-            encoders.append(by_name[f"{rb}.a0"])
-            encoders.append(by_name[f"{rb}.a1"])
-        encoders.append(by_name["m"])
-        decoders = []
-        for rb in reversed(names):
-            decoders.append(by_name[f"{rb}.b"])
-            decoders.append(by_name[f"{rb}.aprime"])
-        decoders.append(by_name["Btilde"])
-    except KeyError as exc:
-        raise ValueError(f"strategy file is missing table {exc}") from None
-    return Strategy(
-        n=n, rb_names=names,
-        alice_encoders=tuple(encoders), bob_decoders=tuple(decoders),
-    )
+    return Strategy(int(preamble["n"]), names, tables)

@@ -2,9 +2,13 @@
 
 A TableFn is a total function on a finite product domain: one read-only
 integer array of entries, one per domain point in row-major order (the
-last declared input varies fastest).  Strategy files for the search and
-capacity tools are collections of these tables plus a small key-value
-preamble, so both share one parser.
+last declared input varies fastest).  A strategy for the search or the
+capacity tool is a set of these tables held by name.  Each strategy kind
+declares its tables once, as an ordered map from table name to (inputs,
+output alphabet size); ``build_tables`` makes a kind's tables from that
+map and ``check_tables``, the one strategy validator, holds any set of
+tables to it.  Strategy files are those tables plus a small key-value
+preamble, read by the one parser ``parse_tables``.
 
 File format, by example::
 
@@ -20,16 +24,21 @@ File format, by example::
 Preamble lines are ``key value`` pairs (value may contain spaces), ended by
 the first ``table`` line.  Each table block declares the output alphabet
 size, its inputs in order, then exactly one integer per domain point in
-row-major order, wrapped at any line width.  Blank lines and ``#`` comments
-are ignored everywhere.
+row-major order, wrapped at any line width.  Table names are unique within
+a file.  Blank lines and ``#`` comments are ignored everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+# a declared table: its inputs as (name, alphabet size) pairs, in order, and
+# its output alphabet size
+Domain = tuple[tuple[tuple[str, int], ...], int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +133,42 @@ class TableFn:
         return self.entries[idx]
 
 
+def check_tables(tables: Mapping[str, TableFn], domains: Mapping[str, Domain]) -> None:
+    """Refuse ``tables`` unless it holds exactly the tables ``domains``
+    declares, each under its own name, with the declared inputs in order and
+    the declared output alphabet.  Every error names the table."""
+    for name in domains:
+        if name not in tables:
+            raise ValueError(f"missing table {name!r}")
+    for name, tab in tables.items():
+        if name not in domains:
+            raise ValueError(f"unexpected table {name!r}")
+        if tab.name != name:
+            raise ValueError(f"table {tab.name!r} is stored under the name {name!r}")
+        inputs, output_size = domains[name]
+        if tab.inputs != inputs:
+            raise ValueError(f"table {name!r} has inputs {tab.inputs}, expected {inputs}")
+        if tab.output_size != output_size:
+            raise ValueError(f"table {name!r} has output alphabet {tab.output_size}, "
+                             f"expected {output_size}")
+
+
+def build_tables(tables: Mapping[str, object], domains: Mapping[str, Domain]) -> Mapping[str, TableFn]:
+    """The tables ``domains`` declares, checked by ``check_tables``, as a
+    read-only mapping in declaration order.
+
+    Each entry of ``tables`` is a TableFn, or the values that
+    ``TableFn.from_array`` broadcasts over that table's declared domain.
+    """
+    built = {
+        name: TableFn.from_array(name, *domains[name], tab)
+        if name in domains and not isinstance(tab, TableFn) else tab
+        for name, tab in tables.items()
+    }
+    check_tables(built, domains)
+    return MappingProxyType({name: built[name] for name in domains})
+
+
 def serialize_tables(
     preamble: Sequence[tuple[str, str]], tables: Iterable[TableFn]
 ) -> str:
@@ -145,10 +190,12 @@ def serialize_tables(
     return "\n".join(lines)
 
 
-def parse_tables(text: str) -> tuple[dict[str, str], list[TableFn]]:
-    """Inverse of serialize_tables; validates totality and ranges."""
+def parse_tables(text: str) -> tuple[dict[str, str], dict[str, TableFn]]:
+    """Inverse of serialize_tables: the preamble, and the tables by name in
+    file order.  Validates totality and ranges, and refuses a repeated table
+    name at the line that repeats it."""
     preamble: dict[str, str] = {}
-    tables: list[TableFn] = []
+    tables: dict[str, TableFn] = {}
     name: str | None = None
     output_size = 0
     inputs: list[tuple[str, int]] = []
@@ -160,14 +207,8 @@ def parse_tables(text: str) -> tuple[dict[str, str], list[TableFn]]:
         if name is None:
             return
         try:
-            tables.append(
-                TableFn(
-                    name=name,
-                    inputs=tuple(inputs),
-                    output_size=output_size,
-                    entries=entries,
-                )
-            )
+            tables[name] = TableFn(name=name, inputs=tuple(inputs), output_size=output_size,
+                                   entries=entries)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         name = None
@@ -184,6 +225,8 @@ def parse_tables(text: str) -> tuple[dict[str, str], list[TableFn]]:
             flush(lineno)
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'table NAME SIZE'")
+            if parts[1] in tables:
+                raise ValueError(f"line {lineno}: repeated table {parts[1]!r}")
             name = parts[1]
             output_size = int(parts[2])
         elif parts[0] == "in" and name is not None and not reading_entries:

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from assignments import iter_assignments
 from racbox.boxes import (
     MAX_TABLE_CELLS,
     RB_VARIANTS,
@@ -22,7 +21,6 @@ from racbox.boxes import (
     unnormalized_row,
 )
 from racbox.boxio import parse_box, serialize_box
-from racbox.dists import JointDistribution
 
 F = Fraction
 HALF = F(1, 2)
@@ -251,18 +249,3 @@ def test_signaling_row_names_the_first_row_that_moves_the_receiver():
     assert signaling_row(rb, "a2b") == (0, 0, 1, 0, 2)
     assert signaling_row(rb, "b2a") is None
     assert signaling_row(make_rb(3, 2, "nosignaling"), "a2b") is None
-
-
-def test_joint_under_an_input_distribution():
-    box = make_bn_box(2)
-    inputs = box.signature.input_vars
-    uniform = JointDistribution(inputs, {key: F(1, 4) for key in iter_assignments([2, 2])})
-    assert box.joint(uniform) == box.joint()
-    # y = 1 asks for x_1: X xor Y = x_1, each satisfying pair with probability 1/2
-    skewed = JointDistribution(inputs, {(0, 1): F(1, 3), (1, 1): F(2, 3)})
-    assert skewed.keys.tolist() == [[0, 1], [1, 1]]
-    joint = box.joint(skewed)
-    assert joint.keys.tolist() == [[0, 1, 0, 0], [0, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
-    assert (joint.counts.tolist(), joint.denominator) == ([1, 1, 2, 2], 6)
-    with pytest.raises(ValueError, match="do not match box inputs"):
-        box.joint(JointDistribution(inputs[::-1], {(0, 0): F(1)}))

@@ -93,23 +93,25 @@ def test_strategy_domain_validation():
     good = protocol_strategy(2, 2)
     bad_m = TableFn("m", (("x_1", 2),), 2, (0, 1))
     with pytest.raises(ValueError):
-        CapacityStrategy(
-            name="bad",
-            n=2,
-            d=2,
-            a_fns=good.a_fns,
-            m_fn=bad_m,
-            x_fn=good.x_fn,
-            aprime_fn=good.aprime_fn,
-            y_fn=good.y_fn,
-        )
+        CapacityStrategy(name="bad", n=2, d=2, tables={**good.tables, "m": bad_m})
 
 
 def test_serialize_parse_round_trip():
-    for strat in (protocol_strategy(3, 2), send_x1_strategy(2, 3)):
-        text = serialize_capacity_strategy(strat)
-        again = parse_capacity_strategy(text)
-        assert again == strat
+    for name, build in BUILTIN_STRATEGIES.items():
+        for n, d in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 3)):
+            if name == "send-x1" and n != 2:
+                continue
+            strat = build(n, d)
+            assert parse_capacity_strategy(serialize_capacity_strategy(strat)) == strat
+
+
+def test_parse_refuses_a_repeated_table_at_its_line():
+    text = serialize_capacity_strategy(protocol_strategy(2, 2))
+    block = text[text.index("table m "):text.index("table X ")]
+    twice = text.replace(block, block + block)
+    line = twice[:twice.rindex("table m ")].count("\n") + 1
+    with pytest.raises(ValueError, match=rf"^line {line}: repeated table 'm'$"):
+        parse_capacity_strategy(twice)
 
 
 @pytest.mark.parametrize("name, n, d", [("protocol", 3, 3), ("send-x1", 2, 3), ("ignore-rb", 2, 3)])
@@ -124,5 +126,5 @@ def test_strategy_text_matches_golden(name, n, d):
 def test_parse_rejects_missing_tables():
     text = serialize_capacity_strategy(protocol_strategy(2, 2))
     head, _, _ = text.rpartition("table ")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^missing table 'Y'$"):
         parse_capacity_strategy(head)

@@ -1,11 +1,12 @@
 """The racbox command: every subcommand, exit codes, machine-output stability."""
 
 import io
+import time
 from contextlib import redirect_stdout
 
 import pytest
 
-from racbox.cli import RunConfig, main
+from racbox.cli import main
 from racbox.search import parse_strategy
 from test_boxio import HUGE_BOX, NON_INTEGER_SIZE
 
@@ -20,11 +21,6 @@ def run_cli(*argv):
 def machine_dict(out):
     pairs = [line.split("=", 1) for line in out.strip().splitlines()]
     return {k: v for k, v in pairs}
-
-
-def test_run_config_validates_mode():
-    with pytest.raises(ValueError):
-        RunConfig("table", {}, "yaml")
 
 
 def test_simulate_rac_via_bn():
@@ -149,6 +145,23 @@ def test_capacity_strategy_from_file(tmp_path):
     assert code == 2  # file/flag mismatch is a usage error
 
 
+@pytest.mark.parametrize("edit", ["repeat-m", "stray"])
+def test_capacity_strategy_file_with_a_repeated_or_stray_table_is_a_usage_error(tmp_path, edit):
+    from racbox.capacity import protocol_strategy, serialize_capacity_strategy
+
+    text = serialize_capacity_strategy(protocol_strategy(2, 3))
+    if edit == "repeat-m":
+        block = text[text.index("table m "):text.index("table X ")]
+        text = text.replace(block, block + block)
+    else:
+        text += "\ntable stray 2\nin x 2\nentries\n0 1\n"
+    path = tmp_path / "s.strat"
+    path.write_text(text)
+    code, out = run_cli("capacity", "--n", "2", "--d", "3", "--strategy", str(path), "--machine")
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+
+
 def test_search_subcommand_writes_witness(tmp_path):
     witness = tmp_path / "w.strat"
     code, out = run_cli(
@@ -260,6 +273,20 @@ def test_feasibility_presets():
     assert d["witness"] == "P(atilde_0=1,atilde_1=1)=0"
     code, out = run_cli("feasibility", "--preset", "trit-1", "--machine")
     assert code == 0
+
+
+def test_feasibility_refuses_an_oversized_exhaustive_search_at_once(capsys):
+    # 1,000 cells times 10^6 guess combinations: each factor is under the
+    # limit, their product is the work, and would take over an hour
+    start = time.monotonic()
+    code, out = run_cli(
+        "feasibility", "--constraints", "u0:0,u1:1,u2:2,u0:3,u1:4,u2:5",
+        "--vars", "u0:10,u1:10,u2:10", "--message-size", "6", "--machine",
+    )
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+    assert "more than the limit" in capsys.readouterr().err
 
 
 def test_feasibility_custom_instance():

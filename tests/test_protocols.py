@@ -45,11 +45,6 @@ def test_rac_via_bnd_box_wins_always(n, d, sign):
     assert rac_win_probability(run) == 1
 
 
-def test_rac_via_wrong_shape_box_rejected():
-    with pytest.raises(ProtocolError):
-        rac_via_bn_box(3, box=make_bn_box(2))
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bn_box_via_rb_exact(n):
     run = bn_box_via_rb(n)

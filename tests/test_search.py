@@ -33,58 +33,54 @@ def _walk_strategy(strategy):
     Every call checks its arguments' count and ranges, so a lookup outside
     a table's declared domain raises.
     """
-    n, names = strategy.n, strategy.rb_names
+    n, names, t = strategy.n, strategy.rb_names, strategy.tables
     k = len(names)
-    enc, dec = strategy.alice_encoders, strategy.bob_decoders
     wins = 0
     for a in product(range(2), repeat=n):
         for a_vec in product(range(2), repeat=k):
-            box_inputs = []
-            for j in range(k):
+            box_inputs = {}
+            for j, name in enumerate(names):
                 upstream = a_vec[:j]
-                box_inputs.append(
-                    (enc[2 * j](*a, *upstream), enc[2 * j + 1](*a, *upstream))
-                )
-            m = enc[-1](*a, *a_vec)
+                box_inputs[name] = (t[f"{name}.a0"](*a, *upstream), t[f"{name}.a1"](*a, *upstream))
+            m = t["m"](*a, *a_vec)
             for btilde in range(n):
                 outs = []
-                for r in range(k):
-                    b = dec[2 * r](btilde, m, *outs)
-                    aprime = dec[2 * r + 1](btilde, m, *outs)
-                    j = k - 1 - r  # boxes are queried in reverse wiring order
-                    outs.append(box_inputs[j][b] ^ a_vec[j] ^ aprime)
-                if dec[-1](btilde, m, *outs) == a[btilde]:
+                for j in reversed(range(k)):  # boxes are queried in reverse wiring order
+                    name = names[j]
+                    b = t[f"{name}.b"](btilde, m, *outs)
+                    aprime = t[f"{name}.aprime"](btilde, m, *outs)
+                    outs.append(box_inputs[name][b] ^ a_vec[j] ^ aprime)
+                if t["Btilde"](btilde, m, *outs) == a[btilde]:
                     wins += 1
     return Fraction(wins, 2 ** n * 2 ** k * n)
 
 
-def _replace_table(strat, side, index, table):
-    tables = list(getattr(strat, side))
-    tables[index] = table
-    return dataclasses.replace(strat, **{side: tuple(tables)})
+def _replace_table(strat, table):
+    return dataclasses.replace(strat, tables={**strat.tables, table.name: table})
 
 
 def _negate_query(strategy, query):
     """The strategy with Bob's final answer flipped wherever btilde = query."""
-    out = strategy.bob_decoders[-1]
+    out = strategy.tables["Btilde"]
     block = len(out.entries) // strategy.n
     entries = list(out.entries)
     for i in range(query * block, (query + 1) * block):
         entries[i] ^= 1
-    flipped = dataclasses.replace(out, entries=tuple(entries))
-    return _replace_table(strategy, "bob_decoders", -1, flipped)
+    return _replace_table(strategy, dataclasses.replace(out, entries=tuple(entries)))
+
+
+def _random_parts(rng, n):
+    return (rng.randrange(1 << (1 << n)), rng.randrange(1 << (1 << n)),
+            [rng.randrange(2) for _ in range(1 << (n + 1))],
+            [rng.randrange(search_mod.N_BEHAVIOURS) for _ in range(n)],
+            [rng.randrange(search_mod.N_BEHAVIOURS) for _ in range(n)])
 
 
 def test_simulator_matches_the_walk_on_random_one_box_strategies():
     rng = random.Random(2024)
     for n in (2, 3, 4):
         for _ in range(70):
-            f0 = rng.randrange(1 << (1 << n))
-            f1 = rng.randrange(1 << (1 << n))
-            g = [rng.randrange(2) for _ in range(1 << (n + 1))]
-            t0 = [rng.randrange(search_mod.N_BEHAVIOURS) for _ in range(n)]
-            t1 = [rng.randrange(search_mod.N_BEHAVIOURS) for _ in range(n)]
-            strat = strategy_from_parts(n, f0, f1, g, t0, t1)
+            strat = strategy_from_parts(n, *_random_parts(rng, n))
             assert evaluate_strategy(strat) == _walk_strategy(strat)
 
 
@@ -319,10 +315,12 @@ def test_observation_scope():
 
 
 def test_strategy_serialization_round_trip():
-    for strat in (tree_strategy(3), search_rac_with_rbs(3, 1).witness):
-        text = serialize_strategy(strat)
-        again = parse_strategy(text)
-        assert again == strat
+    rng = random.Random(13)
+    strategies = [tree_strategy(n) for n in range(2, 10)]
+    strategies += [strategy_from_parts(n, *_random_parts(rng, n)) for n in (2, 3, 4) * 16 + (3, 4)]
+    strategies.append(search_rac_with_rbs(3, 1).witness)
+    for strat in strategies:
+        assert parse_strategy(serialize_strategy(strat)) == strat
 
 
 def test_tree_strategy_text_matches_golden():
@@ -337,15 +335,23 @@ def test_parse_strategy_rejects_foreign_kind():
         parse_strategy(text)
 
 
+def test_stray_table_in_a_strategy_file_is_refused():
+    text = serialize_strategy(tree_strategy(3)) + "\ntable stray 2\nin x 2\nentries\n0 1\n"
+    with pytest.raises(ValueError, match="^unexpected table 'stray'$"):
+        parse_strategy(text)
+
+
+def test_missing_table_is_named():
+    strat = tree_strategy(3)
+    tables = {name: tab for name, tab in strat.tables.items() if name != "rb0.aprime"}
+    with pytest.raises(ValueError, match="^missing table 'rb0.aprime'$"):
+        Strategy(strat.n, strat.rb_names, tables)
+
+
 def test_strategy_table_names_are_validated():
     strat = tree_strategy(2)
     with pytest.raises(ValueError):
-        Strategy(
-            n=strat.n,
-            rb_names=("zz",),
-            alice_encoders=strat.alice_encoders,
-            bob_decoders=strat.bob_decoders,
-        )
+        Strategy(n=strat.n, rb_names=("zz",), tables=strat.tables)
 
 
 def test_strategy_shape_checks_cover_the_simulator_invariant():
@@ -353,16 +359,16 @@ def test_strategy_shape_checks_cover_the_simulator_invariant():
     # the shapes that would let a gather index or a gathered value run
     # outside its alphabet
     strat = tree_strategy(3)
-    out = strat.bob_decoders[-1]
+    out = strat.tables["Btilde"]
     wide = TableFn(out.name, out.inputs, 3, out.entries)
-    with pytest.raises(ValueError, match="output table"):
-        _replace_table(strat, "bob_decoders", -1, wide)
-    first = strat.bob_decoders[0]
+    with pytest.raises(ValueError, match="table 'Btilde' has output alphabet 3"):
+        _replace_table(strat, wide)
+    first = strat.tables["rb1.b"]  # Bob queries the last box first
     loose = TableFn.from_array(first.name, (("btilde", strat.n + 1),) + first.inputs[1:], 2, 0)
-    with pytest.raises(ValueError, match="decoder table"):
-        _replace_table(strat, "bob_decoders", 0, loose)
-    enc = strat.alice_encoders[2]  # the second box sees the first box's output
+    with pytest.raises(ValueError, match="table 'rb1.b' has inputs"):
+        _replace_table(strat, loose)
+    enc = strat.tables["rb1.a0"]  # the second box sees the first box's output
     assert enc.inputs[-1] == ("A_rb0", 2)
     short = TableFn.from_array(enc.name, enc.inputs[:-1], 2, 0)
-    with pytest.raises(ValueError, match="encoder table"):
-        _replace_table(strat, "alice_encoders", 2, short)
+    with pytest.raises(ValueError, match="table 'rb1.a0' has inputs"):
+        _replace_table(strat, short)

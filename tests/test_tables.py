@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from racbox.tables import TableFn, parse_tables, serialize_tables
+from racbox.tables import TableFn, check_tables, parse_tables, serialize_tables
 
 
 def test_call_uses_mixed_radix_indexing():
@@ -64,7 +64,7 @@ def test_entries_are_one_read_only_private_array():
 def test_from_array_text_round_trip():
     x, y = np.indices((3, 4), sparse=True)
     t = TableFn.from_array("sum", (("x", 3), ("y", 4)), 6, x + y)
-    (parsed,) = parse_tables(serialize_tables([], [t]))[1]
+    (parsed,) = parse_tables(serialize_tables([], [t]))[1].values()
     assert parsed == t
     assert parsed.entries.tolist() == (x + y).ravel().tolist()
 
@@ -118,7 +118,7 @@ def test_text_round_trip_with_preamble():
     text = serialize_tables([("kind", "demo"), ("n", "2")], tables)
     preamble, parsed = parse_tables(text)
     assert preamble == {"kind": "demo", "n": "2"}
-    assert parsed == tables
+    assert list(parsed.values()) == tables
 
 
 def test_long_entry_lists_wrap_and_parse():
@@ -126,7 +126,7 @@ def test_long_entry_lists_wrap_and_parse():
     text = serialize_tables([], [big])
     assert max(len(line) for line in text.splitlines()) < 100
     _, parsed = parse_tables(text)
-    assert parsed == [big]
+    assert parsed == {"h": big}
 
 
 def test_comments_and_blank_lines_ignored():
@@ -134,7 +134,7 @@ def test_comments_and_blank_lines_ignored():
     noisy = "# leading comment\n\n" + text.replace("entries", "# mid comment\nentries")
     preamble, parsed = parse_tables(noisy)
     assert preamble == {"k": "v"}
-    assert parsed[0].entries.tolist() == [0, 1]
+    assert parsed["f"].entries.tolist() == [0, 1]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -147,3 +147,26 @@ def test_truncated_entries_rejected():
     text = "table f 2\nin x 2\nentries\n0\n"
     with pytest.raises(ValueError):
         parse_tables(text)
+
+
+def test_repeated_table_name_is_refused_at_its_line():
+    text = "table f 2\nin x 2\nentries\n0 1\n\ntable f 2\nin x 2\nentries\n1 0\n"
+    with pytest.raises(ValueError, match=r"^line 6: repeated table 'f'$"):
+        parse_tables(text)
+
+
+def test_check_tables_names_the_table_it_refuses():
+    domains = {"f": ((("x", 2),), 2), "g": ((("x", 2), ("y", 3)), 4)}
+    f = TableFn("f", (("x", 2),), 2, (0, 1))
+    g = TableFn.from_array("g", (("x", 2), ("y", 3)), 4, 3)
+    check_tables({"f": f, "g": g}, domains)
+    with pytest.raises(ValueError, match="^missing table 'g'$"):
+        check_tables({"f": f}, domains)
+    with pytest.raises(ValueError, match="^unexpected table 'h'$"):
+        check_tables({"f": f, "g": g, "h": f}, domains)
+    with pytest.raises(ValueError, match="^table 'f' is stored under the name 'g'$"):
+        check_tables({"f": f, "g": f}, domains)
+    with pytest.raises(ValueError, match="^table 'g' has inputs"):
+        check_tables({"f": f, "g": TableFn.from_array("g", (("y", 3), ("x", 2)), 4, 3)}, domains)
+    with pytest.raises(ValueError, match="^table 'g' has output alphabet 5, expected 4$"):
+        check_tables({"f": f, "g": TableFn.from_array("g", (("x", 2), ("y", 3)), 5, 3)}, domains)
