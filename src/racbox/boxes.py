@@ -15,8 +15,11 @@ The constructors here build the three families this package studies:
 
 A table is one integer array of numerators, one axis per wire (inputs,
 then outputs, in signature order), over a single denominator kept in
-lowest terms.  Every check is an axis sum and an exact integer compare;
-``Fraction`` appears only where a single probability leaves a box.
+lowest terms.  Every marginal is a run of wire axes summed by adding its
+slices as whole arrays (``sum_wires``).  A check compares the whole
+marginal with its reference in one exact integer compare and looks for
+the first failing row only when something differs; ``Fraction`` appears
+only where a single probability leaves a box.
 """
 
 from __future__ import annotations
@@ -121,7 +124,11 @@ class Box:
         den = int(self.denominator)
         if den < 1:
             raise ValueError(f"denominator must be positive, got {den}")
-        common = gcd(den, int(np.gcd.reduce(table, axis=None))) if table.size else den
+        # gcd is associative: stop at the first block (4,096 cells, then 4x) that takes it to 1
+        common, cells, start, size = den, table.reshape(-1), 0, 4096
+        while common > 1 and start < cells.size:
+            common = gcd(common, int(np.gcd.reduce(cells[start:start + size])))
+            start, size = start + size, 4 * size
         if common > 1:
             table = table // common
             den //= common
@@ -281,6 +288,24 @@ def make_rb(n: int, d: int, variant: str) -> Box:
     return Box(sig, kernel[a_b, aprime], d * scale)
 
 
+def sum_wires(table: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Exact sum of a box table over its wire axes ``start..stop-1``, in ``sum_dtype``.
+
+    Adds the run's slices as whole arrays, where ``np.sum`` over a short inner
+    axis sets up a short loop per result cell.  A slice costs about that setup
+    on 64 cells, so a run of more than 1/64 the result's cells goes to ``np.sum``.
+    """
+    shape = table.shape[:start] + table.shape[stop:]
+    run, rest = prod(table.shape[start:stop]), prod(shape)
+    if not 0 < 64 * run <= rest:
+        return table.sum(axis=tuple(range(start, stop)), dtype=sum_dtype(table))
+    blocks = table.reshape(prod(table.shape[:start]), run, -1)
+    total = blocks[:, 0].astype(sum_dtype(table))
+    for i in range(1, run):
+        total += blocks[:, i]
+    return total.reshape(shape)
+
+
 def _first_row(box: Box, flagged: np.ndarray) -> tuple[int, ...] | None:
     """Input assignment of the first flagged row (flags in row-major input order)."""
     hits = np.flatnonzero(flagged)
@@ -292,8 +317,10 @@ def _first_row(box: Box, flagged: np.ndarray) -> tuple[int, ...] | None:
 def unnormalized_row(box: Box) -> tuple[int, ...] | None:
     """The first input row that has a negative cell or does not sum exactly to 1."""
     rows = box.table.reshape(prod(box.signature.input_sizes), -1)
-    sums = rows.sum(axis=1, dtype=sum_dtype(rows))
-    return _first_row(box, (rows < 0).any(axis=1) | (sums != box.denominator))
+    flagged = sum_wires(rows, 1, 2) != box.denominator
+    if box.table.min() < 0:
+        flagged |= (rows < 0).any(axis=1)
+    return _first_row(box, flagged)
 
 
 def check_normalization(box: Box) -> bool:
@@ -313,15 +340,14 @@ def signaling_row(box: Box, direction: str) -> tuple[int, ...] | None:
     sig = box.signature
     n_in = len(sig.input_sizes)
     first_bob_out = n_in + len(sig.alice_outputs)
-    if direction == "a2b":
-        summed = tuple(range(n_in, first_bob_out))
-    else:
-        summed = tuple(range(first_bob_out, box.table.ndim))
-    marg = box.table.sum(axis=summed, dtype=sum_dtype(box.table)).reshape(
+    start, stop = (n_in, first_bob_out) if direction == "a2b" else (first_bob_out, box.table.ndim)
+    marg = sum_wires(box.table, start, stop).reshape(
         prod(s for _, s in sig.alice_inputs), prod(s for _, s in sig.bob_inputs), -1
     )
-    ref = marg[:1] if direction == "a2b" else marg[:, :1]
-    return _first_row(box, (marg != ref).any(axis=2))
+    differs = marg != (marg[:1] if direction == "a2b" else marg[:, :1])
+    if not differs.any():
+        return None
+    return _first_row(box, differs.any(axis=2))
 
 
 def check_no_signaling(box: Box, direction: str) -> bool:
@@ -346,6 +372,6 @@ def rb_blind_guess_probability(rb: Box, index: int) -> Fraction:
     if not 0 <= index < n:
         raise ValueError(f"index {index} out of range for n={n}")
     # axes a_0..a_{n-1}, A', B once b = index is fixed and A summed away
-    guess = rb.table[..., index, :, :].sum(axis=-2, dtype=sum_dtype(rb.table))
+    guess = sum_wires(rb.table[..., index, :, :], n + 1, n + 2)
     hits = np.diagonal(np.moveaxis(guess, index, -2), axis1=-2, axis2=-1)
     return Fraction(int(hits.sum()), rb.denominator * d ** (n + 1))

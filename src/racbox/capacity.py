@@ -32,7 +32,7 @@ from .dists import JointDistribution, condition, derive, marginalize
 from .infotheory import TOLERANCE, information_and_entropy, mutual_information
 from .protocols import run_box_protocol
 from .reports import ProbeReport
-from .tables import Domain, TableFn, build_tables, parse_tables, serialize_tables
+from .tables import Domain, TableFn, build_tables, parse_tables, preamble_int, serialize_tables
 
 
 def capacity_domains(n: int, d: int) -> dict[str, Domain]:
@@ -285,5 +285,5 @@ def parse_capacity_strategy(text: str) -> CapacityStrategy:
     preamble, tables = parse_tables(text)
     if preamble.get("strategy-kind") != "capacity":
         raise ValueError("not a capacity strategy file")
-    return CapacityStrategy(
-        preamble.get("name", "from-file"), int(preamble["n"]), int(preamble["d"]), tables)
+    n, d = preamble_int(preamble, "n"), preamble_int(preamble, "d")
+    return CapacityStrategy(preamble.get("name", "from-file"), n, d, tables)

@@ -33,9 +33,10 @@ from .boxes import (
     make_bnd_box,
     make_rb,
     signaling_row,
+    sum_wires,
     unnormalized_row,
 )
-from .dists import JointDistribution, numerator_dtype, sum_dtype
+from .dists import JointDistribution, numerator_dtype
 from .reports import ProbeReport
 
 ZERO = Fraction(0)
@@ -64,7 +65,7 @@ class ProtocolRun:
         bad = unnormalized_row(self.result)
         if bad is not None:
             row = self.result.table[bad]
-            total = Fraction(int(row.sum(dtype=sum_dtype(row))), self.result.denominator)
+            total = Fraction(int(sum_wires(row, 0, row.ndim)), self.result.denominator)
             raise ProtocolError(
                 f"result of {self.name!r} is not normalized: induced row at {bad} "
                 f"sums to {total} or has a negative cell"
@@ -390,7 +391,7 @@ def induced_bbox(run: ProtocolRun, z: int) -> Box:
         bob_outputs=(("Y", d),),
     )
     table = run.result.table[(slice(None),) * n_x + (z,)]
-    return Box(iface, table.sum(axis=-1, dtype=sum_dtype(table)), run.result.denominator)
+    return Box(iface, sum_wires(table, table.ndim - 1, table.ndim), run.result.denominator)
 
 
 def channel_joint(run: ProtocolRun) -> JointDistribution:
@@ -403,13 +404,13 @@ def channel_joint(run: ProtocolRun) -> JointDistribution:
     sig = box.signature
     wires = sig.input_vars + sig.output_vars
     names = [nm for nm, _ in wires]
-    at = (names.index("z"), names.index("zhat"))
-    others = tuple(ax for ax in range(box.table.ndim) if ax not in at)
+    z, zhat = names.index("z"), names.index("zhat")
+    # the wires before z, then those between z and zhat, then those after zhat
+    table = sum_wires(box.table, 0, z)
+    table = sum_wires(table, 1, zhat - z)
+    table = sum_wires(table, 2, table.ndim)
     return JointDistribution.from_table(
-        [wires[i] for i in at],
-        box.table.sum(axis=others, dtype=sum_dtype(box.table)),
-        box.denominator * prod(sig.input_sizes),
-    )
+        [wires[z], wires[zhat]], table, box.denominator * prod(sig.input_sizes))
 
 
 def rac_win_probability(run: ProtocolRun) -> Fraction:
@@ -422,8 +423,7 @@ def rac_win_probability(run: ProtocolRun) -> Fraction:
     n = sig.bob_inputs[0][1]
     first_out = len(sig.input_vars)
     # P(B | a, b) for B the first output wire, any other outputs summed away
-    answers = box.table.sum(axis=tuple(range(first_out + 1, box.table.ndim)),
-                            dtype=sum_dtype(box.table))
+    answers = sum_wires(box.table, first_out + 1, box.table.ndim)
     wins = np.take_along_axis(answers, addressed(sig.alice_inputs[0][1], n, pad=False)[..., None],
                               axis=-1)
     return Fraction(int(wins.sum()), box.denominator * prod(sig.input_sizes))
@@ -457,15 +457,16 @@ def verify_lemma1(n: int, d: int = 2) -> ProbeReport:
     no_signaling = all(check_no_signaling(box, direction)
                        for box in (plus, minus) for direction in DIRECTIONS)
     # the tables' last four axes are (A', b, A, B)
-    differs = (plus.table.astype(np.int64) * minus.denominator
+    differs = (plus.table != minus.table if plus.denominator == minus.denominator
+               else plus.table.astype(np.int64) * minus.denominator
                != minus.table.astype(np.int64) * plus.denominator)
     aprime_axis, a_axis = np.ogrid[:d, :d]
     on_branch = (aprime_axis == a_axis)[:, None, :, None]
-    off_cells = np.argwhere(differs & ~on_branch)
-    if not no_signaling or (differs & on_branch).any() or not len(off_cells):
+    off = differs & ~on_branch
+    if not no_signaling or (differs & on_branch).any() or not off.any():
         return ProbeReport(claim=claim, passed=False,
                            notes=("undecided: the plus and minus completions are no witness",))
-    cell = tuple(int(v) for v in off_cells[0])
+    cell = tuple(int(v) for v in np.unravel_index(np.argmax(off), off.shape))
     a, (aprime, b, a_out, b_out) = cell[:n], cell[n:]
     probs = [box.prob(cell[:n + 2], cell[n + 2:]) for box in (plus, minus)]
     return ProbeReport(

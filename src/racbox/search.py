@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .reports import ProbeReport
-from .tables import Domain, TableFn, build_tables, parse_tables, serialize_tables
+from .tables import Domain, TableFn, build_tables, parse_tables, preamble_int, serialize_tables
 from .wiring import compile_rac, flatten
 
 __all__ = [
@@ -466,4 +466,4 @@ def parse_strategy(text: str) -> Strategy:
     names = tuple(preamble.get("wiring-order", "").split())
     if len(names) != int(preamble.get("rbs", len(names))):
         raise ValueError("wiring order disagrees with the declared box count")
-    return Strategy(int(preamble["n"]), names, tables)
+    return Strategy(preamble_int(preamble, "n"), names, tables)

@@ -252,3 +252,10 @@ def parse_tables(text: str) -> tuple[dict[str, str], dict[str, TableFn]]:
             raise ValueError(f"line {lineno}: unexpected {line!r} inside table block")
     flush(len(text.splitlines()))
     return preamble, tables
+
+
+def preamble_int(preamble: dict[str, str], key: str) -> int:
+    """The integer on preamble line ``key``; ValueError naming a missing line."""
+    if key not in preamble:
+        raise ValueError(f"missing preamble line {key!r}")
+    return int(preamble[key])

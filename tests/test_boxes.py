@@ -1,11 +1,19 @@
 """Box families: tables, normalization, signaling structure."""
 
+import tracemalloc
 from fractions import Fraction
+from math import prod
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from racbox import protocols
 from racbox.boxes import (
+    BND_SIGNS,
     MAX_TABLE_CELLS,
     RB_VARIANTS,
     Box,
@@ -18,9 +26,11 @@ from racbox.boxes import (
     make_rb,
     rb_blind_guess_probability,
     signaling_row,
+    sum_wires,
     unnormalized_row,
 )
 from racbox.boxio import parse_box, serialize_box
+from racbox.dists import sum_dtype
 
 F = Fraction
 HALF = F(1, 2)
@@ -249,3 +259,174 @@ def test_signaling_row_names_the_first_row_that_moves_the_receiver():
     assert signaling_row(rb, "a2b") == (0, 0, 1, 0, 2)
     assert signaling_row(rb, "b2a") is None
     assert signaling_row(make_rb(3, 2, "nosignaling"), "a2b") is None
+
+
+# --- the reference: one np.sum per check, as the checks were first written ---
+
+
+def reference_unnormalized_row(box):
+    rows = box.table.reshape(prod(box.signature.input_sizes), -1)
+    sums = rows.sum(axis=1, dtype=sum_dtype(rows))
+    flagged = np.flatnonzero((rows < 0).any(axis=1) | (sums != box.denominator))
+    if not flagged.size:
+        return None
+    return tuple(int(v) for v in np.unravel_index(flagged[0], box.signature.input_sizes))
+
+
+def reference_signaling_row(box, direction):
+    sig = box.signature
+    n_in = len(sig.input_sizes)
+    first_bob_out = n_in + len(sig.alice_outputs)
+    if direction == "a2b":
+        summed = tuple(range(n_in, first_bob_out))
+    else:
+        summed = tuple(range(first_bob_out, box.table.ndim))
+    marg = box.table.sum(axis=summed, dtype=sum_dtype(box.table)).reshape(
+        prod(s for _, s in sig.alice_inputs), prod(s for _, s in sig.bob_inputs), -1
+    )
+    ref = marg[:1] if direction == "a2b" else marg[:, :1]
+    flagged = np.flatnonzero((marg != ref).any(axis=2))
+    if not flagged.size:
+        return None
+    return tuple(int(v) for v in np.unravel_index(flagged[0], sig.input_sizes))
+
+
+def assert_checks_match_the_reference(box):
+    assert unnormalized_row(box) == reference_unnormalized_row(box)
+    for direction in ("a2b", "b2a"):
+        assert signaling_row(box, direction) == reference_signaling_row(box, direction)
+
+
+def _families(top):
+    for n in range(2, top + 1):
+        yield make_bn_box(n)
+        for d in range(2, top + 1):
+            for sign in BND_SIGNS:
+                yield make_bnd_box(n, d, sign)
+            for variant in RB_VARIANTS:
+                if d == 2 or variant not in ("nosignaling", "signalinghalf"):
+                    yield make_rb(n, d, variant)
+
+
+def test_checks_match_the_reference_on_every_family_up_to_four():
+    boxes = list(_families(4))
+    assert len(boxes) == 3 * (1 + 3 * 2 + 2 + 3 * 3)
+    for box in boxes:
+        assert_checks_match_the_reference(box)
+
+
+def test_checks_match_the_reference_on_parsed_boxes():
+    golden = Path(__file__).parent / "golden" / "rb-mixture.box"
+    for box in (parse_box(golden.read_text()), parse_box(HUGE_DENOMINATORS)):
+        assert_checks_match_the_reference(box)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_moving_one_unit_of_mass_flags_the_reference_row(data):
+    n = data.draw(st.integers(2, 3))
+    d = data.draw(st.integers(2, 3))
+    variant = data.draw(st.sampled_from(("plus", "minus", "three") + (("nosignaling",) * (d == 2))))
+    box = make_rb(n, d, variant)
+    table = box.table.astype(np.int64)
+    row = tuple(data.draw(st.integers(0, s - 1)) for s in box.signature.input_sizes)
+    cells = table[row]  # a view of the row's output cells
+    src, dst = data.draw(st.lists(st.integers(0, cells.size - 1), min_size=2, max_size=2,
+                                  unique=True))
+    cells.flat[src] -= 1
+    cells.flat[dst] += 1
+    moved = Box(box.signature, table, box.denominator)
+    assert_checks_match_the_reference(moved)
+    # the mass stays in the row, so only a negative cell breaks normalization
+    assert (unnormalized_row(moved) is None) == (table.min() >= 0)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sum_wires_equals_np_sum(data):
+    dtype = data.draw(st.sampled_from((np.int8, np.int64, object)))
+    head, tail = (data.draw(st.lists(st.integers(1, 4), max_size=2)) for _ in range(2))
+    run = data.draw(st.lists(st.integers(1, 4), max_size=3))
+    # a leading axis of 1 leaves too few result cells for the slice loop, so
+    # np.sum runs; one of 64 x the run's cells adds the run's slices one by one
+    lead = data.draw(st.sampled_from((1, 64 * prod(run))))
+    shape = (lead, *head, *run, *tail)
+    top = {np.int8: 127, np.int64: 2**40, object: 2**100}[dtype]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(-127, 128, size=shape).astype(dtype) * (top // 127)
+    if data.draw(st.booleans()):  # a strided view, as a sliced box table is
+        table = np.stack([table, -table], axis=-1)[..., 0]
+    start = 1 + len(head)
+    stop = start + len(run)
+    got = sum_wires(table, start, stop)
+    want = table.sum(axis=tuple(range(start, stop)), dtype=sum_dtype(table))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype,scale", [(np.int64, 1), (object, 2**70)], ids=["int64", "object"])
+def test_lowest_terms_reads_past_the_first_gcd_blocks(dtype, scale):
+    # every numerator is 3 * scale over 3 * scale, but for one cell past the
+    # first two gcd blocks (4,096 + 16,384 cells)
+    sig = BoxSignature((("x", 30_000),), (("X", 1),), (), ())
+    table = np.full((30_000, 1), 3 * scale, dtype=dtype)
+    table[25_000, 0] = scale
+    den = 3 * scale
+    kept = Box(sig, table, den)
+    assert kept.denominator == 3
+    assert kept.table[25_000, 0] == 1 and kept.table[0, 0] == 3
+    table[25_000, 0] = 6 * scale
+    reduced = Box(sig, table, den)
+    assert reduced.denominator == 1
+    assert reduced.table[25_000, 0] == 2 and reduced.table[0, 0] == 1
+
+
+def test_lowest_terms_stops_at_the_first_block_with_gcd_one(monkeypatch):
+    sizes = []
+
+    def reduce(cells, *args, **kwargs):
+        sizes.append(cells.size)
+        return gcd.reduce(cells, *args, **kwargs)
+
+    gcd = np.gcd
+    monkeypatch.setattr(np, "gcd", SimpleNamespace(reduce=reduce))
+    box = make_rb(5, 5, "three")
+    assert box.table.size == 5**9 and box.denominator == 20
+    assert sizes == [4096]
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checks_make_no_full_table_int64_copy():
+    rb = make_rb(5, 5, "three")
+    marginal = rb.table.size // 5 * np.dtype(np.int64).itemsize  # Bob's (A summed away)
+
+    def checks():
+        assert check_normalization(rb)
+        assert all(check_no_signaling(rb, direction) for direction in ("a2b", "b2a"))
+
+    assert _traced_peak(checks) < 2 * marginal
+
+
+def test_lemma1_witness_makes_no_int64_table_copies():
+    table_bytes = make_rb(5, 5, "plus").table.nbytes
+    # a single int64 copy of one table is 8 tables' worth
+    assert _traced_peak(protocols.verify_lemma1, 5, 5) < 8 * table_bytes
+
+
+@pytest.mark.parametrize("n,d,variant,index,want", [
+    (3, 2, "signalinghalf", 2, F(3, 4)),
+    (3, 2, "nosignaling", 1, HALF),
+    (4, 3, "three", 3, F(1, 3)),
+    (3, 4, "plus", 0, F(1, 4)),
+    (2, 5, "minus", 1, F(1, 5)),
+])
+def test_blind_guess_is_chance_unless_the_box_signals(n, d, variant, index, want):
+    assert rb_blind_guess_probability(make_rb(n, d, variant), index) == want

@@ -123,6 +123,14 @@ def test_strategy_text_matches_golden(name, n, d):
     assert parse_capacity_strategy(text) == BUILTIN_STRATEGIES[name](n, d)
 
 
+@pytest.mark.parametrize("key", ["n", "d"])
+def test_parse_names_a_missing_size_line(key):
+    text = serialize_capacity_strategy(protocol_strategy(2, 2))
+    text = "\n".join(line for line in text.splitlines() if not line.startswith(f"{key} "))
+    with pytest.raises(ValueError, match=f"^missing preamble line '{key}'$"):
+        parse_capacity_strategy(text)
+
+
 def test_parse_rejects_missing_tables():
     text = serialize_capacity_strategy(protocol_strategy(2, 2))
     head, _, _ = text.rpartition("table ")

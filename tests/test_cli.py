@@ -162,6 +162,15 @@ def test_capacity_strategy_file_with_a_repeated_or_stray_table_is_a_usage_error(
     assert out.strip().splitlines()[-1] == "status=error"
 
 
+def test_capacity_strategy_file_without_its_n_line_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "s.strat"
+    path.write_text("strategy-kind capacity\nd 2\n")
+    code, out = run_cli("capacity", "--n", "2", "--d", "2", "--strategy", str(path), "--machine")
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+    assert "missing preamble line 'n'" in capsys.readouterr().err
+
+
 def test_search_subcommand_writes_witness(tmp_path):
     witness = tmp_path / "w.strat"
     code, out = run_cli(

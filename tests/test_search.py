@@ -341,6 +341,13 @@ def test_stray_table_in_a_strategy_file_is_refused():
         parse_strategy(text)
 
 
+def test_missing_n_line_is_named():
+    text = serialize_strategy(tree_strategy(3))
+    text = "\n".join(line for line in text.splitlines() if not line.startswith("n "))
+    with pytest.raises(ValueError, match="^missing preamble line 'n'$"):
+        parse_strategy(text)
+
+
 def test_missing_table_is_named():
     strat = tree_strategy(3)
     tables = {name: tab for name, tab in strat.tables.items() if name != "rb0.aprime"}
