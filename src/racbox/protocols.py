@@ -457,13 +457,12 @@ def verify_lemma1(n: int, d: int = 2) -> ProbeReport:
     no_signaling = all(check_no_signaling(box, direction)
                        for box in (plus, minus) for direction in DIRECTIONS)
     # the tables' last four axes are (A', b, A, B)
-    differs = (plus.table != minus.table if plus.denominator == minus.denominator
-               else plus.table.astype(np.int64) * minus.denominator
-               != minus.table.astype(np.int64) * plus.denominator)
+    differs = plus.table != minus.table  # numerators, over one denominator d
     aprime_axis, a_axis = np.ogrid[:d, :d]
     on_branch = (aprime_axis == a_axis)[:, None, :, None]
     off = differs & ~on_branch
-    if not no_signaling or (differs & on_branch).any() or not off.any():
+    if (not no_signaling or plus.denominator != minus.denominator
+            or (differs & on_branch).any() or not off.any()):
         return ProbeReport(claim=claim, passed=False,
                            notes=("undecided: the plus and minus completions are no witness",))
     cell = tuple(int(v) for v in np.unravel_index(np.argmax(off), off.shape))
