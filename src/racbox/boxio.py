@@ -20,24 +20,24 @@ parse; blank lines and lines starting with ``#`` are skipped.
 
 ``parse_box`` refuses a header whose dense table would pass the size cap
 (``boxes.check_table_size``) before it reads any body line.  It reads the
-body in blocks of ``BLOCK_LINES`` lines with whole-list string calls, and
-reads each distinct string once: an input or output assignment by ``int``
-and one range compare against the wire sizes, a probability by
-``Fraction`` once its decimal exponent, if any, is within Python's
-integer-string digit limit.  Repeated cells are found by one sort after
-the last block.  Every body error names its line (``line N: ...``), and
-the error reported is that of the first bad line in file order; a
-repeated cell is the bad line of the later entry.  A block with a bad line
-is read again one line at a time, which finds the line and its error.
+body in one loop over its lines and reads each distinct string once: an
+input or output assignment by ``int`` and a range check against the wire
+sizes, a probability by ``Fraction`` once its decimal exponent, if any, is
+within Python's integer-string digit limit.  One flag per table cell finds
+a repeated cell.  The loop stops at the first bad line in file order, a
+repeated cell being the fault of the later entry, and ``_read_line`` reads
+that line alone to write its error, which names it (``line N: ...``).
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import islice, product
 from math import lcm, prod
+from typing import NoReturn
 
 import numpy as np
 
@@ -46,8 +46,6 @@ from .dists import numerator_dtype
 
 _PARTIES = ("alice", "bob")
 _ROLES = ("input", "output")
-
-BLOCK_LINES = 4096
 
 
 def serialize_box(box: Box) -> str:
@@ -124,107 +122,75 @@ def parse_box(text: str) -> Box:
     return _read_body(sig, lines, body_start)
 
 
-class _Tokens:
-    """What each distinct string of a body reads as, each read once: input and
-    output assignments as row-major indices, probabilities as ids into ``probs``."""
-
-    def __init__(self) -> None:
-        self.rows: dict[str, int] = {}
-        self.outs: dict[str, int] = {}
-        self.prob_ids: dict[str, int] = {}
-        self.probs: list[Fraction] = []
-
-    def add_prob(self, token: str, p: Fraction) -> None:
-        if token not in self.prob_ids:
-            self.prob_ids[token] = len(self.probs)
-            self.probs.append(p)
-
-    def scaled(self) -> tuple[list[int], int]:
-        """Numerators of every probability over their least common denominator."""
-        den = lcm(*(p.denominator for p in self.probs))
-        return [p.numerator * (den // p.denominator) for p in self.probs], den
-
-
 def _read_body(sig: BoxSignature, lines: list[str], start: int) -> Box:
-    tokens = _Tokens()
-    # (index of the block's first line, cells, probability ids), one per block
-    blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for first in range(start, len(lines), BLOCK_LINES):
-        block = lines[first:first + BLOCK_LINES]
-        read = _read_block(sig, block, tokens)
-        if read is None:
-            # some line of this block is bad; an earlier repeated cell comes first
-            _check_duplicates(sig, lines, blocks)
-            read = _walk_block(sig, block, first, blocks, tokens)
-        blocks.append((first, *read))
-    cells = _check_duplicates(sig, lines, blocks)
-    ids = np.concatenate([b[2] for b in blocks] or [np.zeros(0, np.int32)])
-    scaled, den = tokens.scaled()
+    in_sizes, out_sizes = sig.input_sizes, sig.output_sizes
+    n_out = prod(out_sizes)
+    # what each distinct string reads as: an assignment as its row-major
+    # index (None if it is bad), a probability token as its position in ``probs``
+    rows: dict[str, int | None] = {}
+    outs: dict[str, int | None] = {}
+    prob_ids: dict[str, int] = {}
+    probs: list[Fraction] = []
+    seen = bytearray(prod(in_sizes) * n_out)
+    cells = array("q")
+    ids = array("i")
+    for lineno, raw in enumerate(islice(lines, start, None), start + 1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        # a line without ":" or "=" has an empty probability part, which
+        # ``_probability`` refuses
+        in_part, _, rest = line.partition(":")
+        out_part, _, prob_part = rest.partition("=")
+        row = rows.get(in_part)
+        if row is None:
+            row = rows[in_part] = _index(in_part, in_sizes)
+        out = outs.get(out_part)
+        if out is None:
+            out = outs[out_part] = _index(out_part, out_sizes)
+        pid = prob_ids.get(prob_part)
+        if pid is None:
+            try:
+                probs.append(_probability(prob_part.strip()))
+                pid = prob_ids[prob_part] = len(probs) - 1
+            except (ValueError, ZeroDivisionError):
+                pass
+        if row is None or out is None or pid is None or seen[cell := row * n_out + out]:
+            _read_line(sig, raw, lineno)
+        seen[cell] = 1
+        cells.append(cell)
+        ids.append(pid)
+    den = lcm(*(p.denominator for p in probs))
     # every entry lies in [0, 1], so no numerator exceeds the denominator
     dtype = numerator_dtype(den, len(cells))
-    sizes = sig.input_sizes + sig.output_sizes
-    table = np.zeros(prod(sizes), dtype=dtype)
-    table[cells] = np.array(scaled, dtype=dtype)[ids]
-    return Box(sig, table.reshape(sizes), den)
+    scaled = np.array([p.numerator * (den // p.denominator) for p in probs], dtype=dtype)
+    table = np.zeros(len(seen), dtype=dtype)
+    table[np.asarray(cells)] = scaled[np.asarray(ids)]
+    return Box(sig, table.reshape(in_sizes + out_sizes), den)
 
 
-def _read_block(
-    sig: BoxSignature, block: list[str], tokens: _Tokens
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Cells and probability ids of a block's entries as whole arrays; None if any line is bad."""
-    body = [line for line in map(str.strip, block) if line and line[0] != "#"]
-    if not body:
-        return np.zeros(0, np.int64), np.zeros(0, np.int32)
-    in_parts, colons, rests = zip(*map(str.partition, body, repeat(":")))
-    out_parts, equals, prob_parts = zip(*map(str.partition, rests, repeat("=")))
-    if "" in colons or "" in equals:
+def _index(part: str, sizes: tuple[int, ...]) -> int | None:
+    """Row-major index of a space-separated assignment of the wires ``sizes``;
+    None for a wrong arity, a non-integer or an out-of-range symbol."""
+    symbols = part.split()
+    if len(symbols) != len(sizes):
         return None
-    rows = _assignments(tokens.rows, in_parts, sig.input_sizes)
-    outs = _assignments(tokens.outs, out_parts, sig.output_sizes)
-    if rows is None or outs is None:
-        return None
-    probs = list(map(str.strip, prob_parts))
-    for token in set(probs).difference(tokens.prob_ids):
+    index = 0
+    for symbol, size in zip(symbols, sizes):
         try:
-            tokens.add_prob(token, _probability(token))
-        except (ValueError, ZeroDivisionError):
+            v = int(symbol)
+        except ValueError:
             return None
-    ids = np.fromiter(map(tokens.prob_ids.__getitem__, probs), np.int32, len(probs))
-    return rows * prod(sig.output_sizes) + outs, ids
+        if not 0 <= v < size:
+            return None
+        index = index * size + v
+    return index
 
 
-def _assignments(
-    index: dict[str, int], parts: tuple[str, ...], sizes: tuple[int, ...]
-) -> np.ndarray | None:
-    """Row-major index of each space-separated assignment of the wires ``sizes``,
-    reading each distinct string once into ``index``; None if one has the wrong
-    arity, a non-integer or an out-of-range symbol."""
-    new = list(set(parts).difference(index))
-    if new:
-        symbols = list(map(str.split, new))
-        if set(map(len, symbols)) != {len(sizes)}:
-            return None
-        try:
-            flat = np.fromiter(
-                map(int, chain.from_iterable(symbols)), np.int64, len(new) * len(sizes)
-            )
-        except (ValueError, OverflowError):
-            return None
-        grid = flat.reshape(len(new), len(sizes))
-        # negative symbols wrap to huge unsigned values, so one compare checks both ends
-        if not (grid.view(np.uint64) < np.array(sizes, dtype=np.uint64)).all():
-            return None
-        strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
-        index.update(zip(new, (grid @ np.array(strides, dtype=np.int64)).tolist()))
-    return np.fromiter(map(index.__getitem__, parts), np.int64, len(parts))
-
-
-def _read_line(sig: BoxSignature, raw: str, lineno: int) -> tuple | None:
-    """(lineno, invals, outvals, cell, token, p) of one body line; None for a blank
-    or comment line; ValueError naming the line for a bad one."""
+def _read_line(sig: BoxSignature, raw: str, lineno: int) -> NoReturn:
+    """Raise the error of a body line the loop refused, naming the line: its
+    first fault, or, for a line with none, the repeat of an earlier entry's cell."""
     line = raw.strip()
-    if not line or line.startswith("#"):
-        return None
     if line.startswith("var "):
         raise ValueError(f"line {lineno}: var declaration after body started")
     if ":" not in line or "=" not in line:
@@ -234,24 +200,21 @@ def _read_line(sig: BoxSignature, raw: str, lineno: int) -> tuple | None:
         out_part, prob_part = rest.split("=", 1)
         invals = tuple(int(tok) for tok in in_part.split())
         outvals = tuple(int(tok) for tok in out_part.split())
-        token = prob_part.strip()
-        p = _probability(token)
+        _probability(prob_part.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     if len(invals) != len(sig.input_sizes):
         raise ValueError(
             f"line {lineno}: entry {invals} : {outvals} has wrong input arity for the header"
         )
-    row = 0
     for v, s in zip(invals, sig.input_sizes):
         if not 0 <= v < s:
             raise ValueError(f"line {lineno}: input symbol {v} out of range in entry {invals}")
-        row = row * s + v
     try:
-        cell = row * prod(sig.output_sizes) + sig.output_index(outvals)
+        sig.output_index(outvals)
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc} in entry {outvals}") from None
-    return lineno, invals, outvals, cell, token, p
+    raise ValueError(f"line {lineno}: duplicate entry for {invals} : {outvals}")
 
 
 def _probability(token: str) -> Fraction:
@@ -266,64 +229,3 @@ def _probability(token: str) -> Fraction:
     if not 0 <= p <= 1:
         raise ValueError(f"probability {token} outside [0, 1]")
     return p
-
-
-def _walk_block(
-    sig: BoxSignature, block: list[str], first: int, blocks: list, tokens: _Tokens
-) -> tuple[np.ndarray, np.ndarray]:
-    """A block read one line at a time: its cells and probability ids, or the
-    error of its first bad line (a repeated cell included)."""
-    entries = []
-    for lineno, raw in enumerate(block, start=first + 1):
-        try:
-            entry = _read_line(sig, raw, lineno)
-        except ValueError as error:
-            seen = _cells(blocks)
-            j = _first_duplicate(np.concatenate([seen, _entry_cells(entries)]))
-            if j is not None:
-                raise _duplicate(entries[j - len(seen)]) from None
-            raise error
-        if entry is not None:
-            entries.append(entry)
-            tokens.add_prob(entry[4], entry[5])
-    return _entry_cells(entries), np.array([tokens.prob_ids[e[4]] for e in entries], dtype=np.int32)
-
-
-def _entry_cells(entries: list[tuple]) -> np.ndarray:
-    return np.array([e[3] for e in entries], dtype=np.int64)
-
-
-def _cells(blocks: list) -> np.ndarray:
-    return np.concatenate([b[1] for b in blocks] or [np.zeros(0, np.int64)])
-
-
-def _check_duplicates(sig: BoxSignature, lines: list[str], blocks: list) -> np.ndarray:
-    """Every cell read so far, in file order; ValueError at the first entry
-    whose cell an earlier entry already set."""
-    cells = _cells(blocks)
-    j = _first_duplicate(cells)
-    if j is None:
-        return cells
-    for first, block_cells, _ in blocks:
-        if j < len(block_cells):
-            break
-        j -= len(block_cells)
-    block = lines[first:first + BLOCK_LINES]
-    read = (_read_line(sig, raw, n) for n, raw in enumerate(block, start=first + 1))
-    entries = (entry for entry in read if entry is not None)
-    for _ in range(j):
-        next(entries)
-    raise _duplicate(next(entries))
-
-
-def _first_duplicate(cells: np.ndarray) -> int | None:
-    """Position of the first cell, in order, that repeats an earlier one."""
-    order = np.argsort(cells, kind="stable")
-    ranked = cells[order]
-    repeats = order[1:][ranked[1:] == ranked[:-1]]
-    return int(repeats.min()) if repeats.size else None
-
-
-def _duplicate(entry: tuple) -> ValueError:
-    lineno, invals, outvals = entry[:3]
-    return ValueError(f"line {lineno}: duplicate entry for {invals} : {outvals}")

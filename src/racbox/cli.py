@@ -446,7 +446,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "machine")}
     try:
         return _COMMANDS[args.subcommand](params, Emitter(args.machine))
-    except (FileNotFoundError, ValueError, ProtocolError) as exc:
+    except (OSError, ValueError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.machine:
             print("status=error")

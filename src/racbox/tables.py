@@ -193,7 +193,9 @@ def serialize_tables(
 def parse_tables(text: str) -> tuple[dict[str, str], dict[str, TableFn]]:
     """Inverse of serialize_tables: the preamble, and the tables by name in
     file order.  Validates totality and ranges, and refuses a repeated table
-    name at the line that repeats it."""
+    name at the line that repeats it.  A table that fails its checks is
+    refused at the last line of its entries, or at its ``table`` line if it
+    has no ``entries`` line."""
     preamble: dict[str, str] = {}
     tables: dict[str, TableFn] = {}
     name: str | None = None
@@ -201,8 +203,9 @@ def parse_tables(text: str) -> tuple[dict[str, str], dict[str, TableFn]]:
     inputs: list[tuple[str, int]] = []
     entries: list[int] = []
     reading_entries = False
+    last_line = 0  # where a failing table is refused: its table line, then its last entries line
 
-    def flush(lineno: int) -> None:
+    def flush() -> None:
         nonlocal name, inputs, entries, reading_entries
         if name is None:
             return
@@ -210,7 +213,7 @@ def parse_tables(text: str) -> tuple[dict[str, str], dict[str, TableFn]]:
             tables[name] = TableFn(name=name, inputs=tuple(inputs), output_size=output_size,
                                    entries=entries)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise ValueError(f"line {last_line}: {exc}") from None
         name = None
         inputs = []
         entries = []
@@ -222,27 +225,29 @@ def parse_tables(text: str) -> tuple[dict[str, str], dict[str, TableFn]]:
             continue
         parts = line.split()
         if parts[0] == "table":
-            flush(lineno)
+            flush()
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'table NAME SIZE'")
             if parts[1] in tables:
                 raise ValueError(f"line {lineno}: repeated table {parts[1]!r}")
             name = parts[1]
-            output_size = int(parts[2])
+            output_size = _integer(parts[2], "table size", lineno)
+            last_line = lineno
         elif parts[0] == "in" and name is not None and not reading_entries:
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'in NAME SIZE'")
-            inputs.append((parts[1], int(parts[2])))
-        elif parts[0] == "entries" and name is not None:
-            if reading_entries:
-                raise ValueError(f"line {lineno}: duplicate 'entries'")
-            reading_entries = True
-            entries.extend(int(tok) for tok in parts[1:])
-        elif reading_entries:
+            inputs.append((parts[1], _integer(parts[2], "input size", lineno)))
+        elif name is not None and (reading_entries or parts[0] == "entries"):
+            if parts[0] == "entries":
+                if reading_entries:
+                    raise ValueError(f"line {lineno}: duplicate 'entries'")
+                reading_entries = True
+                del parts[0]
             try:
-                entries.extend(int(tok) for tok in parts)
+                entries.extend(map(int, parts))
             except ValueError:
                 raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
+            last_line = lineno
         elif name is None:
             key = parts[0]
             if key in preamble:
@@ -250,12 +255,23 @@ def parse_tables(text: str) -> tuple[dict[str, str], dict[str, TableFn]]:
             preamble[key] = line[len(key):].strip()
         else:
             raise ValueError(f"line {lineno}: unexpected {line!r} inside table block")
-    flush(len(text.splitlines()))
+    flush()
     return preamble, tables
 
 
+def _integer(token: str, what: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {what} {token!r} is not an integer") from None
+
+
 def preamble_int(preamble: dict[str, str], key: str) -> int:
-    """The integer on preamble line ``key``; ValueError naming a missing line."""
+    """The integer on preamble line ``key``; ValueError naming a missing or
+    non-integer line."""
     if key not in preamble:
         raise ValueError(f"missing preamble line {key!r}")
-    return int(preamble[key])
+    try:
+        return int(preamble[key])
+    except ValueError:
+        raise ValueError(f"preamble line {key!r}: {preamble[key]!r} is not an integer") from None

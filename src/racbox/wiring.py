@@ -330,8 +330,18 @@ class BoundRow:
     values: tuple
 
 
+# `table --nmax 512` takes about 1 s on a 2-vCPU VM; the table compiles every
+# n up to nmax, so time grows as nmax^2 log nmax
+MAX_TABLE_N = 1 << 9
+
+
 def bound_table(ns: Iterable[int], p2s: Sequence) -> list[BoundRow]:
-    """Win probabilities of the compiled codes at each box quality in p2s."""
+    """Win probabilities of the compiled codes at each box quality in p2s.
+    An n above ``MAX_TABLE_N`` is refused before any code is compiled."""
+    ns = list(ns)
+    if ns and max(ns) > MAX_TABLE_N:
+        raise ValueError(f"n={max(ns)} exceeds the table cap of {MAX_TABLE_N}: "
+                         "the table compiles a code for every n it lists")
     rows = []
     for n in ns:
         tree, cost = compile_rac(n)

@@ -210,6 +210,26 @@ def test_compile_past_the_size_cap_is_usage_error():
     assert out.strip().splitlines() == ["status=error"]
 
 
+
+def test_table_past_the_size_cap_is_usage_error(capsys):
+    code, out = run_cli("table", "--nmax", str(10 ** 6), "--machine")
+    assert code == 2
+    assert out.strip().splitlines() == ["status=error"]
+    assert "exceeds the table cap of 512" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-ns", "--box", "{}"),
+    ("capacity", "--strategy", "{}"),
+    ("build", "--out", "{}"),
+    ("compile", "--n", "3", "--dot", "{}"),
+    ("search", "--n", "3", "--rbs", "2", "--witness-out", "{}"),
+], ids=["check-ns", "capacity", "build", "compile", "search"])
+def test_a_directory_in_place_of_a_file_is_usage_error(tmp_path, argv):
+    code, out = run_cli(*(arg.format(tmp_path) for arg in argv), "--machine")
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+
 def test_table_rejects_p2_outside_the_unit_interval():
     code, out = run_cli("table", "--p2", "1.7", "--machine")
     assert code == 2

@@ -1,9 +1,11 @@
 """Finite function tables and their text format."""
 
+import re
+
 import numpy as np
 import pytest
 
-from racbox.tables import TableFn, check_tables, parse_tables, serialize_tables
+from racbox.tables import TableFn, check_tables, parse_tables, preamble_int, serialize_tables
 
 
 def test_call_uses_mixed_radix_indexing():
@@ -154,6 +156,31 @@ def test_repeated_table_name_is_refused_at_its_line():
     with pytest.raises(ValueError, match=r"^line 6: repeated table 'f'$"):
         parse_tables(text)
 
+
+
+def test_a_failing_table_is_refused_at_its_own_entries_line():
+    text = "table f 2\nin x 4\nentries\n0 1\n1 5\n\ntable g 2\nin x 2\nentries\n0 1\n"
+    with pytest.raises(ValueError, match=r"^line 5: table 'f' entry 5 outside output alphabet$"):
+        parse_tables(text)
+    # a table without entries is refused at its table line
+    with pytest.raises(ValueError, match=r"^line 1: table 'f' has entries of shape \(0,\)"):
+        parse_tables("table f 2\nin x 2\ntable g 2\nin x 2\nentries\n0 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("table f two\nin x 2\nentries\n0 1\n", "line 1: table size 'two' is not an integer"),
+    ("table f 2\nin x 2.5\nentries\n0 1\n", "line 2: input size '2.5' is not an integer"),
+    ("table f 2\nin x 2\nentries 0\n1 y\n", "line 4: expected integers, got '1 y'"),
+    ("table f 2\nin x 2\nentries 0 y\n", "line 3: expected integers, got 'entries 0 y'"),
+], ids=["table-size", "input-size", "entry", "entries-line"])
+def test_a_non_integer_size_or_entry_names_its_line(text, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        parse_tables(text)
+
+
+def test_a_non_integer_preamble_value_names_its_key():
+    with pytest.raises(ValueError, match=r"^preamble line 'n': 'three' is not an integer$"):
+        preamble_int({"n": "three"}, "n")
 
 def test_check_tables_names_the_table_it_refuses():
     domains = {"f": ((("x", 2),), 2), "g": ((("x", 2), ("y", 3)), 4)}

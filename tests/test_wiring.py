@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from racbox import wiring
 from racbox.wiring import (
+    MAX_TABLE_N,
     FlatTree,
     Leaf,
     MalformedTreeError,
@@ -186,6 +188,14 @@ def test_bound_table_rows():
     text = format_bound_table(rows, ["p2=0.75", "p2=quantum"])
     assert "0.687237" in text
 
+
+
+def test_bound_table_refuses_an_n_past_its_cap_before_compiling(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(wiring, "compile_rac", compiled.append)
+    with pytest.raises(ValueError, match=rf"^n={MAX_TABLE_N + 1} exceeds the table cap of {MAX_TABLE_N}"):
+        bound_table(range(2, MAX_TABLE_N + 2), [0.75])
+    assert compiled == []
 
 def test_to_dot_mentions_every_leaf():
     tree, _ = compile_rac(3)
