@@ -13,6 +13,9 @@ The constructors here build the three families this package studies:
   guess A' and an index b and receives B with B = a_b whenever A' = A.
   The variants fix the behaviour on the A' != A branch (see below).
 
+Both families have the interface ``family_signature(n, d)``, which every
+protocol that simulates or extends them builds on.
+
 A table is one integer array of numerators, one axis per wire (inputs,
 then outputs, in signature order), over a single denominator kept in
 lowest terms.  Every marginal is a run of wire axes summed by adding its
@@ -198,6 +201,23 @@ def addressed(d: int, k: int, pad: bool) -> np.ndarray:
     return np.moveaxis(grid, 0, -1)
 
 
+def family_signature(n: int, d: int) -> BoxSignature:
+    """The interface of the box families: Alice's x_1..x_{n-1} -> X, Bob's y -> Y.
+
+    Every symbol is d-ary except y, which is n-ary.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+    return BoxSignature(
+        alice_inputs=tuple((f"x_{i}", d) for i in range(1, n)),
+        alice_outputs=(("X", d),),
+        bob_inputs=(("y", n),),
+        bob_outputs=(("Y", d),),
+    )
+
+
 def make_bn_box(n: int) -> Box:
     """The bit family: X xor Y = x_y with x_0 = 0, outputs individually uniform.
 
@@ -205,14 +225,7 @@ def make_bn_box(n: int) -> Box:
     ``make_bnd_box`` so the advertised table equality with the d=2 "plus"
     family stays a real cross-check.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    sig = BoxSignature(
-        alice_inputs=tuple((f"x_{i}", 2) for i in range(1, n)),
-        alice_outputs=(("X", 2),),
-        bob_inputs=(("y", n),),
-        bob_outputs=(("Y", 2),),
-    )
+    sig = family_signature(n, 2)
     check_table_size(sig)
     X, Y = np.ogrid[:2, :2]
     return Box(sig, addressed(2, n - 1, pad=True)[..., None, None] == (X ^ Y), 2)
@@ -220,18 +233,9 @@ def make_bn_box(n: int) -> Box:
 
 def make_bnd_box(n: int, d: int, sign: str) -> Box:
     """The dit family: X +_d Y = x_y ("plus") or X -_d Y = x_y ("minus")."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    sig = family_signature(n, d)
     if sign not in BND_SIGNS:
         raise ValueError(f"sign must be one of {BND_SIGNS}, got {sign!r}")
-    sig = BoxSignature(
-        alice_inputs=tuple((f"x_{i}", d) for i in range(1, n)),
-        alice_outputs=(("X", d),),
-        bob_inputs=(("y", n),),
-        bob_outputs=(("Y", d),),
-    )
     check_table_size(sig)
     X, Y = np.ogrid[:d, :d]
     combo = (X + Y) % d if sign == "plus" else (X - Y) % d

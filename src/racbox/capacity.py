@@ -20,14 +20,13 @@ claim under test is that this never exceeds 1/n in message-alphabet units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from typing import Mapping
 
 import numpy as np
 
-from .boxes import Box, BoxSignature, make_bnd_box, make_rb
+from .boxes import Box, family_signature, make_bnd_box, make_rb
 from .dists import JointDistribution, condition, derive, marginalize
 from .infotheory import TOLERANCE, information_and_entropy, mutual_information
 from .protocols import run_box_protocol
@@ -150,12 +149,9 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
     """
     n, d, t = strategy.n, strategy.d, strategy.tables
     box_inputs = [t[f"a_{i}"] for i in range(n)]
-    iface = BoxSignature(
-        alice_inputs=t["a_0"].inputs,
-        alice_outputs=(("X", d),),
-        bob_inputs=(("y", n),),
-        bob_outputs=(("s", d), ("m", d), ("B", d)),
-    )
+    # the family's interface plus z, with Bob's view in place of Y
+    iface = replace(family_signature(n, d), alice_inputs=t["a_0"].inputs,
+                    bob_outputs=(("s", d), ("m", d), ("B", d)))
     run = run_box_protocol(
         f"capacity-{strategy.name}-{rb_variant}",
         make_rb(n, d, rb_variant),
@@ -174,19 +170,21 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
 def _reproduces_box_family(dist: JointDistribution, n: int, d: int) -> tuple[bool, str]:
     """Does P(X, Y | x_vec, y) equal the plus-family box table exactly?
 
-    The (x_1..x_{n-1}, y, X, Y) marginal of the joint is laid out densely,
-    as numerators over one denominator, then conditioned row by row and
-    compared with the box as a Box.
+    The (x_1..x_{n-1}, y, X, Y) marginal's counts are laid out densely, as
+    they are, and compared with the box as a Box.
     """
     target = make_bnd_box(n, d, "plus")
     sig = target.signature
     marg = marginalize(dist, [name for name, _ in sig.input_vars + sig.output_vars])
-    mass = np.zeros(target.table.shape, dtype=object)
-    mass[tuple(marg.keys.T)] = marg.counts.astype(object)
-    # every (x, y) row has mass: the executor's joint has uniform inputs
-    rows = mass.reshape(target.table.shape[:n] + (-1,)).sum(axis=-1)
-    row_den = lcm(*rows.ravel().tolist())
-    induced = Box(sig, mass * (row_den // rows)[..., None, None], row_den)
+    counts = np.zeros(target.table.shape, dtype=marg.counts.dtype)
+    counts[tuple(marg.keys.T)] = marg.counts
+    # the executor's joint has uniform inputs, so each (x, y) row holds 1/rows of the
+    # mass and P(X, Y | x, y) is its count over denominator/rows
+    rows = d ** (n - 1) * n
+    if marg.denominator % rows:
+        raise ValueError(f"the (x, y) rows of the joint cannot be uniform: its denominator "
+                         f"{marg.denominator} is not a multiple of their number {rows}")
+    induced = Box(sig, counts, marg.denominator // rows)
     if induced == target:
         return True, "induced (X,Y) table matches the plus-family box exactly"
     differs = (induced.table.astype(object) * target.denominator

@@ -149,6 +149,8 @@ def _cmd_check_ns(params: dict, em: Emitter) -> int:
 def _cmd_simulate(params: dict, em: Emitter) -> int:
     protocol = params["protocol"]
     n, d = params["n"], params["d"]
+    if protocol.startswith("rac-via-") and params.get("variant"):
+        raise ValueError(f"--variant picks a RAC-box, and {protocol} uses none")
     em.kv("protocol", protocol)
     em.kv("n", n)
     if protocol == "rac-via-bn":
@@ -166,7 +168,9 @@ def _cmd_simulate(params: dict, em: Emitter) -> int:
         em.text(f"{run.name}: wins with probability {win}")
         return em.finish(win == 1)
     if protocol == "bn-via-rb":
-        run = bn_box_via_rb(n)
+        if params.get("variant"):
+            em.kv("variant", params["variant"])
+        run = bn_box_via_rb(n, params.get("variant") or "nosignaling")
         ok = run.result == make_bn_box(n)
         em.kv("reproduced", ok)
         em.text(f"{run.name}: reproduces the target box {'exactly' if ok else 'NOT'}")
@@ -400,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="number of inputs (default 2)")
     p.add_argument("--d", type=int, default=2, help="alphabet size (default 2)")
     p.add_argument("--sign", choices=list(BND_SIGNS), default="plus")
-    p.add_argument("--variant", choices=list(RB_VARIANTS), help="box variant override")
+    p.add_argument("--variant", choices=list(RB_VARIANTS),
+                   help="RAC-box variant override (refused by the rac-via-* protocols)")
 
     p = sub.add_parser("compile", parents=[common], help="compile an n->1 code and verify it")
     p.add_argument("--n", type=int, default=2, help="database size (default 2)")

@@ -16,7 +16,7 @@ before running.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 from typing import Callable, Mapping, Sequence
@@ -29,6 +29,7 @@ from .boxes import (
     BoxSignature,
     addressed,
     check_no_signaling,
+    family_signature,
     make_bn_box,
     make_bnd_box,
     make_rb,
@@ -51,17 +52,15 @@ class ProtocolError(ValueError):
 
 @dataclass(frozen=True)
 class ProtocolRun:
-    """A completed protocol: resources used and the box it induces."""
+    """A completed protocol: its message alphabet and the box it induces."""
 
     name: str
-    resources: tuple[Box, ...]
     message_alphabet: int
-    shared_randomness_alphabet: int
     result: Box
 
     def __post_init__(self) -> None:
-        if self.message_alphabet < 1 or self.shared_randomness_alphabet < 1:
-            raise ProtocolError("alphabets must have size >= 1")
+        if self.message_alphabet < 1:
+            raise ProtocolError("the message alphabet must have size >= 1")
         bad = unnormalized_row(self.result)
         if bad is not None:
             row = self.result.table[bad]
@@ -229,13 +228,7 @@ def run_box_protocol(
         top = max(int(acc.max()), -int(acc.min()), denominator)
         blocks.append(acc.astype(numerator_dtype(top, n_ta * n_tb * n_out)))
     table = np.concatenate(blocks).reshape(iface.input_sizes + iface.output_sizes)
-    return ProtocolRun(
-        name=name,
-        resources=(resource,),
-        message_alphabet=message_size,
-        shared_randomness_alphabet=sr_size,
-        result=Box(iface, table, denominator),
-    )
+    return ProtocolRun(name, message_size, Box(iface, table, denominator))
 
 
 def _rac_iface(n: int, d: int) -> BoxSignature:
@@ -293,19 +286,11 @@ def bnd_box_via_rb(n: int, d: int, sign: str, rb_variant: str | None = None) -> 
 
 
 def _bnd_box_via_rb(n: int, d: int, sign: str, variant: str, name: str) -> ProtocolRun:
-    rb = make_rb(n, d, variant)
-
     step = 1 if sign == "plus" else -1
-    iface = BoxSignature(
-        alice_inputs=tuple((f"x_{i}", d) for i in range(1, n)),
-        alice_outputs=(("X", d),),
-        bob_inputs=(("y", n),),
-        bob_outputs=(("Y", d),),
-    )
     return run_box_protocol(
         name,
-        rb,
-        iface,
+        make_rb(n, d, variant),
+        family_signature(n, d),
         alice_box_inputs=lambda x, s: (0,) + tuple(step * x[f"x_{i}"] % d for i in range(1, n)),
         bob_box_inputs=lambda tb, m, s: (0, tb["y"]),
         alice_outputs=lambda x, a_out, s: {"X": a_out["A"]},
@@ -334,12 +319,9 @@ def resource_inequality_sim(
     if rb_variant is None:
         rb_variant = "nosignaling" if d == 2 else "plus"
     rb = make_rb(n, d, rb_variant)
-    iface = BoxSignature(
-        alice_inputs=tuple((f"x_{i}", d) for i in range(1, n)) + (("z", d),),
-        alice_outputs=(("X", d),),
-        bob_inputs=(("y", n),),
-        bob_outputs=(("Y", d), ("zhat", d + 1)),
-    )
+    family = family_signature(n, d)
+    iface = replace(family, alice_inputs=family.alice_inputs + (("z", d),),
+                    bob_outputs=family.bob_outputs + (("zhat", d + 1),))
 
     def bob_outputs(tb: Wires, b_out: Wires, m: np.ndarray, s: np.ndarray) -> Wires:
         clear = tb["y"] == 0
@@ -381,17 +363,10 @@ def induced_bbox(run: ProtocolRun, z: int) -> Box:
     returns the induced (x_1..x_{n-1}; y -> X, Y) box for exact comparison.
     """
     sig = run.result.signature
-    n = sig.bob_inputs[0][1]
-    d = sig.alice_outputs[0][1]
-    n_x = len(sig.alice_inputs) - 1
-    iface = BoxSignature(
-        alice_inputs=tuple((f"x_{i}", d) for i in range(1, n_x + 1)),
-        alice_outputs=(("X", d),),
-        bob_inputs=(("y", n),),
-        bob_outputs=(("Y", d),),
-    )
-    table = run.result.table[(slice(None),) * n_x + (z,)]
-    return Box(iface, sum_wires(table, table.ndim - 1, table.ndim), run.result.denominator)
+    n, d = sig.bob_inputs[0][1], sig.alice_outputs[0][1]
+    table = run.result.table[(slice(None),) * (n - 1) + (z,)]
+    return Box(family_signature(n, d), sum_wires(table, table.ndim - 1, table.ndim),
+               run.result.denominator)
 
 
 def channel_joint(run: ProtocolRun) -> JointDistribution:

@@ -326,7 +326,6 @@ class BoundRow:
 
     n: int
     rb_count: int
-    depths: tuple[int, ...]
     values: tuple
 
 
@@ -346,9 +345,8 @@ def bound_table(ns: Iterable[int], p2s: Sequence) -> list[BoundRow]:
     for n in ns:
         tree, cost = compile_rac(n)
         flat = flatten(tree)
-        depths = tuple(len(p) for p in flat.paths)
         values = tuple(_mean_path_success(flat, p2) for p2 in p2s)
-        rows.append(BoundRow(n=n, rb_count=cost.rb_count, depths=depths, values=values))
+        rows.append(BoundRow(n=n, rb_count=cost.rb_count, values=values))
     return rows
 
 

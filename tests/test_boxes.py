@@ -21,6 +21,7 @@ from racbox.boxes import (
     check_no_signaling,
     check_normalization,
     check_table_size,
+    family_signature,
     make_bn_box,
     make_bnd_box,
     make_rb,
@@ -54,6 +55,25 @@ def test_bn_box_indexing_convention():
         row = box.table[(x >> 2 & 1, x >> 1 & 1, x & 1, 0)]
         assert box.denominator == 2
         assert row.tolist() == [[1, 0], [0, 1]]  # X = Y, each with probability 1/2
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (4, 3)])
+def test_both_families_and_the_protocols_share_the_family_signature(n, d):
+    sig = family_signature(n, d)
+    assert [nm for nm, _ in sig.all_vars] == [f"x_{i}" for i in range(1, n)] + ["X", "y", "Y"]
+    assert sig.input_sizes == (d,) * (n - 1) + (n,) and sig.output_sizes == (d, d)
+    assert make_bnd_box(n, d, "minus").signature == sig
+    assert protocols.bnd_box_via_rb(n, d, "plus").result.signature == sig
+    run, _ = protocols.resource_inequality_sim(n, d)
+    assert protocols.induced_bbox(run, 0).signature == sig
+    if d == 2:
+        assert make_bn_box(n).signature == sig
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 1)])
+def test_family_signature_refuses_a_degenerate_size(n, d):
+    with pytest.raises(ValueError, match="need"):
+        family_signature(n, d)
 
 
 def test_prob_rejects_output_symbols_outside_the_alphabet():

@@ -242,6 +242,8 @@ def _assert_parsers_agree(text):
     return box
 
 
+# the test_block_parser_* names predate the one-loop reader: each checks parse_box
+# against the reference line parser _parse_lines
 @pytest.mark.parametrize("name", FAMILIES)
 def test_block_parser_matches_the_line_parser_on_round_trips(name):
     box = FAMILIES[name]
@@ -301,8 +303,8 @@ MUTATIONS = [
     ("output-range", make_bn_box(2), 4, "1 0 : 1 2 = 1/2"),
     ("duplicate", make_bn_box(2), 5, "0 0 : 0 0 = 1/2"),
     ("duplicate-with-other-spacing", make_bn_box(2), 5, "0  0 :0 0=  0"),
-    ("past-the-first-block", make_rb(5, 3, "plus"), 4196, "{} x"),
-    ("duplicate-past-the-first-block", make_rb(5, 3, "plus"), 8199,
+    ("far-into-the-file", make_rb(5, 3, "plus"), 4196, "{} x"),
+    ("duplicate-far-into-the-file", make_rb(5, 3, "plus"), 8199,
      "0 0 0 0 0 0 0 : 0 0 = 1/3"),
 ]
 
@@ -323,7 +325,7 @@ def test_block_parser_raises_the_line_parsers_error_and_names_the_line(mutation)
     assert str(new.value).removeprefix(f"line {i + 1}: ") == old_text
 
 
-@pytest.mark.parametrize("later", [10, 6144], ids=["same-block", "next-block"])
+@pytest.mark.parametrize("later", [10, 6144], ids=["close-behind", "far-behind"])
 def test_the_first_bad_line_in_file_order_is_reported(later):
     text = serialize_box(make_rb(5, 3, "plus")).splitlines()
     first, second = _body_line(text, 3), _body_line(text, later)

@@ -9,6 +9,7 @@ import pytest
 from racbox.capacity import (
     BUILTIN_STRATEGIES,
     CapacityStrategy,
+    _reproduces_box_family,
     build_capacity_joint,
     ignore_rb_strategy,
     parse_capacity_strategy,
@@ -18,7 +19,7 @@ from racbox.capacity import (
     verify_capacity_bound_bits,
     verify_capacity_bound_dits,
 )
-from racbox.dists import marginalize
+from racbox.dists import JointDistribution, marginalize
 from racbox.infotheory import log_exponents, mutual_information_exponents
 from racbox.tables import TableFn
 
@@ -45,6 +46,14 @@ def test_protocol_strategy_saturates_the_dit_bound(n, d):
     assert mutual_information_exponents(joint, ["z"], ["B", "y", "s"]) == {
         p: e / n for p, e in log_exponents(d).items()
     }
+
+
+def test_premise_refuses_a_joint_whose_rows_cannot_be_uniform():
+    # four (x_1, y) rows at (n, d) = (2, 2), and a joint over thirds
+    wires = [("x_1", 2), ("y", 2), ("X", 2), ("Y", 2)]
+    dist = JointDistribution(wires, {(0, 0, 0, 0): F(1, 3), (0, 1, 0, 0): F(2, 3)})
+    with pytest.raises(ValueError, match="denominator 3 is not a multiple of their number 4"):
+        _reproduces_box_family(dist, 2, 2)
 
 
 def test_send_x1_meets_premise_but_carries_nothing():

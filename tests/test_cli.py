@@ -32,6 +32,27 @@ def test_simulate_rac_via_bn():
     assert out.strip().splitlines()[-1] == "status=pass"
 
 
+def test_simulate_bn_via_rb_runs_the_given_variant():
+    code, out = run_cli("simulate", "--protocol", "bn-via-rb", "--n", "3",
+                        "--variant", "signalinghalf", "--machine")
+    assert code == 1
+    d = machine_dict(out)
+    assert d["variant"] == "signalinghalf"
+    assert d["reproduced"] == "false"
+    assert out.strip().splitlines()[-1] == "status=fail"
+    code, out = run_cli("simulate", "--protocol", "bn-via-rb", "--n", "3",
+                        "--variant", "nosignaling", "--machine")
+    assert code == 0 and machine_dict(out)["reproduced"] == "true"
+
+
+@pytest.mark.parametrize("protocol", ["rac-via-bn", "rac-via-bnd"])
+def test_simulate_refuses_a_variant_where_no_box_variant_is_used(protocol, capsys):
+    code, out = run_cli("simulate", "--protocol", protocol, "--variant", "three", "--machine")
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+    assert "--variant" in capsys.readouterr().err
+
+
 def test_simulate_resource_inequality():
     code, out = run_cli(
         "simulate", "--protocol", "resource-inequality", "--n", "4", "--machine"

@@ -9,7 +9,15 @@ import pytest
 
 from assignments import iter_assignments
 from racbox import capacity, protocols
-from racbox.boxes import Box, BoxSignature, check_normalization, make_bn_box, make_bnd_box, make_rb
+from racbox.boxes import (
+    Box,
+    BoxSignature,
+    check_normalization,
+    family_signature,
+    make_bn_box,
+    make_bnd_box,
+    make_rb,
+)
 from racbox.dists import marginalize
 from racbox.infotheory import mutual_information
 from racbox.protocols import (
@@ -63,6 +71,26 @@ def test_wrong_completion_does_not_reproduce():
     # with the uniform-over-wrong-symbols box the group structure is lost
     run = bnd_box_via_rb(2, 3, "plus", rb_variant="three")
     assert run.result != make_bnd_box(2, 3, "plus")
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (2, 5), (3, 4)])
+def test_plus_and_minus_boxes_each_simulate_the_other_family(n, d):
+    # a_0 = 0, a_i = step * x_i, X = -A, A' = 0, Y = B: negating Alice's output
+    # turns either group-law completion into the other sign's family
+    def relabeled(variant, step):
+        return run_box_protocol(
+            f"{variant}-relabeled", make_rb(n, d, variant), family_signature(n, d),
+            alice_box_inputs=lambda x, s: (0,) + tuple(step * x[f"x_{i}"] % d for i in range(1, n)),
+            bob_box_inputs=lambda tb, m, s: (0, tb["y"]),
+            alice_outputs=lambda x, a_out, s: {"X": -a_out["A"] % d},
+            bob_outputs=lambda tb, b_out, m, s: {"Y": b_out["B"]},
+        ).result
+
+    assert relabeled("plus", -1) == make_bnd_box(n, d, "minus")
+    assert relabeled("minus", 1) == make_bnd_box(n, d, "plus")
+    # the fixed X = A protocol is what tells the two classes apart
+    assert bnd_box_via_rb(n, d, "minus", rb_variant="plus").result != make_bnd_box(n, d, "minus")
+    assert bnd_box_via_rb(n, d, "plus", rb_variant="minus").result != make_bnd_box(n, d, "plus")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -199,7 +227,7 @@ def test_hand_built_run_with_a_negative_cell_is_rejected():
     assert box.table[0, 0].sum() == box.denominator
     assert not check_normalization(box)
     with pytest.raises(ProtocolError, match=r"not normalized: induced row at \(0, 0\)"):
-        ProtocolRun("hand-built", (), 1, 1, box)
+        ProtocolRun("hand-built", 1, box)
 
 
 def test_unnormalized_resource_is_rejected_at_its_induced_row():

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import racbox.search as search_mod
+from racbox.boxes import make_rb
+from racbox.protocols import _rac_iface, rac_win_probability, run_box_protocol
 from racbox.search import (
     SearchResult,
     Strategy,
@@ -82,6 +84,39 @@ def test_simulator_matches_the_walk_on_random_one_box_strategies():
         for _ in range(70):
             strat = strategy_from_parts(n, *_random_parts(rng, n))
             assert evaluate_strategy(strat) == _walk_strategy(strat)
+
+
+def _through_the_executor(strategy):
+    """A one-box strategy's win probability from ``run_box_protocol`` on the
+    no-signaling RAC-box, every table read with ``TableFn.at``."""
+    t = strategy.tables
+
+    def bob(tb, m):
+        return {"btilde": tb["b"], "m": m}
+
+    run = run_box_protocol(
+        "one-box-strategy", make_rb(2, 2, "nosignaling"), _rac_iface(strategy.n, 2),
+        alice_box_inputs=lambda ta, s: (t["rb0.a0"].at(ta), t["rb0.a1"].at(ta)),
+        message=lambda ta, a_out, s: t["m"].at({**ta, "A_rb0": a_out["A"]}),
+        bob_box_inputs=lambda tb, m, s: (t["rb0.aprime"].at(bob(tb, m)), t["rb0.b"].at(bob(tb, m))),
+        alice_outputs=lambda ta, a_out, s: {},
+        bob_outputs=lambda tb, b_out, m, s: {"B": t["Btilde"].at({**bob(tb, m), "B_rb0": b_out["B"]})},
+        message_size=2,
+    )
+    return rac_win_probability(run)
+
+
+def test_simulator_matches_the_executor_on_random_one_box_strategies():
+    # the search keeps its own simulator as the reference for its witnesses: through
+    # the executor one such strategy takes about seven times as long
+    rng = random.Random(16)
+    values = set()
+    for _ in range(20):
+        strat = strategy_from_parts(3, *_random_parts(rng, 3))
+        value = evaluate_strategy(strat)
+        assert _through_the_executor(strat) == value
+        values.add(value)
+    assert len(values) > 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
