@@ -146,11 +146,25 @@ def _cmd_check_ns(params: dict, em: Emitter) -> int:
     return em.finish(ok)
 
 
+# the simulate flags each protocol does not read, refused when given
+_UNREAD_FLAGS = {
+    "rac-via-bn": ("d", "sign", "variant"),
+    "rac-via-bnd": ("variant",),
+    "bn-via-rb": ("d", "sign"),
+    "bnd-via-rb": (),
+    "resource-inequality": ("sign",),
+}
+
+
 def _cmd_simulate(params: dict, em: Emitter) -> int:
     protocol = params["protocol"]
-    n, d = params["n"], params["d"]
-    if protocol.startswith("rac-via-") and params.get("variant"):
-        raise ValueError(f"--variant picks a RAC-box, and {protocol} uses none")
+    for flag in _UNREAD_FLAGS[protocol]:
+        if params[flag] is not None:
+            raise ValueError(f"{protocol} does not read --{flag}")
+    # --d and --sign take their defaults here, so that a given flag can be told apart
+    n = params["n"]
+    d = 2 if params["d"] is None else params["d"]
+    sign = params["sign"] or "plus"
     em.kv("protocol", protocol)
     em.kv("n", n)
     if protocol == "rac-via-bn":
@@ -161,8 +175,8 @@ def _cmd_simulate(params: dict, em: Emitter) -> int:
         return em.finish(win == 1)
     if protocol == "rac-via-bnd":
         em.kv("d", d)
-        em.kv("sign", params["sign"])
-        run = rac_via_bnd_box(n, d, params["sign"])
+        em.kv("sign", sign)
+        run = rac_via_bnd_box(n, d, sign)
         win = rac_win_probability(run)
         em.kv("win", win)
         em.text(f"{run.name}: wins with probability {win}")
@@ -177,11 +191,11 @@ def _cmd_simulate(params: dict, em: Emitter) -> int:
         return em.finish(ok)
     if protocol == "bnd-via-rb":
         em.kv("d", d)
-        em.kv("sign", params["sign"])
-        variant = params.get("variant") or params["sign"]
+        em.kv("sign", sign)
+        variant = params.get("variant") or sign
         em.kv("variant", variant)
-        run = bnd_box_via_rb(n, d, params["sign"], rb_variant=variant)
-        ok = run.result == make_bnd_box(n, d, params["sign"])
+        run = bnd_box_via_rb(n, d, sign, rb_variant=variant)
+        ok = run.result == make_bnd_box(n, d, sign)
         em.kv("reproduced", ok)
         em.text(f"{run.name}: reproduces the target box {'exactly' if ok else 'NOT'}")
         return em.finish(ok)
@@ -402,8 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["rac-via-bn", "rac-via-bnd", "bn-via-rb", "bnd-via-rb", "resource-inequality"],
     )
     p.add_argument("--n", type=int, default=2, help="number of inputs (default 2)")
-    p.add_argument("--d", type=int, default=2, help="alphabet size (default 2)")
-    p.add_argument("--sign", choices=list(BND_SIGNS), default="plus")
+    p.add_argument("--d", type=int,
+                   help="alphabet size (default 2), refused by rac-via-bn and bn-via-rb")
+    p.add_argument("--sign", choices=list(BND_SIGNS),
+                   help="family sign (default plus), read only by rac-via-bnd and bnd-via-rb")
     p.add_argument("--variant", choices=list(RB_VARIANTS),
                    help="RAC-box variant override (refused by the rac-via-* protocols)")
 

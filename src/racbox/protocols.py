@@ -4,9 +4,11 @@ Each protocol here is a one-round pipeline: Alice feeds a resource box,
 optionally sends a single message, both parties post-process locally, and
 the whole pipeline induces an effective box on the task interface.  The
 executor lays the run out as one integer grid over every task input,
-shared-randomness symbol and box outcome, calls the parties' callbacks on
-whole arrays of that grid, and sums the resource's numerators into the
-induced table exactly; there is no sampling anywhere.
+shared-randomness symbol and box outcome and calls the parties' callbacks on
+whole arrays of that grid.  It reads the resource's numerators with one flat
+``take`` and adds them into the induced table with one integer scatter whose
+values have the accumulator's own dtype, so every sum is exact and runs on
+numpy's typed loop; there is no sampling and no float anywhere.
 
 The resource box is queried sequentially (Alice first, then Bob, whose box
 inputs may depend on the message).  That split is only sound when the box
@@ -130,6 +132,16 @@ def _resource_row(party: str, values: Sequence, wires: Sequence[tuple[str, int]]
     return idx
 
 
+def _output_cell(iface: BoxSignature, outs: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The row-major index of the induced output cell, checked against its wires' alphabets."""
+    idx, bad = _row_major([outs[nm] for nm, _ in iface.output_vars], iface.output_vars)
+    if bad is not None:
+        nm, size, value = next((nm, size, v) for (nm, size), v in zip(iface.output_vars, bad)
+                               if not 0 <= v < size)
+        raise ProtocolError(f"output {nm}={value} outside its alphabet of size {size}")
+    return idx
+
+
 def run_box_protocol(
     name: str,
     resource: Box,
@@ -164,10 +176,15 @@ def run_box_protocol(
     Callbacks are evaluated on zero-probability A and B as well, and every
     value they return is range-checked there too.
 
-    The resource numerators are gathered with one fancy index and summed
-    into the induced table with an exact integer scatter (on Python ints
-    once a sum could pass int64).  The result's normalization is checked in
-    one place, ``ProtocolRun.__post_init__``, when the returned run is built.
+    The resource numerators are read with one ``take`` from the table laid
+    flat as rows of B over the row-major (Alice row, Bob row, A) index, B
+    being the last axis of both the table and the grid.  The nonzero ones are
+    cast to the accumulator's dtype, int64 or Python-int ``object`` once a
+    sum could pass int64, and summed into the induced table with one
+    ``np.add.at``: with both operands of one dtype numpy runs its typed loop,
+    and both accumulators share this one path.  The result's normalization
+    is checked in one place, ``ProtocolRun.__post_init__``, when the
+    returned run is built.
     """
     if message_size > 1 and message is None:
         raise ProtocolError("a message alphabet was declared but no sender given")
@@ -183,8 +200,9 @@ def run_box_protocol(
     n_a, n_b = prod(s for _, s in res_sig.alice_outputs), prod(s for _, s in res_sig.bob_outputs)
     n_ta, n_tb = prod(s for _, s in iface.alice_inputs), prod(s for _, s in iface.bob_inputs)
     n_out = prod(iface.output_sizes)
-    # nums[Alice row, Bob row, A, B]: the resource's numerators
-    nums = resource.table.reshape(-1, prod(s for _, s in res_sig.bob_inputs), n_a, n_b)
+    n_brow = prod(s for _, s in res_sig.bob_inputs)
+    # nums[(Alice row, Bob row, A) flat, B]: the resource's numerators
+    nums = resource.table.reshape(-1, n_b)
     peak = max(int(nums.max()), -int(nums.min()))
     exact = object if peak * sr_size * n_a * n_b > np.iinfo(np.int64).max else np.int64
     s_val = np.arange(sr_size).reshape(1, -1, 1, 1, 1)
@@ -193,11 +211,11 @@ def run_box_protocol(
     b_out = _digits(res_sig.bob_outputs, np.arange(n_b), 4)
     a_cell = np.arange(n_a).reshape(1, 1, -1, 1, 1)
     tb_row = np.arange(n_tb).reshape(1, 1, 1, -1, 1)
-    b_cell = np.arange(n_b).reshape(1, 1, 1, 1, -1)
     rows_per_block = max(1, BLOCK_CELLS // (sr_size * n_a * n_tb * n_b))
     denominator = resource.denominator * sr_size
-    blocks = []
-    for start in range(0, n_ta, rows_per_block):
+
+    def block(start: int) -> np.ndarray:
+        """The induced table's rows for Alice task rows from ``start``, stored narrow."""
         rows = np.arange(start, min(start + rows_per_block, n_ta))
         ta = _digits(iface.alice_inputs, rows, 0)
         a_row = _resource_row("Alice", alice_box_inputs(ta, s_val), res_sig.alice_inputs)
@@ -211,22 +229,26 @@ def run_box_protocol(
                 raise ProtocolError(f"message {bad[0]} outside alphabet of size {message_size}")
             m_val = np.broadcast_to(m_val, (len(rows), sr_size, n_a, 1, 1))
         b_row = _resource_row("Bob", bob_box_inputs(tb, m_val, s_val), res_sig.bob_inputs)
-        outs = {**alice_outputs(ta, a_out, s_val), **bob_outputs(tb, b_out, m_val, s_val)}
-        out_idx, bad = _row_major([outs[nm] for nm, _ in iface.output_vars], iface.output_vars)
-        if bad is not None:
-            nm, size, value = next((nm, size, v) for (nm, size), v in zip(iface.output_vars, bad)
-                                   if not 0 <= v < size)
-            raise ProtocolError(f"output {nm}={value} outside its alphabet of size {size}")
         grid = (len(rows), sr_size, n_a, n_tb, n_b)
-        cell_nums = np.broadcast_to(nums[a_row, b_row, a_cell, b_cell], grid)
-        cells = np.broadcast_to(
-            ((rows - start).reshape(-1, 1, 1, 1, 1) * n_tb + tb_row) * n_out + out_idx, grid)
+        # one take of whole B rows, the last axis of both the grid and nums
+        cell_nums = np.broadcast_to(
+            nums.take(((a_row * n_brow + b_row) * n_a + a_cell)[..., 0], axis=0), grid)
         nonzero = cell_nums != 0
+        # the output arrays live only through this call; their cell index is kept
+        out_cell = _output_cell(iface, {**alice_outputs(ta, a_out, s_val),
+                                        **bob_outputs(tb, b_out, m_val, s_val)})
+        cells = np.broadcast_to(
+            ((rows - start).reshape(-1, 1, 1, 1, 1) * n_tb + tb_row) * n_out + out_cell,
+            grid)[nonzero]
         acc = np.zeros(len(rows) * n_tb * n_out, dtype=exact)
-        np.add.at(acc, cells[nonzero], cell_nums[nonzero])
+        # values of the accumulator's own dtype keep np.add.at on its typed loop
+        np.add.at(acc, cells, cell_nums[nonzero].astype(exact, copy=False))
         # stored narrow at once, so the blocks never hold the whole table as int64
         top = max(int(acc.max()), -int(acc.min()), denominator)
-        blocks.append(acc.astype(numerator_dtype(top, n_ta * n_tb * n_out)))
+        return acc.astype(numerator_dtype(top, n_ta * n_tb * n_out))
+
+    # one call per block, so no block's scratch arrays outlive it
+    blocks = [block(start) for start in range(0, n_ta, rows_per_block)]
     table = np.concatenate(blocks).reshape(iface.input_sizes + iface.output_sizes)
     return ProtocolRun(name, message_size, Box(iface, table, denominator))
 

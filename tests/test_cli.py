@@ -53,6 +53,21 @@ def test_simulate_refuses_a_variant_where_no_box_variant_is_used(protocol, capsy
     assert "--variant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("protocol,flag,value", [
+    ("rac-via-bn", "--d", "2"),
+    ("rac-via-bn", "--sign", "minus"),
+    ("bn-via-rb", "--d", "5"),
+    ("bn-via-rb", "--sign", "plus"),
+    ("resource-inequality", "--sign", "minus"),
+])
+def test_simulate_refuses_a_flag_its_protocol_does_not_read(protocol, flag, value, capsys):
+    # refused even when the value given is the default one
+    code, out = run_cli("simulate", "--protocol", protocol, "--n", "3", flag, value, "--machine")
+    assert code == 2
+    assert out.strip().splitlines() == ["status=error"]
+    assert f"{protocol} does not read {flag}" in capsys.readouterr().err
+
+
 def test_simulate_resource_inequality():
     code, out = run_cli(
         "simulate", "--protocol", "resource-inequality", "--n", "4", "--machine"

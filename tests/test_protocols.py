@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -458,3 +458,71 @@ def test_executor_sums_exactly_past_int64():
     run = run_box_protocol("relay", mixture, _MUTE_IFACE, **kwargs)
     assert run.result.table.dtype == object
     assert run.result == _walk_protocol("relay", mixture, _MUTE_IFACE, **kwargs)
+
+
+@pytest.mark.parametrize("dtype,numerators", [(np.int8, [[60, 60], [6, 1]]),
+                                              (np.int16, [[10000, 10000], [9999, 1]])],
+                         ids=["int8", "int16"])
+def test_narrow_numerators_are_summed_exactly_in_int64(dtype, numerators):
+    # one input row per side; (X, Y) drawn with the given numerators over their sum
+    sig = BoxSignature(alice_inputs=(("x", 1),), alice_outputs=(("X", 2),),
+                       bob_inputs=(("y", 1),), bob_outputs=(("Y", 2),))
+    resource = Box(sig, np.array(numerators).reshape(1, 1, 2, 2), sum(map(sum, numerators)))
+    assert resource.table.dtype == dtype
+    iface = BoxSignature(alice_inputs=(("u", 1),), alice_outputs=(),
+                         bob_inputs=(("v", 1),), bob_outputs=(("V", 2),))
+    kwargs = dict(
+        alice_box_inputs=lambda t, s: (0,),
+        bob_box_inputs=lambda t, m, s: (0,),
+        alice_outputs=lambda t, a, s: {},
+        bob_outputs=lambda t, b, m, s: {"V": b["Y"]},
+        sr_size=2,
+    )
+    run = run_box_protocol("narrow", resource, iface, **kwargs)
+    walked = _walk_protocol("narrow", resource, iface, **kwargs)
+    assert run.result == walked
+    # the V = 0 cell sums both X rows over both s: past what the resource's dtype holds
+    assert walked.prob((0, 0), (0,)) * resource.denominator * 2 > np.iinfo(dtype).max
+
+
+def _product_box(first: Box, second: Box) -> Box:
+    """The two boxes used side by side: each party's wires of ``first``, then of ``second``."""
+    sigs = first.signature, second.signature
+    sig = BoxSignature(*(getattr(sigs[0], side) + getattr(sigs[1], side)
+                         for side in ("alice_inputs", "alice_outputs",
+                                      "bob_inputs", "bob_outputs")))
+    # each table as (Alice inputs, Bob inputs, A, B), then interleaved box by box
+    flat = [box.table.astype(np.int64).reshape(
+        [prod(s for _, s in getattr(box.signature, side))
+         for side in ("alice_inputs", "bob_inputs", "alice_outputs", "bob_outputs")])
+        for box in (first, second)]
+    table = np.einsum("abcd,efgh->aebfcgdh", *flat)
+    return Box(sig, table.reshape(sig.input_sizes + sig.output_sizes),
+               first.denominator * second.denominator)
+
+
+# 288 grid cells per Alice task row, 6 rows
+@pytest.mark.parametrize("block_cells", [protocols.BLOCK_CELLS, 1000, 1],
+                         ids=["one-block", "two-blocks", "six-blocks"])
+def test_executor_matches_the_walk_on_a_multi_wire_resource(monkeypatch, block_cells):
+    # a RAC-box beside a trit box: two output wires and three input wires a side,
+    # alphabets of 2 and 3 mixed, so each wire's stride in the flat gather counts
+    resource = _product_box(make_rb(2, 2, "nosignaling"), make_bnd_box(2, 3, "minus"))
+    assert [len(w) for w in (resource.signature.alice_outputs, resource.signature.bob_inputs,
+                             resource.signature.bob_outputs)] == [2, 3, 2]
+    iface = BoxSignature(alice_inputs=(("u", 2), ("w", 3)), alice_outputs=(("U", 3),),
+                         bob_inputs=(("v", 2), ("t", 2)), bob_outputs=(("V", 2), ("W", 3)))
+    kwargs = dict(
+        alice_box_inputs=lambda t, s: (t["u"], (t["u"] + s) % 2, t["w"]),
+        bob_box_inputs=lambda t, m, s: (m, t["v"], t["t"]),
+        alice_outputs=lambda t, a, s: {"U": (a["X"] + a["A"]) % 3},
+        bob_outputs=lambda t, b, m, s: {"V": b["B"], "W": (b["Y"] + s) % 3},
+        message=lambda t, a, s: a["A"],
+        message_size=2,
+        sr_size=2,
+    )
+    monkeypatch.setattr(protocols, "BLOCK_CELLS", block_cells)
+    run = run_box_protocol("side-by-side", resource, iface, **kwargs)
+    walked = _walk_protocol("side-by-side", resource, iface, **kwargs)
+    assert run.result == walked
+    assert np.array_equal(run.result.table, walked.table)
