@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -179,13 +180,19 @@ class Box:
             sig.input_vars + sig.output_vars, self.table, self.denominator * prod(sig.input_sizes))
 
 
-def check_table_size(sig: BoxSignature) -> None:
-    """Refuse, before building it, a dense table larger than ``MAX_TABLE_CELLS``."""
-    cells = prod(sig.input_sizes) * prod(sig.output_sizes)
+def check_table_size(sizes: Iterable[int]) -> None:
+    """Refuse, before building it, a dense table over wires of these positive
+    sizes with more than ``MAX_TABLE_CELLS`` cells; the product stops past
+    ``MAX_TABLE_CELLS ** 2``, so no long multiplication or huge count is formatted."""
+    cells, cap = 1, MAX_TABLE_CELLS**2
+    for size in sizes:
+        cells *= size
+        if cells > cap:
+            break
     if cells > MAX_TABLE_CELLS:
         raise ValueError(
-            f"box table would have {cells} cells (input rows x output cells), "
-            f"more than the limit of {MAX_TABLE_CELLS}"
+            f"box table would have {cells if cells <= cap else f'more than {cap}'} cells "
+            f"(input rows x output cells), more than the limit of {MAX_TABLE_CELLS}"
         )
 
 
@@ -201,21 +208,32 @@ def addressed(d: int, k: int, pad: bool) -> np.ndarray:
     return np.moveaxis(grid, 0, -1)
 
 
+def _check_n_d(n: int, d: int) -> None:
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+
+
 def family_signature(n: int, d: int) -> BoxSignature:
     """The interface of the box families: Alice's x_1..x_{n-1} -> X, Bob's y -> Y.
 
     Every symbol is d-ary except y, which is n-ary.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    _check_n_d(n, d)
     return BoxSignature(
         alice_inputs=tuple((f"x_{i}", d) for i in range(1, n)),
         alice_outputs=(("X", d),),
         bob_inputs=(("y", n),),
         bob_outputs=(("Y", d),),
     )
+
+
+def _family_box(n: int, d: int, combo: np.ndarray) -> Box:
+    """The family box with outputs uniform and combo[X, Y] = x_y, where x_0 = 0."""
+    # y is n-ary and the other wires d-ary: checked before naming n - 1 wires
+    check_table_size(chain((n,), repeat(d, n + 1)))
+    return Box(family_signature(n, d), addressed(d, n - 1, pad=True)[..., None, None] == combo, d)
 
 
 def make_bn_box(n: int) -> Box:
@@ -225,21 +243,17 @@ def make_bn_box(n: int) -> Box:
     ``make_bnd_box`` so the advertised table equality with the d=2 "plus"
     family stays a real cross-check.
     """
-    sig = family_signature(n, 2)
-    check_table_size(sig)
     X, Y = np.ogrid[:2, :2]
-    return Box(sig, addressed(2, n - 1, pad=True)[..., None, None] == (X ^ Y), 2)
+    return _family_box(n, 2, X ^ Y)
 
 
 def make_bnd_box(n: int, d: int, sign: str) -> Box:
     """The dit family: X +_d Y = x_y ("plus") or X -_d Y = x_y ("minus")."""
-    sig = family_signature(n, d)
+    _check_n_d(n, d)
     if sign not in BND_SIGNS:
         raise ValueError(f"sign must be one of {BND_SIGNS}, got {sign!r}")
-    check_table_size(sig)
     X, Y = np.ogrid[:d, :d]
-    combo = (X + Y) % d if sign == "plus" else (X - Y) % d
-    return Box(sig, addressed(d, n - 1, pad=True)[..., None, None] == combo, d)
+    return _family_box(n, d, (X + Y) % d if sign == "plus" else (X - Y) % d)
 
 
 def make_rb(n: int, d: int, variant: str) -> Box:
@@ -260,21 +274,19 @@ def make_rb(n: int, d: int, variant: str) -> Box:
     In every variant Alice's output A is uniform and independent of her
     inputs (so the box never signals Bob to Alice).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    _check_n_d(n, d)
     if variant not in RB_VARIANTS:
         raise ValueError(f"variant must be one of {RB_VARIANTS}, got {variant!r}")
     if variant in ("nosignaling", "signalinghalf") and d != 2:
         raise ValueError(f"variant {variant!r} is only defined for d=2, got d={d}")
+    # b is n-ary and the other wires d-ary: checked before naming n wires
+    check_table_size(chain((n,), repeat(d, n + 3)))
     sig = BoxSignature(
         alice_inputs=tuple((f"a_{i}", d) for i in range(n)),
         alice_outputs=(("A", d),),
         bob_inputs=(("Aprime", d), ("b", n)),
         bob_outputs=(("B", d),),
     )
-    check_table_size(sig)
     # kernel[a_b, A', A, B] = scale * P(B | a_b, A, A'); A is uniform, so a cell of the
     # table is P(A, B | a, A', b) = kernel / (d * scale)
     ab, Ap, A, B = np.ogrid[:d, :d, :d, :d]

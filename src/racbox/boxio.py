@@ -118,7 +118,7 @@ def parse_box(text: str) -> Box:
         bob_outputs=tuple(wires[("bob", "output")]),
     )
     # a var line after the first body line is an error, so the header is final
-    check_table_size(sig)
+    check_table_size(sig.input_sizes + sig.output_sizes)
     return _read_body(sig, lines, body_start)
 
 

@@ -339,6 +339,21 @@ def _cmd_search(params: dict, em: Emitter) -> int:
     return em.finish(True)
 
 
+def _var_ints(params: dict, flag: str, what: str) -> list[tuple[str, int]]:
+    """The ``var:int`` items of a comma-list flag, naming any item that is not one."""
+    pairs = []
+    for item in (params.get(flag) or "").split(","):
+        item = item.strip()
+        if not item:
+            continue
+        var, _, num = item.partition(":")
+        try:
+            pairs.append((var, int(num)))
+        except ValueError:
+            raise ValueError(f"--{flag} item {item!r} is not var:{what}") from None
+    return pairs
+
+
 def _cmd_feasibility(params: dict, em: Emitter) -> int:
     preset = params.get("preset")
     if preset:
@@ -352,20 +367,8 @@ def _cmd_feasibility(params: dict, em: Emitter) -> int:
         else:
             raise ValueError(f"unknown preset {preset!r}")
     else:
-        constraints = []
-        for item in (params.get("constraints") or "").split(","):
-            item = item.strip()
-            if not item:
-                continue
-            var, _, mu = item.partition(":")
-            constraints.append((var, int(mu)))
-        independents = []
-        for item in (params.get("vars") or "").split(","):
-            item = item.strip()
-            if not item:
-                continue
-            var, _, size = item.partition(":")
-            independents.append((var, int(size)))
+        constraints = _var_ints(params, "constraints", "messagevalue")
+        independents = _var_ints(params, "vars", "alphabetsize")
         if not constraints or not independents:
             raise ValueError("need --preset, or both --constraints and --vars")
         report = guessing_feasibility(constraints, independents, params["message_size"])

@@ -9,20 +9,25 @@ the support of the inputs given m = mu lies in an axis-aligned slab.  The
 input marginal has full support, hence the slabs over all message values
 must cover the whole product space of the constrained variables; and any
 cover yields a strategy (send the first covering message value).  That
-makes feasibility a finite covering problem over the guess constants,
-solved here exhaustively.
+makes feasibility a finite covering problem over the guess constants.
 
-An uncovered cell under the canonical constants (per variable, promised
-message values in ascending order guess 0, 1, 2, ...) doubles as the
-witness "P(cell) = 0": the cell every relabeling of an infeasible plan
+A guess row gives each (variable, message value) promise a constant, and
+one boolean array ``hit[g, p]`` says whether point p lies in some message
+value's slab under row g.  The canonical row (per variable, promised message
+values in ascending order guess 0, 1, 2, ...) goes first; only if it leaves a
+point uncovered are all rows tried, in ``itertools.product`` order, the first
+full cover being the plan.  The first point the canonical row misses doubles
+as the witness "P(cell) = 0": the cell every relabeling of an infeasible plan
 must starve.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from math import prod
 from typing import Sequence
+
+import numpy as np
 
 from .reports import ProbeReport
 
@@ -54,23 +59,15 @@ def guessing_feasibility(
         if size < 2:
             raise ValueError(f"variable {var!r} needs an alphabet of size >= 2")
         sizes[var] = size
-    per_var: dict[str, list[int]] = {}
-    cvars: list[str] = []
-    seen: set[tuple[str, int]] = set()
+    per_var: dict[str, set[int]] = {}
     for var, mu in constraints:
         if var not in sizes:
             raise ValueError(f"constraint names unknown variable {var!r}")
         if not 0 <= mu < message_size:
             raise ValueError(f"message value {mu} outside alphabet of size {message_size}")
-        if (var, mu) in seen:
+        if mu in per_var.setdefault(var, set()):
             raise ValueError(f"duplicate constraint ({var!r}, {mu})")
-        seen.add((var, mu))
-        if var not in per_var:
-            per_var[var] = []
-            cvars.append(var)
-        per_var[var].append(mu)
-    for var in per_var:
-        per_var[var].sort()
+        per_var[var].add(mu)
 
     claim = (
         f"a {message_size}-ary message can reveal each promised variable on cue"
@@ -81,87 +78,72 @@ def guessing_feasibility(
             notes=("no promises were made",),
         )
 
-    vars_at: dict[int, list[str]] = {mu: [] for mu in range(message_size)}
-    for var, mus in per_var.items():
-        for mu in mus:
-            vars_at[mu].append(var)
-    free_mus = [mu for mu in range(message_size) if not vars_at[mu]]
-    if free_mus:
+    # one slot per promise, variables in order of first promise and each one's
+    # message values ascending, with its canonical constant: the value's rank, wrapped
+    # when it passes the alphabet (the cover cannot improve past the alphabet)
+    cvars = list(per_var)
+    slots = [(axis, mu, rank % sizes[var]) for axis, var in enumerate(cvars)
+             for rank, mu in enumerate(sorted(per_var[var]))]
+    at: dict[int, list[tuple[int, int]]] = {}  # (variable axis, slot) per promise at mu
+    for s, (axis, mu, _) in enumerate(slots):
+        at.setdefault(mu, []).append((axis, s))
+    # the smallest unpromised value is 0 or follows a promised one
+    free = min(({0} | {mu + 1 for mu in at}) - at.keys())
+    if free < message_size:
         return ProbeReport(
             claim=claim, passed=True, quantity=Fraction(1), bound=Fraction(1),
-            witness=f"m={free_mus[0]} carries no promise and can absorb every input",
+            witness=f"m={free} carries no promise and can absorb every input",
             notes=(
                 "an unpromised message value covers the whole input space by itself",
             ),
         )
 
-    space = 1
-    for var in cvars:
-        space *= sizes[var]
-    slots = [(var, mu) for var in cvars for mu in per_var[var]]
-    combos = 1
-    for var, _ in slots:
-        combos *= sizes[var]
+    shape = [sizes[var] for var in cvars]
+    slot_sizes = [shape[axis] for axis, _, _ in slots]
+    space, combos = prod(shape), prod(slot_sizes)
     if space > DESK_LIMIT or combos > DESK_LIMIT:
         raise ValueError("constraint system too large for exhaustive feasibility")
+    points = np.indices(shape).reshape(len(shape), space)
+    # guess row r (in itertools.product order over the slots) gives slot s the
+    # constant r // strides[s] % slot_sizes[s]
+    strides = [prod(slot_sizes[s + 1:]) for s in range(len(slots))]
 
-    def coverage(guess: dict[tuple[str, int], int]) -> tuple[int, tuple[int, ...] | None]:
-        """Covered-point count and the lexicographically smallest uncovered cell."""
-        covered = 0
-        first_miss: tuple[int, ...] | None = None
-        for point in product(*(range(sizes[v]) for v in cvars)):
-            vals = dict(zip(cvars, point))
-            hit = any(
-                all(vals[v] == guess[(v, mu)] for v in vars_at[mu])
-                for mu in range(message_size)
-            )
-            if hit:
-                covered += 1
-            elif first_miss is None:
-                first_miss = point
-        return covered, first_miss
+    def cover(rows: int | np.ndarray) -> np.ndarray:
+        """hit[..., p]: point p lies in some message value's slab under guess row
+        ``rows``, one row number or a column of them for a (rows, space) result."""
+        hit = False
+        for promised in at.values():
+            inside = True
+            for axis, s in promised:
+                inside = inside & (points[axis] == rows // strides[s] % slot_sizes[s])
+            hit = hit | inside
+        return hit
 
-    canonical = {
-        (var, mu): rank
-        for var, mus in per_var.items()
-        for rank, mu in enumerate(mus)
-    }
-    # ranks can exceed the alphabet when a variable is promised more often
-    # than it has values; wrap them (the cover cannot improve past the alphabet)
-    canonical = {k: v % sizes[k[0]] for k, v in canonical.items()}
-    canon_covered, canon_miss = coverage(canonical)
-
-    best = Fraction(canon_covered, space)
-    best_guess = canonical
-    feasible = canon_covered == space
-    if not feasible:
+    row = sum(c * stride for (_, _, c), stride in zip(slots, strides))
+    covered = space
+    misses = np.flatnonzero(~cover(row))
+    if misses.size:
         if space * combos > DESK_LIMIT:
             raise ValueError(
                 f"exhaustive feasibility would test {combos} guess combinations over "
                 f"{space} cells each, more than the limit of {DESK_LIMIT} cell tests"
             )
-        for values in product(*(range(sizes[var]) for var, _ in slots)):
-            guess = dict(zip(slots, values))
-            covered, _ = coverage(guess)
-            if Fraction(covered, space) > best:
-                best = Fraction(covered, space)
-                best_guess = guess
-            if covered == space:
-                feasible = True
-                break
+        counts = cover(np.arange(combos)[:, None]).sum(axis=1)
+        row, covered = int(counts.argmax()), int(counts.max())
 
-    if feasible:
+    if covered == space:
         plan = "; ".join(
-            f"m={mu} -> " + ",".join(f"{v}={best_guess[(v, mu)]}" for v in vars_at[mu])
-            for mu in range(message_size)
+            f"m={mu} -> " + ",".join(
+                f"{cvars[axis]}={row // strides[s] % slot_sizes[s]}" for axis, s in at[mu])
+            for mu in sorted(at)
         )
         return ProbeReport(
             claim=claim, passed=True, quantity=Fraction(1), bound=Fraction(1),
             witness=plan,
             notes=("the guess constants above cover the whole input space",),
         )
-    assert canon_miss is not None
-    cell = ",".join(f"{v}={x}" for v, x in zip(cvars, canon_miss))
+    best = Fraction(covered, space)
+    cell = ",".join(f"{var}={x}" for var, x in zip(cvars, np.unravel_index(misses[0], shape)))
     return ProbeReport(
         claim=claim, passed=False, quantity=best, bound=Fraction(1),
         witness=f"P({cell})=0",

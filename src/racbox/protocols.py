@@ -364,7 +364,8 @@ def resource_inequality_sim(
     )
     # measure the channel: zhat must be z exactly when y = 0 and erased otherwise;
     # seen[z, y, zhat]: some cell with channel input z and query y outputs zhat
-    seen = (run.result.table != 0).any(axis=tuple(range(n - 1)) + (n + 1, n + 2))
+    # (the run refuses negative cells, so a nonzero marginal has a nonzero cell)
+    seen = sum_wires(sum_wires(run.result.table, 0, n - 1), 2, 4) != 0
     if (seen[:, :, :d] & ~np.eye(d, dtype=bool)[:, None, :]).any():
         raise ProtocolError("non-erased channel output differs from z")
     erased_y = seen[:, :, d].any(axis=0)

@@ -210,19 +210,35 @@ def test_negative_cell_fails_normalization_although_the_row_sums_to_one():
 
 
 def test_oversized_tables_are_refused_before_building():
-    def sig(rows, outs):
-        return BoxSignature((("x", rows),), (("X", outs),), (), ())
-
-    check_table_size(sig(MAX_TABLE_CELLS, 1))
+    check_table_size((MAX_TABLE_CELLS, 1))
     with pytest.raises(ValueError, match="more than the limit"):
-        check_table_size(sig(MAX_TABLE_CELLS, 2))
+        check_table_size((MAX_TABLE_CELLS, 2))
     # 2^29 * 30 input rows times 4 output cells: refused without building a row
-    with pytest.raises(ValueError, match="more than the limit"):
+    with pytest.raises(ValueError, match="64424509440 cells .* more than the limit"):
         make_bn_box(30)
     # the largest box the tests build stays inside the limit
-    check_table_size(BoxSignature(
+    rb_5_5 = BoxSignature(
         tuple((f"a_{i}", 5) for i in range(5)), (("A", 5),), (("Aprime", 5), ("b", 5)), (("B", 5),)
-    ))
+    )
+    check_table_size(rb_5_5.input_sizes + rb_5_5.output_sizes)
+
+
+@pytest.mark.parametrize("build", [lambda: make_bn_box(10**6), lambda: make_bnd_box(10**6, 3, "plus"),
+                                   lambda: make_rb(10**6, 2, "plus")])
+def test_a_huge_family_is_refused_before_its_wires_are_named(build):
+    # 10^6 wire names would take about a second, and the exact count has
+    # more digits than Python formats; the product stops past the square of the limit
+    with pytest.raises(ValueError, match=f"more than {MAX_TABLE_CELLS**2} cells .* more than the limit"):
+        build()
+
+
+def test_a_size_error_keeps_its_place_behind_the_argument_checks():
+    with pytest.raises(ValueError, match="need d >= 2"):
+        make_bnd_box(10**8, 1, "plus")
+    with pytest.raises(ValueError, match="sign must be"):
+        make_bnd_box(10**6, 2, "times")
+    with pytest.raises(ValueError, match="variant must be"):
+        make_rb(10**6, 2, "other")
 
 
 def test_unreduced_denominator_is_brought_to_lowest_terms():

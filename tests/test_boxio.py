@@ -178,7 +178,7 @@ def _parse_lines(text: str) -> Box:
         entries.append((invals, outvals, p))
 
     sig = BoxSignature(*(tuple(wires[key]) for key in wires))
-    check_table_size(sig)
+    check_table_size(sig.input_sizes + sig.output_sizes)
     n_out = prod(sig.output_sizes)
     den = lcm(*(p.denominator for _, _, p in entries))
     cells = {}

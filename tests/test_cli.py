@@ -291,6 +291,17 @@ def test_machine_errors_end_with_a_status_line(tmp_path):
     assert out.strip().splitlines() == ["status=error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("build", "--family", "bn"), ("build", "--family", "rb"), ("simulate", "--protocol", "rac-via-bn"),
+])
+def test_a_huge_box_family_exits_2_with_the_table_size_message(capsys, argv):
+    # the exact count would have more digits than Python formats
+    code, out = run_cli(*argv, "--n", "100000", "--machine")
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+    assert "cells (input rows x output cells), more than the limit" in capsys.readouterr().err
+
+
 def test_check_ns_on_a_non_integer_wire_size_names_the_line(tmp_path, capsys):
     box = tmp_path / "words.box"
     box.write_text(NON_INTEGER_SIZE)
@@ -361,6 +372,20 @@ def test_feasibility_custom_instance():
     )
     assert code == 1
     assert machine_dict(out)["quantity"] == "3/4"
+
+
+@pytest.mark.parametrize("flag,value,item,form", [
+    ("--constraints", "u", "'u'", "var:messagevalue"),
+    ("--constraints", "v:1, u:x", "'u:x'", "var:messagevalue"),
+    ("--vars", "u", "'u'", "var:alphabetsize"),
+    ("--vars", "u:2:3", "'u:2:3'", "var:alphabetsize"),
+])
+def test_feasibility_names_the_item_it_cannot_read(capsys, flag, value, item, form):
+    args = {"--constraints": "u:0", "--vars": "u:2", flag: value}
+    code, out = run_cli("feasibility", *(x for kv in args.items() for x in kv), "--machine")
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+    assert capsys.readouterr().err == f"error: {flag} item {item} is not {form}\n"
 
 
 def test_feasibility_without_arguments_is_usage_error():

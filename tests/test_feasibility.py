@@ -1,9 +1,12 @@
 """Perfect-guess feasibility of message-value promises."""
 
+import time
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from racbox.feasibility import (
@@ -114,3 +117,86 @@ def test_case_catalogs_are_complete():
         bit_case("z")
     with pytest.raises(ValueError):
         trit_case(9)
+
+
+def brute_force(constraints, independents, message_size):
+    """(passed, witness, quantity, notes) by testing every guess at every point.
+
+    The canonical constants are tried first, then every guess in product
+    order over the promises (variables in order of first promise, message
+    values ascending); the first full cover is the plan.
+    """
+    sizes = dict(independents)
+    cvars = list(dict.fromkeys(var for var, _ in constraints))
+    slots = sorted(constraints, key=lambda c: (cvars.index(c[0]), c[1]))
+    free = [mu for mu in range(message_size) if all(m != mu for _, m in slots)]
+    if free:
+        return (True, f"m={free[0]} carries no promise and can absorb every input", F(1),
+                ("an unpromised message value covers the whole input space by itself",))
+    points = list(product(*(range(sizes[var]) for var in cvars)))
+
+    def uncovered(guess):
+        return [point for point in points if not any(
+            all(dict(zip(cvars, point))[var] == guess[(var, m)] for var, m in slots if m == mu)
+            for mu in range(message_size))]
+
+    canonical = {(var, mu): [m for v, m in slots if v == var].index(mu) % sizes[var]
+                 for var, mu in slots}
+    guesses = [canonical] + [dict(zip(slots, values))
+                             for values in product(*(range(sizes[var]) for var, _ in slots))]
+    misses = [uncovered(guess) for guess in guesses]
+    plan = next((guess for guess, miss in zip(guesses, misses) if not miss), None)
+    if plan is not None:
+        witness = "; ".join(
+            f"m={mu} -> " + ",".join(f"{var}={plan[(var, m)]}" for var, m in slots if m == mu)
+            for mu in range(message_size))
+        return True, witness, F(1), ("the guess constants above cover the whole input space",)
+    best = 1 - F(min(map(len, misses)), len(points))
+    cell = ",".join(f"{var}={x}" for var, x in zip(cvars, misses[0][0]))
+    return (False, f"P({cell})=0", best, (
+        "no choice of guess constants covers the input space",
+        f"best cover reaches {best} of it",
+        "the named cell is uncovered under the canonical constants "
+        "(ascending message values guess 0,1,2,... per variable)",
+    ))
+
+
+@given(st.lists(st.integers(2, 3), min_size=1, max_size=3), st.integers(1, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cover_array_matches_a_guess_by_guess_brute_force(var_sizes, message_size, data):
+    # several variables may share a message value; each draw is bounded to
+    # about 10^4 cell tests (guesses x points x message values)
+    independents = [(f"v{i}", size) for i, size in enumerate(var_sizes)]
+    pairs = [(var, mu) for var, _ in independents for mu in range(message_size)]
+    constraints = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    sizes = dict(independents)
+    cells = prod(sizes[var] for var in dict.fromkeys(var for var, _ in constraints))
+    assume(prod(sizes[var] for var, _ in constraints) * cells * message_size <= 10**4)
+    report = guessing_feasibility(constraints, independents, message_size)
+    assert (report.passed, report.witness, report.quantity, report.notes) == brute_force(
+        constraints, independents, message_size)
+
+
+def test_largest_accepted_plan_is_decided_at_array_speed():
+    # 3^8 = 6,561 guesses over 81 cells: the most the cell-test limit allows
+    constraints = [(f"u{i // 2}", i) for i in range(8)]
+    start = time.monotonic()
+    report = guessing_feasibility(constraints, [(f"u{i}", 3) for i in range(4)], 8)
+    assert time.monotonic() - start < 1
+    assert not report.passed
+    assert report.quantity == F(80, 81)
+    assert report.witness == "P(u0=2,u1=2,u2=2,u3=2)=0"
+
+
+def test_a_huge_message_alphabet_finds_its_free_value_at_once():
+    report = guessing_feasibility([("u", 0)], [("u", 2)], 10**12)
+    assert report.passed
+    assert report.witness == "m=1 carries no promise and can absorb every input"
+
+
+def test_plans_past_the_limits_are_refused():
+    with pytest.raises(ValueError, match="too large"):
+        guessing_feasibility([("u", 0)], [("u", 10**6 + 1)], 1)
+    # 2^64 cells: a product that would wrap to 0 in int64 is still refused
+    with pytest.raises(ValueError, match="too large"):
+        guessing_feasibility([("u", 0), ("v", 1)], [("u", 2**32), ("v", 2**32)], 2)
