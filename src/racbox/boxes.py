@@ -256,6 +256,13 @@ def make_bnd_box(n: int, d: int, sign: str) -> Box:
     return _family_box(n, d, (X + Y) % d if sign == "plus" else (X - Y) % d)
 
 
+def check_rb_size(n: int, d: int) -> None:
+    """Refuse an (n, d) whose RAC-box table ``make_rb`` could not build: b is
+    n-ary and the other n + 3 wires d-ary, so it has n * d^(n+3) cells.
+    Checked before any of the n wires is named."""
+    check_table_size(chain((n,), repeat(d, n + 3)))
+
+
 def make_rb(n: int, d: int, variant: str) -> Box:
     """A RAC-box: perfect (n->1) RAC behaviour on the A' = A branch.
 
@@ -279,8 +286,7 @@ def make_rb(n: int, d: int, variant: str) -> Box:
         raise ValueError(f"variant must be one of {RB_VARIANTS}, got {variant!r}")
     if variant in ("nosignaling", "signalinghalf") and d != 2:
         raise ValueError(f"variant {variant!r} is only defined for d=2, got d={d}")
-    # b is n-ary and the other wires d-ary: checked before naming n wires
-    check_table_size(chain((n,), repeat(d, n + 3)))
+    check_rb_size(n, d)
     sig = BoxSignature(
         alice_inputs=tuple((f"a_{i}", d) for i in range(n)),
         alice_outputs=(("A", d),),

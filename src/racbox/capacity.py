@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .boxes import Box, family_signature, make_bnd_box, make_rb
+from .boxes import Box, check_rb_size, family_signature, make_bnd_box, make_rb
 from .dists import JointDistribution, condition, derive, marginalize
 from .infotheory import TOLERANCE, information_and_entropy, mutual_information
 from .protocols import run_box_protocol
@@ -43,7 +43,11 @@ def capacity_domains(n: int, d: int) -> dict[str, Domain]:
       X(x_1..x_{n-1}, z, A, s)          Alice's simulated box output
       Aprime(m, y, s)                   Bob's relay into the box
       Y(m, y, s, B)                     Bob's simulated box output
+
+    The game runs on ``make_rb(n, d, ...)``, so an (n, d) whose RAC-box
+    table is too large to build is refused here, before any table is.
     """
+    check_rb_size(n, d)
     xz = tuple((f"x_{i}", d) for i in range(1, n)) + (("z", d),)
     bob = (("m", d), ("y", n), ("s", d))
     return {

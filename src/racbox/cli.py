@@ -24,6 +24,7 @@ from .boxes import (
     RB_VARIANTS,
     check_no_signaling,
     check_normalization,
+    check_rb_size,
     make_bn_box,
     make_bnd_box,
     make_rb,
@@ -278,6 +279,8 @@ def _cmd_table(params: dict, em: Emitter) -> int:
 def _cmd_capacity(params: dict, em: Emitter) -> int:
     n, d = params["n"], params["d"]
     name = params["strategy"]
+    # the game's RAC-box must fit before any strategy table is built or read
+    check_rb_size(n, d)
     if name in BUILTIN_STRATEGIES:
         strategy = BUILTIN_STRATEGIES[name](n, d)
     else:

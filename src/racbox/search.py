@@ -129,19 +129,22 @@ def evaluate_strategy(strategy: Strategy) -> Fraction:
     search engine claims for its witnesses.  Each world (a, A_0..A_{k-1}) is
     one column of bits, numbered row-major over those variables; Bob's k
     rounds run over the (btilde, world) grid.  Every table is read with one
-    ``TableFn.at`` gather from its entries array, at the row-major index
-    over its declared inputs: 2k + 1 gathers over the 2^(n+k) worlds for
-    Alice and 2k + 1 over the n * 2^(n+k) grid cells for Bob, and the wins
-    are counted exactly.
+    gather from its entries array, at the row-major index over its declared
+    inputs, and the tables of a pair that ``strategy_domains`` declares
+    over the same inputs (each box's ``a0`` and ``a1``, and its ``b`` and
+    ``aprime``) share one ``TableFn.index``: k + 1 indices over the
+    2^(n+k) worlds for Alice and k + 1 over the n * 2^(n+k) grid cells for
+    Bob, and the wins are counted exactly.
 
-    ``TableFn.at`` skips the per-lookup range checks of ``TableFn.__call__``,
-    which is sound because ``Strategy`` holds its tables to
-    ``strategy_domains`` with ``check_tables``: that fixes every table's
-    inputs by name and alphabet (2 for bits, n for btilde) and every output
-    alphabet to 2, and ``TableFn`` checks its entries array against the
-    output alphabet once, when the table is built.  So each column fed to a
-    table holds values inside the declared alphabet, and each gathered value
-    is a bit.
+    ``TableFn.index`` skips the per-lookup range checks of
+    ``TableFn.__call__``, which is sound because ``Strategy`` holds its
+    tables to ``strategy_domains`` with ``check_tables``: that fixes every
+    table's inputs by name and alphabet (2 for bits, n for btilde) and every
+    output alphabet to 2, and ``TableFn`` checks its entries array against
+    the output alphabet once, when the table is built.  So each column fed
+    to a table holds values inside the declared alphabet, an index built for
+    one table of a pair addresses the other's entries array too, and each
+    gathered value is a bit.
     """
     n, names, t = strategy.n, strategy.rb_names, strategy.tables
     bits = [f"a_{i}" for i in range(n)] + [f"A_{name}" for name in names]
@@ -153,9 +156,11 @@ def evaluate_strategy(strategy: Strategy) -> Fraction:
     cols["m"] = t["m"].at(cols)
     cols["btilde"] = np.arange(n, dtype=np.uint8)[:, None]
     for name in reversed(names):
-        out = np.where(t[f"{name}.b"].at(cols), t[f"{name}.a1"].at(cols), t[f"{name}.a0"].at(cols))
+        a0, a1, b, aprime = (t[f"{name}.{part}"] for part in ("a0", "a1", "b", "aprime"))
+        alice, bob = a0.index(cols), b.index(cols)
+        out = np.where(b.entries[bob], a1.entries[alice], a0.entries[alice])
         out ^= cols[f"A_{name}"]
-        out ^= t[f"{name}.aprime"].at(cols)
+        out ^= aprime.entries[bob]
         cols[f"B_{name}"] = out
     guess = t["Btilde"].at(cols)
     wins = sum(int(np.count_nonzero(guess[q] == cols[f"a_{q}"])) for q in range(n))
@@ -216,42 +221,45 @@ N_BEHAVIOURS = 6
 _QUERY = np.array([0, 0, 0, 0, 1, 1])
 _OUTPUT = np.array([[0, 0], [1, 1], [0, 1], [1, 0], [0, 1], [1, 0]])
 # Bob tables per block of the pair scan; bounds every temporary to
-# CHUNK * 6^n * 2^(n+3) one-byte cells (2.7 MB at n = 4)
+# CHUNK * 6^n * 2^(n+3) one-byte cells (2.7 MB at n = 4), laid out as
+# (fp, [A,] a, CHUNK, 6^n) so each step runs along rows of Bob tables
 CHUNK = 16
 
 
 def _correct_counts(n: int) -> np.ndarray:
-    """C[t, A, fp, a] = queries option table t answers correctly in world (a, A).
+    """C[fp, A, a, t] = queries option table t answers correctly in world (a, A).
 
     fp packs Alice's encoder bits at a: bit j of fp is f_j(a).  Entries lie
-    in [0, n]; the shape is (6^n, 2, 4, 2^n).
+    in [0, n]; the shape is (4, 2, 2^n, 6^n).  Bob's table index is the last,
+    contiguous axis, so the pair scan reduces over leading axes only.
     """
     dom = 1 << n
-    a = np.arange(dom)
-    fp = np.arange(4)[:, None]
-    box_out = np.arange(2)[:, None, None]
-    preds = np.empty((N_BEHAVIOURS, 2, 4, dom), dtype=np.int8)
-    preds[0] = 0
-    preds[1] = 1
+    a = np.arange(dom)[:, None]
+    fp = np.arange(4)[:, None, None]
+    box_out = np.arange(2)[:, None]
+    # per (fp, A, behaviour) Bob's prediction; it does not depend on a
+    preds = np.empty((4, 2, 1, N_BEHAVIOURS), dtype=np.int8)
+    preds[..., 0] = 0
+    preds[..., 1] = 1
     for j in range(2):
         for eps in range(2):
-            preds[2 + 2 * j + eps] = ((fp >> j) & 1) ^ box_out ^ eps
+            preds[..., 2 + 2 * j + eps] = ((fp >> j) & 1) ^ box_out ^ eps
     tables = np.unravel_index(np.arange(N_BEHAVIOURS ** n), (N_BEHAVIOURS,) * n)
-    counts = np.zeros((N_BEHAVIOURS ** n, 2, 4, dom), dtype=np.int8)
+    counts = np.zeros((4, 2, dom, N_BEHAVIOURS ** n), dtype=np.int8)
     for q, behaviour in enumerate(tables):
-        counts += (preds == ((a >> q) & 1))[behaviour]
+        counts += (preds == ((a >> q) & 1))[..., behaviour]
     return counts
 
 
 def _message_free(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per (fp, a): wins when Alice picks the better table in each world."""
     best = np.maximum(x, y)
-    return best[..., 0, :, :] + best[..., 1, :, :]
+    return best[:, 0] + best[:, 1]
 
 
 def _message_is_a(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per (fp, a): wins when the message is the box output A."""
-    return x[..., 0, :, :] + y[..., 1, :, :]
+    return x[:, 0] + y[:, 1]
 
 
 def _message_ignores_a(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -269,13 +277,13 @@ def _best_table_pair(counts: np.ndarray, combine, symmetric: bool,
     is checked after each block.
     Returns (value, t0, t1, pairs examined, pairs skipped, complete).
     """
-    n_tables = len(counts)
+    n_tables = counts.shape[-1]
     best = (-1, 0, 0)
     examined = skipped = 0
     for i0 in range(0, n_tables, CHUNK):
         j0 = i0 if symmetric else 0
-        block = combine(counts[i0: i0 + CHUNK, None], counts[None, j0:])
-        values = block.max(axis=-2).sum(axis=-1, dtype=np.int32)
+        block = combine(counts[..., i0: i0 + CHUNK, None], counts[..., None, j0:])
+        values = block.max(axis=0).sum(axis=0, dtype=np.int32)
         examined += values.size
         skipped += values.shape[0] * j0
         flat = int(values.argmax())
@@ -330,10 +338,11 @@ def _best_response(n: int, counts: np.ndarray, i: int, j: int) -> Strategy:
     Her encoder bits at each a maximize the pair's score there; in each
     world her message names the table that answers more queries.
     """
-    c0, c1 = counts[i], counts[j]
+    c0, c1 = counts[..., i], counts[..., j]
     fp = _message_free(c0, c1).argmax(axis=0)
     a = np.arange(1 << n)
-    g_bits = (c0[:, fp, a] < c1[:, fp, a]).T.ravel().astype(int).tolist()
+    # rows a, columns A: raveled in world order 2*a + A
+    g_bits = (c0[fp, :, a] < c1[fp, :, a]).ravel().astype(int).tolist()
     f0, f1 = _pack((fp & 1).tolist()), _pack((fp >> 1).tolist())
     # table number t holds behaviour digit q of t in base 6 at query q
     t0, t1 = np.array(np.unravel_index([i, j], (N_BEHAVIOURS,) * n)).T.tolist()
@@ -391,7 +400,7 @@ def search_rac_with_rbs(n: int, k_rbs: int, budget: float = 3600.0) -> SearchRes
         raise AssertionError(
             f"engine value {prob} disagrees with simulator {check} on its own witness"
         )
-    total = len(counts) ** 2
+    total = counts.shape[-1] ** 2
     notes = [
         f"objective counts wins over {denom} world-query pairs",
         "witness re-evaluated by the independent simulator: match",
@@ -429,7 +438,7 @@ def verify_observation2(n: int) -> ProbeReport:
     counts = _correct_counts(n)
     best_act, i, j, *_ = _best_table_pair(counts, _message_is_a, False)
     best_fixed, *_ = _best_table_pair(counts, _message_ignores_a, True)
-    fp = _message_is_a(counts[i], counts[j]).argmax(axis=0)
+    fp = _message_is_a(counts[..., i], counts[..., j]).argmax(axis=0)
     denom = (2 << n) * n
     act_prob = Fraction(best_act, denom)
     fixed_prob = Fraction(best_fixed, denom)

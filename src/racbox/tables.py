@@ -116,13 +116,11 @@ class TableFn:
             idx = idx * s + val
         return self.entries.item(idx)
 
-    def at(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        """The entries array read at every cell of ``columns``, one integer
-        array per input by name, broadcast together: uint8 for output
-        alphabets up to 256, else int64.
-
-        Each cell is read at its row-major index over the inputs, built in
-        place.  Unlike ``__call__`` nothing is range-checked: callers feed
+    def index(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """The row-major index over the inputs of every cell of ``columns``,
+        one integer array per input by name, broadcast together; built in
+        place.  Any table with the same declared inputs reads its entries
+        at it.  Unlike ``__call__`` nothing is range-checked: callers feed
         columns whose values they know to lie inside the declared alphabets.
         """
         shape = np.broadcast_shapes(*(columns[var].shape for var, _ in self.inputs))
@@ -130,7 +128,12 @@ class TableFn:
         for var, size in self.inputs:
             idx *= size
             idx += columns[var]
-        return self.entries[idx]
+        return idx
+
+    def at(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """The entries array read at ``self.index(columns)``: uint8 for output
+        alphabets up to 256, else int64.  Nothing is range-checked."""
+        return self.entries[self.index(columns)]
 
 
 def check_tables(tables: Mapping[str, TableFn], domains: Mapping[str, Domain]) -> None:

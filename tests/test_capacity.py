@@ -105,6 +105,14 @@ def test_strategy_domain_validation():
         CapacityStrategy(name="bad", n=2, d=2, tables={**good.tables, "m": bad_m})
 
 
+def test_strategy_past_the_box_table_limit_is_refused_before_its_tables():
+    # 40 * 2^43 box cells; building ignore-rb's tables would need 8 TiB
+    with pytest.raises(ValueError, match="more than the limit of 10000000"):
+        ignore_rb_strategy(40, 2)
+    with pytest.raises(ValueError, match="more than the limit of 10000000"):
+        CapacityStrategy(name="huge", n=40, d=2, tables={})
+
+
 def test_serialize_parse_round_trip():
     for name, build in BUILTIN_STRATEGIES.items():
         for n, d in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 3)):

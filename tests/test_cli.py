@@ -207,6 +207,23 @@ def test_capacity_strategy_file_without_its_n_line_is_a_usage_error(tmp_path, ca
     assert "missing preamble line 'n'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["40", "100000"])
+@pytest.mark.parametrize("strategy", ["protocol", "ignore-rb", "file"])
+def test_capacity_past_the_box_table_limit_is_a_usage_error(n, strategy, tmp_path, capsys):
+    # refused by the RAC-box size check before any strategy table is built
+    # (at n = 40 the protocol's tables alone would need 8 TiB) or read
+    if strategy == "file":
+        path = tmp_path / "s.strat"
+        path.write_text(f"strategy-kind capacity\nn {n}\nd 2\n")
+        strategy = str(path)
+    t0 = time.monotonic()
+    code, out = run_cli("capacity", "--n", n, "--strategy", strategy, "--machine")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out.strip().splitlines()[-1] == "status=error"
+    assert "more than the limit of 10000000" in capsys.readouterr().err
+
+
 def test_search_subcommand_writes_witness(tmp_path):
     witness = tmp_path / "w.strat"
     code, out = run_cli(

@@ -6,12 +6,13 @@ distributions became integer counts: its quantity, 1 - h(1/4), is an
 irrational float whose last digits depend on the order of summation.  Any
 change to a record, its order or its formatting shows up here.  ``search``
 output is compared record for record except ``elapsed=``, which varies from
-run to run; its files were captured while strategy tables were still held
-as positional encoder and decoder lists.  The ``compile``
-outputs and the Graphviz file of the 7-bit tree were captured before the
-wiring evaluators moved onto one flat form of the tree.  The two larger
-``capacity`` outputs, (6,3) and (8,2), were captured before the protocol
-executor became one whole-array pass.
+run to run; the (3,1) and (5,4) files were captured while strategy tables
+were still held as positional encoder and decoder lists, and the (4,1) file
+while the search's win-count table still held Bob's table index first.  The
+``compile`` outputs and the Graphviz file of the 7-bit tree were captured
+before the wiring evaluators moved onto one flat form of the tree.  The two
+larger ``capacity`` outputs, (6,3) and (8,2), were captured before the
+protocol executor became one whole-array pass.
 """
 
 import io
@@ -64,7 +65,7 @@ def test_machine_output_matches_golden(name, monkeypatch):
     assert machine_stdout(CASES[name]) == (GOLDEN / f"{name}.out").read_text()
 
 
-@pytest.mark.parametrize("n, rbs", [(3, 1), (5, 4)])
+@pytest.mark.parametrize("n, rbs", [(3, 1), (4, 1), (5, 4)])
 def test_search_output_matches_golden_but_for_elapsed(n, rbs):
     def records(text):
         # the elapsed record keeps its key and place, not its value

@@ -301,7 +301,7 @@ def test_count_table_agrees_with_the_simulator():
         for a in range(1 << n):
             fp = ((f0 >> a) & 1) | (((f1 >> a) & 1) << 1)
             for box_out in range(2):
-                engine += int(counts[tables[g[2 * a + box_out]], box_out, fp, a])
+                engine += int(counts[fp, box_out, a, tables[g[2 * a + box_out]]])
         value = evaluate_strategy(strategy_from_parts(n, f0, f1, g, t0, t1))
         assert value == F(engine, (1 << (n + 1)) * n)
 
@@ -313,9 +313,9 @@ def test_best_response_witness_reproduces_the_pair_value():
     counts = search_mod._correct_counts(n)
     rng = random.Random(11)
     for _ in range(24):
-        i = rng.randrange(len(counts))
-        j = rng.randrange(len(counts))
-        engine = int(search_mod._message_free(counts[i], counts[j]).max(axis=0).sum())
+        i = rng.randrange(counts.shape[-1])
+        j = rng.randrange(counts.shape[-1])
+        engine = int(search_mod._message_free(counts[..., i], counts[..., j]).max(axis=0).sum())
         witness = search_mod._best_response(n, counts, i, j)
         assert evaluate_strategy(witness) == F(engine, (1 << (n + 1)) * n)
 
@@ -327,8 +327,73 @@ def test_mirror_skip_preserves_the_maximum():
     full = search_mod._best_table_pair(counts, search_mod._message_free, False)
     half = search_mod._best_table_pair(counts, search_mod._message_free, True)
     assert full[0] == half[0] == 40
-    assert full[3] == len(counts) ** 2 and full[4] == 0
-    assert half[3] + half[4] == len(counts) ** 2
+    assert full[3] == counts.shape[-1] ** 2 and full[4] == 0
+    assert half[3] + half[4] == counts.shape[-1] ** 2
+
+
+def _pair_scan_by_loops(counts, objective, symmetric):
+    """``_best_table_pair`` by plain loops: each pair's value summed cell by
+    cell over (a, fp, A), pairs visited in the kernel's scan order, the first
+    strict maximum kept."""
+    n_fp, _, n_a, n_tables = counts.shape
+    c = counts.tolist()  # c[fp][A][a][t]
+
+    def value(t0, t1):
+        total = 0
+        for a in range(n_a):
+            per_fp = []
+            for fp in range(n_fp):
+                x = [c[fp][box_out][a][t0] for box_out in range(2)]
+                y = [c[fp][box_out][a][t1] for box_out in range(2)]
+                if objective == "free":
+                    per_fp.append(sum(max(x[box_out], y[box_out]) for box_out in range(2)))
+                elif objective == "is_a":
+                    per_fp.append(x[0] + y[1])
+                else:
+                    per_fp.append(max(x[0] + x[1], y[0] + y[1]))
+            total += max(per_fp)
+        return total
+
+    best, examined, skipped = (-1, 0, 0), 0, 0
+    for t0 in range(n_tables):
+        first = t0 - t0 % search_mod.CHUNK if symmetric else 0
+        skipped += first
+        for t1 in range(first, n_tables):
+            examined += 1
+            v = value(t0, t1)
+            if v > best[0]:
+                best = (v, t0, t1)
+    return (*best, examined, skipped, True)
+
+
+@pytest.mark.parametrize("objective", ["free", "is_a", "ignores_a"])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_pair_scan_matches_a_plain_loop(objective, symmetric):
+    # random slices of 12-20 tables: one block or two, the second one short
+    combine = {"free": search_mod._message_free, "is_a": search_mod._message_is_a,
+               "ignores_a": search_mod._message_ignores_a}[objective]
+    counts = search_mod._correct_counts(3)
+    rng = random.Random(f"{objective}-{symmetric}")
+    for _ in range(4):
+        tables = rng.sample(range(counts.shape[-1]), rng.randint(12, 20))
+        part = counts[..., tables]
+        assert search_mod._best_table_pair(part, combine, symmetric) == _pair_scan_by_loops(
+            part, objective, symmetric)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_search_witness_text_matches_golden(n):
+    # the one-box witnesses as the search first chose them, tie-breaking included
+    golden = Path(__file__).parent / "golden" / f"search-witness-{n}-1.txt"
+    assert serialize_strategy(search_rac_with_rbs(n, 1).witness) == golden.read_text()
+
+
+@pytest.mark.parametrize("n, witness", [
+    (2, "m = A with encoder tables f0=0xa, f1=0xc"),
+    (3, "m = A with encoder tables f0=0xcc, f1=0xf0"),
+])
+def test_observation2_witness_is_pinned(n, witness):
+    assert verify_observation2(n).witness == witness
 
 
 def test_relaying_beats_fixed_messages():

@@ -27,6 +27,17 @@ def test_at_reads_every_cell_of_broadcast_columns_like_call():
     assert got.dtype == np.int64 and got.tolist() == [0, 299]
 
 
+def test_index_is_row_major_and_serves_every_table_with_the_same_inputs():
+    inputs = (("x", 2), ("y", 3))
+    t = TableFn("f", inputs, 4, (0, 1, 2, 3, 0, 1))
+    u = TableFn("g", inputs, 2, (1, 0, 0, 1, 1, 0))
+    columns = {"x": np.arange(2)[:, None], "y": np.arange(3)[None, :]}
+    idx = t.index(columns)
+    assert idx.tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert t.entries[idx].tolist() == t.at(columns).tolist()
+    assert u.entries[idx].tolist() == u.at(columns).tolist()
+
+
 def test_from_array_broadcasts_a_scalar():
     t = TableFn.from_array("z", (("a", 2), ("b", 3)), 3, 2)
     assert t.entries.tolist() == [2] * 6
