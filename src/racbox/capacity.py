@@ -144,8 +144,11 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
     ``derive`` appends them after the run as columns read from their tables,
     rather than carrying them as outputs of the induced table.
 
-    Each callback reads its tables with ``TableFn.at`` over the executor's
-    whole arrays.  Those lookups skip range checks, which is sound because
+    The executor hands each callback one dict of the wires its party holds,
+    by name, and ``capacity_domains`` names every table's inputs after those
+    wires, so each table reads that dict as it is with ``TableFn.at`` over
+    the executor's whole arrays (the message sender is ``t["m"].at``
+    itself).  Those lookups skip range checks, which is sound because
     ``CapacityStrategy`` holds its tables to ``capacity_domains`` with
     ``check_tables``, which fixes every table's inputs by name and
     alphabet, and every wire the executor hands over (task inputs, A, B, s
@@ -160,11 +163,11 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
         f"capacity-{strategy.name}-{rb_variant}",
         make_rb(n, d, rb_variant),
         iface,
-        alice_box_inputs=lambda ta, s: tuple(f.at(ta) for f in box_inputs),
-        message=lambda ta, a_out, s: t["m"].at({**ta, **a_out}),
-        alice_outputs=lambda ta, a_out, s: {"X": t["X"].at({**ta, **a_out, "s": s})},
-        bob_box_inputs=lambda tb, m, s: (t["Aprime"].at({"m": m, "y": tb["y"], "s": s}), tb["y"]),
-        bob_outputs=lambda tb, b_out, m, s: {"s": s, "m": m, "B": b_out["B"]},
+        alice_box_inputs=lambda a: tuple(f.at(a) for f in box_inputs),
+        message=t["m"].at,
+        alice_outputs=lambda a: {"X": t["X"].at(a)},
+        bob_box_inputs=lambda b: (t["Aprime"].at(b), b["y"]),
+        bob_outputs=lambda b: {"s": b["s"], "m": b["m"], "B": b["B"]},
         message_size=d,
         sr_size=d,
     )

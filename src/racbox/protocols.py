@@ -5,10 +5,14 @@ optionally sends a single message, both parties post-process locally, and
 the whole pipeline induces an effective box on the task interface.  The
 executor lays the run out as one integer grid over every task input,
 shared-randomness symbol and box outcome and calls the parties' callbacks on
-whole arrays of that grid.  It reads the resource's numerators with one flat
-``take`` and adds them into the induced table with one integer scatter whose
-values have the accumulator's own dtype, so every sum is exact and runs on
-numpy's typed loop; there is no sampling and no float anywhere.
+whole arrays of that grid.  Every callback takes one dict of the wires its
+party holds at that point, by name, so a strategy's function tables can be
+passed to it as they are, and every value a callback returns is checked
+against its wire's alphabet in one place.  The executor reads the
+resource's numerators with one flat ``take`` and adds them into the induced
+table with one integer scatter whose values have the accumulator's own
+dtype, so every sum is exact and runs on numpy's typed loop; there is no
+sampling and no float anywhere.
 
 The resource box is queried sequentially (Alice first, then Bob, whose box
 inputs may depend on the message).  That split is only sound when the box
@@ -102,43 +106,21 @@ def _digits(wires: Sequence[tuple[str, int]], flat: np.ndarray, axis: int) -> di
     return values
 
 
-def _row_major(values: Sequence,
-               wires: Sequence[tuple[str, int]]) -> tuple[np.ndarray, tuple | None]:
-    """The int64 row-major index over ``wires`` of broadcastable integer arrays,
-    one per wire, and the values at the first cell where one falls outside its
-    wire's alphabet (None when every value is inside)."""
+def _checked_index(what: str, values: Sequence, wires: Sequence[tuple[str, int]]) -> np.ndarray:
+    """The int64 row-major index over ``wires`` of broadcastable integer
+    arrays, one per wire in order, each checked against its wire's alphabet;
+    ``what`` names the values in the error."""
     values = [np.asarray(v) for v in values]
-    idx = np.zeros((), dtype=np.int64)
-    for value, (_, size) in zip(values, wires):
-        idx = idx * size + value
-    if all(v.min() >= 0 and v.max() < size for v, (_, size) in zip(values, wires)):
-        return idx, None
-    cols = np.broadcast_arrays(*values)
-    bad = np.logical_or.reduce([(c < 0) | (c >= size) for c, (_, size) in zip(cols, wires)])
-    at = np.unravel_index(np.argmax(bad), bad.shape)
-    return idx, tuple(int(c[at]) for c in cols)
-
-
-def _resource_row(party: str, values: Sequence, wires: Sequence[tuple[str, int]]) -> np.ndarray:
-    """The resource input row a party feeds, checked against the wires' alphabets."""
-    values = tuple(values)
-    names, sizes = [nm for nm, _ in wires], [size for _, size in wires]
     if len(values) != len(wires):
-        raise ProtocolError(f"{party} fed {len(values)} values to the resource inputs {names}")
-    idx, bad = _row_major(values, wires)
-    if bad is not None:
-        raise ProtocolError(f"{party} fed the resource inputs {names} the values {list(bad)}, "
-                            f"outside their alphabets {sizes}")
-    return idx
-
-
-def _output_cell(iface: BoxSignature, outs: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The row-major index of the induced output cell, checked against its wires' alphabets."""
-    idx, bad = _row_major([outs[nm] for nm, _ in iface.output_vars], iface.output_vars)
-    if bad is not None:
-        nm, size, value = next((nm, size, v) for (nm, size), v in zip(iface.output_vars, bad)
-                               if not 0 <= v < size)
-        raise ProtocolError(f"output {nm}={value} outside its alphabet of size {size}")
+        raise ProtocolError(f"{what}: expected {len(wires)} values for the wires "
+                            f"{[nm for nm, _ in wires]}, got {len(values)}")
+    idx = np.zeros((), dtype=np.int64)
+    for value, (name, size) in zip(values, wires):
+        # min and max first: a mask over every grid cell is built only for a fault
+        if value.min() < 0 or value.max() >= size:
+            bad = value[(value < 0) | (value >= size)][0]
+            raise ProtocolError(f"{what} {name}={bad} outside its alphabet of size {size}")
+        idx = idx * size + value
     return idx
 
 
@@ -147,11 +129,11 @@ def run_box_protocol(
     resource: Box,
     iface: BoxSignature,
     *,
-    alice_box_inputs: Callable[[Wires, np.ndarray], Sequence],
-    bob_box_inputs: Callable[[Wires, np.ndarray | None, np.ndarray], Sequence],
-    alice_outputs: Callable[[Wires, Wires, np.ndarray], Mapping[str, np.ndarray]],
-    bob_outputs: Callable[[Wires, Wires, np.ndarray | None, np.ndarray], Mapping[str, np.ndarray]],
-    message: Callable[[Wires, Wires, np.ndarray], np.ndarray] | None = None,
+    alice_box_inputs: Callable[[Wires], Sequence],
+    bob_box_inputs: Callable[[Wires], Sequence],
+    alice_outputs: Callable[[Wires], Mapping[str, np.ndarray]],
+    bob_outputs: Callable[[Wires], Mapping[str, np.ndarray]],
+    message: Callable[[Wires], np.ndarray] | None = None,
     message_size: int = 1,
     sr_size: int = 1,
 ) -> ProtocolRun:
@@ -160,21 +142,24 @@ def run_box_protocol(
     The run is laid out on the grid (Alice task input, s, A, Bob task input,
     B), A and B being the resource's output assignments, and is taken in
     blocks of Alice task rows of at most ``BLOCK_CELLS`` cells.  Each
-    callback is called once per block.  Every wire it is given is an integer
-    array that broadcasts over the grid, with size-1 axes where the wire does
-    not vary: task inputs and resource outputs come as dicts by wire name
-    (``ta``, ``tb``, ``a_out``, ``b_out``), ``s`` is the shared randomness
-    and ``m`` the message (None when no message alphabet is declared).
+    callback is called once per block with one dict: every wire its party
+    holds at that point, by name, each an integer array that broadcasts over
+    the grid, with size-1 axes where the wire does not vary.
 
-    ``alice_box_inputs(ta, s)`` and ``bob_box_inputs(tb, m, s)`` return the
-    resource wires in signature order; ``message(ta, a_out, s)`` returns the
-    message symbols, each in ``range(message_size)``.
-    ``alice_outputs(ta, a_out, s)`` must name every Alice output wire of
-    ``iface`` and ``bob_outputs(tb, b_out, m, s)`` every Bob output wire.
-    Alice's callbacks see no Bob axis, so her side runs once per (Alice task
-    input, s, A) round and the message cannot depend on Bob's task input.
-    Callbacks are evaluated on zero-probability A and B as well, and every
-    value they return is range-checked there too.
+    ``alice_box_inputs`` gets Alice's task inputs and the shared randomness
+    ``"s"``; ``message`` and ``alice_outputs`` get those plus Alice's
+    resource outputs.  ``bob_box_inputs`` gets Bob's task inputs, ``"s"``
+    and, only when a message alphabet is declared, the message ``"m"``;
+    ``bob_outputs`` gets those plus Bob's resource outputs.  The box-input
+    callbacks return the resource wires in signature order, ``message`` the
+    message symbols, each in ``range(message_size)``, and ``alice_outputs``
+    and ``bob_outputs`` dicts that name every Alice and every Bob output
+    wire of ``iface``.  Alice's dicts span no Bob axis, so her side runs once
+    per (Alice task input, s, A) round and the message cannot depend on
+    Bob's task input.  A party whose wires would repeat a name (a task input
+    called ``s`` or ``m``, or named like a resource output) is refused
+    before any callback runs.  Callbacks are evaluated on zero-probability A
+    and B as well, and every value they return is range-checked there too.
 
     The resource numerators are read with one ``take`` from the table laid
     flat as rows of B over the row-major (Alice row, Bob row, A) index, B
@@ -197,6 +182,13 @@ def run_box_protocol(
             "sequential execution is unsound"
         )
     res_sig = resource.signature
+    for party, names in (
+            ("Alice", [nm for nm, _ in iface.alice_inputs + res_sig.alice_outputs] + ["s"]),
+            ("Bob", [nm for nm, _ in iface.bob_inputs + res_sig.bob_outputs]
+             + ["s"] + (["m"] if message is not None else []))):
+        repeated = sorted({nm for nm in names if names.count(nm) > 1})
+        if repeated:
+            raise ProtocolError(f"{party}'s wires repeat the names {repeated}")
     n_a, n_b = prod(s for _, s in res_sig.alice_outputs), prod(s for _, s in res_sig.bob_outputs)
     n_ta, n_tb = prod(s for _, s in iface.alice_inputs), prod(s for _, s in iface.bob_inputs)
     n_out = prod(iface.output_sizes)
@@ -217,26 +209,27 @@ def run_box_protocol(
     def block(start: int) -> np.ndarray:
         """The induced table's rows for Alice task rows from ``start``, stored narrow."""
         rows = np.arange(start, min(start + rows_per_block, n_ta))
-        ta = _digits(iface.alice_inputs, rows, 0)
-        a_row = _resource_row("Alice", alice_box_inputs(ta, s_val), res_sig.alice_inputs)
-        m_val = None
+        alice = {**_digits(iface.alice_inputs, rows, 0), "s": s_val}
+        a_row = _checked_index("Alice's resource input", alice_box_inputs(alice),
+                               res_sig.alice_inputs)
+        alice = {**alice, **a_out}
+        bob = {**tb, "s": s_val}
         if message is not None:
-            sent = message(ta, a_out, s_val)
+            sent = message(alice)
             if sent is None:
                 raise ProtocolError("declared message was never sent")
-            m_val, bad = _row_major([sent], [("m", message_size)])
-            if bad is not None:
-                raise ProtocolError(f"message {bad[0]} outside alphabet of size {message_size}")
-            m_val = np.broadcast_to(m_val, (len(rows), sr_size, n_a, 1, 1))
-        b_row = _resource_row("Bob", bob_box_inputs(tb, m_val, s_val), res_sig.bob_inputs)
+            m_val = _checked_index("message", [sent], [("m", message_size)])
+            bob["m"] = np.broadcast_to(m_val, (len(rows), sr_size, n_a, 1, 1))
+        b_row = _checked_index("Bob's resource input", bob_box_inputs(bob), res_sig.bob_inputs)
         grid = (len(rows), sr_size, n_a, n_tb, n_b)
         # one take of whole B rows, the last axis of both the grid and nums
         cell_nums = np.broadcast_to(
             nums.take(((a_row * n_brow + b_row) * n_a + a_cell)[..., 0], axis=0), grid)
         nonzero = cell_nums != 0
-        # the output arrays live only through this call; their cell index is kept
-        out_cell = _output_cell(iface, {**alice_outputs(ta, a_out, s_val),
-                                        **bob_outputs(tb, b_out, m_val, s_val)})
+        outs = {**alice_outputs(alice), **bob_outputs({**bob, **b_out})}
+        out_cell = _checked_index("output", [outs[nm] for nm, _ in iface.output_vars],
+                                  iface.output_vars)
+        del outs  # only the output cell index outlives this point
         cells = np.broadcast_to(
             ((rows - start).reshape(-1, 1, 1, 1, 1) * n_tb + tb_row) * n_out + out_cell,
             grid)[nonzero]
@@ -277,11 +270,11 @@ def _rac_via_bnd_box(n: int, d: int, sign: str, resource: Box, name: str) -> Pro
         name,
         resource,
         _rac_iface(n, d),
-        alice_box_inputs=lambda a, s: tuple((a[f"a_{i}"] - a["a_0"]) % d for i in range(1, n)),
-        bob_box_inputs=lambda tb, m, s: (tb["b"],),
-        alice_outputs=lambda a, a_out, s: {},
-        bob_outputs=lambda tb, b_out, m, s: {"B": (m + step * b_out["Y"]) % d},
-        message=lambda a, a_out, s: (a_out["X"] + a["a_0"]) % d,
+        alice_box_inputs=lambda a: tuple((a[f"a_{i}"] - a["a_0"]) % d for i in range(1, n)),
+        bob_box_inputs=lambda b: (b["b"],),
+        alice_outputs=lambda a: {},
+        bob_outputs=lambda b: {"B": (b["m"] + step * b["Y"]) % d},
+        message=lambda a: (a["X"] + a["a_0"]) % d,
         message_size=d,
     )
 
@@ -313,10 +306,10 @@ def _bnd_box_via_rb(n: int, d: int, sign: str, variant: str, name: str) -> Proto
         name,
         make_rb(n, d, variant),
         family_signature(n, d),
-        alice_box_inputs=lambda x, s: (0,) + tuple(step * x[f"x_{i}"] % d for i in range(1, n)),
-        bob_box_inputs=lambda tb, m, s: (0, tb["y"]),
-        alice_outputs=lambda x, a_out, s: {"X": a_out["A"]},
-        bob_outputs=lambda tb, b_out, m, s: {"Y": b_out["B"]},
+        alice_box_inputs=lambda a: (0,) + tuple(step * a[f"x_{i}"] % d for i in range(1, n)),
+        bob_box_inputs=lambda b: (0, b["y"]),
+        alice_outputs=lambda a: {"X": a["A"]},
+        bob_outputs=lambda b: {"Y": b["B"]},
     )
 
 
@@ -345,20 +338,20 @@ def resource_inequality_sim(
     iface = replace(family, alice_inputs=family.alice_inputs + (("z", d),),
                     bob_outputs=family.bob_outputs + (("zhat", d + 1),))
 
-    def bob_outputs(tb: Wires, b_out: Wires, m: np.ndarray, s: np.ndarray) -> Wires:
-        clear = tb["y"] == 0
-        return {"Y": np.where(clear, -s, b_out["B"] - s) % d,
-                "zhat": np.where(clear, b_out["B"], d)}
+    def bob_outputs(b: Wires) -> Wires:
+        clear = b["y"] == 0
+        return {"Y": np.where(clear, -b["s"], b["B"] - b["s"]) % d,
+                "zhat": np.where(clear, b["B"], d)}
 
     run = run_box_protocol(
         f"resource-inequality-{n}-{d}-{rb_variant}",
         rb,
         iface,
-        alice_box_inputs=lambda a, s: (a["z"],) + tuple(a[f"x_{i}"] for i in range(1, n)),
-        bob_box_inputs=lambda tb, m, s: (m, tb["y"]),
-        alice_outputs=lambda a, a_out, s: {"X": s},
+        alice_box_inputs=lambda a: (a["z"],) + tuple(a[f"x_{i}"] for i in range(1, n)),
+        bob_box_inputs=lambda b: (b["m"], b["y"]),
+        alice_outputs=lambda a: {"X": a["s"]},
         bob_outputs=bob_outputs,
-        message=lambda a, a_out, s: a_out["A"],
+        message=lambda a: a["A"],
         message_size=d,
         sr_size=d,
     )

@@ -350,14 +350,14 @@ def bound_table(ns: Iterable[int], p2s: Sequence) -> list[BoundRow]:
     return rows
 
 
-def format_bound_table(rows: Sequence[BoundRow], headers: Sequence[str], digits: int = 6) -> str:
-    """Plain-text table; probabilities printed to `digits` decimals."""
+def format_bound_table(rows: Sequence[BoundRow], headers: Sequence[str]) -> str:
+    """Plain-text table; probabilities printed to six decimals."""
     cols = ["n", "boxes"] + list(headers)
     lines = ["  ".join(f"{c:>12}" for c in cols)]
     for row in rows:
         cells = [f"{row.n:>12}", f"{row.rb_count:>12}"]
         for v in row.values:
-            cells.append(f"{float(v):>12.{digits}f}")
+            cells.append(f"{float(v):>12.6f}")
         lines.append("  ".join(cells))
     return "\n".join(lines)
 

@@ -80,10 +80,10 @@ def test_plus_and_minus_boxes_each_simulate_the_other_family(n, d):
     def relabeled(variant, step):
         return run_box_protocol(
             f"{variant}-relabeled", make_rb(n, d, variant), family_signature(n, d),
-            alice_box_inputs=lambda x, s: (0,) + tuple(step * x[f"x_{i}"] % d for i in range(1, n)),
-            bob_box_inputs=lambda tb, m, s: (0, tb["y"]),
-            alice_outputs=lambda x, a_out, s: {"X": -a_out["A"] % d},
-            bob_outputs=lambda tb, b_out, m, s: {"Y": b_out["B"]},
+            alice_box_inputs=lambda a: (0,) + tuple(step * a[f"x_{i}"] % d for i in range(1, n)),
+            bob_box_inputs=lambda b: (0, b["y"]),
+            alice_outputs=lambda a: {"X": -a["A"] % d},
+            bob_outputs=lambda b: {"Y": b["B"]},
         ).result
 
     assert relabeled("plus", -1) == make_bnd_box(n, d, "minus")
@@ -144,10 +144,10 @@ def test_sequential_execution_rejects_backward_signaling():
             "copy",
             backward,
             iface,
-            alice_box_inputs=lambda t, s: (0,),
-            bob_box_inputs=lambda t, m, s: (t["v"],),
-            alice_outputs=lambda t, a, s: {"U": a["X"]},
-            bob_outputs=lambda t, b, m, s: {"V": 0},
+            alice_box_inputs=lambda a: (0,),
+            bob_box_inputs=lambda b: (b["v"],),
+            alice_outputs=lambda a: {"U": a["X"]},
+            bob_outputs=lambda b: {"V": 0},
         )
 
 
@@ -164,11 +164,11 @@ def test_declared_message_must_be_sent():
             "mute",
             rb,
             iface,
-            alice_box_inputs=lambda t, s: (t["u"], t["w"]),
-            bob_box_inputs=lambda t, m, s: (0, t["v"]),
-            alice_outputs=lambda t, a, s: {},
-            bob_outputs=lambda t, b, m, s: {"V": b["B"]},
-            message=lambda t, a, s: None,
+            alice_box_inputs=lambda a: (a["u"], a["w"]),
+            bob_box_inputs=lambda b: (0, b["v"]),
+            alice_outputs=lambda a: {},
+            bob_outputs=lambda b: {"V": b["B"]},
+            message=lambda a: None,
             message_size=2,
         )
 
@@ -181,16 +181,16 @@ _MUTE_IFACE = BoxSignature(
 )
 
 
-def _relay(resource, message=lambda t, a, s: a["A"], bob_outputs=None):
+def _relay(resource, message=lambda a: a["A"], bob_outputs=None):
     """Alice feeds (u, w) and sends her box output; Bob feeds it back with v."""
     return run_box_protocol(
         "relay",
         resource,
         _MUTE_IFACE,
-        alice_box_inputs=lambda t, s: (t["u"], t["w"]),
-        bob_box_inputs=lambda t, m, s: (m, t["v"]),
-        alice_outputs=lambda t, a, s: {},
-        bob_outputs=bob_outputs or (lambda t, b, m, s: {"V": b["B"]}),
+        alice_box_inputs=lambda a: (a["u"], a["w"]),
+        bob_box_inputs=lambda b: (b["m"], b["v"]),
+        alice_outputs=lambda a: {},
+        bob_outputs=bob_outputs or (lambda b: {"V": b["B"]}),
         message=message,
         message_size=2,
         sr_size=2,
@@ -199,9 +199,9 @@ def _relay(resource, message=lambda t, a, s: a["A"], bob_outputs=None):
 
 @pytest.mark.parametrize("party,inputs", [("Alice", (0, 2)), ("Bob", (0, 5))])
 def test_resource_input_outside_its_alphabet_names_party_wires_and_values(party, inputs):
-    alice = (lambda t, s: inputs) if party == "Alice" else (lambda t, s: (t["u"], t["w"]))
-    bob = (lambda t, m, s: inputs) if party == "Bob" else (lambda t, m, s: (0, t["v"]))
-    wires = ["a_0", "a_1"] if party == "Alice" else ["Aprime", "b"]
+    alice = (lambda a: inputs) if party == "Alice" else (lambda a: (a["u"], a["w"]))
+    bob = (lambda b: inputs) if party == "Bob" else (lambda b: (0, b["v"]))
+    wire = "a_1" if party == "Alice" else "b"
     with pytest.raises(ProtocolError) as err:
         run_box_protocol(
             "out-of-range",
@@ -209,11 +209,25 @@ def test_resource_input_outside_its_alphabet_names_party_wires_and_values(party,
             _MUTE_IFACE,
             alice_box_inputs=alice,
             bob_box_inputs=bob,
-            alice_outputs=lambda t, a, s: {},
-            bob_outputs=lambda t, b, m, s: {"V": b["B"]},
+            alice_outputs=lambda a: {},
+            bob_outputs=lambda b: {"V": b["B"]},
         )
-    assert str(err.value).startswith(f"{party} fed the resource inputs")
-    assert str(wires) in str(err.value) and str(list(inputs)) in str(err.value)
+    assert str(err.value) == (f"{party}'s resource input {wire}={inputs[1]} "
+                              "outside its alphabet of size 2")
+
+
+def test_resource_inputs_of_the_wrong_count_are_rejected():
+    with pytest.raises(ProtocolError, match=r"Bob's resource input: expected 2 values for the "
+                                            r"wires \['Aprime', 'b'\], got 1"):
+        run_box_protocol(
+            "short",
+            make_rb(2, 2, "nosignaling"),
+            _MUTE_IFACE,
+            alice_box_inputs=lambda a: (a["u"], a["w"]),
+            bob_box_inputs=lambda b: (b["v"],),
+            alice_outputs=lambda a: {},
+            bob_outputs=lambda b: {"V": b["B"]},
+        )
 
 
 def test_hand_built_run_with_a_negative_cell_is_rejected():
@@ -241,7 +255,7 @@ def test_unnormalized_resource_is_rejected_at_its_induced_row():
 
 def test_output_outside_its_alphabet_is_rejected():
     with pytest.raises(ProtocolError, match="outside its alphabet"):
-        _relay(make_rb(2, 2, "nosignaling"), bob_outputs=lambda t, b, m, s: {"V": 2})
+        _relay(make_rb(2, 2, "nosignaling"), bob_outputs=lambda b: {"V": 2})
 
 
 @pytest.mark.parametrize(
@@ -277,8 +291,8 @@ def test_forced_zero_but_free_spread_beyond_bits():
 
 
 def test_declared_message_outside_its_alphabet_is_rejected():
-    with pytest.raises(ProtocolError, match="message 2 outside alphabet of size 2"):
-        _relay(make_rb(2, 2, "nosignaling"), message=lambda t, a, s: a["A"] + 2)
+    with pytest.raises(ProtocolError, match="message m=2 outside its alphabet of size 2"):
+        _relay(make_rb(2, 2, "nosignaling"), message=lambda a: a["A"] + 2)
 
 
 @pytest.mark.parametrize("block_cells,blocks", [(protocols.BLOCK_CELLS, 1), (1, 4)],
@@ -298,11 +312,11 @@ def test_each_callback_runs_once_per_block_and_alice_sees_no_bob_axis(
         "relay",
         make_rb(2, 2, "nosignaling"),
         _MUTE_IFACE,
-        alice_box_inputs=spy("alice_box_inputs", lambda t, s: (t["u"], t["w"])),
-        bob_box_inputs=spy("bob_box_inputs", lambda t, m, s: (m, t["v"])),
-        alice_outputs=spy("alice_outputs", lambda t, a, s: {}),
-        bob_outputs=spy("bob_outputs", lambda t, b, m, s: {"V": b["B"]}),
-        message=spy("message", lambda t, a, s: a["A"]),
+        alice_box_inputs=spy("alice_box_inputs", lambda a: (a["u"], a["w"])),
+        bob_box_inputs=spy("bob_box_inputs", lambda b: (b["m"], b["v"])),
+        alice_outputs=spy("alice_outputs", lambda a: {}),
+        bob_outputs=spy("bob_outputs", lambda b: {"V": b["B"]}),
+        message=spy("message", lambda a: a["A"]),
         message_size=2,
         sr_size=2,
     )
@@ -311,12 +325,11 @@ def test_each_callback_runs_once_per_block_and_alice_sees_no_bob_axis(
     assert len(calls) == 5
     # grid axes (Alice task input, s, A, Bob task input, B): Alice's wires span no Bob axis
     for name in ("alice_box_inputs", "message", "alice_outputs"):
-        for args in calls[name]:
-            wires = [v for arg in args for v in (arg.values() if isinstance(arg, dict) else [arg])]
-            assert all(np.ndim(v) == 5 and np.shape(v)[3:] == (1, 1) for v in wires)
+        for (wires,) in calls[name]:
+            assert all(np.ndim(v) == 5 and np.shape(v)[3:] == (1, 1) for v in wires.values())
     # Bob's side sees Alice's rounds only through the message
-    for tb, m, s in calls["bob_box_inputs"]:
-        assert np.shape(m) == (4 // blocks, 2, 2, 1, 1)
+    for (wires,) in calls["bob_box_inputs"]:
+        assert np.shape(wires["m"]) == (4 // blocks, 2, 2, 1, 1)
 
 
 def test_backward_signaling_resource_is_rejected_before_any_callback_runs():
@@ -345,12 +358,72 @@ def test_backward_signaling_resource_is_rejected_before_any_callback_runs():
         )
 
 
+@pytest.mark.parametrize(
+    "alice_inputs,bob_inputs,message_size,party,name",
+    [((("s", 2),), (("v", 2),), 1, "Alice", "s"),
+     ((("u", 2),), (("B", 2),), 1, "Bob", "B"),
+     ((("u", 2),), (("m", 2),), 2, "Bob", "m")],
+    ids=["alice-input-s", "bob-input-like-a-resource-output", "bob-input-m"],
+)
+def test_a_repeated_wire_name_is_refused_before_any_callback_runs(
+        alice_inputs, bob_inputs, message_size, party, name):
+    # each party's callbacks get its task inputs, s, m and resource outputs in one dict
+    iface = BoxSignature(alice_inputs=alice_inputs, alice_outputs=(),
+                         bob_inputs=bob_inputs, bob_outputs=(("V", 2),))
+
+    def never(*args):
+        pytest.fail("a callback ran before the wire names were checked")
+
+    with pytest.raises(ProtocolError, match=rf"{party}'s wires repeat the names \['{name}'\]"):
+        run_box_protocol(
+            "repeat", make_rb(2, 2, "nosignaling"), iface,
+            alice_box_inputs=never, bob_box_inputs=never,
+            alice_outputs=never, bob_outputs=never,
+            message=never if message_size > 1 else None, message_size=message_size,
+        )
+
+
+@pytest.mark.parametrize("message_size", [1, 2])
+def test_each_callback_gets_exactly_the_wires_its_party_holds(message_size):
+    keys = {}
+
+    def record(name, fn):
+        def call(wires):
+            keys[name] = set(wires)
+            return fn(wires)
+        return call
+
+    sender = {"message": record("message", lambda a: a["A"])} if message_size > 1 else {}
+    run_box_protocol(
+        "relay",
+        make_rb(2, 2, "nosignaling"),
+        _MUTE_IFACE,
+        alice_box_inputs=record("alice_box_inputs", lambda a: (a["u"], a["w"])),
+        bob_box_inputs=record("bob_box_inputs", lambda b: (b.get("m", 0), b["v"])),
+        alice_outputs=record("alice_outputs", lambda a: {}),
+        bob_outputs=record("bob_outputs", lambda b: {"V": b["B"]}),
+        message_size=message_size,
+        **sender,
+    )
+    # Bob holds the message only when a message alphabet is declared
+    bob = {"v", "s"} | ({"m"} if message_size > 1 else set())
+    alice = {"u", "w", "s", "A"}
+    assert keys == {
+        "alice_box_inputs": {"u", "w", "s"},
+        "alice_outputs": alice,
+        "bob_box_inputs": bob,
+        "bob_outputs": bob | {"B"},
+        **({"message": alice} if message_size > 1 else {}),
+    }
+
+
 def _walk_protocol(name, resource, iface, *, alice_box_inputs, bob_box_inputs, alice_outputs,
                    bob_outputs, message=None, message_size=1, sr_size=1) -> Box:
     """Reference executor: one step per (task input, s, A, B) cell, scalar wires.
 
-    Calls the executor's own callbacks with numpy integer scalars and adds
-    each nonzero resource numerator into the induced table as a Python int.
+    Calls the executor's own callbacks with each party's wires by name as
+    numpy integer scalars and adds each nonzero resource numerator into the
+    induced table as a Python int.
     """
     def assignments(wires):
         names = [nm for nm, _ in wires]
@@ -360,17 +433,19 @@ def _walk_protocol(name, resource, iface, *, alice_box_inputs, bob_box_inputs, a
     sig = resource.signature
     table = np.zeros(iface.input_sizes + iface.output_sizes, dtype=object)
     for ta, s in product(assignments(iface.alice_inputs), map(np.int64, range(sr_size))):
-        a_in = tuple(int(v) for v in alice_box_inputs(ta, s))
+        a_in = tuple(int(v) for v in alice_box_inputs({**ta, "s": s}))
         for a_out in assignments(sig.alice_outputs):
-            m = None if message is None else np.int64(message(ta, a_out, s))
-            assert m is None or 0 <= m < message_size
-            alice = alice_outputs(ta, a_out, s)
+            alice = {**ta, "s": s, **a_out}
+            m = {} if message is None else {"m": np.int64(message(alice))}
+            assert all(0 <= v < message_size for v in m.values())
+            alice_outs = alice_outputs(alice)
             for tb in assignments(iface.bob_inputs):
-                b_in = tuple(int(v) for v in bob_box_inputs(tb, m, s))
+                bob = {**tb, "s": s, **m}
+                b_in = tuple(int(v) for v in bob_box_inputs(bob))
                 for b_out in assignments(sig.bob_outputs):
                     num = resource.table[a_in + b_in + tuple(a_out.values()) + tuple(b_out.values())]
                     if num:
-                        outs = {**alice, **bob_outputs(tb, b_out, m, s)}
+                        outs = {**alice_outs, **bob_outputs({**bob, **b_out})}
                         cell = (tuple(ta.values()) + tuple(tb.values())
                                 + tuple(int(outs[nm]) for nm, _ in iface.output_vars))
                         table[cell] += int(num)
@@ -447,11 +522,11 @@ def test_executor_sums_exactly_past_int64():
     assert mixture.denominator > np.iinfo(np.int64).max and mixture.table.dtype == object
     # Bob feeds back the wrong A', so every cell is read off the A' = A branch
     kwargs = dict(
-        alice_box_inputs=lambda t, s: (t["u"], t["w"]),
-        bob_box_inputs=lambda t, m, s: ((m + 1) % 2, t["v"]),
-        alice_outputs=lambda t, a, s: {},
-        bob_outputs=lambda t, b, m, s: {"V": b["B"]},
-        message=lambda t, a, s: a["A"],
+        alice_box_inputs=lambda a: (a["u"], a["w"]),
+        bob_box_inputs=lambda b: ((b["m"] + 1) % 2, b["v"]),
+        alice_outputs=lambda a: {},
+        bob_outputs=lambda b: {"V": b["B"]},
+        message=lambda a: a["A"],
         message_size=2,
         sr_size=2,
     )
@@ -472,10 +547,10 @@ def test_narrow_numerators_are_summed_exactly_in_int64(dtype, numerators):
     iface = BoxSignature(alice_inputs=(("u", 1),), alice_outputs=(),
                          bob_inputs=(("v", 1),), bob_outputs=(("V", 2),))
     kwargs = dict(
-        alice_box_inputs=lambda t, s: (0,),
-        bob_box_inputs=lambda t, m, s: (0,),
-        alice_outputs=lambda t, a, s: {},
-        bob_outputs=lambda t, b, m, s: {"V": b["Y"]},
+        alice_box_inputs=lambda a: (0,),
+        bob_box_inputs=lambda b: (0,),
+        alice_outputs=lambda a: {},
+        bob_outputs=lambda b: {"V": b["Y"]},
         sr_size=2,
     )
     run = run_box_protocol("narrow", resource, iface, **kwargs)
@@ -513,11 +588,11 @@ def test_executor_matches_the_walk_on_a_multi_wire_resource(monkeypatch, block_c
     iface = BoxSignature(alice_inputs=(("u", 2), ("w", 3)), alice_outputs=(("U", 3),),
                          bob_inputs=(("v", 2), ("t", 2)), bob_outputs=(("V", 2), ("W", 3)))
     kwargs = dict(
-        alice_box_inputs=lambda t, s: (t["u"], (t["u"] + s) % 2, t["w"]),
-        bob_box_inputs=lambda t, m, s: (m, t["v"], t["t"]),
-        alice_outputs=lambda t, a, s: {"U": (a["X"] + a["A"]) % 3},
-        bob_outputs=lambda t, b, m, s: {"V": b["B"], "W": (b["Y"] + s) % 3},
-        message=lambda t, a, s: a["A"],
+        alice_box_inputs=lambda a: (a["u"], (a["u"] + a["s"]) % 2, a["w"]),
+        bob_box_inputs=lambda b: (b["m"], b["v"], b["t"]),
+        alice_outputs=lambda a: {"U": (a["X"] + a["A"]) % 3},
+        bob_outputs=lambda b: {"V": b["B"], "W": (b["Y"] + b["s"]) % 3},
+        message=lambda a: a["A"],
         message_size=2,
         sr_size=2,
     )

@@ -91,16 +91,16 @@ def _through_the_executor(strategy):
     no-signaling RAC-box, every table read with ``TableFn.at``."""
     t = strategy.tables
 
-    def bob(tb, m):
-        return {"btilde": tb["b"], "m": m}
+    def bob(b):
+        return {"btilde": b["b"], "m": b["m"]}
 
     run = run_box_protocol(
         "one-box-strategy", make_rb(2, 2, "nosignaling"), _rac_iface(strategy.n, 2),
-        alice_box_inputs=lambda ta, s: (t["rb0.a0"].at(ta), t["rb0.a1"].at(ta)),
-        message=lambda ta, a_out, s: t["m"].at({**ta, "A_rb0": a_out["A"]}),
-        bob_box_inputs=lambda tb, m, s: (t["rb0.aprime"].at(bob(tb, m)), t["rb0.b"].at(bob(tb, m))),
-        alice_outputs=lambda ta, a_out, s: {},
-        bob_outputs=lambda tb, b_out, m, s: {"B": t["Btilde"].at({**bob(tb, m), "B_rb0": b_out["B"]})},
+        alice_box_inputs=lambda a: (t["rb0.a0"].at(a), t["rb0.a1"].at(a)),
+        message=lambda a: t["m"].at({**a, "A_rb0": a["A"]}),
+        bob_box_inputs=lambda b: (t["rb0.aprime"].at(bob(b)), t["rb0.b"].at(bob(b))),
+        alice_outputs=lambda a: {},
+        bob_outputs=lambda b: {"B": t["Btilde"].at({**bob(b), "B_rb0": b["B"]})},
         message_size=2,
     )
     return rac_win_probability(run)
