@@ -13,17 +13,22 @@ are.  Each operation is one array step with exact integer sums:
 ``marginalize`` counts the kept rows with one ``bincount`` (or sorts them
 where counting cannot be exact, see ``grouped_counts``), ``condition`` masks
 rows and takes the masked mass as the new denominator, and ``derive``
-appends a column read from a function table.  A float here only ever
-carries an integer below 2^53, which it holds exactly; inexact floats
-enter only when entropies are taken.
+appends a column read from a function table.  ``grouped_counts`` counts
+every marginal of a list in that one ``bincount`` while the joint is small,
+so an information query counts all the marginals it needs in one pass.  A
+float here only ever carries an integer below 2^53, which it holds exactly;
+inexact floats enter only when entropies are taken.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -119,7 +124,10 @@ class JointDistribution:
 
     variables: ordered (name, cardinality) pairs; symbols are 0..cardinality-1.
     ``JointDistribution(variables, probs)`` takes a map from full assignment
-    tuples to exact probabilities (``Fraction`` or ``int``); zeros are dropped.
+    tuples to exact probabilities (``Fraction`` or ``int``) that sum to 1;
+    zeros are dropped.  A float probability, a symbol that is not an integer
+    in its alphabet, an assignment of the wrong length, a negative
+    probability or a total other than 1 is refused with a ``ValueError``.
     """
 
     variables: tuple[tuple[str, int], ...]
@@ -130,24 +138,47 @@ class JointDistribution:
     def __init__(
         self, variables: Sequence[tuple[str, int]], probs: Mapping[Assignment, Rational]
     ) -> None:
-        items = sorted((key, p) for key, p in probs.items() if p)
-        den = lcm(*(p.denominator for _, p in items))
-        nums = [p.numerator * (den // p.denominator) for _, p in items]
-        keys = np.array([key for key, _ in items], dtype=np.int64)
-        if not items or keys.shape != (len(items), len(variables)):
-            raise ValueError(f"need assignments of positive probability, one value per "
-                             f"variable of {tuple(variables)}")
-        # one scan of the keys: a negative value is past every size as uint64
+        variables = tuple(variables)
+        # a float has an integer ratio too, but not the exact probability meant
+        if not set(map(type, probs.values())) <= {int, Fraction}:
+            for key, p in probs.items():
+                if not isinstance(p, (int, Fraction)):
+                    raise ValueError(f"probability {p!r} of {key} is not an exact Fraction or int")
+        support = sorted(probs)
+        ratios = [probs[key].as_integer_ratio() for key in support]
+        den = lcm(*{d for _, d in ratios})
+        nums = [num * (den // d) for num, d in ratios]
+        if 0 in nums:  # zeros are dropped
+            support = [key for key, num in zip(support, nums) if num]
+            nums = [num for num in nums if num]
+        if not support:
+            raise ValueError(f"need assignments of positive probability for {variables}")
+        if set(map(len, support)) != {len(variables)}:
+            key = next(key for key in support if len(key) != len(variables))
+            raise ValueError(f"assignment {key} needs one value per variable of {variables}")
+        # read straight into the key type, which holds every symbol of every alphabet
+        symbols, dtype = list(chain.from_iterable(support)), _key_dtype(variables)
+        try:
+            keys = np.frombuffer(array(dtype.char, symbols), dtype=dtype)
+        except TypeError:
+            bad = next(v for v in symbols if not isinstance(v, Integral))
+            raise ValueError(f"symbol {bad!r} of an assignment is not an integer") from None
+        except OverflowError:
+            raise ValueError(f"an assignment is out of range for {variables}") from None
+        keys = keys.reshape(len(support), len(variables))
+        # one scan of the keys: a negative value is past every size as unsigned
         sizes = np.array([size for _, size in variables], dtype=np.uint64)
-        if min(nums) < 0 or (keys.view(np.uint64) >= sizes).any():
-            raise ValueError(f"an assignment is out of range for {tuple(variables)} "
+        if min(nums) < 0 or np.count_nonzero(keys.view(f"u{dtype.itemsize}") >= sizes):
+            raise ValueError(f"an assignment is out of range for {variables} "
                              "or has negative probability")
+        if sum(nums) != den:
+            raise ValueError(f"probabilities sum to {Fraction(sum(nums), den)}, not 1")
         # the few numerators of a hand-written joint reduce faster as Python ints
         common = gcd(den, *nums)
         if common > 1:
             nums, den = [count // common for count in nums], den // common
         counts = np.array(nums, dtype=numerator_dtype(max(den, *nums), len(nums)))
-        self._fill(variables, keys.astype(_key_dtype(variables)), counts, den)
+        self._fill(variables, keys, counts, den)
 
     def _fill(self, variables, keys: np.ndarray, counts: np.ndarray, den: int) -> JointDistribution:
         """Store sorted, distinct keys and their counts, already in lowest terms
@@ -159,11 +190,9 @@ class JointDistribution:
         if any(size < 1 for _, size in variables):
             raise ValueError(f"a variable of {variables} has an empty alphabet")
         # the arrays are this joint's own (or another joint's, already read-only)
-        keys.flags.writeable = counts.flags.writeable = False
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "denominator", den)
+        keys.setflags(write=False)
+        counts.setflags(write=False)
+        vars(self).update(variables=variables, keys=keys, counts=counts, denominator=den)
         return self
 
     @classmethod
@@ -225,20 +254,63 @@ def derive(dist: JointDistribution, table: TableFn) -> JointDistribution:
 
 
 def grouped_counts(
-    dist: JointDistribution, keep: Sequence[str], *, with_keys: bool = False
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """The marginal over ``keep`` as (its rows if ``with_keys``, else None; their
-    numerators over ``dist.denominator``), rows of positive mass in row-major order.
+    dist: JointDistribution, groups: Sequence[Sequence[str]], *, with_keys: bool = False
+) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """For each group of wires, the marginal over it as (its rows if ``with_keys``,
+    else None; their numerators over ``dist.denominator``), rows of positive mass
+    in row-major order.
 
     The numerators are counted: one ``bincount`` of the rows' cell indices,
     weighted by their counts, whose nonzero bins come out in row-major order.
     Every bin is a sum of non-negative integers no larger than the joint's
-    total, so it is exact in float64 while that total is below 2^53.  A stable
-    sort and ``reduceat`` group the rows instead when counting cannot be
-    exact (Python-int counts, or a total of 2^53 or more) or would need more
-    bins than max(2^16, rows).
+    total, so it is exact in float64 while that total is below 2^53.
+
+    Two or more groups share one ``bincount`` while that is exact and the
+    rows x groups index matrix and all the groups' bins each hold at most
+    2^16 entries: the cell indices are one matrix product ``keys @ strides``,
+    each group's offset past the bins of the groups before it.  Otherwise
+    each group is counted on its own, with one bincount of at most
+    max(2^16, rows) bins; a stable sort and ``reduceat`` group the rows
+    instead where counting cannot be exact (Python-int counts, or a total of
+    2^53 or more) or would need more bins than that.
     """
-    idx = [dist.index(name) for name in keep]
+    where = {name: (i, size) for i, (name, size) in enumerate(dist.variables)}
+    width, count = len(dist.variables), len(groups)
+    # row ``wire`` of the strides matrix holds each group's stride for that wire, and a
+    # last row each group's first bin
+    strides, offsets = [0] * (width * count), [0]
+    for group, keep in enumerate(groups):
+        stride = 1
+        for name in reversed(keep):
+            if name not in where:
+                dist.index(name)  # raises, naming the wires the joint has
+            i, size = where[name]
+            strides[i * count + group] = stride
+            stride *= size
+        offsets.append(offsets[-1] + stride)
+    if (count == 1 or len(dist.keys) * count > _DENSE_CELLS or offsets[-1] > _DENSE_CELLS
+            or not _sums_fit_float(dist.counts)):
+        return [_grouped(dist, [where[name][0] for name in keep], with_keys) for keep in groups]
+    # a float64 product (BLAS) is exact here: every partial sum is a cell index below 2^16
+    matrix = np.array(strides + offsets[:-1], dtype=np.float64).reshape(width + 1, count)
+    codes = dist.keys.astype(np.float64) @ matrix[:-1]
+    codes += matrix[-1]
+    bins = np.bincount(codes.reshape(-1).astype(np.intp),
+                       weights=np.repeat(dist.counts, count), minlength=offsets[-1])
+    present = bins.nonzero()[0]
+    counts = bins[present].astype(np.int64)
+    cells = present.tolist()
+    ends = [bisect_left(cells, start) for start in offsets]
+    return [(_cell_keys(present[lo:hi] - start, [where[name][1] for name in keep],
+                        dist.keys.dtype) if with_keys else None, counts[lo:hi])
+            for keep, start, lo, hi in zip(groups, offsets, ends, ends[1:])]
+
+
+def _grouped(
+    dist: JointDistribution, idx: list[int], with_keys: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The marginal over the wires ``idx`` on its own: counted while that is exact
+    and needs at most max(2^16, rows) bins, else sorted."""
     sizes = [dist.variables[i][1] for i in idx]
     codes = _row_codes(dist.keys, idx, sizes)
     cells = prod(sizes)
@@ -256,7 +328,7 @@ def grouped_counts(
 
 def marginalize(dist: JointDistribution, keep: Sequence[str]) -> JointDistribution:
     """Marginal over ``keep`` (result variables in the order given)."""
-    rows, counts = grouped_counts(dist, keep, with_keys=True)
+    ((rows, counts),) = grouped_counts(dist, [keep], with_keys=True)
     return _joint([dist.variables[dist.index(name)] for name in keep], rows, counts,
                   dist.denominator)
 

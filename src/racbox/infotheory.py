@@ -3,8 +3,9 @@
 Probabilities stay integer counts over one denominator all the way to the
 log; only the final entropy is a float.  All measures take the log base
 explicitly (base 2 for bits, base d for dit-valued alphabets) and follow
-the convention 0 log 0 = 0.  Each query checks its groups once and groups
-each distinct marginal it needs once (``_query``); the formulas add their
+the convention 0 log 0 = 0.  Each query checks its groups once, learns
+which marginals its formula reads, and counts each distinct one once, all
+in one ``grouped_counts`` pass (``_query``); the formulas add their
 entropies in a fixed order, so every float is reproducible.
 
 Identities are checked exactly instead.  With counts c_i over N,
@@ -21,7 +22,7 @@ capacity module.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
@@ -31,6 +32,7 @@ from .reports import ProbeReport
 TOLERANCE = 1e-9
 
 _V = TypeVar("_V")
+_R = TypeVar("_R")
 
 
 def _checked(
@@ -42,10 +44,11 @@ def _checked(
     names = [var for group in groups for var in group]
     if not all(groups[:-1]):
         raise ValueError("each group must name at least one variable")
-    unknown = sorted(set(names).difference(name for name, _ in dist.variables))
+    named = set(names)
+    unknown = named.difference(name for name, _ in dist.variables)
     if unknown:
-        raise ValueError(f"unknown variable {unknown[0]!r}")
-    if len(set(names)) != len(names):
+        raise ValueError(f"unknown variable {min(unknown)!r}")
+    if len(named) != len(names):
         raise ValueError("a variable is named twice across the groups")
     return groups
 
@@ -55,37 +58,40 @@ def _query(
     given: Sequence[str],
     groups: Sequence[Sequence[str]],
     measure: Callable[[list[int], int], _V],
-) -> tuple[list[tuple[str, ...]], tuple[str, ...], Callable[[tuple[str, ...]], _V]]:
-    """Check one query's groups once; return them, ``given`` and its ``H``.
+    formula: Callable[..., _R],
+) -> _R:
+    """Check one query's groups once; return ``formula(H, groups, given)``.
 
     ``H(group)`` is ``measure(counts, denominator)`` of the marginal over an
-    ordered tuple of wires, grouped once per distinct tuple.  Tuples are
-    told apart by order too: the column order fixes the order in which an
-    entropy's float terms are added.
+    ordered tuple of wires.  The formula first runs against a recorder,
+    whose every ``H`` is the measure of no counts, to learn which marginals
+    it reads; its flow must not depend on their values.  One
+    ``grouped_counts`` call then counts each distinct tuple once, and the
+    formula runs again on their measures.  Tuples are told apart by order
+    too: the column order fixes the order in which an entropy's float terms
+    are added.
     """
     *groups, given = _checked(dist, given, *groups)
-    values: dict[tuple[str, ...], _V] = {}
-
-    def H(group: tuple[str, ...]) -> _V:
-        if group not in values:
-            values[group] = measure(grouped_counts(dist, group)[1].tolist(), dist.denominator)
-        return values[group]
-
-    return groups, given, H
+    blank = measure([], 1)
+    needed: defaultdict[tuple[str, ...], _V] = defaultdict(lambda: blank)
+    formula(needed.__getitem__, groups, given)
+    values = {group: measure(counts.tolist(), dist.denominator)
+              for group, (_, counts) in zip(needed, grouped_counts(dist, list(needed)))}
+    return formula(values.__getitem__, groups, given)
 
 
 def _entropy_in(base: int) -> Callable[[list[int], int], float]:
     """The measure taking marginal counts over a denominator to their entropy in ``base``."""
     if base < 2:
         raise ValueError("log base must be at least 2")
-    log_base = math.log(base)
+    log, log_base = math.log, math.log(base)
 
     def measure(counts: list[int], den: int) -> float:
         h = 0.0
         # Python floats in row-major key order, so every printed entropy is reproducible
         for count in counts:
             p = count / den
-            h -= p * math.log(p)
+            h -= p * log(p)
         return h / log_base
 
     return measure
@@ -108,18 +114,24 @@ def _multi(H, groups, target, given):
     return total - _conditional(H, everything, given)
 
 
+def _lemma4_sides(H, groups, given):
+    """check_lemma4's sides: sum_i I(S_i : T | V), and I(S_1 : ... : S_n : T | V)."""
+    *groups, target = groups
+    return (sum(_information(H, g, target, given) for g in groups),
+            _multi(H, groups, target, given))
+
+
 def entropy(dist: JointDistribution, vars: Sequence[str], base: int = 2) -> float:
     """H(vars) in the given base; exact marginalization, float logs."""
-    (group,), _, H = _query(dist, (), (vars,), _entropy_in(base))
-    return H(group)
+    return _query(dist, (), (vars,), _entropy_in(base), lambda H, groups, _: H(groups[0]))
 
 
 def conditional_entropy(
     dist: JointDistribution, targets: Sequence[str], given: Sequence[str] = (), base: int = 2
 ) -> float:
     """H(targets | given) = H(targets, given) - H(given)."""
-    (targets,), given, H = _query(dist, given, (targets,), _entropy_in(base))
-    return _conditional(H, targets, given)
+    return _query(dist, given, (targets,), _entropy_in(base),
+                  lambda H, groups, given: _conditional(H, groups[0], given))
 
 
 def mutual_information(
@@ -130,8 +142,8 @@ def mutual_information(
     base: int = 2,
 ) -> float:
     """I(A : B | given) via the four-entropy expansion."""
-    (group_a, group_b), given, H = _query(dist, given, (group_a, group_b), _entropy_in(base))
-    return _information(H, group_a, group_b, given)
+    return _query(dist, given, (group_a, group_b), _entropy_in(base),
+                  lambda H, groups, given: _information(H, *groups, given))
 
 
 def information_and_entropy(
@@ -146,8 +158,9 @@ def information_and_entropy(
     The two share H(B, given) and H(given), so each marginal is grouped once.
     They are equal exactly when B is a function of (A, given) on the support.
     """
-    (group_a, group_b), given, H = _query(dist, given, (group_a, group_b), _entropy_in(base))
-    return _information(H, group_a, group_b, given), _conditional(H, group_b, given)
+    return _query(dist, given, (group_a, group_b), _entropy_in(base),
+                  lambda H, groups, given: (_information(H, *groups, given),
+                                            _conditional(H, groups[1], given)))
 
 
 def log_exponents(value: int) -> dict[int, Fraction]:
@@ -177,6 +190,17 @@ def _entropy_exponents(counts: list[int], den: int) -> dict[int, Fraction]:
     return {p: e / den for p, e in scaled.items()}
 
 
+def _information_exponents(H, groups, given):
+    group_a, group_b = groups
+    total: dict[int, Fraction] = {}
+    for group, sign in ((group_a + given, 1), (group_b + given, 1),
+                        (group_a + group_b + given, -1), (given, -1)):
+        if group:
+            for p, e in H(group).items():
+                total[p] = total.get(p, 0) + sign * e
+    return {p: e for p, e in sorted(total.items()) if e}
+
+
 def mutual_information_exponents(
     dist: JointDistribution,
     group_a: Sequence[str],
@@ -188,14 +212,7 @@ def mutual_information_exponents(
     Compare two informations by comparing these maps; (1/n) log d is
     ``{p: e / n for p, e in log_exponents(d).items()}``.
     """
-    (group_a, group_b), given, H = _query(dist, given, (group_a, group_b), _entropy_exponents)
-    total: dict[int, Fraction] = {}
-    for group, sign in ((group_a + given, 1), (group_b + given, 1),
-                        (group_a + group_b + given, -1), (given, -1)):
-        if group:
-            for p, e in H(group).items():
-                total[p] = total.get(p, 0) + sign * e
-    return {p: e for p, e in sorted(total.items()) if e}
+    return _query(dist, given, (group_a, group_b), _entropy_exponents, _information_exponents)
 
 
 def multi_information(
@@ -208,8 +225,8 @@ def multi_information(
     """I(S_1 : ... : S_n : T | V) = sum H(S_i|V) + H(T|V) - H(S_1..S_n,T|V)."""
     if not groups:
         raise ValueError("need at least one group")
-    (*groups, target), given, H = _query(dist, given, (*groups, target), _entropy_in(base))
-    return _multi(H, groups, target, given)
+    return _query(dist, given, (*groups, target), _entropy_in(base),
+                  lambda H, groups, given: _multi(H, groups[:-1], groups[-1], given))
 
 
 def check_lemma4(
@@ -226,9 +243,7 @@ def check_lemma4(
     """
     if not groups:
         raise ValueError("need at least one group")
-    (*groups, target), given, H = _query(dist, given, (*groups, target), _entropy_in(2))
-    lhs = sum(_information(H, g, target, given) for g in groups)
-    rhs = _multi(H, groups, target, given)
+    lhs, rhs = _query(dist, given, (*groups, target), _entropy_in(2), _lemma4_sides)
     return ProbeReport(
         claim="sum of single-group informations is at most the multi-information",
         passed=lhs <= rhs + TOLERANCE,

@@ -81,15 +81,16 @@ def ref_entropy(dist, keep, base):
 
 
 def sort_grouping(dist, keep):
-    """The stable sort and ``reduceat`` that counting replaced: (rows, counts)."""
-    idx = [dist.index(name) for name in keep]
-    codes = np.zeros(len(dist.keys), dtype=np.int64)
-    for i in idx:
-        codes = codes * dist.sizes[i] + dist.keys[:, i]
-    order = codes.argsort(kind="stable")
-    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-    return dist.keys[order[starts]][:, idx], np.add.reduceat(
-        dist.counts[order].astype(np.int64), starts)
+    """The stable sort and ``reduceat`` that counting replaced: (rows, counts).
+
+    It sorts the kept columns themselves, so no cell code can overflow, and
+    sums in Python ints, so no count can.
+    """
+    cols = dist.keys[:, [dist.index(name) for name in keep]]
+    order = np.lexsort(cols.T[::-1])
+    cols = cols[order]
+    starts = np.flatnonzero(np.concatenate(([True], (cols[1:] != cols[:-1]).any(axis=1))))
+    return cols[starts], np.add.reduceat(dist.counts[order].astype(object), starts)
 
 
 def assert_invariants(dist):
@@ -124,6 +125,39 @@ def test_uniform_and_validate():
         JointDistribution((("x", 2),), {(0, 1): F(1)})
     with pytest.raises(ValueError, match="positive probability"):
         JointDistribution((("x", 2),), {(0,): F(0)})
+
+
+@pytest.mark.parametrize("variables,probs,fault", [
+    ((("x", 2),), {(0,): F(1, 2), (1,): F(1, 3)}, "sum to 5/6, not 1"),
+    ((("x", 2),), {(0,): F(1, 2), (1,): F(2, 3)}, "sum to 7/6, not 1"),
+    ((("x", 2), ("y", 2)), {(0, 0.5): F(1)}, "symbol 0.5 .* not an integer"),
+    ((("x", 2), ("y", 2)), {(0, "1"): F(1)}, "symbol '1' .* not an integer"),
+    ((("x", 2),), {(0,): 0.5, (1,): F(1, 2)}, r"probability 0.5 of \(0,\) is not an exact"),
+    ((("x", 2), ("y", 2)), {(0, 0): F(1, 2), (1,): F(1, 2)}, r"\(1,\) needs one value per"),
+    ((("x", 2),), {(2**64,): F(1)}, "out of range"),
+], ids=["short", "over", "float-symbol", "string-symbol", "float-probability", "ragged",
+        "wide-symbol"])
+def test_constructor_refuses_what_is_not_a_joint(variables, probs, fault):
+    with pytest.raises(ValueError, match=fault):
+        JointDistribution(variables, probs)
+
+
+def test_constructor_builds_what_from_table_builds():
+    rng = random.Random(200)
+    for _ in range(200):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        variables = tuple((f"v{i}", size) for i, size in enumerate(sizes))
+        big = rng.random() < 0.2  # numerators past int8, int16 and int64
+        table = np.array([rng.randrange(2**70 if big else 4) * rng.randrange(2) for _ in
+                          range(math.prod(sizes))], dtype=object).reshape(sizes)
+        table.flat[rng.randrange(table.size)] += 1
+        total = int(table.sum())
+        probs = {key: F(int(table[key]), total) for key in iter_assignments(sizes)}
+        got = JointDistribution(variables, probs)
+        want = JointDistribution.from_table(variables, table, total)
+        assert got.variables == want.variables and got.denominator == want.denominator
+        for mine, theirs in ((got.keys, want.keys), (got.counts, want.counts)):
+            assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
 
 
 def test_independent_uniform_factorizes():
@@ -311,7 +345,7 @@ def test_counting_groups_like_the_sort(dist, data):
     keep = names[:data.draw(st.integers(1, len(names)))]
     want_rows, want_counts = sort_grouping(dist, keep)
     with mock.patch.object(np, "bincount", wraps=np.bincount) as counted:
-        rows, counts = grouped_counts(dist, keep, with_keys=True)
+        ((rows, counts),) = grouped_counts(dist, [keep], with_keys=True)
     assert counted.call_count == 1
     assert (rows.tolist(), counts.tolist()) == (want_rows.tolist(), want_counts.tolist())
     assert counts.dtype == np.int64 and rows.dtype == dist.keys.dtype
@@ -339,7 +373,7 @@ def _total_past_two_to_the_53():
     dist = JointDistribution(
         (("a", 2), ("b", 2)), {(0, 0): F(1, big), (1, 0): F(1, big), (1, 1): F(big - 2, big)})
     assert dist.counts.dtype == np.int64
-    assert grouped_counts(dist, ["b"])[1].tolist() == [2, 2**53 + 1]
+    assert grouped_counts(dist, [["b"]])[0][1].tolist() == [2, 2**53 + 1]
     return dist, ["b"]
 
 
@@ -356,6 +390,55 @@ def test_groupings_counting_cannot_hold_exactly_are_sorted(case, monkeypatch):
     assert_invariants(m)
     assert ref_probs(m) == ref_marginalize(dist, keep)
     assert entropy(dist, keep, 2) == ref_entropy(dist, keep, 2)
+
+
+def _index_matrix_past_two_to_the_16():
+    # 65,536 rows: with two or more groups the rows x groups index matrix passes 2^16
+    table = np.random.default_rng(16).integers(0, 4, (16,) * 4)
+    variables = tuple((f"u{i}", 16) for i in range(4))
+    return JointDistribution.from_table(variables, table, int(table.sum())), ["u3", "u1"]
+
+
+def _bins_past_two_to_the_16():
+    # 17 binary wires: the group of all of them needs 2^17 bins, so it is sorted
+    rng = random.Random(17)
+    rows = {tuple(rng.randrange(2) for _ in range(17)) for _ in range(30)}
+    variables = tuple((f"w{i}", 2) for i in range(17))
+    return JointDistribution(variables, {row: F(1, len(rows)) for row in rows}), ["w0"]
+
+
+def _small():
+    return JointDistribution((("a", 2), ("b", 3), ("c", 2)), {
+        (0, 0, 0): F(1, 8), (0, 2, 1): F(3, 8), (1, 1, 0): F(1, 4), (1, 2, 1): F(1, 4)}), ["c"]
+
+
+@pytest.mark.parametrize("case", [_small, _sixty_four_wires, _denominator_past_int64,
+                                  _total_past_two_to_the_53, _index_matrix_past_two_to_the_16,
+                                  _bins_past_two_to_the_16])
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_every_group_of_one_call_matches_the_sort(case, data):
+    dist, _ = case()
+    groups = data.draw(st.lists(st.permutations(list(dist.names)).flatmap(
+        lambda names: st.integers(1, min(len(names), 4)).map(lambda k: names[:k])),
+        min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        # every wire: 2^17 bins, or at 64 wires more cells than int64 can index
+        groups.append(list(dist.names)[::-1])
+    got = grouped_counts(dist, groups, with_keys=True)
+    assert len(got) == len(groups)
+    for keep, (rows, counts) in zip(groups, got):
+        want_rows, want_counts = sort_grouping(dist, keep)
+        assert (rows.tolist(), counts.tolist()) == (want_rows.tolist(), want_counts.tolist())
+
+
+def test_small_groups_share_one_count_and_large_ones_count_alone():
+    small, _ = _small()
+    large, _ = _index_matrix_past_two_to_the_16()
+    for dist, calls in ((small, 1), (large, 3)):
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as counted:
+            grouped_counts(dist, [dist.names[:1], dist.names[1:], dist.names[::-1]])
+        assert counted.call_count == calls
 
 
 def test_entropy_of_large_joints_equals_the_reference():

@@ -185,12 +185,12 @@ def test_grouped_information_bound_equals_the_entropy_by_entropy_formulas():
 
 @pytest.fixture
 def grouping_passes(monkeypatch):
-    """The kept wires of every grouping pass the information queries make."""
+    """The groups of every grouping pass the information queries make, one tuple per pass."""
     passes = []
 
-    def counted(dist, keep, **kwargs):
-        passes.append(tuple(keep))
-        return grouped_counts(dist, keep, **kwargs)
+    def counted(dist, groups, **kwargs):
+        passes.append(tuple(tuple(keep) for keep in groups))
+        return grouped_counts(dist, groups, **kwargs)
 
     monkeypatch.setattr(infotheory, "grouped_counts", counted)
     return passes
@@ -202,9 +202,13 @@ def test_check_lemma4_groups_each_distinct_marginal_once(grouping_passes):
         d = _random_dist(rng, [2] * k)
         grouping_passes.clear()
         check_lemma4(d, [[f"v{i}"] for i in range(1, k)], ["v0"])
-        # H(T), each H(S_i) and H(S_i, T), and H(S_1..S_n, T), which is H(S_1, T) at k = 2
-        assert len(grouping_passes) == (3 if k == 2 else 2 * k)
-        assert len(set(grouping_passes)) == len(grouping_passes)
+        # one pass listing H(T), each H(S_i) and H(S_i, T), and H(S_1..S_n, T),
+        # which is H(S_1, T) at k = 2
+        (groups,) = grouping_passes
+        want = {("v0",)} | {(f"v{i}",) for i in range(1, k)} | {
+            (f"v{i}", "v0") for i in range(1, k)} | {tuple(f"v{i}" for i in range(1, k)) + ("v0",)}
+        assert len(groups) == len(want) == (3 if k == 2 else 2 * k)
+        assert set(groups) == want
 
 
 def test_information_and_entropy_share_their_marginals(grouping_passes):
@@ -213,7 +217,9 @@ def test_information_and_entropy_share_their_marginals(grouping_passes):
         d = _random_dist(rng, [2, 3, 2])
         grouping_passes.clear()
         both = information_and_entropy(d, ["v0"], ["v1"], ["v2"], 3)
-        assert len(grouping_passes) == 4
+        # H(A, V), H(B, V), H(A, B, V) and H(V), each once, in one pass
+        (groups,) = grouping_passes
+        assert sorted(groups) == sorted([("v0", "v2"), ("v1", "v2"), ("v0", "v1", "v2"), ("v2",)])
         assert both == (mutual_information(d, ["v0"], ["v1"], ["v2"], 3),
                         conditional_entropy(d, ["v1"], ["v2"], 3))
 
