@@ -156,19 +156,20 @@ class JointDistribution:
         if set(map(len, support)) != {len(variables)}:
             key = next(key for key in support if len(key) != len(variables))
             raise ValueError(f"assignment {key} needs one value per variable of {variables}")
-        # read straight into the key type, which holds every symbol of every alphabet
+        # read straight into the unsigned twin of the key type, which holds every
+        # symbol of every alphabet and refuses a negative one
         symbols, dtype = list(chain.from_iterable(support)), _key_dtype(variables)
+        unsigned = dtype.char.upper()
         try:
-            keys = np.frombuffer(array(dtype.char, symbols), dtype=dtype)
+            keys = np.frombuffer(array(unsigned, symbols), dtype=unsigned)
         except TypeError:
             bad = next(v for v in symbols if not isinstance(v, Integral))
             raise ValueError(f"symbol {bad!r} of an assignment is not an integer") from None
         except OverflowError:
             raise ValueError(f"an assignment is out of range for {variables}") from None
         keys = keys.reshape(len(support), len(variables))
-        # one scan of the keys: a negative value is past every size as unsigned
         sizes = np.array([size for _, size in variables], dtype=np.uint64)
-        if min(nums) < 0 or np.count_nonzero(keys.view(f"u{dtype.itemsize}") >= sizes):
+        if min(nums) < 0 or np.count_nonzero(keys >= sizes):
             raise ValueError(f"an assignment is out of range for {variables} "
                              "or has negative probability")
         if sum(nums) != den:
@@ -178,7 +179,7 @@ class JointDistribution:
         if common > 1:
             nums, den = [count // common for count in nums], den // common
         counts = np.array(nums, dtype=numerator_dtype(max(den, *nums), len(nums)))
-        self._fill(variables, keys, counts, den)
+        self._fill(variables, keys.view(dtype), counts, den)
 
     def _fill(self, variables, keys: np.ndarray, counts: np.ndarray, den: int) -> JointDistribution:
         """Store sorted, distinct keys and their counts, already in lowest terms

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Sequence, TypeVar
 
 from .dists import JointDistribution, grouped_counts
@@ -40,8 +41,8 @@ def _checked(
 ) -> tuple[tuple[str, ...], ...]:
     """``groups`` then ``given`` as tuples: each group non-empty, every variable
     known, none named twice across them all."""
-    groups = tuple(tuple(g) for g in groups) + (tuple(given),)
-    names = [var for group in groups for var in group]
+    groups = (*map(tuple, groups), tuple(given))
+    names = list(chain.from_iterable(groups))
     if not all(groups[:-1]):
         raise ValueError("each group must name at least one variable")
     named = set(names)
@@ -110,7 +111,7 @@ def _multi(H, groups, target, given):
     total = _conditional(H, target, given)
     for g in groups:
         total += _conditional(H, g, given)
-    everything = tuple(v for g in groups for v in g) + target
+    everything = tuple(chain.from_iterable(groups)) + target
     return total - _conditional(H, everything, given)
 
 
