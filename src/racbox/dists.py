@@ -10,14 +10,12 @@ denominator.  Only the support is kept, as two arrays:
 
 So two joints are equal exactly when their wires, denominators and arrays
 are.  Each operation is one array step with exact integer sums:
-``marginalize`` counts the kept rows with one ``bincount`` (or sorts them
-where counting cannot be exact, see ``grouped_counts``), ``condition`` masks
-rows and takes the masked mass as the new denominator, and ``derive``
-appends a column read from a function table.  ``grouped_counts`` counts
-every marginal of a list in that one ``bincount`` while the joint is small,
-so an information query counts all the marginals it needs in one pass.  A
-float here only ever carries an integer below 2^53, which it holds exactly;
-inexact floats enter only when entropies are taken.
+``marginalize`` adds the kept rows' counts into int64 (or Python-int) bins
+with one ``np.add.at`` (see ``grouped_counts``), ``condition`` masks rows
+and takes the masked mass as the new denominator, and ``derive`` appends a
+column read from a function table.  ``grouped_counts`` counts every
+marginal of a list in that one ``np.add.at`` while the joint is small, so
+an information query counts all the marginals it needs in one pass.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ if TYPE_CHECKING:
 Assignment = tuple[int, ...]
 
 _INT64_MAX = np.iinfo(np.int64).max
-_FLOAT_EXACT = 2**53  # float64 holds every integer below this
 _DENSE_CELLS = 2**16  # counting may use this many bins even on a smaller joint
 _NARROW = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.int8, np.int16, np.int32, np.int64))
 
@@ -71,21 +68,6 @@ def _key_dtype(variables: Sequence[tuple[str, int]]) -> np.dtype:
     return numerator_dtype(max((size for _, size in variables), default=1), 1)
 
 
-def _row_codes(keys: np.ndarray, columns: Sequence[int], sizes: Sequence[int]) -> np.ndarray:
-    """int64 codes whose order is the row-major order of ``keys[:, columns]``,
-    whose alphabets are ``sizes``: the mixed-radix cell index while that fits."""
-    if prod(sizes) <= _INT64_MAX:
-        if not columns:
-            return np.zeros(len(keys), dtype=np.int64)
-        return np.ravel_multi_index(tuple(keys[:, i] for i in columns), sizes)
-    # too wide for one mixed radix (say 64 binary wires): rank the codes of each half
-    half = len(columns) // 2
-    head = np.unique(_row_codes(keys, columns[:half], sizes[:half]), return_inverse=True)[1]
-    tail_codes, tail = np.unique(_row_codes(keys, columns[half:], sizes[half:]),
-                                 return_inverse=True)
-    return head * len(tail_codes) + tail
-
-
 def _cell_keys(cells: np.ndarray, sizes: Sequence[int], dtype: np.dtype) -> np.ndarray:
     """The rows whose row-major cell indices over ``sizes`` are ``cells``."""
     keys = np.empty((len(cells), len(sizes)), dtype=dtype)
@@ -94,16 +76,15 @@ def _cell_keys(cells: np.ndarray, sizes: Sequence[int], dtype: np.dtype) -> np.n
     return keys
 
 
-def _sums_fit_float(counts: np.ndarray) -> bool:
-    """Is every partial sum of ``counts`` exact in float64, i.e. is their total below 2^53?
-
-    The counts are non-negative, so no partial sum exceeds the total.
-    """
-    if counts.dtype == object:
-        return False
-    # each signed count is below 2^(bits - 1), which bounds the total without a sum
-    return (len(counts) << (8 * counts.dtype.itemsize - 1) <= _FLOAT_EXACT
-            or int(counts.sum()) < _FLOAT_EXACT)
+def _add(codes: np.ndarray, counts: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Add ``counts`` into bins ``codes`` (broadcast together) of ``cells`` exact
+    integer bins: (the bins of positive mass, in order; their sums)."""
+    bins = np.zeros(cells, dtype=sum_dtype(counts))
+    # values of the accumulator's own dtype keep np.add.at on its typed loop; the
+    # widened copy lives for this call only
+    np.add.at(bins, codes, counts.astype(bins.dtype, copy=False))
+    present = bins.nonzero()[0]
+    return present, bins[present]
 
 
 def _joint(variables, keys: np.ndarray, counts: np.ndarray, den) -> JointDistribution:
@@ -261,24 +242,20 @@ def grouped_counts(
     else None; their numerators over ``dist.denominator``), rows of positive mass
     in row-major order.
 
-    The numerators are counted: one ``bincount`` of the rows' cell indices,
-    weighted by their counts, whose nonzero bins come out in row-major order.
-    Every bin is a sum of non-negative integers no larger than the joint's
-    total, so it is exact in float64 while that total is below 2^53.
-
-    Two or more groups share one ``bincount`` while that is exact and the
-    rows x groups index matrix and all the groups' bins each hold at most
+    The numerators are counted in integers: each row gets a number within its
+    group, and one ``np.add.at`` adds the rows' counts into an int64 (or
+    Python-int, for ``object`` counts) bin per number, so every sum is exact.
+    A row's number is its row-major cell index over the group's wires while
+    they span at most max(2^16, rows) cells, and otherwise its rank among the
+    group's distinct rows.  Two or more groups share one ``np.add.at`` while
+    the rows x groups index matrix and all the groups' cells each hold at most
     2^16 entries: the cell indices are one matrix product ``keys @ strides``,
-    each group's offset past the bins of the groups before it.  Otherwise
-    each group is counted on its own, with one bincount of at most
-    max(2^16, rows) bins; a stable sort and ``reduceat`` group the rows
-    instead where counting cannot be exact (Python-int counts, or a total of
-    2^53 or more) or would need more bins than that.
+    each group's offset past the cells of the groups before it.
     """
     where = {name: (i, size) for i, (name, size) in enumerate(dist.variables)}
-    width, count = len(dist.variables), len(groups)
+    width, count, rows = len(dist.variables), len(groups), len(dist.keys)
     # row ``wire`` of the strides matrix holds each group's stride for that wire, and a
-    # last row each group's first bin
+    # last row each group's first cell
     strides, offsets = [0] * (width * count), [0]
     for group, keep in enumerate(groups):
         stride = 1
@@ -289,42 +266,33 @@ def grouped_counts(
             strides[i * count + group] = stride
             stride *= size
         offsets.append(offsets[-1] + stride)
-    if (count == 1 or len(dist.keys) * count > _DENSE_CELLS or offsets[-1] > _DENSE_CELLS
-            or not _sums_fit_float(dist.counts)):
-        return [_grouped(dist, [where[name][0] for name in keep], with_keys) for keep in groups]
-    # a float64 product (BLAS) is exact here: every partial sum is a cell index below 2^16
-    matrix = np.array(strides + offsets[:-1], dtype=np.float64).reshape(width + 1, count)
-    codes = dist.keys.astype(np.float64) @ matrix[:-1]
-    codes += matrix[-1]
-    bins = np.bincount(codes.reshape(-1).astype(np.intp),
-                       weights=np.repeat(dist.counts, count), minlength=offsets[-1])
-    present = bins.nonzero()[0]
-    counts = bins[present].astype(np.int64)
-    cells = present.tolist()
-    ends = [bisect_left(cells, start) for start in offsets]
-    return [(_cell_keys(present[lo:hi] - start, [where[name][1] for name in keep],
-                        dist.keys.dtype) if with_keys else None, counts[lo:hi])
-            for keep, start, lo, hi in zip(groups, offsets, ends, ends[1:])]
-
-
-def _grouped(
-    dist: JointDistribution, idx: list[int], with_keys: bool
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """The marginal over the wires ``idx`` on its own: counted while that is exact
-    and needs at most max(2^16, rows) bins, else sorted."""
-    sizes = [dist.variables[i][1] for i in idx]
-    codes = _row_codes(dist.keys, idx, sizes)
-    cells = prod(sizes)
-    if cells <= max(_DENSE_CELLS, len(codes)) and _sums_fit_float(dist.counts):
-        bins = np.bincount(codes, weights=dist.counts, minlength=cells)
-        present = bins.nonzero()[0]
-        rows = _cell_keys(present, sizes, dist.keys.dtype) if with_keys else None
-        return rows, bins[present].astype(np.int64)
-    order = codes.argsort(kind="stable")
-    codes = codes[order]
-    starts = np.concatenate(([True], codes[1:] != codes[:-1])).nonzero()[0]
-    rows = dist.keys[order[starts]][:, idx] if with_keys else None
-    return rows, np.add.reduceat(dist.counts[order], starts, dtype=sum_dtype(dist.counts))
+    if count > 1 and rows * count <= _DENSE_CELLS and offsets[-1] <= _DENSE_CELLS:
+        # a float64 product (BLAS) is exact here: every partial sum is a cell index below 2^16
+        matrix = np.array(strides + offsets[:-1], dtype=np.float64).reshape(width + 1, count)
+        codes = dist.keys.astype(np.float64) @ matrix[:-1]
+        codes += matrix[-1]
+        # each row's count goes to every one of its cells, one per group
+        present, counts = _add(codes.astype(np.intp), dist.counts[:, None], offsets[-1])
+        cells = present.tolist()
+        ends = [bisect_left(cells, start) for start in offsets]
+        return [(_cell_keys(present[lo:hi] - start, [where[name][1] for name in keep],
+                            dist.keys.dtype) if with_keys else None, counts[lo:hi])
+                for keep, start, lo, hi in zip(groups, offsets, ends, ends[1:])]
+    marginals = []
+    for keep in groups:
+        idx, sizes = [where[name][0] for name in keep], [where[name][1] for name in keep]
+        cells = prod(sizes)
+        if cells > max(_DENSE_CELLS, rows):
+            # too many cells to bin (64 binary wires pass int64): number the distinct rows
+            kept, codes = np.unique(dist.keys[:, idx], axis=0, return_inverse=True)
+            counts = _add(codes.reshape(-1), dist.counts, len(kept))[1]
+        else:
+            codes = (np.ravel_multi_index(tuple(dist.keys[:, i] for i in idx), sizes) if idx
+                     else np.zeros(rows, dtype=np.intp))
+            present, counts = _add(codes, dist.counts, cells)
+            kept = _cell_keys(present, sizes, dist.keys.dtype) if with_keys else None
+        marginals.append((kept if with_keys else None, counts))
+    return marginals
 
 
 def marginalize(dist: JointDistribution, keep: Sequence[str]) -> JointDistribution:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -338,15 +339,23 @@ def test_sixty_four_binary_wires_sort_without_overflow():
         check_against_reference(dist, rng)
 
 
+@contextmanager
+def counting_steps():
+    """Watch the ``np.add.at`` and ``np.unique`` calls made in the block."""
+    with mock.patch.object(np, "add", wraps=np.add) as add, \
+            mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        yield add.at, unique
+
+
 @given(rational_dists(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_counting_groups_like_the_sort(dist, data):
     names = data.draw(st.permutations(list(dist.names)))
     keep = names[:data.draw(st.integers(1, len(names)))]
     want_rows, want_counts = sort_grouping(dist, keep)
-    with mock.patch.object(np, "bincount", wraps=np.bincount) as counted:
+    with counting_steps() as (added, ranked):
         ((rows, counts),) = grouped_counts(dist, [keep], with_keys=True)
-    assert counted.call_count == 1
+    assert (added.call_count, ranked.call_count) == (1, 0)
     assert (rows.tolist(), counts.tolist()) == (want_rows.tolist(), want_counts.tolist())
     assert counts.dtype == np.int64 and rows.dtype == dist.keys.dtype
 
@@ -379,14 +388,12 @@ def _total_past_two_to_the_53():
 
 @pytest.mark.parametrize("case", [_sixty_four_wires, _denominator_past_int64,
                                   _total_past_two_to_the_53])
-def test_groupings_counting_cannot_hold_exactly_are_sorted(case, monkeypatch):
+def test_groupings_past_float_range_count_in_integers(case):
     dist, keep = case()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("counted a grouping that float64 cannot hold exactly")
-
-    monkeypatch.setattr(np, "bincount", refuse)
-    m = marginalize(dist, keep)
+    with counting_steps() as (added, ranked):
+        m = marginalize(dist, keep)
+    # 64 wires span 2^64 cells, so their rows are numbered by rank
+    assert (added.call_count, ranked.call_count) == (1, int(len(keep) == 64))
     assert_invariants(m)
     assert ref_probs(m) == ref_marginalize(dist, keep)
     assert entropy(dist, keep, 2) == ref_entropy(dist, keep, 2)
@@ -435,10 +442,37 @@ def test_every_group_of_one_call_matches_the_sort(case, data):
 def test_small_groups_share_one_count_and_large_ones_count_alone():
     small, _ = _small()
     large, _ = _index_matrix_past_two_to_the_16()
-    for dist, calls in ((small, 1), (large, 3)):
-        with mock.patch.object(np, "bincount", wraps=np.bincount) as counted:
-            grouped_counts(dist, [dist.names[:1], dist.names[1:], dist.names[::-1]])
-        assert counted.call_count == calls
+    wide, _ = _bins_past_two_to_the_16()
+    # (additions, rankings): one addition for all groups of a small joint, else one per
+    # group, and a ranking only for a group of more than max(2^16, rows) cells
+    for dist, calls in ((small, (1, 0)), (large, (3, 0)), (wide, (3, 1))):
+        groups = [dist.names[:1], dist.names[1:], dist.names[::-1]]
+        with counting_steps() as (added, ranked):
+            got = grouped_counts(dist, groups, with_keys=True)
+        assert (added.call_count, ranked.call_count) == calls
+        for keep, (rows, counts) in zip(groups, got):
+            want_rows, want_counts = sort_grouping(dist, keep)
+            assert (rows.tolist(), counts.tolist()) == (want_rows.tolist(), want_counts.tolist())
+
+
+def test_the_empty_group_counts_the_whole_mass():
+    for dist in (_small()[0], _index_matrix_past_two_to_the_16()[0]):
+        for groups in ([[]], [[], ["u3" if "u3" in dist.names else "c"]]):
+            (rows, counts), *_ = grouped_counts(dist, groups, with_keys=True)
+            assert rows.shape == (1, 0) and counts.tolist() == [dist.denominator]
+
+
+def test_small_groups_past_two_to_the_53_share_one_exact_count():
+    dist, _ = _total_past_two_to_the_53()
+    groups = [["b"], ["a"], ["b", "a"], []]
+    with counting_steps() as (added, ranked):
+        got = grouped_counts(dist, groups, with_keys=True)
+    assert (added.call_count, ranked.call_count) == (1, 0)
+    for keep, (rows, counts) in zip(groups, got):
+        assert counts.dtype == np.int64
+        assert ({tuple(row): F(count, dist.denominator)
+                 for row, count in zip(rows.tolist(), counts.tolist())}
+                == ref_marginalize(dist, keep))
 
 
 def test_entropy_of_large_joints_equals_the_reference():

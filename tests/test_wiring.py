@@ -19,7 +19,6 @@ from racbox.wiring import (
     concatenate,
     flatten,
     format_bound_table,
-    leaf_paths,
     path_success,
     to_dot,
     tree_win_probability_exact,
@@ -50,14 +49,13 @@ def test_node_reuse_is_rejected():
 
 @pytest.mark.parametrize("evaluate", [
     flatten,
-    leaf_paths,
     check_tree_lemma,
     tree_wins_always,
     tree_win_probability_exact,
     lambda tree: winning_probability(tree, F(3, 4)),
     lambda tree: winning_probability_oracle(tree, F(3, 4)),
     to_dot,
-], ids=["flatten", "leaf_paths", "check_tree_lemma", "tree_wins_always",
+], ids=["flatten", "check_tree_lemma", "tree_wins_always",
         "tree_win_probability_exact", "winning_probability", "winning_probability_oracle",
         "to_dot"])
 def test_every_evaluator_rejects_a_reused_box(evaluate):
@@ -118,7 +116,7 @@ def test_compiled_tree_decodes_perfectly(n):
 
 def test_leaf_paths_cover_all_positions():
     tree, _ = compile_rac(6)
-    paths = leaf_paths(tree)
+    paths = flatten(tree).paths
     assert len(paths) == 6
     assert len(set(paths)) == 6
 
@@ -178,6 +176,17 @@ def test_win_probability_rejects_p2_outside_the_unit_interval(p2):
     tree, _ = compile_rac(3)
     with pytest.raises(ValueError, match="outside"):
         winning_probability(tree, p2)
+
+
+@pytest.mark.parametrize("p2", [F(-1, 4), 1.7, float("nan")])
+def test_path_success_rejects_p2_outside_the_unit_interval(p2):
+    with pytest.raises(ValueError, match="outside"):
+        path_success(2, p2)
+
+
+def test_path_success_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="negative"):
+        path_success(-1, F(1, 2))
 
 
 def test_bound_table_rows():
