@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd, prod
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dists import JointDistribution, numerator_dtype, sum_dtype
+from .dists import JointDistribution, lowest_terms, numerator_dtype, sum_dtype
 
 RB_VARIANTS = ("nosignaling", "signalinghalf", "plus", "minus", "three")
 BND_SIGNS = ("plus", "minus")
@@ -103,10 +103,10 @@ class Box:
 
     ``table`` has one axis per wire, ``input_sizes + output_sizes``, so
     ``table[invals + outvals] / denominator`` is P(outvals | invals).  The
-    constructor brings the pair to lowest terms and stores the numerators in
-    the narrowest integer type that holds them (see ``numerator_dtype``), so
-    two boxes are equal exactly when their signatures, denominators and
-    numerator arrays are.
+    constructor brings the pair to lowest terms in the narrowest integer type
+    that holds them with ``dists.lowest_terms``, the one normal form a joint
+    has too, so two boxes are equal exactly when their signatures,
+    denominators and numerator arrays are.
     """
 
     signature: BoxSignature
@@ -125,22 +125,8 @@ class Box:
             raise ValueError(f"box numerators must be integers, got dtype {table.dtype}")
         if table.dtype.kind == "b":
             table = table.view(np.int8)
-        den = int(self.denominator)
-        if den < 1:
-            raise ValueError(f"denominator must be positive, got {den}")
-        # gcd is associative: stop at the first block (4,096 cells, then 4x) that takes it to 1
-        common, cells, start, size = den, table.reshape(-1), 0, 4096
-        while common > 1 and start < cells.size:
-            common = gcd(common, int(np.gcd.reduce(cells[start:start + size])))
-            start, size = start + size, 4 * size
-        if common > 1:
-            table = table // common
-            den //= common
-        peak = max(den, int(table.max()), -int(table.min())) if table.size else den
-        dtype = numerator_dtype(peak, table.size)
-        if table.dtype != dtype:
-            table = table.astype(dtype)
-        # a read-only view: equality and the dtype rest on the lowest terms found above
+        table, den = lowest_terms(table, self.denominator)
+        # a read-only view: equality and the dtype rest on the lowest terms
         table = table.view()
         table.flags.writeable = False
         object.__setattr__(self, "table", table)

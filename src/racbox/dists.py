@@ -1,7 +1,7 @@
 """Exact joint distributions over named finite variables.
 
-A joint is stored the way a ``Box`` table is: integer numerators over one
-denominator.  Only the support is kept, as two arrays:
+A joint is stored the way a ``Box`` table is, through ``lowest_terms``:
+integer numerators over one denominator.  Only the support is kept, as two arrays:
 
 * ``keys``: one row per support point, one column per wire, sorted
   row-major (last wire fastest) with no repeated row;
@@ -55,6 +55,23 @@ def numerator_dtype(peak: int, cells: int) -> np.dtype:
             return dtype
 
 
+def lowest_terms(nums: np.ndarray, den) -> tuple[np.ndarray, int]:
+    """``nums`` over ``den`` in lowest terms, in the narrowest dtype that holds them.
+    The gcd is taken over blocks of 4,096 cells, then 4x larger, and stops at
+    the first block that takes it to 1.  A denominator below 1 is refused."""
+    den = int(den)
+    if den < 1:
+        raise ValueError(f"denominator must be positive, got {den}")
+    common, cells, start, size = den, nums.reshape(-1), 0, 4096
+    while common > 1 and start < cells.size:
+        common = gcd(common, int(np.gcd.reduce(cells[start:start + size])))
+        start, size = start + size, 4 * size
+    if common > 1:
+        nums, den = nums // common, den // common
+    peak = max(den, int(nums.max()), -int(nums.min())) if nums.size else den
+    return nums.astype(numerator_dtype(peak, nums.size), copy=False), den
+
+
 def sum_dtype(table: np.ndarray) -> np.dtype:
     """Accumulator for sums of stored numerators: int64, or Python ints for object tables.
 
@@ -88,14 +105,8 @@ def _add(codes: np.ndarray, counts: np.ndarray, cells: int) -> tuple[np.ndarray,
 
 
 def _joint(variables, keys: np.ndarray, counts: np.ndarray, den) -> JointDistribution:
-    """The joint of sorted, distinct keys and their positive counts over ``den``,
-    stored in lowest terms and the narrowest dtype."""
-    den = int(den)
-    common = gcd(den, int(np.gcd.reduce(counts)))
-    if common > 1:
-        counts, den = counts // common, den // common
-    peak = max(den, int(counts.max()))
-    counts = counts.astype(numerator_dtype(peak, len(counts)), copy=False)
+    """The joint of sorted, distinct keys and their positive counts over ``den``."""
+    counts, den = lowest_terms(counts, den)
     return object.__new__(JointDistribution)._fill(variables, keys, counts, den)
 
 
@@ -155,16 +166,13 @@ class JointDistribution:
                              "or has negative probability")
         if sum(nums) != den:
             raise ValueError(f"probabilities sum to {Fraction(sum(nums), den)}, not 1")
-        # the few numerators of a hand-written joint reduce faster as Python ints
-        common = gcd(den, *nums)
-        if common > 1:
-            nums, den = [count // common for count in nums], den // common
+        # already in lowest terms: den is the lcm of reduced fractions' denominators
         counts = np.array(nums, dtype=numerator_dtype(max(den, *nums), len(nums)))
         self._fill(variables, keys.view(dtype), counts, den)
 
     def _fill(self, variables, keys: np.ndarray, counts: np.ndarray, den: int) -> JointDistribution:
-        """Store sorted, distinct keys and their counts, already in lowest terms
-        and the narrowest dtype."""
+        """Store sorted, distinct keys and their counts, already in the form
+        ``lowest_terms`` gives."""
         variables = tuple(variables)
         names = [name for name, _ in variables]
         if len(set(names)) != len(names):
@@ -183,6 +191,8 @@ class JointDistribution:
     ) -> JointDistribution:
         """The joint whose numerators are a dense array, one axis per wire."""
         flat = np.flatnonzero(table)
+        if not flat.size:
+            raise ValueError(f"need assignments of positive probability for {tuple(variables)}")
         keys = _cell_keys(flat, table.shape, _key_dtype(variables))
         counts = table.reshape(-1)[flat]
         return _joint(variables, keys, counts, denominator)

@@ -361,10 +361,7 @@ def search_rac_with_rbs(n: int, k_rbs: int, budget: float = 3600.0) -> SearchRes
         raise ValueError("need n >= 2 and k_rbs >= 1")
     start = time.monotonic()
     if k_rbs >= n - 1:
-        witness = tree_strategy(n)
-        value = evaluate_strategy(witness)
-        if value != 1:
-            raise AssertionError("tree construction failed to win with certainty")
+        witness, value, examined, skipped, complete = tree_strategy(n), Fraction(1), 1, 0, True
         notes = [
             "construction witness: the compiled wiring tree wins every input",
             CONVEXITY_NOTE,
@@ -374,48 +371,38 @@ def search_rac_with_rbs(n: int, k_rbs: int, budget: float = 3600.0) -> SearchRes
                 f"the witness wires n-1 = {n - 1} of the {k_rbs} boxes "
                 f"and leaves the other {k_rbs - (n - 1)} idle"
             )
-        return SearchResult(
-            max_win_probability=Fraction(1),
-            witness=witness,
-            strategies_examined=1,
-            pruned=0,
-            complete=True,
-            elapsed_seconds=time.monotonic() - start,
-            notes=tuple(notes),
-        )
-    if k_rbs != 1 or n not in (3, 4):
+    elif k_rbs != 1 or n not in (3, 4):
         raise ValueError(
             f"(n={n}, k_rbs={k_rbs}) is outside the implemented desk scale: "
             "supported are k_rbs >= n-1 (construction) and k_rbs = 1 with n in {3, 4}"
         )
-    counts = _correct_counts(n)
-    best_val, i, j, examined, skipped, complete = _best_table_pair(
-        counts, _message_free, True, start + budget
-    )
-    witness = _best_response(n, counts, i, j)
-    denom = (2 << n) * n
-    prob = Fraction(best_val, denom)
+    else:
+        counts = _correct_counts(n)
+        best_val, i, j, examined, skipped, complete = _best_table_pair(
+            counts, _message_free, True, start + budget
+        )
+        witness = _best_response(n, counts, i, j)
+        denom = (2 << n) * n
+        value = Fraction(best_val, denom)
+        total = counts.shape[-1] ** 2
+        notes = [
+            f"objective counts wins over {denom} world-query pairs",
+            "witness re-evaluated by the independent simulator: match",
+            CONVEXITY_NOTE,
+            f"Bob's option table pairs enumerated with Alice best-responding per input; "
+            f"{examined} of {total} ordered pairs evaluated, {skipped} skipped as "
+            "mirror images under relabelling the message",
+        ]
+        if not complete:
+            notes.append(
+                f"budget exhausted after {examined + skipped} of {total} ordered pairs; "
+                "the maximum reported is a lower bound"
+            )
     check = evaluate_strategy(witness)
-    if check != prob:
-        raise AssertionError(
-            f"engine value {prob} disagrees with simulator {check} on its own witness"
-        )
-    total = counts.shape[-1] ** 2
-    notes = [
-        f"objective counts wins over {denom} world-query pairs",
-        "witness re-evaluated by the independent simulator: match",
-        CONVEXITY_NOTE,
-        f"Bob's option table pairs enumerated with Alice best-responding per input; "
-        f"{examined} of {total} ordered pairs evaluated, {skipped} skipped as "
-        "mirror images under relabelling the message",
-    ]
-    if not complete:
-        notes.append(
-            f"budget exhausted after {examined + skipped} of {total} ordered pairs; "
-            "the maximum reported is a lower bound"
-        )
+    if check != value:
+        raise AssertionError(f"claimed value {value} disagrees with simulator {check}")
     return SearchResult(
-        max_win_probability=prob,
+        max_win_probability=value,
         witness=witness,
         strategies_examined=examined,
         pruned=skipped,

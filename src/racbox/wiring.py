@@ -264,7 +264,9 @@ def path_success(length: int, p2):
 
 
 def _mean_path_success(flat: FlatTree, p2):
-    return sum(path_success(len(p), p2) for p in flat.paths) / flat.leaves
+    # one call per distinct length; summing leaf by leaf in path order keeps float bits
+    success = {length: path_success(length, p2) for length in set(map(len, flat.paths))}
+    return sum(success[len(p)] for p in flat.paths) / flat.leaves
 
 
 def winning_probability(tree: WiringTree, p2):

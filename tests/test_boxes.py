@@ -31,7 +31,7 @@ from racbox.boxes import (
     unnormalized_row,
 )
 from racbox.boxio import parse_box, serialize_box
-from racbox.dists import sum_dtype
+from racbox.dists import JointDistribution, sum_dtype
 
 F = Fraction
 HALF = F(1, 2)
@@ -409,13 +409,21 @@ def test_lowest_terms_reads_past_the_first_gcd_blocks(dtype, scale):
     table = np.full((30_000, 1), 3 * scale, dtype=dtype)
     table[25_000, 0] = scale
     den = 3 * scale
+    variables = sig.input_vars + sig.output_vars
     kept = Box(sig, table, den)
     assert kept.denominator == 3
     assert kept.table[25_000, 0] == 1 and kept.table[0, 0] == 3
+    # a joint reads its cells through the same blocks
+    joint = JointDistribution.from_table(variables, table, den)
+    assert joint.denominator == 3
+    assert joint.counts[25_000] == 1 and joint.counts[0] == 3
     table[25_000, 0] = 6 * scale
     reduced = Box(sig, table, den)
     assert reduced.denominator == 1
     assert reduced.table[25_000, 0] == 2 and reduced.table[0, 0] == 1
+    joint = JointDistribution.from_table(variables, table, den)
+    assert joint.denominator == 1
+    assert joint.counts[25_000] == 2 and joint.counts[0] == 1
 
 
 def test_lowest_terms_stops_at_the_first_block_with_gcd_one(monkeypatch):

@@ -242,34 +242,32 @@ def _assert_parsers_agree(text):
     return box
 
 
-# the test_block_parser_* names predate the one-loop reader: each checks parse_box
-# against the reference line parser _parse_lines
 @pytest.mark.parametrize("name", FAMILIES)
-def test_block_parser_matches_the_line_parser_on_round_trips(name):
+def test_parse_box_matches_the_line_parser_on_round_trips(name):
     box = FAMILIES[name]
     assert _assert_parsers_agree(serialize_box(box)) == box
 
 
-def test_block_parser_matches_the_line_parser_across_blocks():
+def test_parse_box_matches_the_line_parser_across_blocks():
     box = make_rb(5, 3, "plus")
     text = serialize_box(box)
     assert text.count("\n") > 8192
     assert _assert_parsers_agree(text) == box
 
 
-def test_block_parser_matches_the_line_parser_on_the_golden_mixture():
+def test_parse_box_matches_the_line_parser_on_the_golden_mixture():
     box = _assert_parsers_agree((GOLDEN / "rb-mixture.box").read_text())
     assert check_normalization(box)
 
 
 @pytest.mark.parametrize("token", ["2/4", "0.5", "1e-1", "1", " 1/2 ", "0"])
-def test_block_parser_reads_every_fraction_token(token):
+def test_parse_box_reads_every_fraction_token(token):
     text = serialize_box(make_bn_box(2)).replace("1/2", token)
     box = _assert_parsers_agree(text)
     assert box.prob((0, 0), (0, 0)) == Fraction(token)
 
 
-def test_block_parser_skips_comments_and_blank_lines_between_entries():
+def test_parse_box_skips_comments_and_blank_lines_between_entries():
     lines = serialize_box(make_rb(2, 2, "plus")).splitlines()
     spaced = []
     for i, line in enumerate(lines):
@@ -310,7 +308,7 @@ MUTATIONS = [
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=[m[0] for m in MUTATIONS])
-def test_block_parser_raises_the_line_parsers_error_and_names_the_line(mutation):
+def test_parse_box_raises_the_line_parsers_error_and_names_the_line(mutation):
     _, box, k, replacement = mutation
     lines = serialize_box(box).splitlines()
     i = _body_line(lines, k)

@@ -1,11 +1,16 @@
 """The racbox command: every subcommand, exit codes, machine-output stability."""
 
 import io
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import racbox
 from racbox.cli import main
 from racbox.search import parse_strategy
 from test_boxio import HUGE_BOX, NON_INTEGER_SIZE
@@ -366,6 +371,34 @@ def test_feasibility_presets():
     assert d["witness"] == "P(atilde_0=1,atilde_1=1)=0"
     code, out = run_cli("feasibility", "--preset", "trit-1", "--machine")
     assert code == 0
+
+
+def test_a_report_prints_its_claim_witness_and_verdict_for_people():
+    code, out = run_cli("feasibility", "--preset", "trit-3")
+    assert code == 1
+    assert out.splitlines() == [
+        "claim: a 3-ary message can reveal each promised variable on cue",
+        "  quantity 7/9 vs bound 1/1",
+        "  witness: P(A=2,x_1=1)=0",
+        "  - no choice of guess constants covers the input space",
+        "  - best cover reaches 7/9 of it",
+        "  - the named cell is uncovered under the canonical constants "
+        "(ascending message values guess 0,1,2,... per variable)",
+        "FAIL",
+    ]
+
+
+@pytest.mark.parametrize("argv,code,status", [
+    (["search", "--n", "3", "--rbs", "1"], 0, "status=pass"),
+    (["table", "--nmax", "1"], 2, "status=error"),
+], ids=["search", "table-error"])
+def test_python_dash_m_runs_the_command(argv, code, status):
+    src = str(Path(racbox.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "racbox", *argv, "--machine"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == code
+    assert proc.stdout.splitlines()[-1] == status
 
 
 def test_feasibility_refuses_an_oversized_exhaustive_search_at_once(capsys):

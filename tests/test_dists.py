@@ -161,6 +161,33 @@ def test_constructor_builds_what_from_table_builds():
             assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
 
 
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 40)), min_size=1, max_size=12),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_a_dict_built_joint_is_in_lowest_terms(masses, as_ints):
+    # each probability a reduced Fraction with its own denominator, zeros and ints among them
+    raw = [F(num, den) for num, den in masses]
+    if not any(raw):
+        raw[0] = F(1)
+    probs = {(i,): p / sum(raw) for i, p in enumerate(raw)}
+    if as_ints:
+        probs = {key: int(p) if p.denominator == 1 else p for key, p in probs.items()}
+    dist = JointDistribution((("x", len(raw)),), probs)
+    assert math.gcd(dist.denominator, *dist.counts.tolist()) == 1
+    assert ref_probs(dist) == {key: p for key, p in probs.items() if p}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_an_all_zero_table_is_refused(dtype):
+    variables = (("x", 2), ("y", 3))
+    with pytest.raises(ValueError, match="positive probability"):
+        JointDistribution.from_table(variables, np.zeros((2, 3), dtype=dtype), 6)
+    box = make_rb(2, 2, "nosignaling")
+    zero = type(box)(box.signature, np.zeros_like(box.table), 1)
+    with pytest.raises(ValueError, match="positive probability"):
+        zero.joint()
+
+
 def test_independent_uniform_factorizes():
     d = _uniform((("a", 2), ("b", 3)))
     assert d.names == ("a", "b")

@@ -166,6 +166,32 @@ def test_recursion_matches_oracle_exactly_on_rationals():
     assert winning_probability(tree, p2) == winning_probability_oracle(tree, p2)
 
 
+def test_a_compiled_code_evaluates_each_path_length_once(monkeypatch):
+    lengths = []
+
+    def counted(length, p2):
+        lengths.append(length)
+        return path_success(length, p2)
+
+    monkeypatch.setattr(wiring, "path_success", counted)
+    # every one of the 4,096 leaves sits 12 boxes deep: 1/2 + (2 p2 - 1)^12 / 2
+    assert winning_probability(compile_rac(4096)[0], F(3, 4)) == F(1, 2) + F(1, 2) ** 13
+    assert lengths == [12]
+    lengths.clear()
+    tree, _ = compile_rac(375)
+    winning_probability(tree, F(3, 4))
+    assert sorted(lengths) == sorted({len(path) for path in flatten(tree).paths})
+
+
+@pytest.mark.parametrize("p2", [0.75, QUANTUM])
+def test_float_win_probability_is_the_per_leaf_sum_bit_for_bit(p2):
+    for n in range(2, 65):
+        tree, _ = compile_rac(n)
+        paths = flatten(tree).paths
+        per_leaf = sum(path_success(len(path), p2) for path in paths) / len(paths)
+        assert winning_probability(tree, p2) == per_leaf
+
+
 def test_fair_box_gives_fair_coin():
     tree, _ = compile_rac(4)
     assert winning_probability(tree, F(1, 2)) == F(1, 2)
