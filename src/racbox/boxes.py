@@ -18,17 +18,21 @@ protocol that simulates or extends them builds on.
 
 A table is one integer array of numerators, one axis per wire (inputs,
 then outputs, in signature order), over a single denominator kept in
-lowest terms.  Every marginal is a run of wire axes summed by adding its
-slices as whole arrays (``sum_wires``).  A check compares the whole
-marginal with its reference in one exact integer compare and looks for
-the first failing row only when something differs; ``Fraction`` appears
-only where a single probability leaves a box.
+lowest terms; the box owns it, read-only.  Every marginal is a run of wire
+axes summed by adding its slices as whole arrays (``sum_wires``), into the
+narrowest integer type that holds the sum exactly.  A box sums each party's
+output marginal at most once, when a check first reads it, and the three
+checks (normalization, no-signaling both ways) read those two.  A check
+compares the whole marginal with its reference in one exact integer compare
+and looks for the first failing row only when something differs;
+``Fraction`` appears only where a single probability leaves a box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from math import prod
 from typing import Iterable, Sequence
@@ -107,6 +111,15 @@ class Box:
     that holds them with ``dists.lowest_terms``, the one normal form a joint
     has too, so two boxes are equal exactly when their signatures,
     denominators and numerator arrays are.
+
+    The box owns its table.  When the lowest terms are the caller's array as
+    it is, the box keeps that memory without a copy and makes the array, and
+    each array it is a view of, read-only, so a later write through them
+    raises (as ``JointDistribution`` does with its arrays); memory that no
+    array owns, such as a buffer, is copied.  numpy does not pass the flag on
+    to views made earlier, so the caller must not write to the memory through
+    one.  ``alice_marginal`` and ``bob_marginal`` are summed once, on first
+    use, and kept read-only.
     """
 
     signature: BoxSignature
@@ -115,7 +128,7 @@ class Box:
 
     def __post_init__(self) -> None:
         sig = self.signature
-        table = np.asarray(self.table)
+        given = table = np.asarray(self.table)
         if table.shape != sig.input_sizes + sig.output_sizes:
             raise ValueError(
                 f"table shape {table.shape} does not match the signature's wire sizes "
@@ -126,6 +139,8 @@ class Box:
         if table.dtype.kind == "b":
             table = table.view(np.int8)
         table, den = lowest_terms(table, self.denominator)
+        if np.may_share_memory(table, given) and not _lock(given):
+            table = table.copy()
         # a read-only view: equality and the dtype rest on the lowest terms
         table = table.view()
         table.flags.writeable = False
@@ -142,6 +157,24 @@ class Box:
         )
 
     __hash__ = None  # type: ignore[assignment]
+
+    @cached_property
+    def alice_marginal(self) -> np.ndarray:
+        """Numerators of P(Alice's outputs | inputs): the table with Bob's outputs
+        summed away, one axis per input and Alice output wire (read-only)."""
+        marginal = sum_wires(
+            self.table, self.table.ndim - len(self.signature.bob_outputs), self.table.ndim)
+        marginal.flags.writeable = False
+        return marginal
+
+    @cached_property
+    def bob_marginal(self) -> np.ndarray:
+        """Numerators of P(Bob's outputs | inputs): the table with Alice's outputs
+        summed away, one axis per input and Bob output wire (read-only)."""
+        first = len(self.signature.input_vars)
+        marginal = sum_wires(self.table, first, first + len(self.signature.alice_outputs))
+        marginal.flags.writeable = False
+        return marginal
 
     def _input_row(self, invals: Sequence[int]) -> tuple[int, ...]:
         """``invals`` as a tuple; ValueError if it is not an input assignment of the box."""
@@ -164,6 +197,19 @@ class Box:
         sig = self.signature
         return JointDistribution.from_table(
             sig.input_vars + sig.output_vars, self.table, self.denominator * prod(sig.input_sizes))
+
+
+def _lock(array: np.ndarray) -> bool:
+    """Make ``array`` and each array it is a view of read-only; False, and
+    nothing changed, if the memory belongs to something other than an array."""
+    arrays = [array]
+    while isinstance(arrays[-1].base, np.ndarray):
+        arrays.append(arrays[-1].base)
+    if arrays[-1].base is not None:
+        return False
+    for view in arrays:
+        view.flags.writeable = False
+    return True
 
 
 def check_table_size(sizes: Iterable[int]) -> None:
@@ -296,19 +342,43 @@ def make_rb(n: int, d: int, variant: str) -> Box:
     return Box(sig, kernel[a_b, aprime], d * scale)
 
 
-def sum_wires(table: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Exact sum of a box table over its wire axes ``start..stop-1``, in ``sum_dtype``.
+# for each stored integer type, (longest run, accumulator) pairs, narrowest first:
+# the accumulator holds exactly the sum of that many cells of the largest magnitude
+# the type can store; past the last pair, or for any other type, ``sum_dtype``
+_SIGNED = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))
+_ACCUMULATORS = {
+    stored: tuple((int(np.iinfo(acc).max) // -int(np.iinfo(stored).min), acc)
+                  for acc in _SIGNED[i + 1:-1])
+    for i, stored in enumerate(_SIGNED)
+}
 
-    Adds the run's slices as whole arrays, where ``np.sum`` over a short inner
-    axis sets up a short loop per result cell.  A slice costs about that setup
-    on 64 cells, so a run of more than 1/64 the result's cells goes to ``np.sum``.
+
+def _accumulator(table: np.ndarray, run: int) -> np.dtype:
+    for longest, dtype in _ACCUMULATORS.get(table.dtype, ()):
+        if run <= longest:
+            return dtype
+    return sum_dtype(table)
+
+
+def sum_wires(table: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Exact sum of a box table over its wire axes ``start..stop-1``.
+
+    The accumulator is the narrowest signed type that holds the run's length
+    times the largest magnitude the table's type can store (int16 for an int8
+    table over a run of up to 255 cells), never wider than ``sum_dtype``:
+    int64, exact by ``numerator_dtype``'s invariant, or Python ints for
+    object tables.  Adds the run's slices as whole arrays, where ``np.sum``
+    over a short inner axis sets up a short loop per result cell.  A slice
+    costs about that setup on 64 cells, so a run of more than 1/64 the
+    result's cells goes to ``np.sum``.
     """
     shape = table.shape[:start] + table.shape[stop:]
     run, rest = prod(table.shape[start:stop]), prod(shape)
+    dtype = _accumulator(table, run)
     if not 0 < 64 * run <= rest:
-        return table.sum(axis=tuple(range(start, stop)), dtype=sum_dtype(table))
+        return table.sum(axis=tuple(range(start, stop)), dtype=dtype)
     blocks = table.reshape(prod(table.shape[:start]), run, -1)
-    total = blocks[:, 0].astype(sum_dtype(table))
+    total = blocks[:, 0].astype(dtype)
     for i in range(1, run):
         total += blocks[:, i]
     return total.reshape(shape)
@@ -323,11 +393,13 @@ def _first_row(box: Box, flagged: np.ndarray) -> tuple[int, ...] | None:
 
 
 def unnormalized_row(box: Box) -> tuple[int, ...] | None:
-    """The first input row that has a negative cell or does not sum exactly to 1."""
-    rows = box.table.reshape(prod(box.signature.input_sizes), -1)
-    flagged = sum_wires(rows, 1, 2) != box.denominator
+    """The first input row that has a negative cell or does not sum exactly to 1.
+
+    A row's sum is its ``alice_marginal`` summed over Alice's outputs."""
+    marginal = box.alice_marginal
+    flagged = sum_wires(marginal, len(box.signature.input_vars), marginal.ndim) != box.denominator
     if box.table.min() < 0:
-        flagged |= (rows < 0).any(axis=1)
+        flagged |= (box.table.reshape(flagged.shape + (-1,)) < 0).any(axis=-1)
     return _first_row(box, flagged)
 
 
@@ -340,16 +412,13 @@ def signaling_row(box: Box, direction: str) -> tuple[int, ...] | None:
     """The first input row whose receiver marginal differs from the marginal
     at the sender's first input, in row-major order; None if there is none.
 
-    direction "a2b": Bob's marginal P(bob outputs | inputs) is compared with
-    the one at Alice's first input; "b2a" symmetrically.
+    direction "a2b": Bob's marginal P(bob outputs | inputs) (``bob_marginal``)
+    is compared with the one at Alice's first input; "b2a" symmetrically.
     """
     if direction not in ("a2b", "b2a"):
         raise ValueError(f"direction must be a2b or b2a, got {direction!r}")
     sig = box.signature
-    n_in = len(sig.input_sizes)
-    first_bob_out = n_in + len(sig.alice_outputs)
-    start, stop = (n_in, first_bob_out) if direction == "a2b" else (first_bob_out, box.table.ndim)
-    marg = sum_wires(box.table, start, stop).reshape(
+    marg = (box.bob_marginal if direction == "a2b" else box.alice_marginal).reshape(
         prod(s for _, s in sig.alice_inputs), prod(s for _, s in sig.bob_inputs), -1
     )
     differs = marg != (marg[:1] if direction == "a2b" else marg[:, :1])

@@ -257,7 +257,9 @@ def grouped_counts(
     Python-int, for ``object`` counts) bin per number, so every sum is exact.
     A row's number is its row-major cell index over the group's wires while
     they span at most max(2^16, rows) cells, and otherwise its rank among the
-    group's distinct rows.  Two or more groups share one ``np.add.at`` while
+    group's distinct rows: for a group that is the joint's first wires in
+    order, the number of its run of rows (the keys are sorted row-major),
+    else from ``np.unique``.  Two or more groups share one ``np.add.at`` while
     the rows x groups index matrix and all the groups' cells each hold at most
     2^16 entries: the cell indices are one matrix product ``keys @ strides``,
     each group's offset past the cells of the groups before it.
@@ -293,8 +295,16 @@ def grouped_counts(
         idx, sizes = [where[name][0] for name in keep], [where[name][1] for name in keep]
         cells = prod(sizes)
         if cells > max(_DENSE_CELLS, rows):
-            # too many cells to bin (64 binary wires pass int64): number the distinct rows
-            kept, codes = np.unique(dist.keys[:, idx], axis=0, return_inverse=True)
+            if idx == list(range(len(idx))):
+                # the keys are sorted row-major, so each distinct row of a prefix of
+                # the wires is one run of rows: number the runs
+                prefix = dist.keys[:, :len(idx)]
+                first = np.ones(rows, dtype=bool)
+                first[1:] = (prefix[1:] != prefix[:-1]).any(axis=1)
+                kept, codes = prefix[first], np.cumsum(first) - 1
+            else:
+                # too many cells to bin (64 binary wires pass int64): number the distinct rows
+                kept, codes = np.unique(dist.keys[:, idx], axis=0, return_inverse=True)
             counts = _add(codes.reshape(-1), dist.counts, len(kept))[1]
         else:
             codes = (np.ravel_multi_index(tuple(dist.keys[:, i] for i in idx), sizes) if idx

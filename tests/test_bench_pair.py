@@ -17,11 +17,19 @@ METRICS = [
 # pass_s per pair: the change is faster in four of five pairs and ties in none
 PASS_S = {"parent": [1.0, 1.2, 1.1, 0.9, 1.0], "change": [0.8, 0.9, 1.15, 0.7, 0.85]}
 SHARE = {"parent": [1.0] * 5, "change": [1.0, 1.0, 1.0, 1.0, 0.5]}
+# a traced run reports per-layer metrics instead
+BUSY = {"parent": 0.004, "change": 0.003}
 
 
 def stub(calls):
-    def run(side, workload, seed, seconds):
-        calls.append((side, workload, seed, seconds))
+    def run(side, workload, seed, seconds, trace):
+        calls.append((side, workload, seed, seconds, trace))
+        if trace:
+            return {"correct": True, "attempted": 50, "failed": 0, "environment": {"seed": seed},
+                    "metrics": {"boxes.check_no_signaling.busy_s": {"value": BUSY[side],
+                                                                     "unit": "s"},
+                                "boxes.check_no_signaling.calls": {"value": 12,
+                                                                    "unit": "count"}}}
         pair = seed - 7
         return {"correct": SHARE[side][pair] == 1.0, "attempted": 100 + pair + (side == "change"),
                 "failed": 0, "environment": {"seed": seed},
@@ -33,10 +41,24 @@ def stub(calls):
 def test_pairs_alternate_and_share_a_seed():
     calls = []
     bench_pair.run_pairs(stub(calls), ["info-catalog"], 5, 3, 7, METRICS, log=lambda _: None)
-    assert [(side, seed) for side, _, seed, _ in calls] == [
-        ("parent", 7), ("change", 7), ("change", 8), ("parent", 8), ("parent", 9),
-        ("change", 9), ("change", 10), ("parent", 10), ("parent", 11), ("change", 11)]
-    assert {(workload, seconds) for _, workload, _, seconds in calls} == {("info-catalog", 3)}
+    assert [(side, seed, trace) for side, _, seed, _, trace in calls] == [
+        ("parent", 7, 0), ("change", 7, 0), ("change", 8, 0), ("parent", 8, 0),
+        ("parent", 9, 0), ("change", 9, 0), ("change", 10, 0), ("parent", 10, 0),
+        ("parent", 11, 0), ("change", 11, 0), ("parent", 7, 1), ("change", 7, 1)]
+    assert {(workload, seconds) for _, workload, _, seconds, _ in calls} == {("info-catalog", 3)}
+
+
+def test_each_side_keeps_its_traced_per_layer_metrics():
+    data = bench_pair.run_pairs(stub([]), ["info-catalog"], 5, 3, 7, METRICS,
+                                log=lambda _: None)["info-catalog"]
+    layers = data["layers"]
+    assert set(layers) == {"parent", "change"}
+    for side in layers:
+        assert layers[side] == {
+            "boxes.check_no_signaling.busy_s": {"value": BUSY[side], "unit": "s"},
+            "boxes.check_no_signaling.calls": {"value": 12, "unit": "count"}}
+    # the traced runs are kept apart from the pairs the summary reads
+    assert len(data["runs"]) == 10 and set(data["metrics"]) == {"pass_s", "verified_share"}
 
 
 def test_summary_holds_medians_iqr_pair_counts_and_attempts():

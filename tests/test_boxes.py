@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racbox import protocols
+from racbox import boxes, protocols
 from racbox.boxes import (
     BND_SIGNS,
+    DIRECTIONS,
     MAX_TABLE_CELLS,
     RB_VARIANTS,
     Box,
@@ -259,6 +260,60 @@ def test_numerators_use_the_narrowest_integer_type():
         box.table[(0,) * 9] = 1
 
 
+def _verdicts(box):
+    return (unnormalized_row(box), signaling_row(box, "a2b"), signaling_row(box, "b2a"))
+
+
+def test_a_box_owns_its_table():
+    sig = BoxSignature((("x", 2),), (("X", 2),), (), ())
+    want = Box(sig, [[1, 1], [1, 1]], 2)
+    # kept as it is, so locked: a write through the source, or through the array
+    # it is a view of, raises
+    owner = np.ones(8, dtype=np.int8)
+    for source in (np.ones((2, 2), dtype=np.int8), owner[:4].reshape(2, 2),
+                   np.ones((2, 2), dtype=bool)):
+        box = Box(sig, source, 2)
+        assert box == want and np.shares_memory(box.table, source)
+        for target in (source, source.base):
+            if target is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    target[...] = 0
+    # memory no array owns is copied, so a write to it leaves the box as it was
+    buffer = bytearray(b"\x01" * 4)
+    copied = Box(sig, np.frombuffer(buffer, dtype=np.int8).reshape(2, 2), 2)
+    verdicts = _verdicts(copied)
+    buffer[:] = b"\x02" * 4
+    assert copied.table.tolist() == [[1, 1], [1, 1]] and copied == want
+    assert _verdicts(copied) == verdicts == (None, None, None)
+    # a table brought to other terms is a new array: the source stays the caller's
+    wide = np.full((2, 2), 3, dtype=np.int64)
+    assert Box(sig, wide, 6) == want
+    wide[:] = 2
+    assert Box(sig, wide, 4) == want
+
+
+def test_each_party_marginal_is_summed_once_per_box(monkeypatch):
+    box = make_rb(3, 3, "three")
+    summed = []
+
+    def counting(table, start, stop):
+        summed.append(table.size)
+        return sum_wires(table, start, stop)
+
+    monkeypatch.setattr(boxes, "sum_wires", counting)
+    assert check_normalization(box)
+    assert all(check_no_signaling(box, direction) for direction in DIRECTIONS)
+    # the whole table is read twice, once per party; the row sums read Alice's
+    # marginal, a third of the table (B is a trit)
+    assert summed.count(box.table.size) == 2
+    assert summed == [box.table.size, box.table.size // 3, box.table.size]
+    for marginal in (box.alice_marginal, box.bob_marginal):
+        assert not marginal.flags.writeable
+    # checking again reads the kept marginals: only the row sums are summed again
+    assert _verdicts(box) == (None, None, None)
+    assert summed[3:] == [box.table.size // 3]
+
+
 # two coprime denominators whose lcm passes 2^63: the table falls back to Python ints
 P, Q = 2**61 - 1, 2**62 + 1
 HUGE_DENOMINATORS = (
@@ -377,6 +432,16 @@ def test_moving_one_unit_of_mass_flags_the_reference_row(data):
     assert (unnormalized_row(moved) is None) == (table.min() >= 0)
 
 
+def accumulator_rule(dtype, run):
+    """The narrowest of int16, int32 and int64 that holds ``run`` times the largest
+    magnitude ``dtype`` can store, never wider than int64; object stays object."""
+    if dtype == object:
+        return np.dtype(object)
+    magnitude = run * -int(np.iinfo(dtype).min)
+    wider = [t for t in (np.int16, np.int32) if np.dtype(t).itemsize > np.dtype(dtype).itemsize]
+    return next((np.dtype(t) for t in wider if magnitude <= np.iinfo(t).max), np.dtype(np.int64))
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_sum_wires_equals_np_sum(data):
@@ -397,8 +462,30 @@ def test_sum_wires_equals_np_sum(data):
     stop = start + len(run)
     got = sum_wires(table, start, stop)
     want = table.sum(axis=tuple(range(start, stop)), dtype=sum_dtype(table))
-    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.shape == want.shape and got.dtype == accumulator_rule(table.dtype, prod(run))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype,value,lead,run,post,want", [
+    # int16 holds 255 x 128 but not 256 x 128
+    (np.int8, -128, 1, 255, 3, np.int16),
+    (np.int8, 127, 1, 256, 3, np.int32),
+    # 300 x 127 = 38,100 passes int16: summed by np.sum, then slice by slice
+    (np.int8, 127, 2, 300, 3, np.int32),
+    (np.int8, -127, 1, 300, 64 * 300, np.int32),
+    (np.int16, -2**15, 2, 65_535, 1, np.int32),
+    (np.int16, 2**15 - 1, 2, 65_536, 1, np.int64),
+    (np.int32, 2**31 - 1, 1, 3, 64 * 3, np.int64),
+    (np.int64, 2**61, 1, 3, 64 * 3, np.int64),
+    (np.int64, -2**61, 2, 3, 2, np.int64),
+    (object, 2**100, 1, 3, 64 * 3, object),
+    (object, -2**100, 2, 300, 3, object),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_sum_wires_accumulates_in_the_narrowest_exact_type(dtype, value, lead, run, post, want):
+    table = np.full((lead, run, post), value, dtype=dtype)
+    got = sum_wires(table, 1, 2)
+    assert got.dtype == np.dtype(want) == accumulator_rule(table.dtype, run)
+    assert got.shape == (lead, post) and (got == run * value).all()
 
 
 @pytest.mark.parametrize("dtype,scale", [(np.int64, 1), (object, 2**70)], ids=["int64", "object"])

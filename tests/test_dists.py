@@ -482,6 +482,35 @@ def test_small_groups_share_one_count_and_large_ones_count_alone():
             assert (rows.tolist(), counts.tolist()) == (want_rows.tolist(), want_counts.tolist())
 
 
+def _runs_past_two_to_the_16():
+    # 17 binary wires then a trit: a row's first 17 symbols repeat for up to 3 rows
+    rng = random.Random(18)
+    prefixes = {tuple(rng.randrange(2) for _ in range(17)) for _ in range(20)}
+    rows = {prefix + (t,) for prefix in prefixes for t in range(3) if rng.randrange(3) or t == 0}
+    assert len(rows) > len(prefixes)
+    variables = tuple((f"w{i}", 2) for i in range(17)) + (("t", 3),)
+    return JointDistribution(variables, {row: F(1, len(rows)) for row in rows})
+
+
+@pytest.mark.parametrize("case,width", [
+    (lambda: _sixty_four_wires()[0], 17), (lambda: _sixty_four_wires()[0], 40),
+    (lambda: _sixty_four_wires()[0], 64), (_runs_past_two_to_the_16, 17),
+    (_runs_past_two_to_the_16, 18)])
+def test_a_prefix_past_the_bins_is_numbered_by_runs_not_sorted(case, width):
+    # the keys are sorted row-major, so a prefix of the wires needs no np.unique
+    dist = case()
+    keep = list(dist.names[:width])
+    assert math.prod(dist.sizes[:len(keep)]) > 2**16
+    with counting_steps() as (added, ranked):
+        ((rows, counts),) = grouped_counts(dist, [keep], with_keys=True)
+    assert (added.call_count, ranked.call_count) == (1, 0)
+    want_rows, want_counts = sort_grouping(dist, keep)
+    assert (rows.tolist(), counts.tolist()) == (want_rows.tolist(), want_counts.tolist())
+    m = marginalize(dist, keep)
+    assert_invariants(m)
+    assert ref_probs(m) == ref_marginalize(dist, keep)
+
+
 def test_the_empty_group_counts_the_whole_mass():
     for dist in (_small()[0], _index_matrix_past_two_to_the_16()[0]):
         for groups in ([[]], [[], ["u3" if "u3" in dist.names else "c"]]):

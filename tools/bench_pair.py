@@ -9,6 +9,8 @@ from the working tree (tracked and untracked files, as ``.gitignore``
 leaves them).  The tool then runs ``perfbench/run.py --trace 0`` in each
 export, N pairs per workload, one seed per pair (``--seed``, ``--seed`` + 1,
 ...), the parent first in even pairs and the change first in odd ones.
+After a workload's pairs it makes one ``--trace 1`` run per side, at the
+first pair's seed, for the per-layer spans and work counts.
 
 The output file holds, per workload and end-to-end metric: both sides'
 medians and interquartile ranges, how many pairs read better, worse or
@@ -16,7 +18,8 @@ tied by the metric's direction in ``BENCHMARK.json``, whether the change's
 median is worse than the parent's by more than the metric's bound, and
 whether a gain holds (better in at least nine tenths of the pairs, with
 the medians further apart than the parent's IQR).  It also keeps each
-run's items attempted, failures and environment record.
+run's items attempted, failures and environment record, and under
+``layers`` each side's per-layer metrics from its traced run.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (side, workload, seed, seconds) -> run.py's last stdout line, parsed, plus "environment"
-Runner = Callable[[str, str, int, int], dict]
+# (side, workload, seed, seconds, trace) -> run.py's last stdout line, parsed, plus
+# "environment"
+Runner = Callable[[str, str, int, int, int], dict]
 
 
 def git(*args: str, env: dict | None = None) -> str:
@@ -62,10 +66,10 @@ def export(tree_ish: str, dest: Path) -> None:
 
 def perfbench_runner(dirs: dict[str, Path]) -> Runner:
     """Run ``perfbench/run.py`` in each side's export."""
-    def run(side: str, workload: str, seed: int, seconds: int) -> dict:
+    def run(side: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", "0"],
+             "--seconds", str(seconds), "--trace", str(trace)],
             cwd=dirs[side], capture_output=True, text=True, check=True)
         lines = proc.stdout.splitlines()
         result = json.loads(lines[-1])
@@ -123,28 +127,31 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 def run_pairs(runner: Runner, workloads: list[str], pairs: int, seconds: int, seed: int,
               metrics: list[dict], log=print) -> dict:
-    """Alternate the two sides' runs; return the per-workload records and summaries."""
+    """Alternate the two sides' runs, then trace each side once; return the
+    per-workload records, summaries and per-layer metrics."""
     result = {}
     for workload in workloads:
         runs = []
         for pair in range(pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                record = runner(side, workload, seed + pair, seconds)
+                record = runner(side, workload, seed + pair, seconds, 0)
                 runs.append({"pair": pair, "side": side, "seed": seed + pair,
                              "first": side == order[0], **record})
                 log(f"{workload} pair {pair} {side}: attempted {record['attempted']}, "
                     f"failed {record['failed']}, pass_s "
                     f"{record['metrics'].get('pass_s', {}).get('value')}")
+        traced = {side: runner(side, workload, seed, seconds, 1) for side in ("parent", "change")}
         result[workload] = {
             "pairs": pairs,
             "attempted": {side: [run["attempted"] for run in runs if run["side"] == side]
                           for side in ("parent", "change")},
             "failed": {side: [run["failed"] for run in runs if run["side"] == side]
                        for side in ("parent", "change")},
-            "all_correct": all(run["correct"] for run in runs),
+            "all_correct": all(run["correct"] for run in runs + list(traced.values())),
             "metrics": summarize(runs, metrics),
             "runs": runs,
+            "layers": {side: run["metrics"] for side, run in traced.items()},
         }
     return result
 
