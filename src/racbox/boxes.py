@@ -18,9 +18,12 @@ protocol that simulates or extends them builds on.
 
 A table is one integer array of numerators, one axis per wire (inputs,
 then outputs, in signature order), over a single denominator kept in
-lowest terms; the box owns it, read-only.  Every marginal is a run of wire
+lowest terms; the box owns it, read-only.  ``make_rb`` gathers its table as
+whole (A, B) blocks of one small kernel.  Every marginal is a run of wire
 axes summed by adding its slices as whole arrays (``sum_wires``), into the
-narrowest integer type that holds the sum exactly.  A box sums each party's
+narrowest integer type that holds the sum exactly; a short trailing block
+under many rows is added column by column, so each add is one long strided
+run rather than a short loop per row.  A box sums each party's
 output marginal at most once, when a check first reads it, and the three
 checks (normalization, no-signaling both ways) read those two.  A check
 compares the whole marginal with its reference in one exact integer compare
@@ -275,7 +278,7 @@ def make_bn_box(n: int) -> Box:
     ``make_bnd_box`` so the advertised table equality with the d=2 "plus"
     family stays a real cross-check.
     """
-    X, Y = np.ogrid[:2, :2]
+    X, Y = np.indices((2, 2), sparse=True)
     return _family_box(n, 2, X ^ Y)
 
 
@@ -284,7 +287,7 @@ def make_bnd_box(n: int, d: int, sign: str) -> Box:
     _check_n_d(n, d)
     if sign not in BND_SIGNS:
         raise ValueError(f"sign must be one of {BND_SIGNS}, got {sign!r}")
-    X, Y = np.ogrid[:d, :d]
+    X, Y = np.indices((d, d), sparse=True)
     return _family_box(n, d, (X + Y) % d if sign == "plus" else (X - Y) % d)
 
 
@@ -326,20 +329,23 @@ def make_rb(n: int, d: int, variant: str) -> Box:
         bob_outputs=(("B", d),),
     )
     # kernel[a_b, A', A, B] = scale * P(B | a_b, A, A'); A is uniform, so a cell of the
-    # table is P(A, B | a, A', b) = kernel / (d * scale)
-    ab, Ap, A, B = np.ogrid[:d, :d, :d, :d]
+    # table is P(A, B | a, A', b) = kernel / (d * scale).  Only the requested
+    # variant's off-branch array is built.
+    ab, Ap, A, B = np.indices((d,) * 4, sparse=True)
     scale = {"signalinghalf": 2, "three": d - 1}.get(variant, 1)
     off = {
-        "nosignaling": B == (ab + A + Ap) % 2,
-        "signalinghalf": 1,
-        "plus": B == (ab - A + Ap) % d,
-        "minus": B == (ab + A - Ap) % d,
-        "three": B != ab,
-    }[variant]
+        "nosignaling": lambda: B == (ab + A + Ap) % 2,
+        "signalinghalf": lambda: 1,
+        "plus": lambda: B == (ab - A + Ap) % d,
+        "minus": lambda: B == (ab + A - Ap) % d,
+        "three": lambda: B != ab,
+    }[variant]()
     kernel = np.where(Ap == A, scale * (B == ab), off).astype(numerator_dtype(scale, 1))
-    a_b = addressed(d, n, pad=False)[..., None, :]
-    aprime = np.arange(d).reshape((d, 1))
-    return Box(sig, kernel[a_b, aprime], d * scale)
+    # row a_b * d + A' of the kernel, laid flat, is the (A, B) block of every input
+    # with that a_b and A': one gather of whole blocks, not of single cells
+    blocks = d * addressed(d, n, pad=False).astype(np.intp)[..., None, :] + np.arange(d)[:, None]
+    table = np.take(kernel.reshape(d * d, d * d), blocks, axis=0)
+    return Box(sig, table.reshape(sig.input_sizes + sig.output_sizes), d * scale)
 
 
 # for each stored integer type, (longest run, accumulator) pairs, narrowest first:
@@ -351,6 +357,16 @@ _ACCUMULATORS = {
                   for acc in _SIGNED[i + 1:-1])
     for i, stored in enumerate(_SIGNED)
 }
+
+
+# sum_wires reads a trailing block of fewer than _COLUMN_TRAILING cells under at
+# least _COLUMN_ROWS rows column by column, in chunks of about _COLUMN_CHUNK_BYTES
+# of table and at least _COLUMN_ROWS_MIN rows (thresholds measured on a grid of
+# int8, int16 and int64 shapes)
+_COLUMN_TRAILING = 8
+_COLUMN_ROWS = 256
+_COLUMN_CHUNK_BYTES = 1 << 20
+_COLUMN_ROWS_MIN = 1024
 
 
 def _accumulator(table: np.ndarray, run: int) -> np.dtype:
@@ -367,21 +383,46 @@ def sum_wires(table: np.ndarray, start: int, stop: int) -> np.ndarray:
     times the largest magnitude the table's type can store (int16 for an int8
     table over a run of up to 255 cells), never wider than ``sum_dtype``:
     int64, exact by ``numerator_dtype``'s invariant, or Python ints for
-    object tables.  Adds the run's slices as whole arrays, where ``np.sum``
-    over a short inner axis sets up a short loop per result cell.  A slice
-    costs about that setup on 64 cells, so a run of more than 1/64 the
-    result's cells goes to ``np.sum``.
+    object tables.
+
+    The table is read as blocks[row, i, cell]: the wires before the run, the
+    run, and the trailing wires after it.  The run's slices are added as
+    whole arrays, where ``np.sum`` over a short inner axis sets up a short
+    loop per result cell.  A slice costs about that setup on 64 cells, so a
+    run of more than 1/64 the result's cells goes to ``np.sum``.  Otherwise
+    one of two loop nests, read from the shape, adds the slices:
+
+    * a trailing block of 2 to 7 cells under at least 256 rows is summed
+      column by column: the accumulator is laid out trailing-major, so each
+      add runs along the rows, one long strided run per trailing cell; the
+      rows are taken in chunks of about 1 MB of table (at least 1,024 rows)
+      so a chunk stays in cache while its run is added;
+    * any other shape adds each slice as one (rows, trailing) block.
     """
     shape = table.shape[:start] + table.shape[stop:]
     run, rest = prod(table.shape[start:stop]), prod(shape)
     dtype = _accumulator(table, run)
     if not 0 < 64 * run <= rest:
         return table.sum(axis=tuple(range(start, stop)), dtype=dtype)
-    blocks = table.reshape(prod(table.shape[:start]), run, -1)
-    total = blocks[:, 0].astype(dtype)
-    for i in range(1, run):
-        total += blocks[:, i]
-    return total.reshape(shape)
+    rows = prod(table.shape[:start])
+    trailing = rest // rows
+    blocks = table.reshape(rows, run, trailing)
+    if not (1 < trailing < _COLUMN_TRAILING and rows >= _COLUMN_ROWS):
+        total = np.empty((rows, trailing), dtype)
+        _add_run(blocks.transpose(1, 0, 2), total)
+        return total.reshape(shape)
+    total = np.empty((trailing, rows), dtype)
+    step = max(_COLUMN_ROWS_MIN, _COLUMN_CHUNK_BYTES // (run * trailing * table.itemsize))
+    for first in range(0, rows, step):
+        _add_run(blocks[first:first + step].transpose(1, 2, 0), total[:, first:first + step])
+    return total.T.reshape(shape)
+
+
+def _add_run(slices: np.ndarray, total: np.ndarray) -> None:
+    """``total`` = the sum of ``slices`` over their first axis, one whole-array add a slice."""
+    total[...] = slices[0]
+    for part in slices[1:]:
+        total += part
 
 
 def _first_row(box: Box, flagged: np.ndarray) -> tuple[int, ...] | None:

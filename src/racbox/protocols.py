@@ -449,7 +449,7 @@ def verify_lemma1(n: int, d: int = 2) -> ProbeReport:
                        for box in (plus, minus) for direction in DIRECTIONS)
     # the tables' last four axes are (A', b, A, B)
     differs = plus.table != minus.table  # numerators, over one denominator d
-    aprime_axis, a_axis = np.ogrid[:d, :d]
+    aprime_axis, a_axis = np.indices((d, d), sparse=True)
     on_branch = (aprime_axis == a_axis)[:, None, :, None]
     off = differs & ~on_branch
     if (not no_signaling or plus.denominator != minus.denominator

@@ -1,5 +1,7 @@
 """Box families: tables, normalization, signaling structure."""
 
+import hashlib
+import itertools
 import tracemalloc
 from fractions import Fraction
 from math import prod
@@ -155,6 +157,51 @@ def test_rb_three_spreads_wrong_symbols():
                         assert p == (F(1, 3) if B == a[b] else F(0))
                     else:
                         assert p == (F(0) if B == a[b] else F(1, 6))
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 4)])
+@pytest.mark.parametrize("variant,sign", [("plus", 1), ("minus", -1)])
+def test_rb_plus_and_minus_follow_their_group_law(n, d, variant, sign):
+    # B = a_b on A' = A; off it B = a_b -_d A +_d A' (plus) or a_b +_d A -_d A'
+    # (minus); A is uniform, so each cell is 1/d or 0
+    rb = make_rb(n, d, variant)
+    assert rb.denominator == d
+    for row in itertools.product(*map(range, rb.signature.input_sizes)):
+        a, aprime, b = row[:n], row[n], row[n + 1]
+        for A in range(d):
+            want = a[b] if aprime == A else (a[b] - sign * (A - aprime)) % d
+            assert rb.table[row + (A,)].tolist() == [int(B == want) for B in range(d)]
+
+
+TABLE_DIGESTS = Path(__file__).parent / "golden" / "box-tables.sha256"
+
+
+def _table_digest(box):
+    table = box.table
+    digest = hashlib.sha256(f"{table.dtype.str} {table.shape} {box.denominator}\n".encode())
+    digest.update(table.tobytes())
+    return digest.hexdigest()
+
+
+def test_every_swept_table_keeps_its_recorded_digest():
+    recorded = {}
+    for line in TABLE_DIGESTS.read_text().splitlines():
+        if not line.startswith("#"):
+            family, n, d, variant, digest = line.split()
+            recorded[family, int(n), int(d), variant] = digest
+    # every family, sign and completion at each (n, d) the signaling sweep builds
+    sizes = range(2, 6)
+    want = {("bn", n, 2, "-") for n in sizes}
+    want |= {("bnd", n, d, sign) for n in sizes for d in sizes for sign in BND_SIGNS}
+    want |= {("rb", n, d, variant) for n in sizes for d in sizes for variant in RB_VARIANTS
+             if d == 2 or variant not in ("nosignaling", "signalinghalf")}
+    assert set(recorded) == want
+    for (family, n, d, variant), digest in recorded.items():
+        if family == "bn":
+            box = make_bn_box(n)
+        else:
+            box = (make_bnd_box if family == "bnd" else make_rb)(n, d, variant)
+        assert _table_digest(box) == digest, (family, n, d, variant)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -442,20 +489,54 @@ def accumulator_rule(dtype, run):
     return next((np.dtype(t) for t in wider if magnitude <= np.iinfo(t).max), np.dtype(np.int64))
 
 
+# (rows, run, trailing) shapes on both sides of each threshold of sum_wires: np.sum
+# past a run of 1/64 the result, and the column-by-column nest for 2 to 7
+# trailing cells under 256 rows or more, in chunks of 1,024 rows or more
+SUM_GRID = [
+    (rows, run, trailing)
+    for rows in (64, 255, 256, 1023, 1024, 78_125)
+    for run in (1, 2, 5, 25, 300)
+    for trailing in (1, 2, 5, 7, 8, 64)
+    if rows * run * trailing <= 2**21
+]
+
+
+def _random_table(rng, shape, dtype):
+    top = {np.int8: 127, np.int16: 2**15 - 1, np.int64: 2**40, object: 2**100}[dtype]
+    return rng.integers(-127, 128, size=shape).astype(dtype) * (top // 127)
+
+
+def test_sum_wires_equals_np_sum():
+    rng = np.random.default_rng(2024)
+    for dtype in (np.int8, np.int16, np.int64, object):
+        layouts = set()
+        for rows, run, trailing in SUM_GRID:
+            if dtype is object and rows * run * trailing > 2**16:
+                continue
+            table = _random_table(rng, (rows, run, trailing), dtype)
+            got = sum_wires(table, 1, 2)
+            want = table.sum(axis=1, dtype=sum_dtype(table))
+            assert got.dtype == accumulator_rule(table.dtype, run), (dtype, rows, run, trailing)
+            assert np.array_equal(got, want), (dtype, rows, run, trailing)
+            layouts.add((got.flags.c_contiguous, trailing > 1))
+        # the column-by-column nest leaves its result trailing-major: both nests ran
+        assert layouts == {(True, False), (True, True), (False, True)}, dtype
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_sum_wires_equals_np_sum(data):
-    dtype = data.draw(st.sampled_from((np.int8, np.int64, object)))
+def test_sum_wires_equals_np_sum_over_several_wires_and_strided_views(data):
+    dtype = data.draw(st.sampled_from((np.int8, np.int16, np.int64, object)))
     head, tail = (data.draw(st.lists(st.integers(1, 4), max_size=1)) for _ in range(2))
     run = data.draw(st.lists(st.integers(1, 3), max_size=2))
     # a leading axis of 1 leaves too few result cells for the slice loop, so
-    # np.sum runs; one of 64 x the run's cells adds the run's slices one by one.
-    # The sizes keep a table at most 64 * 9 * 9 * 4 * 4 = 82,944 cells.
+    # np.sum runs; one of 64 x the run's cells adds the run's slices one by one,
+    # by columns when 2 to 7 trailing cells lie under 256 rows or more.  The
+    # sizes keep a table at most 64 * 9 * 9 * 4 * 4 = 82,944 cells.
     lead = data.draw(st.sampled_from((1, 64 * prod(run))))
     shape = (lead, *head, *run, *tail)
-    top = {np.int8: 127, np.int64: 2**40, object: 2**100}[dtype]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    table = rng.integers(-127, 128, size=shape).astype(dtype) * (top // 127)
+    table = _random_table(rng, shape, dtype)
     if data.draw(st.booleans()):  # a strided view, as a sliced box table is
         table = np.stack([table, -table], axis=-1)[..., 0]
     start = 1 + len(head)
