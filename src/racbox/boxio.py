@@ -20,22 +20,28 @@ parse; blank lines and lines starting with ``#`` are skipped.
 
 ``parse_box`` refuses a header whose dense table would pass the size cap
 (``boxes.check_table_size``) before it reads any body line.  It reads the
-body in one loop over its lines and reads each distinct string once: an
-input or output assignment by ``int`` and a range check against the wire
-sizes, a probability by ``Fraction`` once its decimal exponent, if any, is
-within Python's integer-string digit limit.  One flag per table cell finds
-a repeated cell.  The loop stops at the first bad line in file order, a
-repeated cell being the fault of the later entry, and ``_read_line`` reads
-that line alone to write its error, which names it (``line N: ...``).
+body in one loop that does no more per line than strip it, split it at its
+first ``:`` and look its two parts up in two dicts, which give each distinct
+input part and each distinct remainder ``outvals = prob`` an id.  Each
+distinct string is read once after the loop: the distinct input and output
+parts in batches, by one dict lookup per canonically spelled symbol and a
+numpy range check (any other spelling through ``int``), and each probability
+token by ``Fraction`` once its decimal exponent, if any, is within Python's
+integer-string digit limit.  One flag per table cell finds a repeated cell.
+If any part or token is bad, or a cell repeats, the lines are walked once
+more to the first faulty entry in file order, a repeated cell being the
+fault of the later entry, and ``_read_line`` reads that line alone to write
+its error, which names it (``line N: ...``).
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import defaultdict
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, count, islice, product, repeat
 from math import lcm, prod
 from typing import NoReturn
 
@@ -46,6 +52,11 @@ from .dists import numerator_dtype
 
 _PARTIES = ("alice", "bob")
 _ROLES = ("input", "output")
+# symbols with their canonical spelling, read by one dict lookup each; any other
+# spelling (01, +1, 1_0) or a larger symbol goes through ``_index``
+_SYMBOLS = {str(v): v for v in range(256)}
+# distinct assignments ``_indices`` reads per batch
+_BATCH = 1024
 
 
 def serialize_box(box: Box) -> str:
@@ -124,49 +135,91 @@ def parse_box(text: str) -> Box:
 
 def _read_body(sig: BoxSignature, lines: list[str], start: int) -> Box:
     in_sizes, out_sizes = sig.input_sizes, sig.output_sizes
-    n_out = prod(out_sizes)
-    # what each distinct string reads as: an assignment as its row-major
-    # index (None if it is bad), a probability token as its position in ``probs``
-    rows: dict[str, int | None] = {}
-    outs: dict[str, int | None] = {}
-    prob_ids: dict[str, int] = {}
-    probs: list[Fraction] = []
-    seen = bytearray(prod(in_sizes) * n_out)
-    cells = array("q")
+    # the loop gives each distinct input part and each distinct remainder
+    # "outvals = prob" the next id on its first lookup, and keeps the two ids
+    # of every entry; the ids come from a counter, since the dict's own
+    # ``__len__`` as its factory would hold the dict in a reference cycle
+    ins, rests = defaultdict(count().__next__), defaultdict(count().__next__)
     ids = array("i")
-    for lineno, raw in enumerate(islice(lines, start, None), start + 1):
+    for raw in islice(lines, start, None):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
+        in_part, _, rest = line.partition(":")
+        ids.append(ins[in_part])
+        ids.append(rests[rest])
+    # remainders are few (output cells times distinct probabilities); each
+    # distinct output part and probability token among them is read once
+    outs, tokens = defaultdict(count().__next__), defaultdict(count().__next__)
+    rest_outs, rest_tokens = [], []
+    for rest in rests:
         # a line without ":" or "=" has an empty probability part, which
         # ``_probability`` refuses
-        in_part, _, rest = line.partition(":")
         out_part, _, prob_part = rest.partition("=")
-        row = rows.get(in_part)
-        if row is None:
-            row = rows[in_part] = _index(in_part, in_sizes)
-        out = outs.get(out_part)
-        if out is None:
-            out = outs[out_part] = _index(out_part, out_sizes)
-        pid = prob_ids.get(prob_part)
-        if pid is None:
-            try:
-                probs.append(_probability(prob_part.strip()))
-                pid = prob_ids[prob_part] = len(probs) - 1
-            except (ValueError, ZeroDivisionError):
-                pass
-        if row is None or out is None or pid is None or seen[cell := row * n_out + out]:
-            _read_line(sig, raw, lineno)
-        seen[cell] = 1
-        cells.append(cell)
-        ids.append(pid)
+        rest_outs.append(outs[out_part])
+        rest_tokens.append(tokens[prob_part])
+    probs = [_probability_or_none(token) for token in tokens]
+    token_of = np.array(rest_tokens, dtype=np.int32)
+    # each input part's row and each remainder's output cell, -1 if it is bad
+    row_of = _indices(list(ins), in_sizes)
+    out_of = _indices(list(outs), out_sizes)[rest_outs]
+    out_of[np.array([p is None for p in probs], dtype=bool)[token_of]] = -1
+    pairs = np.frombuffer(ids, dtype=np.int32).reshape(-1, 2)
+    n_out = prod(out_sizes)
+    cells = _cells(pairs, row_of, out_of, n_out, prod(in_sizes) * n_out)
+    if cells is None:
+        _raise_first_fault(
+            sig, lines, start, dict(zip(ins, row_of.tolist())), dict(zip(rests, out_of.tolist()))
+        )
     den = lcm(*(p.denominator for p in probs))
     # every entry lies in [0, 1], so no numerator exceeds the denominator
     dtype = numerator_dtype(den, len(cells))
     scaled = np.array([p.numerator * (den // p.denominator) for p in probs], dtype=dtype)
-    table = np.zeros(len(seen), dtype=dtype)
-    table[np.asarray(cells)] = scaled[np.asarray(ids)]
+    table = np.zeros(prod(in_sizes) * n_out, dtype=dtype)
+    table[cells] = scaled[token_of[pairs[:, 1]]]
     return Box(sig, table.reshape(in_sizes + out_sizes), den)
+
+
+def _cells(
+    pairs: np.ndarray, row_of: np.ndarray, out_of: np.ndarray, n_out: int, n_cells: int
+) -> np.ndarray | None:
+    """The table cell of each entry, given as a (input part id, remainder id)
+    row of ``pairs``; None if a part is bad (-1) or two entries share a cell."""
+    if (row_of < 0).any() or (out_of < 0).any():
+        return None
+    cells = row_of[pairs[:, 0]]
+    cells *= n_out
+    cells += out_of[pairs[:, 1]]
+    seen = np.zeros(n_cells, dtype=bool)
+    seen[cells] = True
+    return cells if np.count_nonzero(seen) == len(cells) else None
+
+
+def _indices(parts: list[str], sizes: tuple[int, ...]) -> np.ndarray:
+    """``_index`` of each part, -1 for None.  Parts are read in batches, by one
+    dict lookup per symbol spelled canonically, ``str(v)``, and a numpy range
+    check; a part with another spelling or an out-of-range symbol, and every
+    part of a batch with a wrong arity, goes through ``_index``."""
+    arity = len(sizes)
+    weights = np.array([prod(sizes[k + 1:]) for k in range(arity)], dtype=np.int32)
+    # a row-major index is below the table size cap, far below 2^31
+    result = np.empty(len(parts), dtype=np.int32)
+    for lo in range(0, len(parts), _BATCH):
+        batch = parts[lo:lo + _BATCH]
+        split = list(map(str.split, batch))
+        if set(map(len, split)) == {arity}:
+            symbols = np.fromiter(
+                map(_SYMBOLS.get, chain.from_iterable(split), repeat(-1)),
+                dtype=np.int32, count=len(batch) * arity,
+            ).reshape(len(batch), arity)
+            good = ((symbols >= 0) & (symbols < sizes)).all(axis=1)
+            result[lo:lo + len(batch)] = symbols @ weights
+        else:
+            good = np.zeros(len(batch), dtype=bool)
+        for k in np.flatnonzero(~good).tolist():
+            index = _index(batch[k], sizes)
+            result[lo + k] = -1 if index is None else index
+    return result
 
 
 def _index(part: str, sizes: tuple[int, ...]) -> int | None:
@@ -185,6 +238,26 @@ def _index(part: str, sizes: tuple[int, ...]) -> int | None:
             return None
         index = index * size + v
     return index
+
+
+def _raise_first_fault(
+    sig: BoxSignature, lines: list[str], start: int, rows: dict[str, int], outs: dict[str, int]
+) -> NoReturn:
+    """Raise the error of the first faulty body line in file order: one whose
+    input part has row -1 in ``rows`` or whose remainder has output cell -1 in
+    ``outs``, or one that repeats an earlier entry's cell."""
+    n_out = prod(sig.output_sizes)
+    seen = set()
+    for lineno, raw in enumerate(islice(lines, start, None), start + 1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        in_part, _, rest = line.partition(":")
+        row, out = rows[in_part], outs[rest]
+        if row < 0 or out < 0 or (cell := row * n_out + out) in seen:
+            _read_line(sig, raw, lineno)
+        seen.add(cell)
+    raise AssertionError("the body has no faulty entry")
 
 
 def _read_line(sig: BoxSignature, raw: str, lineno: int) -> NoReturn:
@@ -215,6 +288,14 @@ def _read_line(sig: BoxSignature, raw: str, lineno: int) -> NoReturn:
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc} in entry {outvals}") from None
     raise ValueError(f"line {lineno}: duplicate entry for {invals} : {outvals}")
+
+
+def _probability_or_none(token: str) -> Fraction | None:
+    """``_probability`` of the stripped token, None where it refuses it."""
+    try:
+        return _probability(token.strip())
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 def _probability(token: str) -> Fraction:

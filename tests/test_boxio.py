@@ -1,5 +1,6 @@
 """Box serialization round trips and malformed-input handling."""
 
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racbox.boxes import (
     Box,
@@ -313,7 +316,11 @@ def test_parse_box_raises_the_line_parsers_error_and_names_the_line(mutation):
     lines = serialize_box(box).splitlines()
     i = _body_line(lines, k)
     lines[i] = replacement.format(lines[i])
-    text = "\n".join(lines) + "\n"
+    _assert_same_error("\n".join(lines) + "\n", i)
+
+
+def _assert_same_error(text, i):
+    """``parse_box`` names line ``i`` (0-based) and gives the line parser's error."""
     with pytest.raises(ValueError) as new:
         parse_box(text)
     with pytest.raises(ValueError) as old:
@@ -321,6 +328,21 @@ def test_parse_box_raises_the_line_parsers_error_and_names_the_line(mutation):
     assert str(new.value).startswith(f"line {i + 1}: ")
     old_text = re.sub(r"^line \d+: ", "", str(old.value))
     assert str(new.value).removeprefix(f"line {i + 1}: ") == old_text
+
+
+THREE_LINES = serialize_box(make_rb(3, 3, "three")).splitlines()
+THREE_BODY = [i for i, line in enumerate(THREE_LINES) if line and not line.startswith("var ")]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_any_mutation_on_any_body_line_raises_the_line_parsers_error(data):
+    replacement = data.draw(st.sampled_from([m[3] for m in MUTATIONS]))
+    # from the second body line on: a var line in place of the first is still header
+    i = THREE_BODY[data.draw(st.integers(1, len(THREE_BODY) - 1))]
+    lines = list(THREE_LINES)
+    lines[i] = replacement.format(lines[i])
+    _assert_same_error("\n".join(lines) + "\n", i)
 
 
 @pytest.mark.parametrize("later", [10, 6144], ids=["close-behind", "far-behind"])
@@ -340,25 +362,110 @@ def test_the_first_bad_line_in_file_order_is_reported(later):
 
 def test_each_distinct_string_is_read_once(monkeypatch):
     text = serialize_box(make_rb(5, 3, "plus"))
-    fractions, indices = [], []
+    fractions, parts = [], []
 
     def fraction(*args):
         fractions.append(args)
         return Fraction(*args)
 
-    def index(part, sizes):
-        indices.append(part)
-        return read_index(part, sizes)
+    def indices(batch, sizes):
+        parts.extend(batch)
+        return read_indices(batch, sizes)
 
-    read_index = boxio._index
+    read_indices = boxio._indices
     monkeypatch.setattr(boxio, "Fraction", fraction)
-    monkeypatch.setattr(boxio, "_index", index)
+    monkeypatch.setattr(boxio, "_indices", indices)
     assert parse_box(text) == make_rb(5, 3, "plus")
     body = [line for line in text.splitlines() if "=" in line]
     ins, _, rests = zip(*(line.partition(":") for line in body))
     outs, _, tokens = zip(*(rest.partition("=") for rest in rests))
     assert sorted(fractions) == sorted((token.strip(),) for token in set(tokens))
-    assert sorted(indices) == sorted([*set(ins), *set(outs)])
+    assert sorted(parts) == sorted([*set(ins), *set(outs)])
+
+
+SPELLED_HEADER = "var alice input x 12\nvar alice output X 2\nvar bob input y 4\nvar bob output Y 2\n"
+
+
+def _spelled(v, way):
+    """Symbol v as ``int`` reads it: canonical, with a leading zero or plus, in
+    Arabic-Indic digits, or with an underscore between digits."""
+    digits = str(v)
+    return (
+        digits,
+        "0" + digits,
+        "+" + digits,
+        "".join(chr(0x660 + int(c)) for c in digits),
+        "_".join(digits) if len(digits) > 1 else "0_" + digits,
+    )[way % 5]
+
+
+def _spelled_body(respell):
+    """Every (x, y) row of the spelled header, two entries each, with the
+    odd-numbered lines respelled when ``respell`` is set."""
+    lines = []
+    for x in range(12):
+        for y in range(4):
+            for X, p in ((0, "1/3"), (1, "2/3")):
+                k = len(lines)
+                if respell and k % 2:
+                    sep = ("\t", "  ", " \t ")[k % 3]
+                    line = (f"{_spelled(x, k // 2 + y)}{sep}{_spelled(y, k // 3)} :{sep}"
+                            f"{_spelled(X, k)}{sep}{(x + y) % 2}{sep}={sep}{p}")
+                    lines.append(line + ("\r" if k % 4 == 1 else ""))
+                else:
+                    lines.append(f"{x} {y} : {X} {(x + y) % 2} = {p}")
+    return lines
+
+
+def test_every_spelling_int_reads_parses_as_the_canonical_one():
+    spelled = SPELLED_HEADER + "\n".join(_spelled_body(respell=True)) + "\n"
+    assert all(tok in spelled for tok in ("01", "+1", "\u0663", "1_0", "\t", "  ", "\r\n"))
+    canonical = parse_box(SPELLED_HEADER + "\n".join(_spelled_body(respell=False)))
+    assert _assert_parsers_agree(spelled) == canonical
+    assert check_normalization(canonical)
+
+
+@pytest.mark.parametrize("first, later", [
+    ("3 1 : 1 0 = 2/3", "03 +1 : 1\t0 = 1/3"),
+    ("3  01 :\t1 0 = 2/3", "3 1 : 1 0 = 1/3"),
+], ids=["canonical-first", "respelled-first"])
+def test_a_cell_respelled_later_is_a_duplicate_at_the_later_line(first, later):
+    lines = SPELLED_HEADER.splitlines() + ["", first, "0 0 : 0 0 = 1/3", later, "0 1 : 0 1 = 1"]
+    with pytest.raises(ValueError, match=r"^line 8: duplicate entry for \(3, 1\) : \(1, 0\)$"):
+        parse_box("\n".join(lines))
+
+
+@pytest.mark.parametrize("body", ["", "# no entries\n\n   # none\n"], ids=["empty", "comments-only"])
+def test_a_body_without_entries_is_an_all_zero_table(body):
+    box = _assert_parsers_agree(SPELLED_HEADER + body)
+    assert box.denominator == 1
+    assert box.table.shape == (12, 4, 2, 2)
+    assert not box.table.any()
+
+
+def test_batched_indices_equal_the_per_part_reader():
+    rng = random.Random(26)
+    sizes = (3, 12, 2)
+    # (spellings, arities, parts) per batch; spelling 5 is canonical with one
+    # non-integer symbol, and every batch has out-of-range symbols
+    batches = (
+        (range(1), (3,), boxio._BATCH),
+        (range(6), (3,), boxio._BATCH),
+        (range(6), (3, 3, 3, 3, 2, 4), boxio._BATCH),
+        (range(1), (3,), 17),
+    )
+    parts = []
+    for ways, arities, count in batches:
+        for _ in range(count):
+            n, way = rng.choice(arities), rng.choice(ways)
+            symbols = [rng.randrange(size) if rng.random() < 0.95 else size for size in (sizes * 2)[:n]]
+            words = [_spelled(v, way) for v in symbols]
+            if way == 5:
+                words[rng.randrange(n)] = "x"
+            parts.append(rng.choice((" ", "  ", "\t")).join(words) + rng.choice(("", " ")))
+    want = [-1 if (i := boxio._index(part, sizes)) is None else i for part in parts]
+    assert boxio._indices(parts, sizes).tolist() == want
+    assert sum(i >= 0 for i in want) > len(parts) // 2
 
 
 def test_parsing_a_large_box_peaks_below_the_block_reader():
