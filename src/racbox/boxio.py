@@ -15,7 +15,8 @@ Header lines declare each wire as ``var <party> <input|output> <name> <size>``
 in signature order.  Body lines give input assignment, output assignment and
 an exact probability in [0, 1]: any token ``fractions.Fraction`` reads, such
 as ``1/2``, ``0.5`` or ``1e-1``.  Zero entries are omitted and restored on
-parse; blank lines and lines starting with ``#`` are skipped.
+parse; blank lines and lines starting with ``#`` are skipped.  A line ends
+at ``\n`` only, so every ``line N:`` counts newlines.
 ``parse_box(serialize_box(box)) == box`` for every box.
 
 ``parse_box`` refuses a header whose dense table would pass the size cap
@@ -99,7 +100,7 @@ def parse_box(text: str) -> Box:
     wires: dict[tuple[str, str], list[tuple[str, int]]] = {
         (p, r): [] for p in _PARTIES for r in _ROLES
     }
-    lines = text.splitlines()
+    lines = text.split("\n")
     body_start = len(lines)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -15,16 +15,19 @@ with one ``np.add.at`` (see ``grouped_counts``), ``condition`` masks rows
 and takes the masked mass as the new denominator, and ``derive`` appends a
 column read from a function table.  ``grouped_counts`` counts every
 marginal of a list in that one ``np.add.at`` while the joint is small, so
-an information query counts all the marginals it needs in one pass.
+an information query counts all the marginals it needs in one pass.  What
+depends only on the wire list and the groups (a list's checks, key type and
+sizes; ``grouped_counts``'s columns, strides and offsets) is planned once per
+key in an ``lru_cache`` of 1,024 plans; a failed check is never cached.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
+from itertools import accumulate, chain
 from math import gcd, lcm, prod
 from numbers import Integral, Rational
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -81,8 +84,17 @@ def sum_dtype(table: np.ndarray) -> np.dtype:
     return table.dtype if table.dtype == object else np.dtype(np.int64)
 
 
-def _key_dtype(variables: Sequence[tuple[str, int]]) -> np.dtype:
-    return numerator_dtype(max((size for _, size in variables), default=1), 1)
+@lru_cache(maxsize=1024)
+def _wires(variables: tuple[tuple[str, int], ...]) -> tuple[np.dtype, np.ndarray]:
+    """A wire list's key dtype and read-only sizes; refuses repeated names, empty alphabets."""
+    names = [name for name, _ in variables]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names: {names}")
+    if any(size < 1 for _, size in variables):
+        raise ValueError(f"a variable of {variables} has an empty alphabet")
+    sizes = np.array([size for _, size in variables], dtype=np.uint64)
+    sizes.setflags(write=False)
+    return numerator_dtype(max((size for _, size in variables), default=1), 1), sizes
 
 
 def _cell_keys(cells: np.ndarray, sizes: Sequence[int], dtype: np.dtype) -> np.ndarray:
@@ -106,6 +118,8 @@ def _add(codes: np.ndarray, counts: np.ndarray, cells: int) -> tuple[np.ndarray,
 
 def _joint(variables, keys: np.ndarray, counts: np.ndarray, den) -> JointDistribution:
     """The joint of sorted, distinct keys and their positive counts over ``den``."""
+    variables = tuple(map(tuple, variables))
+    _wires(variables)
     counts, den = lowest_terms(counts, den)
     return object.__new__(JointDistribution)._fill(variables, keys, counts, den)
 
@@ -130,7 +144,8 @@ class JointDistribution:
     def __init__(
         self, variables: Sequence[tuple[str, int]], probs: Mapping[Assignment, Rational]
     ) -> None:
-        variables = tuple(variables)
+        variables = tuple(map(tuple, variables))
+        dtype, sizes = _wires(variables)
         # a float has an integer ratio too, but not the exact probability meant
         if not set(map(type, probs.values())) <= {int, Fraction}:
             for key, p in probs.items():
@@ -150,7 +165,7 @@ class JointDistribution:
             raise ValueError(f"assignment {key} needs one value per variable of {variables}")
         # read straight into the unsigned twin of the key type, which holds every
         # symbol of every alphabet and refuses a negative one
-        symbols, dtype = list(chain.from_iterable(support)), _key_dtype(variables)
+        symbols = list(chain.from_iterable(support))
         unsigned = dtype.char.upper()
         try:
             keys = np.frombuffer(array(unsigned, symbols), dtype=unsigned)
@@ -160,7 +175,6 @@ class JointDistribution:
         except OverflowError:
             raise ValueError(f"an assignment is out of range for {variables}") from None
         keys = keys.reshape(len(support), len(variables))
-        sizes = np.array([size for _, size in variables], dtype=np.uint64)
         if min(nums) < 0 or np.count_nonzero(keys >= sizes):
             raise ValueError(f"an assignment is out of range for {variables} "
                              "or has negative probability")
@@ -173,12 +187,6 @@ class JointDistribution:
     def _fill(self, variables, keys: np.ndarray, counts: np.ndarray, den: int) -> JointDistribution:
         """Store sorted, distinct keys and their counts, already in the form
         ``lowest_terms`` gives."""
-        variables = tuple(variables)
-        names = [name for name, _ in variables]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names: {names}")
-        if any(size < 1 for _, size in variables):
-            raise ValueError(f"a variable of {variables} has an empty alphabet")
         # the arrays are this joint's own (or another joint's, already read-only)
         keys.setflags(write=False)
         counts.setflags(write=False)
@@ -190,10 +198,11 @@ class JointDistribution:
         cls, variables: Sequence[tuple[str, int]], table: np.ndarray, denominator: int
     ) -> JointDistribution:
         """The joint whose numerators are a dense array, one axis per wire."""
+        variables = tuple(map(tuple, variables))
         flat = np.flatnonzero(table)
         if not flat.size:
-            raise ValueError(f"need assignments of positive probability for {tuple(variables)}")
-        keys = _cell_keys(flat, table.shape, _key_dtype(variables))
+            raise ValueError(f"need assignments of positive probability for {variables}")
+        keys = _cell_keys(flat, table.shape, _wires(variables)[0])
         counts = table.reshape(-1)[flat]
         return _joint(variables, keys, counts, denominator)
 
@@ -239,10 +248,33 @@ def derive(dist: JointDistribution, table: TableFn) -> JointDistribution:
         raise ValueError(f"table {table.name!r} reads {table.inputs}, the joint has "
                          f"{tuple(dist.variables[i] for i in idx)}")
     variables = dist.variables + ((table.name, table.output_size),)
-    keys = np.empty((len(dist.keys), len(variables)), dtype=_key_dtype(variables))
+    keys = np.empty((len(dist.keys), len(variables)), dtype=_wires(variables)[0])
     keys[:, :-1] = dist.keys
     keys[:, -1] = table.at({name: dist.keys[:, i] for (name, _), i in zip(table.inputs, idx)})
     return _joint(variables, keys, dist.counts, dist.denominator)
+
+
+@lru_cache(maxsize=1024)
+def _grouping(variables: tuple, groups: tuple) -> tuple[tuple, np.ndarray | None, tuple]:
+    """Each group's (columns, sizes); for 2+ groups within 2^16 cells in all, the float64
+    matrix of each wire's stride per group, its last row each group's first cell (else
+    None); and the first cells, then their total.  Read-only, as every caller shares it."""
+    where = {name: (i, size) for i, (name, size) in enumerate(variables)}
+    for name in chain(*groups):
+        if name not in where:
+            raise KeyError(f"unknown variable {name!r}; have {tuple(where)}")
+    layout = tuple((tuple(where[name][0] for name in keep), tuple(where[name][1] for name in keep))
+                   for keep in groups)
+    offsets = tuple(accumulate((prod(sizes) for _, sizes in layout), initial=0))
+    if len(groups) < 2 or offsets[-1] > _DENSE_CELLS:
+        return layout, None, offsets
+    matrix = np.zeros((len(variables) + 1, len(groups)))
+    matrix[-1] = offsets[:-1]
+    for group, (idx, sizes) in enumerate(layout):
+        for k, i in enumerate(idx):  # a wire's stride: the product of the sizes after it
+            matrix[i, group] += prod(sizes[k + 1:])
+    matrix.setflags(write=False)
+    return layout, matrix, offsets
 
 
 def grouped_counts(
@@ -261,41 +293,26 @@ def grouped_counts(
     order, the number of its run of rows (the keys are sorted row-major),
     else from ``np.unique``.  Two or more groups share one ``np.add.at`` while
     the rows x groups index matrix and all the groups' cells each hold at most
-    2^16 entries: the cell indices are one matrix product ``keys @ strides``,
-    each group's offset past the cells of the groups before it.
+    2^16 entries: the cell indices are one matrix product of the keys with the
+    planned strides (``_grouping``), each group's offset past the cells before it.
     """
-    where = {name: (i, size) for i, (name, size) in enumerate(dist.variables)}
-    width, count, rows = len(dist.variables), len(groups), len(dist.keys)
-    # row ``wire`` of the strides matrix holds each group's stride for that wire, and a
-    # last row each group's first cell
-    strides, offsets = [0] * (width * count), [0]
-    for group, keep in enumerate(groups):
-        stride = 1
-        for name in reversed(keep):
-            if name not in where:
-                dist.index(name)  # raises, naming the wires the joint has
-            i, size = where[name]
-            strides[i * count + group] = stride
-            stride *= size
-        offsets.append(offsets[-1] + stride)
-    if count > 1 and rows * count <= _DENSE_CELLS and offsets[-1] <= _DENSE_CELLS:
+    layout, matrix, offsets = _grouping(dist.variables, tuple(map(tuple, groups)))
+    rows = len(dist.keys)
+    if matrix is not None and rows * len(layout) <= _DENSE_CELLS:
         # a float64 product (BLAS) is exact here: every partial sum is a cell index below 2^16
-        matrix = np.array(strides + offsets[:-1], dtype=np.float64).reshape(width + 1, count)
-        codes = dist.keys.astype(np.float64) @ matrix[:-1]
+        codes = dist.keys @ matrix[:-1]
         codes += matrix[-1]
         # each row's count goes to every one of its cells, one per group
         present, counts = _add(codes.astype(np.intp), dist.counts[:, None], offsets[-1])
-        cells = present.tolist()
-        ends = [bisect_left(cells, start) for start in offsets]
-        return [(_cell_keys(present[lo:hi] - start, [where[name][1] for name in keep],
-                            dist.keys.dtype) if with_keys else None, counts[lo:hi])
-                for keep, start, lo, hi in zip(groups, offsets, ends, ends[1:])]
+        ends = np.searchsorted(present, offsets).tolist()
+        return [(_cell_keys(present[lo:hi] - start, sizes, dist.keys.dtype) if with_keys
+                 else None, counts[lo:hi])
+                for (_, sizes), start, lo, hi in zip(layout, offsets, ends, ends[1:])]
     marginals = []
-    for keep in groups:
-        idx, sizes = [where[name][0] for name in keep], [where[name][1] for name in keep]
+    for idx, sizes in layout:
         cells = prod(sizes)
         if cells > max(_DENSE_CELLS, rows):
-            if idx == list(range(len(idx))):
+            if idx == tuple(range(len(idx))):
                 # the keys are sorted row-major, so each distinct row of a prefix of
                 # the wires is one run of rows: number the runs
                 prefix = dist.keys[:, :len(idx)]

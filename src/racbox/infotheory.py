@@ -3,10 +3,11 @@
 Probabilities stay integer counts over one denominator all the way to the
 log; only the final entropy is a float.  All measures take the log base
 explicitly (base 2 for bits, base d for dit-valued alphabets) and follow
-the convention 0 log 0 = 0.  Each query checks its groups once, learns
-which marginals its formula reads, and counts each distinct one once, all
-in one ``grouped_counts`` pass (``_query``); the formulas add their
-entropies in a fixed order, so every float is reproducible.
+the convention 0 log 0 = 0.  A query's plan, its checked groups and the
+marginals its formula reads, is cached per (wires, groups, given, measure,
+formula) in a 1,024-plan ``lru_cache`` (``_plan``; failed checks and counts are
+never cached); one ``grouped_counts`` pass counts them (``_query``), and the
+formulas add their entropies in a fixed order, so every float is reproducible.
 
 Identities are checked exactly instead.  With counts c_i over N,
 N*H = N log N - sum_i c_i log c_i, so every entropy and every mutual
@@ -22,7 +23,8 @@ capacity module.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Sequence, TypeVar
@@ -36,22 +38,26 @@ _V = TypeVar("_V")
 _R = TypeVar("_R")
 
 
-def _checked(
-    dist: JointDistribution, given: Sequence[str], *groups: Sequence[str]
-) -> tuple[tuple[str, ...], ...]:
-    """``groups`` then ``given`` as tuples: each group non-empty, every variable
-    known, none named twice across them all."""
-    groups = (*map(tuple, groups), tuple(given))
-    names = list(chain.from_iterable(groups))
-    if not all(groups[:-1]):
+@lru_cache(maxsize=1024)
+def _plan(variables: tuple, groups: tuple, given: tuple, measure: Callable, formula: Callable
+          ) -> tuple[tuple[str, ...], ...]:
+    """The marginals ``formula`` reads, each once, in the order it first reads them,
+    learned by running it against a recorder whose every ``H`` is the measure of no
+    counts (so its flow must not depend on values).  Refuses an empty group, an
+    unknown wire and a wire named twice across the groups."""
+    names = list(chain(*groups, given))
+    if not all(groups):
         raise ValueError("each group must name at least one variable")
     named = set(names)
-    unknown = named.difference(name for name, _ in dist.variables)
+    unknown = named.difference(name for name, _ in variables)
     if unknown:
         raise ValueError(f"unknown variable {min(unknown)!r}")
     if len(named) != len(names):
         raise ValueError("a variable is named twice across the groups")
-    return groups
+    blank = measure([], 1)
+    needed: dict[tuple[str, ...], _V] = {}
+    formula(lambda group: needed.setdefault(group, blank), groups, given)
+    return tuple(needed)
 
 
 def _query(
@@ -61,26 +67,18 @@ def _query(
     measure: Callable[[list[int], int], _V],
     formula: Callable[..., _R],
 ) -> _R:
-    """Check one query's groups once; return ``formula(H, groups, given)``.
-
-    ``H(group)`` is ``measure(counts, denominator)`` of the marginal over an
-    ordered tuple of wires.  The formula first runs against a recorder,
-    whose every ``H`` is the measure of no counts, to learn which marginals
-    it reads; its flow must not depend on their values.  One
-    ``grouped_counts`` call then counts each distinct tuple once, and the
-    formula runs again on their measures.  Tuples are told apart by order
-    too: the column order fixes the order in which an entropy's float terms
-    are added.
-    """
-    *groups, given = _checked(dist, given, *groups)
-    blank = measure([], 1)
-    needed: defaultdict[tuple[str, ...], _V] = defaultdict(lambda: blank)
-    formula(needed.__getitem__, groups, given)
+    """``formula(H, groups, given)``, ``H(group)`` being ``measure(counts, denominator)``
+    of the marginal over an ordered tuple of wires: one ``grouped_counts`` call counts
+    each marginal the plan lists.  Order tells tuples apart, since the column order
+    fixes the order in which an entropy's float terms are added."""
+    groups, given = tuple(map(tuple, groups)), tuple(given)
+    needed = _plan(dist.variables, groups, given, measure, formula)
     values = {group: measure(counts.tolist(), dist.denominator)
-              for group, (_, counts) in zip(needed, grouped_counts(dist, list(needed)))}
+              for group, (_, counts) in zip(needed, grouped_counts(dist, needed))}
     return formula(values.__getitem__, groups, given)
 
 
+@lru_cache(maxsize=16)
 def _entropy_in(base: int) -> Callable[[list[int], int], float]:
     """The measure taking marginal counts over a denominator to their entropy in ``base``."""
     if base < 2:
@@ -98,41 +96,46 @@ def _entropy_in(base: int) -> Callable[[list[int], int], float]:
     return measure
 
 
-def _conditional(H, targets, given):
-    return H(targets + given) - H(given) if given else H(targets)
+def _conditional(H, groups, given):
+    """H(first group | given); the formulas take (H, groups, given), as ``_query`` calls them."""
+    return H(groups[0] + given) - H(given) if given else H(groups[0])
 
 
-def _information(H, group_a, group_b, given):
+def _information(H, groups, given):
+    group_a, group_b = groups
     h_given = H(given) if given else 0.0
     return H(group_a + given) + H(group_b + given) - H(group_a + group_b + given) - h_given
 
 
-def _multi(H, groups, target, given):
-    total = _conditional(H, target, given)
+def _information_and_entropy(H, groups, given):
+    return _information(H, groups, given), _conditional(H, groups[1:], given)
+
+
+def _multi(H, groups, given):
+    *groups, target = groups
+    total = _conditional(H, (target,), given)
     for g in groups:
-        total += _conditional(H, g, given)
+        total += _conditional(H, (g,), given)
     everything = tuple(chain.from_iterable(groups)) + target
-    return total - _conditional(H, everything, given)
+    return total - _conditional(H, (everything,), given)
 
 
 def _lemma4_sides(H, groups, given):
     """check_lemma4's sides: sum_i I(S_i : T | V), and I(S_1 : ... : S_n : T | V)."""
-    *groups, target = groups
-    return (sum(_information(H, g, target, given) for g in groups),
-            _multi(H, groups, target, given))
+    return (sum(_information(H, (g, groups[-1]), given) for g in groups[:-1]),
+            _multi(H, groups, given))
 
 
 def entropy(dist: JointDistribution, vars: Sequence[str], base: int = 2) -> float:
     """H(vars) in the given base; exact marginalization, float logs."""
-    return _query(dist, (), (vars,), _entropy_in(base), lambda H, groups, _: H(groups[0]))
+    return _query(dist, (), (vars,), _entropy_in(base), _conditional)
 
 
 def conditional_entropy(
     dist: JointDistribution, targets: Sequence[str], given: Sequence[str] = (), base: int = 2
 ) -> float:
     """H(targets | given) = H(targets, given) - H(given)."""
-    return _query(dist, given, (targets,), _entropy_in(base),
-                  lambda H, groups, given: _conditional(H, groups[0], given))
+    return _query(dist, given, (targets,), _entropy_in(base), _conditional)
 
 
 def mutual_information(
@@ -143,8 +146,7 @@ def mutual_information(
     base: int = 2,
 ) -> float:
     """I(A : B | given) via the four-entropy expansion."""
-    return _query(dist, given, (group_a, group_b), _entropy_in(base),
-                  lambda H, groups, given: _information(H, *groups, given))
+    return _query(dist, given, (group_a, group_b), _entropy_in(base), _information)
 
 
 def information_and_entropy(
@@ -160,8 +162,7 @@ def information_and_entropy(
     They are equal exactly when B is a function of (A, given) on the support.
     """
     return _query(dist, given, (group_a, group_b), _entropy_in(base),
-                  lambda H, groups, given: (_information(H, *groups, given),
-                                            _conditional(H, groups[1], given)))
+                  _information_and_entropy)
 
 
 def log_exponents(value: int) -> dict[int, Fraction]:
@@ -226,8 +227,7 @@ def multi_information(
     """I(S_1 : ... : S_n : T | V) = sum H(S_i|V) + H(T|V) - H(S_1..S_n,T|V)."""
     if not groups:
         raise ValueError("need at least one group")
-    return _query(dist, given, (*groups, target), _entropy_in(base),
-                  lambda H, groups, given: _multi(H, groups[:-1], groups[-1], given))
+    return _query(dist, given, (*groups, target), _entropy_in(base), _multi)
 
 
 def check_lemma4(

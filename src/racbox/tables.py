@@ -25,7 +25,8 @@ Preamble lines are ``key value`` pairs (value may contain spaces), ended by
 the first ``table`` line.  Each table block declares the output alphabet
 size, its inputs in order, then exactly one integer per domain point in
 row-major order, wrapped at any line width.  Table names are unique within
-a file.  Blank lines and ``#`` comments are ignored everywhere.
+a file.  Blank lines and ``#`` comments are ignored everywhere.  A line
+ends at ``\n`` only, so every ``line N:`` counts newlines.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def parse_tables(text: str) -> tuple[dict[str, str], dict[str, TableFn]]:
         entries = []
         reading_entries = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -144,7 +144,7 @@ def _parse_lines(text: str) -> Box:
     wires = {(p, r): [] for p in ("alice", "bob") for r in ("input", "output")}
     entries = []
     in_header = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -487,3 +487,20 @@ def test_parsing_a_large_box_peaks_below_the_block_reader():
 )
 def test_serialize_matches_the_line_serializer(box):
     assert serialize_box(box) == _serialize_lines(box)
+
+
+# ``str.splitlines`` also breaks at these; a box file's lines end at "\n" only
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=[hex(ord(c)) for c in OTHER_LINE_BREAKS])
+def test_a_comment_holding_another_line_break_stays_one_line(char):
+    box = make_bn_box(2)
+    lines = serialize_box(box).split("\n")
+    lines.insert(_body_line(lines, 1), f"# a comment with {char} inside")
+    assert _assert_parsers_agree("\n".join(lines)) == box
+    # a later fault is named at its newline-counted line
+    last = len(lines) - 2
+    lines[last] = lines[last].replace("= 1/2", "= not-a-number")
+    with pytest.raises(ValueError, match=rf"^line {last + 1}: "):
+        parse_box("\n".join(lines))

@@ -569,3 +569,14 @@ def test_conditioning_then_averaging_recovers_marginal(dist):
         for key, q in ref_probs(sliced).items():
             recovered[key] = recovered.get(key, F(0)) + p * q
     assert recovered == ref_probs(marginalize(dist, rest))
+
+
+def test_a_wire_list_of_lists_equals_the_same_list_of_tuples():
+    probs = {(0, 0): F(1, 4), (1, 1): F(3, 4)}
+    tupled = JointDistribution((("x", 2), ("y", 2)), probs)
+    listed = JointDistribution([["x", 2], ["y", 2]], probs)
+    assert listed.variables == tupled.variables == (("x", 2), ("y", 2))
+    assert listed == tupled
+    assert marginalize(listed, ["y"]) == marginalize(tupled, ["y"])
+    table = np.array([[1, 0], [0, 3]])
+    assert JointDistribution.from_table([["x", 2], ["y", 2]], table, 4) == tupled

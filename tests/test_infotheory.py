@@ -3,13 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from assignments import iter_assignments
 from racbox import infotheory
-from racbox.dists import JointDistribution, derive, grouped_counts
+from racbox.dists import JointDistribution, derive, grouped_counts, marginalize
 from racbox.infotheory import (
     TOLERANCE,
     check_lemma4,
@@ -269,3 +270,192 @@ def test_exact_information_of_simple_joints():
         exact = mutual_information_exponents(d, ["v0"], ["v1"], ["v2"])
         value = sum(float(e) * math.log(p) for p, e in exact.items()) / math.log(2)
         assert value == pytest.approx(mutual_information(d, ["v0"], ["v1"], ["v2"]), abs=1e-9)
+
+
+def _ref_counts(weights, names, group):
+    """Plain-dict marginal over ``group``: its counts in row-major order of its rows."""
+    idx = [names.index(name) for name in group]
+    marginal = {}
+    for key, weight in weights.items():
+        row = tuple(key[i] for i in idx)
+        marginal[row] = marginal.get(row, 0) + weight
+    return [marginal[row] for row in sorted(marginal)]
+
+
+def _ref_entropy(weights, names, base):
+    total = sum(weights.values())
+
+    def H(group):
+        h = 0.0
+        for count in _ref_counts(weights, names, group):
+            p = count / total
+            h -= p * math.log(p)
+        return h / math.log(base)
+    return H
+
+
+def _ref_exponents(weights, names):
+    """H in nats as {prime: exponent}: log N - sum_i (c_i / N) log c_i."""
+    def factors(value):
+        out, p = {}, 2
+        while value > 1:
+            while value % p == 0:
+                out[p], value = out.get(p, 0) + 1, value // p
+            p += 1
+        return out
+
+    total = sum(weights.values())
+
+    def H(group):
+        exps = {p: F(e) for p, e in factors(total).items()}
+        for count in _ref_counts(weights, names, group):
+            for p, e in factors(count).items():
+                exps[p] = exps.get(p, 0) - F(count * e, total)
+        return exps
+    return H
+
+
+def _ref_formulas(H, given):
+    """H(targets | given), I(x : y | given) and I(parts : target | given) over the
+    reference ``H``, each float adding its terms in the order the module does."""
+    def cond(targets):
+        return H(targets + given) - H(given) if given else H(targets)
+
+    def info(x, y):
+        h_given = H(given) if given else 0.0
+        return H(x + given) + H(y + given) - H(x + y + given) - h_given
+
+    def multi(parts, target):
+        total = cond(target)
+        for part in parts:
+            total += cond(part)
+        return total - cond(tuple(name for part in parts for name in part) + target)
+
+    return cond, info, multi
+
+
+def _ref_queries(weights, names, groups, given, base):
+    """Every information function's value by the plain-dict reference."""
+    H, E = _ref_entropy(weights, names, base), _ref_exponents(weights, names)
+    cond, info, multi = _ref_formulas(H, given)
+    _, info_bits, multi_bits = _ref_formulas(_ref_entropy(weights, names, 2), given)
+    a, b = groups[0], groups[1]
+    *parts, target = groups
+    exps = {}
+    for group, sign in ((a + given, 1), (b + given, 1), (a + b + given, -1), (given, -1)):
+        if group:
+            for p, e in E(group).items():
+                exps[p] = exps.get(p, 0) + sign * e
+    return {
+        "entropy": H(a), "conditional_entropy": cond(a), "mutual_information": info(a, b),
+        "information_and_entropy": (info(a, b), cond(b)),
+        "multi_information": multi(parts, target),
+        "check_lemma4": (sum(info_bits(part, target) for part in parts),
+                         multi_bits(parts, target)),
+        "mutual_information_exponents": [(p, e) for p, e in sorted(exps.items()) if e],
+    }
+
+
+def _queries(dist, groups, given, base):
+    a, b = groups[0], groups[1]
+    *parts, target = groups
+    report = check_lemma4(dist, parts, target, given)
+    assert report.passed == (report.quantity <= report.bound + TOLERANCE)
+    return {
+        "entropy": entropy(dist, a, base),
+        "conditional_entropy": conditional_entropy(dist, a, given, base),
+        "mutual_information": mutual_information(dist, a, b, given, base),
+        "information_and_entropy": information_and_entropy(dist, a, b, given, base),
+        "multi_information": multi_information(dist, parts, target, given, base),
+        "check_lemma4": (report.quantity, report.bound),
+        "mutual_information_exponents": list(
+            mutual_information_exponents(dist, a, b, given).items()),
+    }
+
+
+def _random_query(rng, names):
+    """Two or three disjoint non-empty groups over a shuffled wire order, and a
+    given of the wires left (possibly none)."""
+    names = rng.sample(names, len(names))
+    roles = [0, 1] + [rng.randrange(5) for _ in names[2:]]  # 3: given, 4: unused
+    groups = [tuple(n for n, r in zip(names, roles) if r == k) for k in range(3)]
+    return [g for g in groups if g], tuple(n for n, r in zip(names, roles) if r == 3)
+
+
+def test_every_information_function_equals_the_plain_dict_reference():
+    rng = random.Random(2701)
+    seen = set()
+    for trial in range(200):
+        sizes = [rng.choice((2, 3, 4)) for _ in range(rng.randint(2, 5))]
+        names = [f"w{i}" for i in range(len(sizes))]
+        weights = {key: rng.randint(1, 20) for key in iter_assignments(sizes)
+                   if rng.random() < 0.6} or {(0,) * len(sizes): 1}
+        total = sum(weights.values())
+        dist = JointDistribution(tuple(zip(names, sizes)),
+                                 {key: F(w, total) for key, w in weights.items()})
+        groups, given = _random_query(rng, names)
+        base = rng.choice((2, 3))
+        assert _queries(dist, groups, given, base) == _ref_queries(
+            weights, names, groups, given, base), trial
+        seen |= {("non-prefix", any(list(g) != names[:len(g)] for g in groups)),
+                 ("given", bool(given))} | {("size", size) for size in sizes}
+    assert {("non-prefix", True), ("given", True), ("size", 3), ("size", 4)} <= seen
+
+
+def test_a_joint_past_the_dense_bins_equals_the_plain_dict_reference():
+    # 17 binary wires: a marginal over all of them spans 2^17 cells, so each marginal
+    # is counted alone (one np.add.at each) instead of in the shared dense count
+    rng = random.Random(2702)
+    names = [f"w{i}" for i in range(17)]
+    weights = {tuple(rng.randrange(2) for _ in names): rng.randint(1, 9) for _ in range(40)}
+    total = sum(weights.values())
+    dist = JointDistribution(tuple((name, 2) for name in names),
+                             {key: F(w, total) for key, w in weights.items()})
+    small = _random_dist(rng, [2, 3, 4])
+    for joint, groups, given, additions in (
+            (dist, [tuple(names[9:]), tuple(names[:8])], (names[8],), 4),
+            (dist, [tuple(names[3:10]), tuple(names[10:]), tuple(names[:3])], (), 4),
+            (small, [("v2",), ("v0",)], ("v1",), 1)):
+        ref = weights if joint is dist else {
+            tuple(key): int(c) for key, c in zip(joint.keys.tolist(), joint.counts.tolist())}
+        names_of = list(joint.names)
+        with mock.patch.object(np, "add", wraps=np.add) as add:
+            multi_information(joint, groups[:-1], groups[-1], given)
+        assert add.at.call_count == additions
+        assert _queries(joint, groups, given, 2) == _ref_queries(ref, names_of, groups, given, 2)
+
+
+REFUSED = [
+    (lambda d: mutual_information(d, ["x"], ["nope"]), ValueError, "unknown variable 'nope'"),
+    (lambda d: mutual_information(d, ["x"], ["x"]), ValueError, "named twice"),
+    (lambda d: conditional_entropy(d, ["x"], ["y", "y"]), ValueError, "named twice"),
+    (lambda d: check_lemma4(d, [[]], ["x"]), ValueError, "at least one variable"),
+    (lambda d: mutual_information(d, [], ["y"]), ValueError, "at least one variable"),
+    (lambda d: marginalize(d, ["x", "nope"]), KeyError, "unknown variable 'nope'"),
+    (lambda d: marginalize(d, ["x", "x"]), ValueError, "duplicate variable names"),
+    (lambda d: JointDistribution((("x", 2), ("x", 3)), {(0, 0): F(1)}), ValueError,
+     "duplicate variable names"),
+    (lambda d: JointDistribution((("x", 2), ("y", 0)), {(0, 0): F(1)}), ValueError,
+     "empty alphabet"),
+    (lambda d: JointDistribution.from_table((("x", 2), ("y", 0)), np.ones((2, 0), int), 1),
+     ValueError, "positive probability"),
+]
+
+
+@pytest.mark.parametrize("call,error,fault", REFUSED, ids=[
+    "unknown-wire", "wire-named-twice", "given-named-twice", "empty-group", "empty-first-group",
+    "unknown-marginal-wire", "marginal-wire-named-twice", "duplicate-names", "empty-alphabet",
+    "empty-table"])
+def test_a_refused_query_is_refused_on_every_call(call, error, fault):
+    # a failed check raises and is never cached, so it raises again, also after a
+    # valid call on the same wires has cached that call's plan
+    d = uniform(("x", 2), ("y", 3))
+    for _ in range(2):
+        with pytest.raises(error, match=fault):
+            call(d)
+    mutual_information(d, ["x"], ["y"])
+    check_lemma4(d, [["x"]], ["y"])
+    assert marginalize(d, ["y", "x"]).variables == (("y", 3), ("x", 2))
+    JointDistribution((("x", 2), ("y", 3)), {(0, 0): F(1)})
+    with pytest.raises(error, match=fault):
+        call(d)

@@ -208,3 +208,14 @@ def test_check_tables_names_the_table_it_refuses():
         check_tables({"f": f, "g": TableFn.from_array("g", (("y", 3), ("x", 2)), 4, 3)}, domains)
     with pytest.raises(ValueError, match="^table 'g' has output alphabet 5, expected 4$"):
         check_tables({"f": f, "g": TableFn.from_array("g", (("x", 2), ("y", 3)), 5, 3)}, domains)
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                         ids=lambda c: hex(ord(c)))
+def test_only_newline_ends_a_table_file_line(char):
+    # str.splitlines would cut the comment and count one line too many
+    table = TableFn("f", (("x", 2),), 2, (0, 1))
+    text = f"k v\n# a comment with {char} inside\n" + serialize_tables([], [table])
+    assert parse_tables(text) == ({"k": "v"}, {"f": table})
+    with pytest.raises(ValueError, match=r"^line 7: expected integers, got '0 y'$"):
+        parse_tables(text.replace("0 1", "0 y"))
