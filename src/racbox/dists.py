@@ -15,19 +15,19 @@ with one ``np.add.at`` (see ``grouped_counts``), ``condition`` masks rows
 and takes the masked mass as the new denominator, and ``derive`` appends a
 column read from a function table.  ``grouped_counts`` counts every
 marginal of a list in that one ``np.add.at`` while the joint is small, so
-an information query counts all the marginals it needs in one pass.  What
-depends only on the wire list and the groups (a list's checks, key type and
-sizes; ``grouped_counts``'s columns, strides and offsets) is planned once per
-key in an ``lru_cache`` of 1,024 plans; a failed check is never cached.
+an information query counts all the marginals it needs in one pass.  A wire list's
+checks, key type and sizes, and ``grouped_counts``'s strides and offsets, are
+planned once per key in 256-plan ``lru_cache``s that hold no values or failed checks.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from math import gcd, lcm, prod
 from numbers import Integral, Rational
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -84,7 +84,7 @@ def sum_dtype(table: np.ndarray) -> np.dtype:
     return table.dtype if table.dtype == object else np.dtype(np.int64)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=256)
 def _wires(variables: tuple[tuple[str, int], ...]) -> tuple[np.dtype, np.ndarray]:
     """A wire list's key dtype and read-only sizes; refuses repeated names, empty alphabets."""
     names = [name for name, _ in variables]
@@ -117,9 +117,7 @@ def _add(codes: np.ndarray, counts: np.ndarray, cells: int) -> tuple[np.ndarray,
 
 
 def _joint(variables, keys: np.ndarray, counts: np.ndarray, den) -> JointDistribution:
-    """The joint of sorted, distinct keys and their positive counts over ``den``."""
-    variables = tuple(map(tuple, variables))
-    _wires(variables)
+    """The joint of sorted, distinct keys and positive counts over ``den``, on checked wires."""
     counts, den = lowest_terms(counts, den)
     return object.__new__(JointDistribution)._fill(variables, keys, counts, den)
 
@@ -254,27 +252,26 @@ def derive(dist: JointDistribution, table: TableFn) -> JointDistribution:
     return _joint(variables, keys, dist.counts, dist.denominator)
 
 
-@lru_cache(maxsize=1024)
-def _grouping(variables: tuple, groups: tuple) -> tuple[tuple, np.ndarray | None, tuple]:
-    """Each group's (columns, sizes); for 2+ groups within 2^16 cells in all, the float64
-    matrix of each wire's stride per group, its last row each group's first cell (else
-    None); and the first cells, then their total.  Read-only, as every caller shares it."""
+@lru_cache(maxsize=256)
+def _grouping(variables: tuple, groups: tuple) -> tuple[np.ndarray | None, tuple[int, ...]]:
+    """For 2+ groups within 2^16 cells in all, the read-only float64 matrix of each wire's
+    stride per group, its last row each group's first cell (else None); the first cells."""
     where = {name: (i, size) for i, (name, size) in enumerate(variables)}
-    for name in chain(*groups):
-        if name not in where:
-            raise KeyError(f"unknown variable {name!r}; have {tuple(where)}")
-    layout = tuple((tuple(where[name][0] for name in keep), tuple(where[name][1] for name in keep))
-                   for keep in groups)
-    offsets = tuple(accumulate((prod(sizes) for _, sizes in layout), initial=0))
-    if len(groups) < 2 or offsets[-1] > _DENSE_CELLS:
-        return layout, None, offsets
-    matrix = np.zeros((len(variables) + 1, len(groups)))
-    matrix[-1] = offsets[:-1]
-    for group, (idx, sizes) in enumerate(layout):
-        for k, i in enumerate(idx):  # a wire's stride: the product of the sizes after it
-            matrix[i, group] += prod(sizes[k + 1:])
+    count, offsets, strides = len(groups), [0], [0] * (len(variables) * len(groups))
+    for group, keep in enumerate(groups):
+        stride = 1
+        for name in reversed(keep):  # a wire's stride: the product of the sizes after it
+            if name not in where:
+                raise KeyError(f"unknown variable {name!r}; have {tuple(where)}")
+            i, size = where[name]
+            strides[i * count + group] += stride
+            stride *= size
+        offsets.append(offsets[-1] + stride)
+    if count < 2 or offsets[-1] > _DENSE_CELLS:
+        return None, tuple(offsets)
+    matrix = np.array(strides + offsets[:-1], dtype=np.float64).reshape(len(variables) + 1, count)
     matrix.setflags(write=False)
-    return layout, matrix, offsets
+    return matrix, tuple(offsets)
 
 
 def grouped_counts(
@@ -296,23 +293,27 @@ def grouped_counts(
     2^16 entries: the cell indices are one matrix product of the keys with the
     planned strides (``_grouping``), each group's offset past the cells before it.
     """
-    layout, matrix, offsets = _grouping(dist.variables, tuple(map(tuple, groups)))
+    groups = tuple(map(tuple, groups))
+    matrix, offsets = _grouping(dist.variables, groups)
     rows = len(dist.keys)
-    if matrix is not None and rows * len(layout) <= _DENSE_CELLS:
+    if matrix is not None and rows * len(groups) <= _DENSE_CELLS:
         # a float64 product (BLAS) is exact here: every partial sum is a cell index below 2^16
         codes = dist.keys @ matrix[:-1]
         codes += matrix[-1]
         # each row's count goes to every one of its cells, one per group
         present, counts = _add(codes.astype(np.intp), dist.counts[:, None], offsets[-1])
-        ends = np.searchsorted(present, offsets).tolist()
-        return [(_cell_keys(present[lo:hi] - start, sizes, dist.keys.dtype) if with_keys
-                 else None, counts[lo:hi])
-                for (_, sizes), start, lo, hi in zip(layout, offsets, ends, ends[1:])]
+        cells = present.tolist()
+        ends = [bisect_left(cells, start) for start in offsets]
+        return [(_cell_keys(present[lo:hi] - start, list(map(dict(dist.variables).get, keep)),
+                            dist.keys.dtype) if with_keys else None, counts[lo:hi])
+                for keep, start, lo, hi in zip(groups, offsets, ends, ends[1:])]
+    where = {name: (i, size) for i, (name, size) in enumerate(dist.variables)}
     marginals = []
-    for idx, sizes in layout:
+    for keep in groups:
+        idx, sizes = [where[name][0] for name in keep], [where[name][1] for name in keep]
         cells = prod(sizes)
         if cells > max(_DENSE_CELLS, rows):
-            if idx == tuple(range(len(idx))):
+            if idx == list(range(len(idx))):
                 # the keys are sorted row-major, so each distinct row of a prefix of
                 # the wires is one run of rows: number the runs
                 prefix = dist.keys[:, :len(idx)]
@@ -334,9 +335,10 @@ def grouped_counts(
 
 def marginalize(dist: JointDistribution, keep: Sequence[str]) -> JointDistribution:
     """Marginal over ``keep`` (result variables in the order given)."""
+    variables = tuple(dist.variables[dist.index(name)] for name in keep)
+    _wires(variables)  # refuses a wire kept twice
     ((rows, counts),) = grouped_counts(dist, [keep], with_keys=True)
-    return _joint([dist.variables[dist.index(name)] for name in keep], rows, counts,
-                  dist.denominator)
+    return _joint(variables, rows, counts, dist.denominator)
 
 
 def condition(dist: JointDistribution, assignment: Mapping[str, int]) -> JointDistribution:
@@ -355,5 +357,5 @@ def condition(dist: JointDistribution, assignment: Mapping[str, int]) -> JointDi
     if not counts.size:
         raise ValueError(f"conditioning event {dict(assignment)} has probability zero")
     keep = [i for i in range(len(dist.variables)) if i not in fixed]
-    return _joint([dist.variables[i] for i in keep], dist.keys[mask][:, keep], counts,
+    return _joint(tuple(dist.variables[i] for i in keep), dist.keys[mask][:, keep], counts,
                   int(counts.sum(dtype=sum_dtype(counts))))

@@ -5,7 +5,7 @@ log; only the final entropy is a float.  All measures take the log base
 explicitly (base 2 for bits, base d for dit-valued alphabets) and follow
 the convention 0 log 0 = 0.  A query's plan, its checked groups and the
 marginals its formula reads, is cached per (wires, groups, given, measure,
-formula) in a 1,024-plan ``lru_cache`` (``_plan``; failed checks and counts are
+formula) in a 256-plan ``lru_cache`` (``_plan``; failed checks and counts are
 never cached); one ``grouped_counts`` pass counts them (``_query``), and the
 formulas add their entropies in a fixed order, so every float is reproducible.
 
@@ -23,7 +23,7 @@ capacity module.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from fractions import Fraction
 from itertools import chain
@@ -38,13 +38,12 @@ _V = TypeVar("_V")
 _R = TypeVar("_R")
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=256)
 def _plan(variables: tuple, groups: tuple, given: tuple, measure: Callable, formula: Callable
           ) -> tuple[tuple[str, ...], ...]:
-    """The marginals ``formula`` reads, each once, in the order it first reads them,
-    learned by running it against a recorder whose every ``H`` is the measure of no
-    counts (so its flow must not depend on values).  Refuses an empty group, an
-    unknown wire and a wire named twice across the groups."""
+    """The marginals ``formula`` reads, each once, in first-read order, learned by running
+    it against a recorder whose every ``H`` is the measure of no counts (so its flow must
+    not depend on values).  Refuses an empty group, an unknown wire, a wire named twice."""
     names = list(chain(*groups, given))
     if not all(groups):
         raise ValueError("each group must name at least one variable")
@@ -55,8 +54,8 @@ def _plan(variables: tuple, groups: tuple, given: tuple, measure: Callable, form
     if len(named) != len(names):
         raise ValueError("a variable is named twice across the groups")
     blank = measure([], 1)
-    needed: dict[tuple[str, ...], _V] = {}
-    formula(lambda group: needed.setdefault(group, blank), groups, given)
+    needed: defaultdict[tuple[str, ...], _V] = defaultdict(lambda: blank)
+    formula(needed.__getitem__, groups, given)
     return tuple(needed)
 
 
