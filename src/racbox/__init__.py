@@ -36,7 +36,6 @@ from .boxes import (
     make_bn_box,
     make_bnd_box,
     make_rb,
-    rb_blind_guess_probability,
 )
 from .boxio import parse_box, serialize_box
 from .capacity import (
@@ -150,7 +149,6 @@ __all__ = [
     "rac_via_bn_box",
     "rac_via_bnd_box",
     "rac_win_probability",
-    "rb_blind_guess_probability",
     "resource_inequality_sim",
     "search_rac_with_rbs",
     "send_x1_strategy",

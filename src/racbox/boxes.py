@@ -476,20 +476,3 @@ def check_no_signaling(box: Box, direction: str) -> bool:
     """
     return signaling_row(box, direction) is None
 
-
-def rb_blind_guess_probability(rb: Box, index: int) -> Fraction:
-    """P(B = a_index | b = index) under uniform inputs and an uninformed, uniform A'.
-
-    This is the no-message figure of merit: with no information flowing from
-    Alice, every no-signaling variant scores exactly 1/d, while the signaling
-    variant scores 3/4 at d=2.
-    """
-    sig = rb.signature
-    n = len(sig.alice_inputs)
-    d = sig.alice_inputs[0][1]
-    if not 0 <= index < n:
-        raise ValueError(f"index {index} out of range for n={n}")
-    # axes a_0..a_{n-1}, A', B once b = index is fixed and A summed away
-    guess = sum_wires(rb.table[..., index, :, :], n + 1, n + 2)
-    hits = np.diagonal(np.moveaxis(guess, index, -2), axis1=-2, axis2=-1)
-    return Fraction(int(hits.sum()), rb.denominator * d ** (n + 1))

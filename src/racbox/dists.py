@@ -10,13 +10,14 @@ integer numerators over one denominator.  Only the support is kept, as two array
 
 So two joints are equal exactly when their wires, denominators and arrays
 are.  Each operation is one array step with exact integer sums:
-``marginalize`` adds the kept rows' counts into int64 (or Python-int) bins
-with one ``np.add.at`` (see ``grouped_counts``), ``condition`` masks rows
-and takes the masked mass as the new denominator, and ``derive`` appends a
-column read from a function table.  ``grouped_counts`` counts every
-marginal of a list in that one ``np.add.at`` while the joint is small, so
-an information query counts all the marginals it needs in one pass.  A wire list's
-checks, key type and sizes, and ``grouped_counts``'s strides and offsets, are
+``marginalize`` numbers the rows by their cell index over the kept wires and
+adds their counts into int64 (or Python-int) bins with one ``np.add.at``
+(see ``grouped_counts``), ``condition`` masks rows and takes the masked mass
+as the new denominator, and ``derive`` appends a column read from a function
+table.  ``grouped_counts`` counts every marginal of a list in that one
+``np.add.at`` while the joint is small, so an information query counts all
+the marginals it needs in one pass.  A wire list's checks, key type and
+sizes, and ``grouped_counts``'s columns, sizes, strides and offsets, are
 planned once per key in 256-plan ``lru_cache``s that hold no values or failed checks.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from numbers import Integral, Rational
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -253,11 +254,13 @@ def derive(dist: JointDistribution, table: TableFn) -> JointDistribution:
 
 
 @lru_cache(maxsize=256)
-def _grouping(variables: tuple, groups: tuple) -> tuple[np.ndarray | None, tuple[int, ...]]:
+def _grouping(variables: tuple, groups: tuple) -> tuple[np.ndarray | None, tuple[int, ...], tuple]:
     """For 2+ groups within 2^16 cells in all, the read-only float64 matrix of each wire's
-    stride per group, its last row each group's first cell (else None); the first cells."""
+    stride per group, its last row each group's first cell (else None); the first cells;
+    and each group's plan: (its wires' columns, their sizes, its cell count)."""
     where = {name: (i, size) for i, (name, size) in enumerate(variables)}
     count, offsets, strides = len(groups), [0], [0] * (len(variables) * len(groups))
+    plans = []
     for group, keep in enumerate(groups):
         stride = 1
         for name in reversed(keep):  # a wire's stride: the product of the sizes after it
@@ -266,12 +269,14 @@ def _grouping(variables: tuple, groups: tuple) -> tuple[np.ndarray | None, tuple
             i, size = where[name]
             strides[i * count + group] += stride
             stride *= size
+        plans.append((tuple(where[name][0] for name in keep),
+                      tuple(where[name][1] for name in keep), stride))
         offsets.append(offsets[-1] + stride)
     if count < 2 or offsets[-1] > _DENSE_CELLS:
-        return None, tuple(offsets)
+        return None, tuple(offsets), tuple(plans)
     matrix = np.array(strides + offsets[:-1], dtype=np.float64).reshape(len(variables) + 1, count)
     matrix.setflags(write=False)
-    return matrix, tuple(offsets)
+    return matrix, tuple(offsets), tuple(plans)
 
 
 def grouped_counts(
@@ -281,20 +286,18 @@ def grouped_counts(
     else None; their numerators over ``dist.denominator``), rows of positive mass
     in row-major order.
 
-    The numerators are counted in integers: each row gets a number within its
-    group, and one ``np.add.at`` adds the rows' counts into an int64 (or
-    Python-int, for ``object`` counts) bin per number, so every sum is exact.
-    A row's number is its row-major cell index over the group's wires while
-    they span at most max(2^16, rows) cells, and otherwise its rank among the
-    group's distinct rows: for a group that is the joint's first wires in
-    order, the number of its run of rows (the keys are sorted row-major),
-    else from ``np.unique``.  Two or more groups share one ``np.add.at`` while
-    the rows x groups index matrix and all the groups' cells each hold at most
-    2^16 entries: the cell indices are one matrix product of the keys with the
-    planned strides (``_grouping``), each group's offset past the cells before it.
+    Each row is numbered by its row-major cell index over the group's wires
+    (intp, or Python ints past int64): the index itself while the group spans at
+    most max(2^16, rows) cells, else its rank from one 1-D ``np.unique``, each
+    kept row read off the joint where it first occurs.  One ``np.add.at`` adds
+    the counts into an int64 (or Python-int, for ``object`` counts) bin per
+    number, so every sum is exact.  Two or more groups share one ``np.add.at``
+    while the rows x groups index matrix and all the groups' cells each hold at
+    most 2^16 entries: the cell indices are one matrix product of the keys with
+    the planned strides (``_grouping``), each group's offset past the cells before it.
     """
     groups = tuple(map(tuple, groups))
-    matrix, offsets = _grouping(dist.variables, groups)
+    matrix, offsets, plans = _grouping(dist.variables, groups)
     rows = len(dist.keys)
     if matrix is not None and rows * len(groups) <= _DENSE_CELLS:
         # a float64 product (BLAS) is exact here: every partial sum is a cell index below 2^16
@@ -304,32 +307,27 @@ def grouped_counts(
         present, counts = _add(codes.astype(np.intp), dist.counts[:, None], offsets[-1])
         cells = present.tolist()
         ends = [bisect_left(cells, start) for start in offsets]
-        return [(_cell_keys(present[lo:hi] - start, list(map(dict(dist.variables).get, keep)),
-                            dist.keys.dtype) if with_keys else None, counts[lo:hi])
-                for keep, start, lo, hi in zip(groups, offsets, ends, ends[1:])]
-    where = {name: (i, size) for i, (name, size) in enumerate(dist.variables)}
+        return [(_cell_keys(present[lo:hi] - start, sizes, dist.keys.dtype)
+                 if with_keys else None, counts[lo:hi])
+                for (_, sizes, _), start, lo, hi in zip(plans, offsets, ends, ends[1:])]
     marginals = []
-    for keep in groups:
-        idx, sizes = [where[name][0] for name in keep], [where[name][1] for name in keep]
-        cells = prod(sizes)
-        if cells > max(_DENSE_CELLS, rows):
-            if idx == list(range(len(idx))):
-                # the keys are sorted row-major, so each distinct row of a prefix of
-                # the wires is one run of rows: number the runs
-                prefix = dist.keys[:, :len(idx)]
-                first = np.ones(rows, dtype=bool)
-                first[1:] = (prefix[1:] != prefix[:-1]).any(axis=1)
-                kept, codes = prefix[first], np.cumsum(first) - 1
-            else:
-                # too many cells to bin (64 binary wires pass int64): number the distinct rows
-                kept, codes = np.unique(dist.keys[:, idx], axis=0, return_inverse=True)
-            counts = _add(codes.reshape(-1), dist.counts, len(kept))[1]
+    for idx, sizes, cells in plans:
+        columns = tuple(dist.keys[:, i] for i in idx)
+        if cells > _INT64_MAX:  # past intp: the index in Python ints
+            codes = np.zeros(rows, dtype=object)
+            for column, size in zip(columns, sizes):
+                codes = codes * size + column.astype(object)
         else:
-            codes = (np.ravel_multi_index(tuple(dist.keys[:, i] for i in idx), sizes) if idx
-                     else np.zeros(rows, dtype=np.intp))
+            codes = np.ravel_multi_index(columns, sizes) if idx else np.zeros(rows, dtype=np.intp)
+        if cells > max(_DENSE_CELLS, rows):
+            # too many cells to bin: number the rows by the rank of their cell index
+            _, first, codes = np.unique(codes, return_index=True, return_inverse=True)
+            counts = _add(codes, dist.counts, len(first))[1]
+            kept = dist.keys[first][:, idx] if with_keys else None
+        else:
             present, counts = _add(codes, dist.counts, cells)
             kept = _cell_keys(present, sizes, dist.keys.dtype) if with_keys else None
-        marginals.append((kept if with_keys else None, counts))
+        marginals.append((kept, counts))
     return marginals
 
 

@@ -460,6 +460,6 @@ def parse_strategy(text: str) -> Strategy:
     if preamble.get("strategy-kind") != "rac-with-rbs":
         raise ValueError("not a box-strategy file")
     names = tuple(preamble.get("wiring-order", "").split())
-    if len(names) != int(preamble.get("rbs", len(names))):
+    if "rbs" in preamble and len(names) != preamble_int(preamble, "rbs"):
         raise ValueError("wiring order disagrees with the declared box count")
     return Strategy(preamble_int(preamble, "n"), names, tables)

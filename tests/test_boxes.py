@@ -28,13 +28,12 @@ from racbox.boxes import (
     make_bn_box,
     make_bnd_box,
     make_rb,
-    rb_blind_guess_probability,
     signaling_row,
     sum_wires,
     unnormalized_row,
 )
 from racbox.boxio import parse_box, serialize_box
-from racbox.dists import JointDistribution, sum_dtype
+from racbox.dists import JointDistribution, condition, marginalize, sum_dtype
 
 F = Fraction
 HALF = F(1, 2)
@@ -239,12 +238,19 @@ def test_rb_variants_catalog():
         make_bnd_box(2, 3, "xor")
 
 
+def blind_guess(rb, index):
+    """P(B = a_index | b = index) under uniform inputs, A' uniform and uninformed."""
+    guess = marginalize(condition(rb.joint(), {"b": index}), [f"a_{index}", "B"])
+    return sum((F(count, guess.denominator) for (a, b), count
+                in zip(guess.keys.tolist(), guess.counts.tolist()) if a == b), F(0))
+
+
 def test_blind_guess_probability():
     # without signaling, Bob's best guess of a_j from his own wires is chance
     rb = make_rb(2, 2, "nosignaling")
-    assert rb_blind_guess_probability(rb, 0) == HALF
+    assert blind_guess(rb, 0) == HALF
     rb = make_rb(2, 2, "signalinghalf")
-    assert rb_blind_guess_probability(rb, 0) > HALF
+    assert blind_guess(rb, 0) > HALF
 
 
 def test_negative_cell_fails_normalization_although_the_row_sums_to_one():
@@ -642,4 +648,4 @@ def test_lemma1_witness_makes_no_int64_table_copies():
     (2, 5, "minus", 1, F(1, 5)),
 ])
 def test_blind_guess_is_chance_unless_the_box_signals(n, d, variant, index, want):
-    assert rb_blind_guess_probability(make_rb(n, d, variant), index) == want
+    assert blind_guess(make_rb(n, d, variant), index) == want

@@ -492,18 +492,24 @@ def _runs_past_two_to_the_16():
     return JointDistribution(variables, {row: F(1, len(rows)) for row in rows})
 
 
+@pytest.mark.parametrize("order", ["prefix", "reversed", "interleaved"])
 @pytest.mark.parametrize("case,width", [
-    (lambda: _sixty_four_wires()[0], 17), (lambda: _sixty_four_wires()[0], 40),
-    (lambda: _sixty_four_wires()[0], 64), (_runs_past_two_to_the_16, 17),
-    (_runs_past_two_to_the_16, 18)])
-def test_a_prefix_past_the_bins_is_numbered_by_runs_not_sorted(case, width):
-    # the keys are sorted row-major, so a prefix of the wires needs no np.unique
+    pytest.param(lambda: _sixty_four_wires()[0], 17, id="64_wires-17"),
+    pytest.param(lambda: _sixty_four_wires()[0], 40, id="64_wires-40"),
+    pytest.param(lambda: _sixty_four_wires()[0], 64, id="64_wires-64"),
+    pytest.param(_runs_past_two_to_the_16, 17, id="runs-17"),
+    pytest.param(_runs_past_two_to_the_16, 18, id="runs-18")])
+def test_a_group_past_the_bins_is_ranked_by_cell_index(case, width, order):
+    # one 1-D np.unique ranks the cell indices, intp or (at 64 wires) Python ints, in
+    # whatever order the wires are kept
     dist = case()
     keep = list(dist.names[:width])
-    assert math.prod(dist.sizes[:len(keep)]) > 2**16
+    keep = {"prefix": keep, "reversed": keep[::-1], "interleaved": keep[::2] + keep[1::2]}[order]
+    assert math.prod(dist.sizes[:width]) > 2**16
     with counting_steps() as (added, ranked):
         ((rows, counts),) = grouped_counts(dist, [keep], with_keys=True)
-    assert (added.call_count, ranked.call_count) == (1, 0)
+    assert (added.call_count, ranked.call_count) == (1, 1)
+    assert ranked.call_args.args[0].ndim == 1 and "axis" not in ranked.call_args.kwargs
     want_rows, want_counts = sort_grouping(dist, keep)
     assert (rows.tolist(), counts.tolist()) == (want_rows.tolist(), want_counts.tolist())
     m = marginalize(dist, keep)

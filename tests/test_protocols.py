@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from racbox import capacity, protocols
 from racbox.boxes import (
     Box,
     BoxSignature,
+    check_no_signaling,
     check_normalization,
     family_signature,
     make_bn_box,
@@ -91,6 +92,67 @@ def test_plus_and_minus_boxes_each_simulate_the_other_family(n, d):
     # the fixed X = A protocol is what tells the two classes apart
     assert bnd_box_via_rb(n, d, "minus", rb_variant="plus").result != make_bnd_box(n, d, "minus")
     assert bnd_box_via_rb(n, d, "plus", rb_variant="minus").result != make_bnd_box(n, d, "plus")
+
+
+def multiplier_completion(n, d, k):
+    """The RAC-box whose B is a_b + k(A - A') mod d, A uniform: a_b on A' = A."""
+    sig = make_rb(n, d, "plus").signature
+    grid = np.indices(sig.input_sizes + sig.output_sizes, sparse=True)
+    a, (Ap, b, A, B) = grid[:n], grid[n:]
+    ab = sum((b == i) * a[i] for i in range(n))
+    return Box(sig, B == (ab + k * (A - Ap)) % d, d)
+
+
+def uniform_mixture(boxes):
+    den = lcm(*(box.denominator for box in boxes))
+    table = sum(box.table.astype(np.int64) * (den // box.denominator) for box in boxes)
+    return Box(boxes[0].signature, table, den * len(boxes))
+
+
+def units(d):
+    return [k for k in range(1, d) if gcd(k, d) == 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_three_at_d_3_is_the_equal_plus_minus_mixture(n):
+    mixture = uniform_mixture([make_rb(n, 3, "plus"), make_rb(n, 3, "minus")])
+    assert make_rb(n, 3, "three") == mixture
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_multiplier_completions_are_no_signaling_rac_boxes(n, d):
+    for k in units(d):
+        box = multiplier_completion(n, d, k)
+        assert check_normalization(box)
+        assert all(check_no_signaling(box, direction) for direction in ("a2b", "b2a"))
+    # "plus" is B = a_b - A + A', "minus" B = a_b + A - A'
+    assert multiplier_completion(n, d, d - 1) == make_rb(n, d, "plus")
+    assert multiplier_completion(n, d, 1) == make_rb(n, d, "minus")
+
+
+@pytest.mark.parametrize("n,d,mixes", [(2, 5, True), (3, 5, True), (2, 7, True),
+                                       (2, 4, False), (2, 6, False)])
+def test_three_is_the_uniform_mixture_of_the_units_only_at_prime_d(n, d, mixes):
+    mixture = uniform_mixture([multiplier_completion(n, d, k) for k in units(d)])
+    assert (make_rb(n, d, "three") == mixture) is mixes
+
+
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (2, 5)])
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_every_multiplier_completion_simulates_both_families(n, d, sign):
+    # a_0 = A' = 0, a_i = +-x_i, b = y, X = -+kA, Y = B: B = +-x_y + kA, and X
+    # cancels the kA
+    step = 1 if sign == "plus" else -1
+    for k in units(d):
+        run = run_box_protocol(
+            f"multiplier-{k}-{sign}", multiplier_completion(n, d, k), family_signature(n, d),
+            alice_box_inputs=lambda a: (0,) + tuple(step * a[f"x_{i}"] % d for i in range(1, n)),
+            bob_box_inputs=lambda b: (0, b["y"]),
+            alice_outputs=lambda a, k=k: {"X": -step * k * a["A"] % d},
+            bob_outputs=lambda b: {"Y": b["B"]},
+        )
+        assert run.result == make_bnd_box(n, d, sign)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

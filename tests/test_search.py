@@ -449,6 +449,18 @@ def test_missing_n_line_is_named():
         parse_strategy(text)
 
 
+def test_rbs_line_that_is_not_an_integer_is_named():
+    text = serialize_strategy(tree_strategy(3))
+    assert "\nrbs 2\n" in text
+    with pytest.raises(ValueError, match="^preamble line 'rbs': 'two' is not an integer$"):
+        parse_strategy(text.replace("\nrbs 2\n", "\nrbs two\n"))
+    # the line is optional: without it the wiring order gives the box count
+    without = "\n".join(line for line in text.splitlines() if not line.startswith("rbs "))
+    assert serialize_strategy(parse_strategy(without)) == text
+    with pytest.raises(ValueError, match="^wiring order disagrees with the declared box count$"):
+        parse_strategy(text.replace("\nrbs 2\n", "\nrbs 3\n"))
+
+
 def test_missing_table_is_named():
     strat = tree_strategy(3)
     tables = {name: tab for name, tab in strat.tables.items() if name != "rb0.aprime"}
