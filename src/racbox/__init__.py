@@ -53,9 +53,7 @@ from .dists import JointDistribution, condition, derive, marginalize
 from .feasibility import bit_case, guessing_feasibility, trit_case
 from .infotheory import (
     check_lemma4,
-    conditional_entropy,
     entropy,
-    multi_information,
     mutual_information,
     mutual_information_exponents,
 )
@@ -128,7 +126,6 @@ __all__ = [
     "compile_rac",
     "concatenate",
     "condition",
-    "conditional_entropy",
     "derive",
     "entropy",
     "evaluate_strategy",
@@ -138,7 +135,6 @@ __all__ = [
     "make_bnd_box",
     "make_rb",
     "marginalize",
-    "multi_information",
     "mutual_information",
     "mutual_information_exponents",
     "parse_box",

@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .boxes import Box, check_rb_size, family_signature, make_bnd_box, make_rb
-from .dists import JointDistribution, condition, derive, marginalize
+from .dists import JointDistribution, condition, derive, grouped_counts, marginalize
 from .infotheory import TOLERANCE, information_and_entropy, mutual_information
 from .protocols import run_box_protocol
 from .reports import ProbeReport
@@ -202,6 +202,12 @@ def _reproduces_box_family(dist: JointDistribution, n: int, d: int) -> tuple[boo
     return False, f"P(X={X},Y={Y} | x={xs},y={y}) = {got}, box table says {want}"
 
 
+def _determined(dist: JointDistribution, wire: str) -> bool:
+    """Whether ``wire`` is a function of (B, s) on the support of ``dist``."""
+    (_, with_wire), (_, without) = grouped_counts(dist, [("B", "s", wire), ("B", "s")])
+    return len(with_wire) == len(without)
+
+
 def _zero_entropy_diagnostics(dist: JointDistribution, n: int, d: int, base: int) -> list[str]:
     """Report the conditional-entropy identities behind the bound's proof.
 
@@ -209,12 +215,15 @@ def _zero_entropy_diagnostics(dist: JointDistribution, n: int, d: int, base: int
     output determines Alice's X there, given the conditioning); the dit
     argument uses the y = 1 slice with x_1 -_d X in place of X.  These are
     diagnostics about the proof route, not the gate: strategies can satisfy
-    the reproduction premise while taking a different route.
+    the reproduction premise while taking a different route.  Each verdict
+    is exact: I(B : X | s) = H(X | s) exactly when X is a function of
+    (B, s) on the slice's support, that is when the (B, s, X) marginal has
+    no more rows than the (B, s) marginal; the floats are printed beside it.
     """
     notes = []
     slice0 = condition(dist, {"y": 0})
     lhs, rhs = information_and_entropy(slice0, ["B"], ["X"], ["s"], base)
-    tag = "holds" if abs(lhs - rhs) <= TOLERANCE else "does not hold"
+    tag = "holds" if _determined(slice0, "X") else "does not hold"
     notes.append(
         f"identity I(B:X|b,s,y=0) = H(X|b,s,y=0) {tag}: {lhs:.9f} vs {rhs:.9f}"
     )
@@ -222,7 +231,7 @@ def _zero_entropy_diagnostics(dist: JointDistribution, n: int, d: int, base: int
     w_fn = TableFn.from_array("W", (("x_1", d), ("X", d)), d, (x1 - X) % d)
     slice1 = derive(condition(dist, {"y": 1}), w_fn)
     lhs1, rhs1 = information_and_entropy(slice1, ["B"], ["W"], ["s"], base)
-    tag1 = "holds" if abs(lhs1 - rhs1) <= TOLERANCE else "does not hold"
+    tag1 = "holds" if _determined(slice1, "W") else "does not hold"
     notes.append(
         f"identity I(B:x_1-X|b,s,y=1) = H(x_1-X|b,s,y=1) {tag1}: "
         f"{lhs1:.9f} vs {rhs1:.9f}"

@@ -4,11 +4,11 @@ Subcommands: build, check-ns, simulate, compile, table, capacity, search,
 feasibility.  Every subcommand supports ``--machine``, which switches the
 output to one ``key=value`` record per line, deterministically ordered,
 ending with ``status=pass|fail``, or ``status=error`` when the run stops
-with exit code 2.
+with exit code 2, a usage error included.
 
 Exit codes: 0 the requested check passed (or the artifact was produced),
-1 a verified claim failed, 2 usage error or malformed input file,
-3 a search ran out of budget (partial results are still printed).
+1 a verified claim failed, 2 usage error, malformed input file or a size
+outside the admitted ones.
 """
 
 from __future__ import annotations
@@ -310,8 +310,8 @@ def _cmd_capacity(params: dict, em: Emitter) -> int:
 
 
 def _cmd_search(params: dict, em: Emitter) -> int:
-    n, k, budget = params["n"], params["rbs"], params["budget"]
-    result = search_rac_with_rbs(n, k, budget)
+    n, k = params["n"], params["rbs"]
+    result = search_rac_with_rbs(n, k)
     em.kv("n", n)
     em.kv("rbs", k)
     em.kv("max", result.max_win_probability)
@@ -336,9 +336,6 @@ def _cmd_search(params: dict, em: Emitter) -> int:
     elif not em.machine:
         print("witness strategy:")
         print(serialize_strategy(result.witness))
-    if not result.complete:
-        em.finish(False)
-        return 3
     return em.finish(True)
 
 
@@ -451,10 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common], help="exhaustive strategy search")
     p.add_argument("--n", type=int, default=2, help="database size (default 2)")
     p.add_argument("--rbs", type=int, default=1, help="number of boxes (default 1)")
-    p.add_argument(
-        "--budget", type=float, default=3600.0,
-        help="time budget in seconds (default 3600)",
-    )
     p.add_argument("--witness-out", help="write the witness strategy to this file")
 
     p = sub.add_parser("feasibility", parents=[common], help="perfect-guess feasibility check")
@@ -469,7 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 2 and "--machine" in argv:
+            print("status=error")
+        raise
     params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "machine")}
     try:
         return _COMMANDS[args.subcommand](params, Emitter(args.machine))

@@ -111,6 +111,7 @@ def _information_and_entropy(H, groups, given):
 
 
 def _multi(H, groups, given):
+    """I(S_1 : ... : S_n : T | V) = sum H(S_i|V) + H(T|V) - H(S_1..S_n,T|V)."""
     *groups, target = groups
     total = _conditional(H, (target,), given)
     for g in groups:
@@ -128,13 +129,6 @@ def _lemma4_sides(H, groups, given):
 def entropy(dist: JointDistribution, vars: Sequence[str], base: int = 2) -> float:
     """H(vars) in the given base; exact marginalization, float logs."""
     return _query(dist, (), (vars,), _entropy_in(base), _conditional)
-
-
-def conditional_entropy(
-    dist: JointDistribution, targets: Sequence[str], given: Sequence[str] = (), base: int = 2
-) -> float:
-    """H(targets | given) = H(targets, given) - H(given)."""
-    return _query(dist, given, (targets,), _entropy_in(base), _conditional)
 
 
 def mutual_information(
@@ -214,19 +208,6 @@ def mutual_information_exponents(
     ``{p: e / n for p, e in log_exponents(d).items()}``.
     """
     return _query(dist, given, (group_a, group_b), _entropy_exponents, _information_exponents)
-
-
-def multi_information(
-    dist: JointDistribution,
-    groups: Sequence[Sequence[str]],
-    target: Sequence[str],
-    given: Sequence[str] = (),
-    base: int = 2,
-) -> float:
-    """I(S_1 : ... : S_n : T | V) = sum H(S_i|V) + H(T|V) - H(S_1..S_n,T|V)."""
-    if not groups:
-        raise ValueError("need at least one group")
-    return _query(dist, given, (*groups, target), _entropy_in(base), _multi)
 
 
 def check_lemma4(

@@ -24,7 +24,6 @@ mixture), which every result records as a note.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -267,15 +266,12 @@ def _message_ignores_a(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(_message_is_a(x, x), _message_is_a(y, y))
 
 
-def _best_table_pair(counts: np.ndarray, combine, symmetric: bool,
-                     deadline: float = math.inf) -> tuple[int, int, int, int, int, bool]:
+def _best_table_pair(counts: np.ndarray, combine, symmetric: bool) -> tuple[int, int, int, int, int]:
     """Max over Bob table pairs (t0, t1) of sum_a max_fp combine(C[t0], C[t1]).
 
     Alice's best response is per a, so each pair costs one array pass.  A
     symmetric objective skips (t0, t1) once its mirror (t1, t0) was scanned.
-    The first block always runs; the deadline (a ``time.monotonic`` value)
-    is checked after each block.
-    Returns (value, t0, t1, pairs examined, pairs skipped, complete).
+    Returns (value, t0, t1, pairs examined, pairs skipped).
     """
     n_tables = counts.shape[-1]
     best = (-1, 0, 0)
@@ -289,9 +285,7 @@ def _best_table_pair(counts: np.ndarray, combine, symmetric: bool,
         flat = int(values.argmax())
         if values.flat[flat] > best[0]:
             best = (int(values.flat[flat]), i0 + flat // values.shape[1], j0 + flat % values.shape[1])
-        if i0 + CHUNK < n_tables and time.monotonic() > deadline:
-            return (*best, examined, skipped, False)
-    return (*best, examined, skipped, True)
+    return (*best, examined, skipped)
 
 
 def strategy_from_parts(
@@ -349,19 +343,20 @@ def _best_response(n: int, counts: np.ndarray, i: int, j: int) -> Strategy:
     return strategy_from_parts(n, f0, f1, g_bits, t0, t1)
 
 
-def search_rac_with_rbs(n: int, k_rbs: int, budget: float = 3600.0) -> SearchResult:
+def search_rac_with_rbs(n: int, k_rbs: int) -> SearchResult:
     """Maximum winning probability of n->1 with k boxes and one message bit.
 
     k >= n-1 returns 1 immediately with the compiled-tree witness of n-1
     boxes (any further boxes are left idle); the one-box case runs the
-    exact engine (13/16 at n = 4; a budget cut leaves a lower bound flagged
-    incomplete).  Anything else is beyond desk scale.
+    exact engine to completion (13/16 at n = 4).  These admitted sizes are
+    the search's only size policy: anything else is beyond desk scale and
+    refused with a ValueError, so every result is exact and complete.
     """
     if n < 2 or k_rbs < 1:
         raise ValueError("need n >= 2 and k_rbs >= 1")
     start = time.monotonic()
     if k_rbs >= n - 1:
-        witness, value, examined, skipped, complete = tree_strategy(n), Fraction(1), 1, 0, True
+        witness, value, examined, skipped = tree_strategy(n), Fraction(1), 1, 0
         notes = [
             "construction witness: the compiled wiring tree wins every input",
             CONVEXITY_NOTE,
@@ -378,9 +373,7 @@ def search_rac_with_rbs(n: int, k_rbs: int, budget: float = 3600.0) -> SearchRes
         )
     else:
         counts = _correct_counts(n)
-        best_val, i, j, examined, skipped, complete = _best_table_pair(
-            counts, _message_free, True, start + budget
-        )
+        best_val, i, j, examined, skipped = _best_table_pair(counts, _message_free, True)
         witness = _best_response(n, counts, i, j)
         denom = (2 << n) * n
         value = Fraction(best_val, denom)
@@ -393,11 +386,6 @@ def search_rac_with_rbs(n: int, k_rbs: int, budget: float = 3600.0) -> SearchRes
             f"{examined} of {total} ordered pairs evaluated, {skipped} skipped as "
             "mirror images under relabelling the message",
         ]
-        if not complete:
-            notes.append(
-                f"budget exhausted after {examined + skipped} of {total} ordered pairs; "
-                "the maximum reported is a lower bound"
-            )
     check = evaluate_strategy(witness)
     if check != value:
         raise AssertionError(f"claimed value {value} disagrees with simulator {check}")
@@ -406,7 +394,7 @@ def search_rac_with_rbs(n: int, k_rbs: int, budget: float = 3600.0) -> SearchRes
         witness=witness,
         strategies_examined=examined,
         pruned=skipped,
-        complete=complete,
+        complete=True,
         elapsed_seconds=time.monotonic() - start,
         notes=tuple(notes),
     )

@@ -176,22 +176,36 @@ def build_tables(tables: Mapping[str, object], domains: Mapping[str, Domain]) ->
 def serialize_tables(
     preamble: Sequence[tuple[str, str]], tables: Iterable[TableFn]
 ) -> str:
-    """Render a preamble and a list of tables in the module file format."""
+    """Render a preamble and a list of tables in the module file format.
+
+    Refuses, naming it, any text ``parse_tables`` would read back as
+    something else: a key, table name or input name that is not one word
+    free of ``#``, and a preamble value that holds ``#`` or a line break or
+    has surrounding whitespace.
+    """
     lines: list[str] = []
     for key, value in preamble:
-        if any(ch.isspace() for ch in key):
-            raise ValueError(f"bad preamble key {key!r}")
+        _check_word("preamble key", key)
+        if "#" in value or "\n" in value or value != value.strip():
+            raise ValueError(f"bad preamble value {value!r} for key {key!r}")
         lines.append(f"{key} {value}")
     for tab in tables:
+        _check_word("table name", tab.name)
         lines.append("")
         lines.append(f"table {tab.name} {tab.output_size}")
         for var, size in tab.inputs:
+            _check_word(f"table {tab.name!r} input name", var)
             lines.append(f"in {var} {size}")
         lines.append("entries")
         tokens = list(map(str, tab.entries.tolist()))
         lines += [" ".join(tokens[i:i + 20]) for i in range(0, len(tokens), 20)]
     lines.append("")
     return "\n".join(lines)
+
+
+def _check_word(what: str, word: str) -> None:
+    if word.split() != [word] or "#" in word:
+        raise ValueError(f"bad {what} {word!r}: must be one word without '#'")
 
 
 def parse_tables(text: str) -> tuple[dict[str, str], dict[str, TableFn]]:

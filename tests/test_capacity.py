@@ -1,5 +1,7 @@
 """Channel-information bound: premise gates, exact values, serialization."""
 
+import dataclasses
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from racbox.capacity import (
     BUILTIN_STRATEGIES,
     CapacityStrategy,
     _reproduces_box_family,
+    _zero_entropy_diagnostics,
     build_capacity_joint,
     ignore_rb_strategy,
     parse_capacity_strategy,
@@ -66,6 +69,26 @@ def test_send_x1_meets_premise_but_carries_nothing():
     assert any("does not hold" in note for note in report.notes)
 
 
+def test_identity_verdicts_are_exact_not_within_a_tolerance():
+    # X = B xor s, except 10^-12 of mass moved to the other X at one y = 0 cell:
+    # I(B:X|s) and H(X|s) then differ by far less than any float tolerance
+    eps = F(1, 10 ** 12)
+    wires = [("x_1", 2), ("y", 2), ("s", 2), ("B", 2), ("X", 2)]
+    probs = {(x1, y, s, B, B ^ s): F(1, 16)
+             for x1 in range(2) for y in range(2) for s in range(2) for B in range(2)}
+    probs[(0, 0, 0, 0, 0)] -= eps
+    probs[(0, 0, 0, 0, 1)] = eps
+    notes = _zero_entropy_diagnostics(JointDistribution(wires, probs), 2, 2, 2)
+    first, second = notes
+    assert first.startswith("identity I(B:X|b,s,y=0) = H(X|b,s,y=0) does not hold: ")
+    lhs, rhs = (float(v) for v in first.rsplit(": ", 1)[1].split(" vs "))
+    assert abs(lhs - rhs) < 1e-9
+    # x_1 - X is not a function of (B, s) on the y = 1 slice
+    assert "does not hold" in second
+    probs[(0, 0, 0, 0, 0)] += probs.pop((0, 0, 0, 0, 1))
+    assert "holds:" in _zero_entropy_diagnostics(JointDistribution(wires, probs), 2, 2, 2)[0]
+
+
 def test_send_x1_only_defined_for_two_inputs():
     with pytest.raises(ValueError):
         send_x1_strategy(3, 3)
@@ -120,6 +143,13 @@ def test_serialize_parse_round_trip():
                 continue
             strat = build(n, d)
             assert parse_capacity_strategy(serialize_capacity_strategy(strat)) == strat
+
+
+@pytest.mark.parametrize("name", ["run#1", "two\nlines"])
+def test_a_strategy_name_that_would_not_read_back_is_refused_at_write(name):
+    strat = dataclasses.replace(protocol_strategy(2, 2), name=name)
+    with pytest.raises(ValueError, match=f"^bad preamble value {re.escape(repr(name))} for key 'name'$"):
+        serialize_capacity_strategy(strat)
 
 
 def test_parse_refuses_a_repeated_table_at_its_line():

@@ -242,13 +242,18 @@ def test_search_subcommand_writes_witness(tmp_path):
     assert strat.n == 3
 
 
-def test_search_budget_exhaustion_exits_3():
-    code, out = run_cli("search", "--n", "4", "--rbs", "1", "--budget", "0", "--machine")
-    assert code == 3
-    d = machine_dict(out)
-    assert d["complete"] == "false"
-    assert any("lower bound" in v for k, v in d.items() if k.startswith("note."))
-    assert d["status"] == "fail"
+def _usage_error_stdout(*argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return buf.getvalue()
+
+
+def test_search_budget_flag_is_gone():
+    # the search stops at its admitted sizes, never at a clock
+    out = _usage_error_stdout("search", "--n", "4", "--rbs", "1", "--budget", "0", "--machine")
+    assert out == "status=error\n"
 
 
 def test_search_unsupported_scale_is_usage_error():
@@ -454,11 +459,18 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_usage_error_under_machine_ends_in_status_error(capsys):
+    assert _usage_error_stdout("build", "--n", "x", "--machine") == "status=error\n"
+    assert "invalid int value" in capsys.readouterr().err
+    assert _usage_error_stdout("table", "--frobnicate", "--machine") == "status=error\n"
+    assert _usage_error_stdout("build", "--n", "x") == ""
+
+
 def test_help_documents_defaults():
     for sub, token in (
         ("simulate", "default 2"),
         ("table", "default 10"),
-        ("search", "default 3600"),
+        ("search", "default 1"),
     ):
         buf = io.StringIO()
         with redirect_stdout(buf), pytest.raises(SystemExit) as exc:

@@ -14,11 +14,9 @@ from racbox.dists import JointDistribution, derive, grouped_counts, marginalize
 from racbox.infotheory import (
     TOLERANCE,
     check_lemma4,
-    conditional_entropy,
     entropy,
     information_and_entropy,
     log_exponents,
-    multi_information,
     mutual_information,
     mutual_information_exponents,
 )
@@ -69,7 +67,7 @@ def test_chain_rule():
     rng = random.Random(7)
     d = _random_dist(rng, [2, 3, 2])
     lhs = entropy(d, ["v0", "v1"])
-    rhs = entropy(d, ["v0"]) + conditional_entropy(d, ["v1"], ["v0"])
+    rhs = entropy(d, ["v0"]) + (entropy(d, ["v1", "v0"]) - entropy(d, ["v0"]))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -110,7 +108,7 @@ def test_multi_information_two_groups_is_not_pairwise_sum():
     # three-way XOR: every pair independent, yet jointly determined
     d = xor_of(uniform(("a", 2), ("b", 2)), "t", ["a", "b"])
     pair_sum = mutual_information(d, ["a"], ["t"]) + mutual_information(d, ["b"], ["t"])
-    multi = multi_information(d, [["a"], ["b"]], ["t"])
+    multi = check_lemma4(d, [["a"], ["b"]], ["t"]).bound
     assert pair_sum == pytest.approx(0.0, abs=1e-12)
     assert multi == pytest.approx(1.0, abs=1e-12)
 
@@ -222,7 +220,7 @@ def test_information_and_entropy_share_their_marginals(grouping_passes):
         (groups,) = grouping_passes
         assert sorted(groups) == sorted([("v0", "v2"), ("v1", "v2"), ("v0", "v1", "v2"), ("v2",)])
         assert both == (mutual_information(d, ["v0"], ["v1"], ["v2"], 3),
-                        conditional_entropy(d, ["v1"], ["v2"], 3))
+                        entropy(d, ["v1", "v2"], 3) - entropy(d, ["v2"], 3))
 
 
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(2, 7) for d in (2, 3)] + [(4, 6)])
@@ -337,7 +335,7 @@ def _ref_formulas(H, given):
 def _ref_queries(weights, names, groups, given, base):
     """Every information function's value by the plain-dict reference."""
     H, E = _ref_entropy(weights, names, base), _ref_exponents(weights, names)
-    cond, info, multi = _ref_formulas(H, given)
+    cond, info, _ = _ref_formulas(H, given)
     _, info_bits, multi_bits = _ref_formulas(_ref_entropy(weights, names, 2), given)
     a, b = groups[0], groups[1]
     *parts, target = groups
@@ -349,7 +347,6 @@ def _ref_queries(weights, names, groups, given, base):
     return {
         "entropy": H(a), "conditional_entropy": cond(a), "mutual_information": info(a, b),
         "information_and_entropy": (info(a, b), cond(b)),
-        "multi_information": multi(parts, target),
         "check_lemma4": (sum(info_bits(part, target) for part in parts),
                          multi_bits(parts, target)),
         "mutual_information_exponents": [(p, e) for p, e in sorted(exps.items()) if e],
@@ -363,10 +360,10 @@ def _queries(dist, groups, given, base):
     assert report.passed == (report.quantity <= report.bound + TOLERANCE)
     return {
         "entropy": entropy(dist, a, base),
-        "conditional_entropy": conditional_entropy(dist, a, given, base),
+        "conditional_entropy": (entropy(dist, a + given, base) - entropy(dist, given, base)
+                                if given else entropy(dist, a, base)),
         "mutual_information": mutual_information(dist, a, b, given, base),
         "information_and_entropy": information_and_entropy(dist, a, b, given, base),
-        "multi_information": multi_information(dist, parts, target, given, base),
         "check_lemma4": (report.quantity, report.bound),
         "mutual_information_exponents": list(
             mutual_information_exponents(dist, a, b, given).items()),
@@ -404,7 +401,8 @@ def test_every_information_function_equals_the_plain_dict_reference():
 
 def test_a_joint_past_the_dense_bins_equals_the_plain_dict_reference():
     # 17 binary wires: a marginal over all of them spans 2^17 cells, so each marginal
-    # is counted alone (one np.add.at each) instead of in the shared dense count
+    # is counted alone (one np.add.at each) instead of in the shared dense count; two
+    # groups and a target read H(S_1), H(S_2), H(T), H(S_1, T), H(S_2, T) and H(S_1, S_2, T)
     rng = random.Random(2702)
     names = [f"w{i}" for i in range(17)]
     weights = {tuple(rng.randrange(2) for _ in names): rng.randint(1, 9) for _ in range(40)}
@@ -414,13 +412,13 @@ def test_a_joint_past_the_dense_bins_equals_the_plain_dict_reference():
     small = _random_dist(rng, [2, 3, 4])
     for joint, groups, given, additions in (
             (dist, [tuple(names[9:]), tuple(names[:8])], (names[8],), 4),
-            (dist, [tuple(names[3:10]), tuple(names[10:]), tuple(names[:3])], (), 4),
+            (dist, [tuple(names[3:10]), tuple(names[10:]), tuple(names[:3])], (), 6),
             (small, [("v2",), ("v0",)], ("v1",), 1)):
         ref = weights if joint is dist else {
             tuple(key): int(c) for key, c in zip(joint.keys.tolist(), joint.counts.tolist())}
         names_of = list(joint.names)
         with mock.patch.object(np, "add", wraps=np.add) as add:
-            multi_information(joint, groups[:-1], groups[-1], given)
+            check_lemma4(joint, groups[:-1], groups[-1], given)
         assert add.at.call_count == additions
         assert _queries(joint, groups, given, 2) == _ref_queries(ref, names_of, groups, given, 2)
 
@@ -428,7 +426,6 @@ def test_a_joint_past_the_dense_bins_equals_the_plain_dict_reference():
 REFUSED = [
     (lambda d: mutual_information(d, ["x"], ["nope"]), ValueError, "unknown variable 'nope'"),
     (lambda d: mutual_information(d, ["x"], ["x"]), ValueError, "named twice"),
-    (lambda d: conditional_entropy(d, ["x"], ["y", "y"]), ValueError, "named twice"),
     (lambda d: check_lemma4(d, [[]], ["x"]), ValueError, "at least one variable"),
     (lambda d: mutual_information(d, [], ["y"]), ValueError, "at least one variable"),
     (lambda d: marginalize(d, ["x", "nope"]), KeyError, "unknown variable 'nope'"),
@@ -443,7 +440,7 @@ REFUSED = [
 
 
 @pytest.mark.parametrize("call,error,fault", REFUSED, ids=[
-    "unknown-wire", "wire-named-twice", "given-named-twice", "empty-group", "empty-first-group",
+    "unknown-wire", "wire-named-twice", "empty-group", "empty-first-group",
     "unknown-marginal-wire", "marginal-wire-named-twice", "duplicate-names", "empty-alphabet",
     "empty-table"])
 def test_a_refused_query_is_refused_on_every_call(call, error, fault):

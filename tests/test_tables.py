@@ -134,6 +134,27 @@ def test_text_round_trip_with_preamble():
     assert list(parsed.values()) == tables
 
 
+@pytest.mark.parametrize("preamble, tables, message", [
+    ([("k#1", "v")], [], r"^bad preamble key 'k#1'"),
+    ([("two words", "v")], [], r"^bad preamble key 'two words'"),
+    ([("name", "run#1")], [], r"^bad preamble value 'run#1' for key 'name'$"),
+    ([("name", "two\nlines")], [], r"^bad preamble value 'two\\nlines' for key 'name'$"),
+    ([("name", " padded")], [], r"^bad preamble value ' padded' for key 'name'$"),
+    ([("name", "padded\t")], [], r"^bad preamble value 'padded\\t' for key 'name'$"),
+    ([], [TableFn("f#1", (("x", 2),), 2, [0, 1])], r"^bad table name 'f#1'"),
+    ([], [TableFn("f", (("x#", 2),), 2, [0, 1])], r"^bad table 'f' input name 'x#'"),
+])
+def test_text_that_would_read_back_as_something_else_is_refused_at_write(preamble, tables, message):
+    with pytest.raises(ValueError, match=message):
+        serialize_tables(preamble, tables)
+
+
+def test_a_value_may_hold_inner_spaces_and_other_line_separators():
+    # the parser ends a line at newline only, so these round-trip
+    preamble = [("wiring-order", "rb0 rb1"), ("note", "a\x0bb\u2028c")]
+    assert parse_tables(serialize_tables(preamble, [])) == (dict(preamble), {})
+
+
 def test_long_entry_lists_wrap_and_parse():
     big = TableFn("h", (("x", 64),), 64, tuple(range(64)))
     text = serialize_tables([], [big])
