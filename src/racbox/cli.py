@@ -466,7 +466,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        if exc.code == 2 and "--machine" in argv:
+        # argparse takes any unambiguous prefix of --machine for the flag
+        if exc.code == 2 and any(len(tok) >= 3 and "--machine".startswith(tok) for tok in argv):
             print("status=error")
         raise
     params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "machine")}

@@ -125,45 +125,56 @@ def evaluate_strategy(strategy: Strategy) -> Fraction:
     """Independent exact simulator: average win over inputs, box outputs, queries.
 
     Reads nothing but the strategy's tables, so it cross-checks whatever the
-    search engine claims for its witnesses.  Each world (a, A_0..A_{k-1}) is
-    one column of bits, numbered row-major over those variables; Bob's k
-    rounds run over the (btilde, world) grid.  Every table is read with one
-    gather from its entries array, at the row-major index over its declared
-    inputs, and the tables of a pair that ``strategy_domains`` declares
-    over the same inputs (each box's ``a0`` and ``a1``, and its ``b`` and
-    ``aprime``) share one ``TableFn.index``: k + 1 indices over the
-    2^(n+k) worlds for Alice and k + 1 over the n * 2^(n+k) grid cells for
-    Bob, and the wins are counted exactly.
+    search engine claims for its witnesses.  The worlds (a, A_0..A_{k-1})
+    are numbered row-major over those bits, a_0 highest, and every table
+    read is a shift of that number or of Bob's running index:
 
-    ``TableFn.index`` skips the per-lookup range checks of
-    ``TableFn.__call__``, which is sound because ``Strategy`` holds its
-    tables to ``strategy_domains`` with ``check_tables``: that fixes every
-    table's inputs by name and alphabet (2 for bits, n for btilde) and every
-    output alphabet to 2, and ``TableFn`` checks its entries array against
-    the output alphabet once, when the table is built.  So each column fed
-    to a table holds values inside the declared alphabet, an index built for
-    one table of a pair addresses the other's entries array too, and each
-    gathered value is a bit.
+    - ``m`` is declared over exactly the world bits, so its entries array
+      is the message per world;
+    - box j's encoders read the world's top n + j bits, so per world they
+      are their entries repeated 2^(k-j) times, and A_j is the next bit;
+    - a task bit a_q is bit n + k - 1 - q of the world number.
+
+    Bob's k rounds run over the (btilde, world) grid with one index per
+    cell, which starts at 2 * btilde + m.  Row-major over (btilde, m, the
+    B's so far) it is the index every table of his next round reads, and
+    each round appends that round's B: a step table over (index, Alice's
+    two possible box outputs x_0 x_1 at the world) holds 2 * index + B,
+    where B = x_b ^ aprime with b and aprime read at the index.  One gather
+    per round, and one from ``Btilde`` at the end; the wins are counted
+    exactly.
+
+    The shift reads and the unchecked gathers rely on ``Strategy`` holding
+    its tables to ``strategy_domains`` with ``check_tables``: that fixes
+    every table's inputs by name, order and alphabet (2 for bits, n for
+    btilde) and every output alphabet to 2, and ``TableFn`` checks its
+    entries array against the output alphabet once, when the table is
+    built.  So a table whose inputs came in another order is refused before
+    it can be read at the wrong shift, every index stays inside the table
+    it reads, and each gathered value is a bit.
     """
     n, names, t = strategy.n, strategy.rb_names, strategy.tables
-    bits = [f"a_{i}" for i in range(n)] + [f"A_{name}" for name in names]
-    world = np.arange(1 << len(bits), dtype=np.int32)
-    cols = {
-        var: ((world >> (len(bits) - 1 - i)) & 1).astype(np.uint8)
-        for i, var in enumerate(bits)
-    }
-    cols["m"] = t["m"].at(cols)
-    cols["btilde"] = np.arange(n, dtype=np.uint8)[:, None]
-    for name in reversed(names):
-        a0, a1, b, aprime = (t[f"{name}.{part}"] for part in ("a0", "a1", "b", "aprime"))
-        alice, bob = a0.index(cols), b.index(cols)
-        out = np.where(b.entries[bob], a1.entries[alice], a0.entries[alice])
-        out ^= cols[f"A_{name}"]
-        out ^= aprime.entries[bob]
-        cols[f"B_{name}"] = out
-    guess = t["Btilde"].at(cols)
-    wins = sum(int(np.count_nonzero(guess[q] == cols[f"a_{q}"])) for q in range(n))
-    return Fraction(wins, 2 ** n * 2 ** len(names) * n)
+    k = len(names)
+    idx = 2 * np.arange(n)[:, None] + t["m"].entries  # per (btilde, world)
+    pair = np.arange(4)  # Alice's two possible box outputs, x_0 + 2 * x_1
+    for j in reversed(range(k)):  # Bob queries the boxes in reverse wiring order
+        name = names[j]
+        enc = t[f"{name}.a0"].entries | t[f"{name}.a1"].entries << 1
+        # per (encoder input, A_j), where A_j flips both outputs; then per world
+        alice = np.repeat(enc[:, None] ^ np.array([0, 3], dtype=np.uint8), 1 << (k - 1 - j))
+        b, aprime = (t[f"{name}.{part}"].entries[:, None] for part in ("b", "aprime"))
+        # step[i, p] = 2 * i + B, read at 4 * i + p
+        step = 2 * np.arange(b.size)[:, None] + (((pair >> b) & 1) ^ aprime)
+        idx <<= 2
+        idx |= alice
+        idx = step.take(idx)
+    guess = t["Btilde"].entries.take(idx)
+    wins = 0
+    for q in range(n):
+        # the middle axis is a_q; Bob wins where his guess equals it
+        g = guess[q].reshape(1 << q, 2, -1)
+        wins += g[:, 0].size - int(np.count_nonzero(g[:, 0])) + int(np.count_nonzero(g[:, 1]))
+    return Fraction(wins, 2 ** n * 2 ** k * n)
 
 
 def tree_strategy(n: int) -> Strategy:

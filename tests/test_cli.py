@@ -466,6 +466,12 @@ def test_usage_error_under_machine_ends_in_status_error(capsys):
     assert _usage_error_stdout("build", "--n", "x") == ""
 
 
+def test_usage_error_under_an_abbreviated_machine_flag_ends_in_status_error():
+    # argparse accepts --mach for --machine, so the error record must follow it
+    assert _usage_error_stdout("build", "--n", "x", "--mach") == "status=error\n"
+    assert _usage_error_stdout("search", "--n", "four", "--m") == "status=error\n"
+
+
 def test_help_documents_defaults():
     for sub, token in (
         ("simulate", "default 2"),

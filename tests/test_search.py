@@ -20,6 +20,7 @@ from racbox.search import (
     parse_strategy,
     search_rac_with_rbs,
     serialize_strategy,
+    strategy_domains,
     strategy_from_parts,
     tree_strategy,
     verify_observation2,
@@ -86,6 +87,45 @@ def test_simulator_matches_the_walk_on_random_one_box_strategies():
             assert evaluate_strategy(strat) == _walk_strategy(strat)
 
 
+def _random_strategy(rng, n, k):
+    """Every table of an n-bit, k-box strategy drawn uniformly from its domain."""
+    names = tuple(f"rb{j}" for j in range(k))
+    tables = {
+        name: TableFn.from_array(name, inputs, size, rng.integers(0, size, [s for _, s in inputs]))
+        for name, (inputs, size) in strategy_domains(n, names).items()
+    }
+    return Strategy(n, names, tables)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_simulator_matches_the_walk_on_random_multi_box_strategies(n, k):
+    # unlike the trees, random strategies query boxes at every b, relay
+    # through aprime and read every earlier B, so Bob's bits must be
+    # appended in query order and each encoder read at its own world shift
+    rng = np.random.default_rng(100 * n + k)
+    values = set()
+    for _ in range(20):
+        strat = _random_strategy(rng, n, k)
+        value = evaluate_strategy(strat)
+        assert value == _walk_strategy(strat)
+        values.add(value)
+    assert len(values) > 1
+
+
+def test_simulator_reads_no_table_through_its_index(monkeypatch):
+    # every read is a shift of the world number or of Bob's running index
+    tree, witness = tree_strategy(6), search_rac_with_rbs(4, 1).witness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simulator read a table through TableFn.index or TableFn.at")
+
+    monkeypatch.setattr(TableFn, "index", refuse)
+    monkeypatch.setattr(TableFn, "at", refuse)
+    assert evaluate_strategy(tree) == 1
+    assert evaluate_strategy(witness) == F(13, 16)
+
+
 def _through_the_executor(strategy):
     """A one-box strategy's win probability from ``run_box_protocol`` on the
     no-signaling RAC-box, every table read with ``TableFn.at``."""
@@ -108,8 +148,8 @@ def _through_the_executor(strategy):
 
 def test_simulator_matches_the_executor_on_random_one_box_strategies():
     # the search keeps its own simulator as the reference for its witnesses: through
-    # the executor one such strategy takes about five and a half times as long
-    # (5.4-5.9x, minimum of eight alternated rounds over these 20 strategies)
+    # the executor one such strategy takes about sixteen times as long
+    # (15.7-17.5x, minimum of eight alternated rounds over these 20 strategies)
     rng = random.Random(16)
     values = set()
     for _ in range(20):
@@ -483,3 +523,13 @@ def test_strategy_shape_checks_cover_the_simulator_invariant():
     short = TableFn.from_array(enc.name, enc.inputs[:-1], 2, 0)
     with pytest.raises(ValueError, match="table 'rb1.a0' has inputs"):
         _replace_table(strat, short)
+    # the simulator reads m and the encoders at shifts of the world number,
+    # so the right wires in another order must be refused too
+    msg = strat.tables["m"]
+    swapped = TableFn.from_array(msg.name, msg.inputs[1:] + msg.inputs[:1], 2, 0)
+    with pytest.raises(ValueError, match="table 'm' has inputs"):
+        _replace_table(strat, swapped)
+    upstream_first = TableFn.from_array(enc.name, enc.inputs[-1:] + enc.inputs[:-1], 2, 0)
+    assert upstream_first.inputs[:2] == (("A_rb0", 2), ("a_0", 2))
+    with pytest.raises(ValueError, match="table 'rb1.a0' has inputs"):
+        _replace_table(strat, upstream_first)
