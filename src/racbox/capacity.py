@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -34,9 +36,11 @@ from .reports import ProbeReport
 from .tables import Domain, TableFn, build_tables, parse_tables, preamble_int, serialize_tables
 
 
-def capacity_domains(n: int, d: int) -> dict[str, Domain]:
-    """The tables of a capacity strategy, in file order; alphabets are d-ary
-    except y, which is n-ary.
+@lru_cache(maxsize=64)
+def capacity_domains(n: int, d: int) -> Mapping[str, Domain]:
+    """The tables of a capacity strategy, in file order, as a read-only
+    mapping built once per (n, d); alphabets are d-ary except y, which is
+    n-ary.
 
       a_0 .. a_{n-1}(x_1..x_{n-1}, z)   Alice's box inputs
       m(x_1..x_{n-1}, z, A)             the message dit
@@ -50,13 +54,13 @@ def capacity_domains(n: int, d: int) -> dict[str, Domain]:
     check_rb_size(n, d)
     xz = tuple((f"x_{i}", d) for i in range(1, n)) + (("z", d),)
     bob = (("m", d), ("y", n), ("s", d))
-    return {
+    return MappingProxyType({
         **{f"a_{i}": (xz, d) for i in range(n)},
         "m": (xz + (("A", d),), d),
         "X": (xz + (("A", d), ("s", d)), d),
         "Aprime": (bob, d),
         "Y": (bob + (("B", d),), d),
-    }
+    })
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ outside the admitted ones.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from math import prod
@@ -388,7 +389,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The racbox argument parser, built once per process: parsing keeps no
+    state in it, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="racbox",
         description="Exact simulation and verification of no-signaling boxes, "

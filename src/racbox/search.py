@@ -24,9 +24,12 @@ mixture), which every result records as a note.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,8 +57,9 @@ CONVEXITY_NOTE = (
 )
 
 
-def strategy_domains(n: int, rb_names: Sequence[str]) -> dict[str, Domain]:
-    """The tables of an n-bit strategy with boxes ``rb_names``, in file order.
+def strategy_domains(n: int, rb_names: Sequence[str]) -> Mapping[str, Domain]:
+    """The tables of an n-bit strategy with boxes ``rb_names``, in file order,
+    as a read-only mapping built once per (n, box names).
 
     Alice's side evaluates boxes in ``rb_names`` order: box j's encoder
     tables ``<box>.a0`` and ``<box>.a1`` see (a_0..a_{n-1}) plus the outputs
@@ -66,6 +70,11 @@ def strategy_domains(n: int, rb_names: Sequence[str]) -> dict[str, Domain]:
     final output table ``Btilde`` sees (btilde, m) and every B in query
     order.  Every input and output is a bit, except btilde, which is n-ary.
     """
+    return _strategy_domains(n, tuple(rb_names))
+
+
+@lru_cache(maxsize=64)
+def _strategy_domains(n: int, rb_names: tuple[str, ...]) -> Mapping[str, Domain]:
     task = tuple((f"a_{i}", 2) for i in range(n))
     a_outs = tuple((f"A_{name}", 2) for name in rb_names)
     domains: dict[str, Domain] = {}
@@ -77,7 +86,7 @@ def strategy_domains(n: int, rb_names: Sequence[str]) -> dict[str, Domain]:
     for r, name in enumerate(reversed(rb_names)):
         domains[f"{name}.b"] = domains[f"{name}.aprime"] = (head + b_outs[:r], 2)
     domains["Btilde"] = (head + b_outs, 2)
-    return domains
+    return MappingProxyType(domains)
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,7 @@ class Strategy:
     tables: Mapping[str, TableFn]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rb_names", tuple(self.rb_names))
         n, k = self.n, len(self.rb_names)
         if n < 2:
             raise ValueError("need n >= 2")
@@ -228,20 +238,22 @@ def tree_strategy(n: int) -> Strategy:
 # sign eps) in the order (0,0), (0,1), (1,0), (1,1); prediction f_j(a) ^ A ^ eps.
 N_BEHAVIOURS = 6
 # per behaviour: the box input Bob queries, and his output for box output B = 0, 1
-_QUERY = np.array([0, 0, 0, 0, 1, 1])
-_OUTPUT = np.array([[0, 0], [1, 1], [0, 1], [1, 0], [0, 1], [1, 0]])
+_QUERY = np.array([0, 0, 0, 0, 1, 1], dtype=np.uint8)
+_OUTPUT = np.array([[0, 0], [1, 1], [0, 1], [1, 0], [0, 1], [1, 0]], dtype=np.uint8)
 # Bob tables per block of the pair scan; bounds every temporary to
 # CHUNK * 6^n * 2^(n+3) one-byte cells (2.7 MB at n = 4), laid out as
 # (fp, [A,] a, CHUNK, 6^n) so each step runs along rows of Bob tables
 CHUNK = 16
 
 
+@lru_cache(maxsize=4)
 def _correct_counts(n: int) -> np.ndarray:
     """C[fp, A, a, t] = queries option table t answers correctly in world (a, A).
 
     fp packs Alice's encoder bits at a: bit j of fp is f_j(a).  Entries lie
     in [0, n]; the shape is (4, 2, 2^n, 6^n).  Bob's table index is the last,
-    contiguous axis, so the pair scan reduces over leading axes only.
+    contiguous axis, so the pair scan reduces over leading axes only.  Built
+    once per n and read-only.
     """
     dom = 1 << n
     a = np.arange(dom)[:, None]
@@ -258,6 +270,7 @@ def _correct_counts(n: int) -> np.ndarray:
     counts = np.zeros((4, 2, dom, N_BEHAVIOURS ** n), dtype=np.int8)
     for q, behaviour in enumerate(tables):
         counts += (preds == ((a >> q) & 1))[..., behaviour]
+    counts.flags.writeable = False
     return counts
 
 
@@ -299,6 +312,30 @@ def _best_table_pair(counts: np.ndarray, combine, symmetric: bool) -> tuple[int,
     return (*best, examined, skipped)
 
 
+# Bob's behaviours, as the values strategy_from_parts admits
+_BEHAVIOURS = frozenset(range(N_BEHAVIOURS))
+
+
+@lru_cache(maxsize=8)
+def _one_box_layout(n: int) -> tuple[Mapping[str, Domain], int, np.ndarray, np.ndarray, TableFn]:
+    """What every n-bit one-box strategy shares, built once per n: its
+    domains; the bytes per packed encoder; per entry of the two encoder
+    tables, row j for f_j, the place of its bit among the unpacked bits of
+    f0 then f1; per entry of ``m``, its world 2*a + A; and the all-zero
+    ``rb0.aprime`` table.  The arrays are read-only.
+
+    A packed index holds a_0 in its lowest bit and a table index in its
+    highest, so the encoder order is the n-bit reversal."""
+    domains = strategy_domains(n, ("rb0",))
+    width = -(-(1 << n) // 8)
+    rev = np.arange(1 << n).reshape((2,) * n).T.ravel()
+    bits = rev + np.array([[0], [8 * width]])
+    worlds = (2 * rev[:, None] + np.arange(2)).ravel()
+    bits.flags.writeable = worlds.flags.writeable = False
+    aprime = TableFn("rb0.aprime", *domains["rb0.aprime"], np.zeros(2 * n, dtype=np.uint8))
+    return domains, width, bits, worlds, aprime
+
+
 def strategy_from_parts(
     n: int, f0: int, f1: int, g_bits: Sequence[int], t0: Sequence[int], t1: Sequence[int]
 ) -> Strategy:
@@ -306,27 +343,28 @@ def strategy_from_parts(
 
     f0, f1 are encoder truth tables packed little-endian over the a-domain;
     g_bits lists the message for each world 2*a + A; t0, t1 are Bob's
-    behaviour tables per message value (entries 0..5).
+    behaviour tables per message value (entries 0..5).  Each table's
+    entries are gathered flat, in table order.
     """
     if not (0 <= f0 < (1 << (1 << n)) and 0 <= f1 < (1 << (1 << n))):
         raise ValueError("encoder table out of range")
     if len(g_bits) != (1 << (n + 1)) or len(t0) != n or len(t1) != n:
         raise ValueError("wrong part sizes")
-    if not all(0 <= beta < N_BEHAVIOURS for beta in (*t0, *t1)):
+    if not _BEHAVIOURS.issuperset((*t0, *t1)):
         raise ValueError("Bob behaviour out of range")
-    # a packed index holds a_0 in its lowest bit; reshaped row-major it holds
-    # a_0 on the last axis, so reversing the a-axes gives the table order
-    a_axes = tuple(range(n - 1, -1, -1))
-    f0_tab, f1_tab = (np.array([(f >> p) & 1 for p in range(1 << n)]).reshape((2,) * n).transpose(a_axes)
-                      for f in (f0, f1))
-    beta = np.array([t0, t1]).T  # Bob's behaviour per cell (btilde, m)
+    domains, width, bits, worlds, aprime = _one_box_layout(n)
+    # bit p of f_j is bit p of its little-endian bytes, exact past int64
+    packed = operator.index(f0).to_bytes(width, "little") + operator.index(f1).to_bytes(width, "little")
+    enc = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")[bits]
+    beta = np.empty(2 * n, dtype=np.intp)  # Bob's behaviour per cell (btilde, m), row-major
+    beta[0::2], beta[1::2] = t0, t1
     return Strategy(n, ("rb0",), {
-        "rb0.a0": f0_tab,
-        "rb0.a1": f1_tab,
-        "m": np.array(g_bits).reshape((2,) * (n + 1)).transpose(a_axes + (n,)),
-        "rb0.b": _QUERY[beta],
-        "rb0.aprime": 0,
-        "Btilde": _OUTPUT[beta],
+        "rb0.a0": TableFn("rb0.a0", *domains["rb0.a0"], enc[0]),
+        "rb0.a1": TableFn("rb0.a1", *domains["rb0.a1"], enc[1]),
+        "m": TableFn("m", *domains["m"], np.asarray(g_bits)[worlds]),
+        "rb0.b": TableFn("rb0.b", *domains["rb0.b"], _QUERY[beta]),
+        "rb0.aprime": aprime,
+        "Btilde": TableFn("Btilde", *domains["Btilde"], _OUTPUT[beta].ravel()),
     })
 
 

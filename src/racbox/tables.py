@@ -32,6 +32,7 @@ ends at ``\n`` only, so every ``line N:`` counts newlines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -40,6 +41,9 @@ import numpy as np
 # a declared table: its inputs as (name, alphabet size) pairs, in order, and
 # its output alphabet size
 Domain = tuple[tuple[tuple[str, int], ...], int]
+# up to this many entries, Python's max over a list is cheaper than numpy's
+# reduction, whose fixed cost is about 1 us
+_SMALL_TABLE = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,28 +61,26 @@ class TableFn:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.name.split() != [self.name]:
-            raise ValueError(f"bad table name {self.name!r}")
-        if self.output_size < 1:
-            raise ValueError("output alphabet must be non-empty")
-        size = 1
-        for var, s in self.inputs:
-            if s < 1:
-                raise ValueError(f"input {var!r} has empty alphabet")
-            if var.split() != [var]:
-                raise ValueError(f"bad input name {var!r}")
-            size *= s
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        size = _domain_size(self.name, self.inputs, self.output_size)
         values = np.asarray(self.entries)
         if values.shape != (size,):
             raise ValueError(f"table {self.name!r} has entries of shape {values.shape}, "
                              f"its domain needs ({size},)")
-        if values.dtype.kind not in "biu":
+        kind = values.dtype.kind
+        if kind not in "biu":
             raise ValueError(f"table {self.name!r} entries must be 64-bit integers, got {values.dtype}")
-        lo, hi = values.min(), values.max()
-        if lo < 0 or hi >= self.output_size:
+        # one range reduction: viewed as unsigned, a negative entry reads as
+        # 2^(bits-1) or more, past every non-negative entry of its dtype
+        unsigned, limit = values, self.output_size
+        if kind == "i":
+            unsigned = values.view(f"u{values.itemsize}")
+            limit = min(limit, 1 << (8 * values.itemsize - 1))
+        if (max(unsigned.tolist()) if size <= _SMALL_TABLE else unsigned.max()) >= limit:
+            lo, hi = values.min(), values.max()
             raise ValueError(f"table {self.name!r} entry {lo if lo < 0 else hi} outside output alphabet")
         entries = values.astype(np.uint8 if self.output_size <= 256 else np.int64)
-        entries.flags.writeable = False
+        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -135,6 +137,25 @@ class TableFn:
         """The entries array read at ``self.index(columns)``: uint8 for output
         alphabets up to 256, else int64.  Nothing is range-checked."""
         return self.entries[self.index(columns)]
+
+
+@lru_cache(maxsize=256)
+def _domain_size(name: str, inputs: tuple[tuple[str, int], ...], output_size: int) -> int:
+    """The number of points of a table's domain, after checking its name,
+    input names and alphabets; cached, since strategies repeat their
+    declared domains."""
+    if name.split() != [name]:
+        raise ValueError(f"bad table name {name!r}")
+    if output_size < 1:
+        raise ValueError("output alphabet must be non-empty")
+    size = 1
+    for var, s in inputs:
+        if s < 1:
+            raise ValueError(f"input {var!r} has empty alphabet")
+        if var.split() != [var]:
+            raise ValueError(f"bad input name {var!r}")
+        size *= s
+    return size
 
 
 def check_tables(tables: Mapping[str, TableFn], domains: Mapping[str, Domain]) -> None:

@@ -14,6 +14,7 @@ from racbox.capacity import (
     _reproduces_box_family,
     _zero_entropy_diagnostics,
     build_capacity_joint,
+    capacity_domains,
     ignore_rb_strategy,
     parse_capacity_strategy,
     protocol_strategy,
@@ -183,3 +184,14 @@ def test_parse_rejects_missing_tables():
     head, _, _ = text.rpartition("table ")
     with pytest.raises(ValueError, match="^missing table 'Y'$"):
         parse_capacity_strategy(head)
+
+
+def test_capacity_domains_are_shared_and_read_only():
+    domains = capacity_domains(3, 3)
+    assert capacity_domains(3, 3) is domains
+    with pytest.raises(TypeError):
+        domains["m"] = ((), 3)
+    # a refused size is refused on every call, never cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="more than the limit"):
+            capacity_domains(12, 5)

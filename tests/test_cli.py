@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import racbox
-from racbox.cli import main
+from racbox.cli import QUANTUM_P2, build_parser, main
 from racbox.search import parse_strategy
 from test_boxio import HUGE_BOX, NON_INTEGER_SIZE
 
@@ -470,6 +470,25 @@ def test_usage_error_under_an_abbreviated_machine_flag_ends_in_status_error():
     # argparse accepts --mach for --machine, so the error record must follow it
     assert _usage_error_stdout("build", "--n", "x", "--mach") == "status=error\n"
     assert _usage_error_stdout("search", "--n", "four", "--m") == "status=error\n"
+
+
+def test_the_one_parser_carries_nothing_from_call_to_call():
+    # main reuses one parser per process, so every call must start from its defaults
+    assert build_parser() is build_parser()
+    code, out = run_cli("table", "--nmax", "3", "--p2", "0.6", "--machine")
+    assert code == 0
+    assert (machine_dict(out)["p.0"], "p.1" in machine_dict(out)) == ("0.600000000000", False)
+    code, out = run_cli("table", "--nmax", "3", "--machine")
+    assert code == 0
+    d = machine_dict(out)
+    assert (d["p.0"], d["p.1"]) == ("0.750000000000", f"{QUANTUM_P2:.12f}")
+    # a usage error after a successful call still ends in its status record
+    assert _usage_error_stdout("build", "--n", "x", "--mach") == "status=error\n"
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+        main(["table", "--help"])
+    assert exc.value.code == 0
+    assert "--p2" in buf.getvalue()
 
 
 def test_help_documents_defaults():

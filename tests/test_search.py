@@ -267,13 +267,70 @@ def test_strategy_from_parts_refuses_bad_parts():
     assert evaluate_strategy(strategy_from_parts(3, *good)) == _walk_strategy(
         strategy_from_parts(3, *good))
     # Bob's behaviour tables index constant arrays, where -1 would read behaviour 5
-    for bad in (-1, 6):
+    for bad in (-1, 6, 2.5):
         with pytest.raises(ValueError, match="behaviour out of range"):
             strategy_from_parts(3, *good[:3], [2, bad, 4], good[4])
     with pytest.raises(ValueError, match="entry 2 outside"):
         strategy_from_parts(3, *good[:2], [0, 2] * 8, *good[3:])
     with pytest.raises(ValueError, match="encoder table out of range"):
         strategy_from_parts(3, 256, *good[1:])
+
+
+def _reference_from_parts(n, f0, f1, g_bits, t0, t1):
+    """strategy_from_parts as plain lists reshaped and transposed into table order."""
+    query = np.array([0, 0, 0, 0, 1, 1])  # per behaviour, the box input Bob queries
+    output = np.array([[0, 0], [1, 1], [0, 1], [1, 0], [0, 1], [1, 0]])  # per behaviour and B
+    # a packed index holds a_0 in its lowest bit; reshaped row-major it holds
+    # a_0 on the last axis, so reversing the a-axes gives the table order
+    a_axes = tuple(range(n - 1, -1, -1))
+    f0_tab, f1_tab = (np.array([(f >> p) & 1 for p in range(1 << n)]).reshape((2,) * n).transpose(a_axes)
+                      for f in (f0, f1))
+    beta = np.array([t0, t1]).T  # Bob's behaviour per cell (btilde, m)
+    return Strategy(n, ("rb0",), {
+        "rb0.a0": f0_tab,
+        "rb0.a1": f1_tab,
+        "m": np.array(g_bits).reshape((2,) * (n + 1)).transpose(a_axes + (n,)),
+        "rb0.b": query[beta],
+        "rb0.aprime": 0,
+        "Btilde": output[beta],
+    })
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_strategy_from_parts_matches_the_reference_builder(n):
+    rng = random.Random(600 + n)
+    top = (1 << (1 << n)) - 1  # 2^64 - 1 at n = 6, past int64
+    parts = [_random_parts(rng, n) for _ in range(50)]
+    parts += [(f0, f1, *_random_parts(rng, n)[2:]) for f0, f1 in ((0, top), (top, 0), (top, top))]
+    for part in parts:
+        built = strategy_from_parts(n, *part)
+        assert serialize_strategy(built) == serialize_strategy(_reference_from_parts(n, *part))
+        assert built == _reference_from_parts(n, *part)
+
+
+def test_strategy_takes_its_box_names_as_any_sequence():
+    tree = tree_strategy(4)
+    listed = Strategy(tree.n, list(tree.rb_names), dict(tree.tables))
+    assert listed.rb_names == tree.rb_names
+    assert serialize_strategy(listed) == serialize_strategy(tree)
+    assert strategy_domains(4, list(tree.rb_names)) is strategy_domains(4, tree.rb_names)
+
+
+def test_cached_tables_are_shared_and_read_only():
+    counts = search_mod._correct_counts(3)
+    assert search_mod._correct_counts(3) is counts
+    with pytest.raises(ValueError, match="read-only"):
+        counts[0, 0, 0, 0] = 1
+    domains = strategy_domains(3, ("rb0",))
+    assert strategy_domains(3, ("rb0",)) is domains
+    with pytest.raises(TypeError):
+        domains["m"] = ((), 2)
+    # every one-box witness of one n shares its all-zero aprime table
+    rng = random.Random(7)
+    first, second = (strategy_from_parts(3, *_random_parts(rng, 3)) for _ in range(2))
+    assert first.tables["rb0.aprime"] is second.tables["rb0.aprime"]
+    with pytest.raises(ValueError, match="read-only"):
+        first.tables["rb0.aprime"].entries[0] = 1
 
 
 def test_search_result_rejects_nonsense_values():

@@ -103,6 +103,45 @@ def test_negative_entries_are_refused_not_wrapped():
     assert TableFn("f", (("x", 2),), 256, np.array([0, 255])).entries.tolist() == [0, 255]
 
 
+SIGNED = [np.int8, np.int16, np.int32, np.int64]
+UNSIGNED = [np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("length", [2, 64])  # checked through a Python list, and by numpy past 32
+@pytest.mark.parametrize("dtype", SIGNED + UNSIGNED + [np.bool_])
+def test_one_range_reduction_refuses_what_min_and_max_refuse(dtype, length):
+    def table(size, *last):
+        return TableFn("f", (("x", length),), size, np.array([0] * (length - 2) + list(last), dtype=dtype))
+
+    top = 1 if dtype is np.bool_ else int(np.iinfo(dtype).max)
+    # stored as int64 past 256 symbols, so the widest alphabet tried is 2^63
+    size = min(top + 1, 1 << 63)
+    assert table(size, 0, size - 1).entries.tolist()[-2:] == [0, size - 1]
+    over = 1 if dtype is np.bool_ else 2
+    with pytest.raises(ValueError, match=f"^table 'f' entry {np.array(over, dtype)} outside output alphabet$"):
+        table(over, 0, over)
+    if dtype in SIGNED:
+        # viewed as unsigned a negative entry is huge, also where the alphabet
+        # is wider than the dtype's non-negative range
+        for size in (2, 256, 1 << 63):
+            with pytest.raises(ValueError, match="^table 'f' entry -1 outside output alphabet$"):
+                table(size, 1, -1)
+        with pytest.raises(ValueError, match="entry -100 outside"):
+            table(200, 5, -100)
+
+
+def test_domain_checks_refuse_on_every_call():
+    # the name and alphabet checks are cached per declared domain; a refusal never is
+    assert TableFn("f", [("x", 2)], 2, [0, 1]).inputs == (("x", 2),)  # a list is kept as a tuple
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bad table name 'bad name'"):
+            TableFn("bad name", (("x", 2),), 2, (0, 0))
+        with pytest.raises(ValueError, match="input 'x' has empty alphabet"):
+            TableFn("f", (("x", 0),), 2, ())
+        with pytest.raises(ValueError, match="output alphabet must be non-empty"):
+            TableFn("f", (("x", 2),), 0, (0, 0))
+
+
 def test_validation():
     with pytest.raises(ValueError):
         TableFn("f", (("x", 2),), 2, (0,))  # wrong entry count
