@@ -10,10 +10,11 @@ output X, and Bob's relay A' and simulated output Y.
 The verifier runs the game through the sequential protocol executor and
 keeps the exact joint of the inputs, Alice's X and Bob's view
 (s, m, B, A', Y): the support of the induced table as integer counts over
-one denominator, with A' and Y appended afterwards as columns read from
-their strategy tables.  It checks that the strategy really reproduces the
-target box family on (x_1..x_{n-1}; y -> X, Y) (the premise of the bound),
-using the (x, y, X, Y) marginal, and then computes the channel information
+one denominator, taken from the executor's blocks as they are computed,
+with A' and Y read from their strategy tables in the same pass.  It checks
+that the strategy really reproduces the target box family on
+(x_1..x_{n-1}; y -> X, Y) (the premise of the bound), using the
+(x, y, X, Y) marginal, and then computes the channel information
 I(z : B, y, s) available to Bob about z from the marginal counts.  The
 claim under test is that this never exceeds 1/n in message-alphabet units.
 """
@@ -31,7 +32,7 @@ import numpy as np
 from .boxes import Box, check_rb_size, family_signature, make_bnd_box, make_rb
 from .dists import JointDistribution, condition, derive, grouped_counts, marginalize
 from .infotheory import TOLERANCE, information_and_entropy, mutual_information
-from .protocols import run_box_protocol
+from .protocols import protocol_joint
 from .reports import ProbeReport
 from .tables import Domain, TableFn, build_tables, parse_tables, preamble_int, serialize_tables
 
@@ -140,13 +141,15 @@ BUILTIN_STRATEGIES = {
 def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDistribution:
     """Exact joint of the capacity game's inputs, X and Bob's view.
 
-    The game runs through the sequential executor ``run_box_protocol``:
-    Alice feeds the tables a_0..a_{n-1} into the RAC-box and sends m; Bob
-    relays A', queries the box at y and outputs Y.  The joint covers
-    x_1..x_{n-1}, z, y, X and Bob's view (s, m, B, Aprime, Y) under uniform
-    inputs.  Aprime and Y are functions of the other view wires, so
-    ``derive`` appends them after the run as columns read from their tables,
-    rather than carrying them as outputs of the induced table.
+    The game runs through the protocol executor's joint end,
+    ``protocol_joint``: Alice feeds the tables a_0..a_{n-1} into the RAC-box
+    and sends m; Bob relays A', queries the box at y and outputs Y.  The
+    joint covers x_1..x_{n-1}, z, y, X and Bob's view (s, m, B, Aprime, Y)
+    under uniform inputs.  It is built from the nonzero cells of each block
+    of the run, with no dense induced table.  Aprime and Y are functions of
+    (y, s, m, B), so they are not outputs of the run but derived wires,
+    read from their tables once per (y, outputs) column of the run and
+    gathered with the rest of each support row.
 
     The executor hands each callback one dict of the wires its party holds,
     by name, and ``capacity_domains`` names every table's inputs after those
@@ -163,10 +166,11 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
     # the family's interface plus z, with Bob's view in place of Y
     iface = replace(family_signature(n, d), alice_inputs=t["a_0"].inputs,
                     bob_outputs=(("s", d), ("m", d), ("B", d)))
-    run = run_box_protocol(
+    return protocol_joint(
         f"capacity-{strategy.name}-{rb_variant}",
         make_rb(n, d, rb_variant),
         iface,
+        (t["Aprime"], t["Y"]),
         alice_box_inputs=lambda a: tuple(f.at(a) for f in box_inputs),
         message=t["m"].at,
         alice_outputs=lambda a: {"X": t["X"].at(a)},
@@ -175,7 +179,6 @@ def build_capacity_joint(strategy: CapacityStrategy, rb_variant: str) -> JointDi
         message_size=d,
         sr_size=d,
     )
-    return derive(derive(run.result.joint(), t["Aprime"]), t["Y"])
 
 
 def _reproduces_box_family(dist: JointDistribution, n: int, d: int) -> tuple[bool, str]:

@@ -59,10 +59,11 @@ def numerator_dtype(peak: int, cells: int) -> np.dtype:
             return dtype
 
 
-def lowest_terms(nums: np.ndarray, den) -> tuple[np.ndarray, int]:
+def lowest_terms(nums: np.ndarray, den, *, positive: bool = False) -> tuple[np.ndarray, int]:
     """``nums`` over ``den`` in lowest terms, in the narrowest dtype that holds them.
     The gcd is taken over blocks of 4,096 cells, then 4x larger, and stops at
-    the first block that takes it to 1.  A denominator below 1 is refused."""
+    the first block that takes it to 1.  A denominator below 1 is refused.
+    ``positive`` says that no numerator is negative, so only their max is read."""
     den = int(den)
     if den < 1:
         raise ValueError(f"denominator must be positive, got {den}")
@@ -72,7 +73,9 @@ def lowest_terms(nums: np.ndarray, den) -> tuple[np.ndarray, int]:
         start, size = start + size, 4 * size
     if common > 1:
         nums, den = nums // common, den // common
-    peak = max(den, int(nums.max()), -int(nums.min())) if nums.size else den
+    peak = den
+    if nums.size:
+        peak = max(den, int(nums.max()), 0 if positive else -int(nums.min()))
     return nums.astype(numerator_dtype(peak, nums.size), copy=False), den
 
 
@@ -119,7 +122,7 @@ def _add(codes: np.ndarray, counts: np.ndarray, cells: int) -> tuple[np.ndarray,
 
 def _joint(variables, keys: np.ndarray, counts: np.ndarray, den) -> JointDistribution:
     """The joint of sorted, distinct keys and positive counts over ``den``, on checked wires."""
-    counts, den = lowest_terms(counts, den)
+    counts, den = lowest_terms(counts, den, positive=True)
     return object.__new__(JointDistribution)._fill(variables, keys, counts, den)
 
 
@@ -196,14 +199,40 @@ class JointDistribution:
     def from_table(
         cls, variables: Sequence[tuple[str, int]], table: np.ndarray, denominator: int
     ) -> JointDistribution:
-        """The joint whose numerators are a dense array, one axis per wire."""
+        """The joint whose numerators are a dense array, one axis per wire; a
+        negative cell is refused with a ``ValueError`` that names it."""
         variables = tuple(map(tuple, variables))
         flat = np.flatnonzero(table)
         if not flat.size:
             raise ValueError(f"need assignments of positive probability for {variables}")
-        keys = _cell_keys(flat, table.shape, _wires(variables)[0])
         counts = table.reshape(-1)[flat]
+        if counts.min() < 0:
+            first = int(np.argmax(counts < 0))
+            cell = np.unravel_index(flat[first], table.shape)
+            named = ", ".join(f"{name}={int(v)}" for (name, _), v in zip(variables, cell))
+            raise ValueError(f"cell ({named}) has the negative numerator {counts[first]}")
+        keys = _cell_keys(flat, table.shape, _wires(variables)[0])
         return _joint(variables, keys, counts, denominator)
+
+    @classmethod
+    def from_support(
+        cls, variables: Sequence[tuple[str, int]], keys: np.ndarray, counts: np.ndarray,
+        denominator: int
+    ) -> JointDistribution:
+        """The joint of a support its caller built in this module's form: ``keys``
+        one row per support point, sorted row-major with no repeated row, each
+        symbol inside its wire's alphabet, and ``counts`` their positive
+        numerators over ``denominator``.  Only the wires and the arrays' shapes
+        are checked, so a caller that builds its support sorted, as the protocol
+        executor does, pays for no sort or search here."""
+        variables = tuple(map(tuple, variables))
+        dtype = _wires(variables)[0]
+        if not len(counts):
+            raise ValueError(f"need assignments of positive probability for {variables}")
+        if keys.shape != (len(counts), len(variables)):
+            raise ValueError(f"keys of shape {keys.shape} are not one row of "
+                             f"{len(variables)} symbols for each of {len(counts)} counts")
+        return _joint(variables, keys.astype(dtype, copy=False), counts, denominator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JointDistribution):

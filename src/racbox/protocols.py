@@ -12,7 +12,11 @@ against its wire's alphabet in one place.  The executor reads the
 resource's numerators with one flat ``take`` and adds them into the induced
 table with one integer scatter whose values have the accumulator's own
 dtype, so every sum is exact and runs on numpy's typed loop; there is no
-sampling and no float anywhere.
+sampling and no float anywhere.  The run is taken in blocks of Alice task
+rows, each checked to be normalized as it is summed, and the one block loop
+has two ends: ``run_box_protocol`` joins the blocks into the induced box,
+and ``protocol_joint`` keeps only each block's nonzero cells, as the joint
+distribution the box gives under uniform inputs.
 
 The resource box is queried sequentially (Alice first, then Bob, whose box
 inputs may depend on the message).  That split is only sound when the box
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -45,11 +49,13 @@ from .boxes import (
 )
 from .dists import JointDistribution, numerator_dtype
 from .reports import ProbeReport
+from .tables import TableFn
 
 ZERO = Fraction(0)
 
 # one wire array per name, broadcasting over the executor's grid
 Wires = dict[str, np.ndarray]
+T = TypeVar("T")
 
 
 class ProtocolError(ValueError):
@@ -58,7 +64,11 @@ class ProtocolError(ValueError):
 
 @dataclass(frozen=True)
 class ProtocolRun:
-    """A completed protocol: its message alphabet and the box it induces."""
+    """A completed protocol: its message alphabet and the box it induces.
+
+    A run built by hand has its box checked to be normalized here; the
+    executor checks each row as it computes it and skips this second pass.
+    """
 
     name: str
     message_alphabet: int
@@ -116,18 +126,20 @@ def _checked_index(what: str, values: Sequence, wires: Sequence[tuple[str, int]]
                             f"{[nm for nm, _ in wires]}, got {len(values)}")
     idx = np.zeros((), dtype=np.int64)
     for value, (name, size) in zip(values, wires):
-        # min and max first: a mask over every grid cell is built only for a fault
-        if value.min() < 0 or value.max() >= size:
+        # the bounds first: a mask over every grid cell is built only for a fault;
+        # an unsigned array (``TableFn.at`` returns uint8) has no negative value
+        if (value.dtype.kind != "u" and value.min() < 0) or value.max() >= size:
             bad = value[(value < 0) | (value >= size)][0]
             raise ProtocolError(f"{what} {name}={bad} outside its alphabet of size {size}")
         idx = idx * size + value
     return idx
 
 
-def run_box_protocol(
+def _execute(
     name: str,
     resource: Box,
     iface: BoxSignature,
+    keep: Callable[[int, np.ndarray], T],
     *,
     alice_box_inputs: Callable[[Wires], Sequence],
     bob_box_inputs: Callable[[Wires], Sequence],
@@ -136,41 +148,14 @@ def run_box_protocol(
     message: Callable[[Wires], np.ndarray] | None = None,
     message_size: int = 1,
     sr_size: int = 1,
-) -> ProtocolRun:
-    """Run a single-resource protocol exactly and return the induced box.
-
-    The run is laid out on the grid (Alice task input, s, A, Bob task input,
-    B), A and B being the resource's output assignments, and is taken in
-    blocks of Alice task rows of at most ``BLOCK_CELLS`` cells.  Each
-    callback is called once per block with one dict: every wire its party
-    holds at that point, by name, each an integer array that broadcasts over
-    the grid, with size-1 axes where the wire does not vary.
-
-    ``alice_box_inputs`` gets Alice's task inputs and the shared randomness
-    ``"s"``; ``message`` and ``alice_outputs`` get those plus Alice's
-    resource outputs.  ``bob_box_inputs`` gets Bob's task inputs, ``"s"``
-    and, only when a message alphabet is declared, the message ``"m"``;
-    ``bob_outputs`` gets those plus Bob's resource outputs.  The box-input
-    callbacks return the resource wires in signature order, ``message`` the
-    message symbols, each in ``range(message_size)``, and ``alice_outputs``
-    and ``bob_outputs`` dicts that name every Alice and every Bob output
-    wire of ``iface``.  Alice's dicts span no Bob axis, so her side runs once
-    per (Alice task input, s, A) round and the message cannot depend on
-    Bob's task input.  A party whose wires would repeat a name (a task input
-    called ``s`` or ``m``, or named like a resource output) is refused
-    before any callback runs.  Callbacks are evaluated on zero-probability A
-    and B as well, and every value they return is range-checked there too.
-
-    The resource numerators are read with one ``take`` from the table laid
-    flat as rows of B over the row-major (Alice row, Bob row, A) index, B
-    being the last axis of both the table and the grid.  The nonzero ones are
-    cast to the accumulator's dtype, int64 or Python-int ``object`` once a
-    sum could pass int64, and summed into the induced table with one
-    ``np.add.at``: with both operands of one dtype numpy runs its typed loop,
-    and both accumulators share this one path.  The result's normalization
-    is checked in one place, ``ProtocolRun.__post_init__``, when the
-    returned run is built.
-    """
+) -> tuple[list[T], int]:
+    """The one block loop of ``run_box_protocol`` and ``protocol_joint``:
+    ``keep(start, block)`` for each block, in order, and the induced table's
+    denominator.  ``block`` holds the induced table's rows for the Alice task
+    rows from ``start`` on, laid flat and stored narrow, each row already
+    checked to be non-negative and to sum exactly to that denominator."""
+    if message_size < 1:
+        raise ProtocolError("the message alphabet must have size >= 1")
     if message_size > 1 and message is None:
         raise ProtocolError("a message alphabet was declared but no sender given")
     if message_size == 1 and message is not None:
@@ -206,8 +191,8 @@ def run_box_protocol(
     rows_per_block = max(1, BLOCK_CELLS // (sr_size * n_a * n_tb * n_b))
     denominator = resource.denominator * sr_size
 
-    def block(start: int) -> np.ndarray:
-        """The induced table's rows for Alice task rows from ``start``, stored narrow."""
+    def block(start: int) -> T:
+        """``keep`` of the induced table's rows for Alice task rows from ``start``."""
         rows = np.arange(start, min(start + rows_per_block, n_ta))
         alice = {**_digits(iface.alice_inputs, rows, 0), "s": s_val}
         a_row = _checked_index("Alice's resource input", alice_box_inputs(alice),
@@ -236,14 +221,139 @@ def run_box_protocol(
         acc = np.zeros(len(rows) * n_tb * n_out, dtype=exact)
         # values of the accumulator's own dtype keep np.add.at on its typed loop
         np.add.at(acc, cells, cell_nums[nonzero].astype(exact, copy=False))
+        low, high = int(acc.min()), int(acc.max())
         # stored narrow at once, so the blocks never hold the whole table as int64
-        top = max(int(acc.max()), -int(acc.min()), denominator)
-        return acc.astype(numerator_dtype(top, n_ta * n_tb * n_out))
+        acc = acc.astype(numerator_dtype(max(high, -low, denominator), n_ta * n_tb * n_out))
+        # each induced row, one per (Alice task row, Bob task row), must be a distribution
+        sums = sum_wires(acc.reshape(-1, n_out), 1, 2)
+        flagged = sums != denominator
+        if low < 0:
+            flagged |= (acc.reshape(-1, n_out) < 0).any(axis=1)
+        if flagged.any():
+            first = int(np.argmax(flagged))
+            row = tuple(int(v) for v in np.unravel_index(start * n_tb + first, iface.input_sizes))
+            raise ProtocolError(
+                f"result of {name!r} is not normalized: induced row at {row} "
+                f"sums to {Fraction(int(sums[first]), denominator)} or has a negative cell"
+            )
+        return keep(start, acc)
 
     # one call per block, so no block's scratch arrays outlive it
-    blocks = [block(start) for start in range(0, n_ta, rows_per_block)]
+    return [block(start) for start in range(0, n_ta, rows_per_block)], denominator
+
+
+def run_box_protocol(name: str, resource: Box, iface: BoxSignature, **protocol) -> ProtocolRun:
+    """Run a single-resource protocol exactly and return the induced box.
+
+    The keyword arguments are the protocol's callbacks and alphabets:
+    ``alice_box_inputs``, ``bob_box_inputs``, ``alice_outputs`` and
+    ``bob_outputs``, then ``message``, ``message_size`` (1, no message, by
+    default) and ``sr_size`` (the shared randomness's alphabet, 1 by default).
+
+    The run is laid out on the grid (Alice task input, s, A, Bob task input,
+    B), A and B being the resource's output assignments, and is taken in
+    blocks of Alice task rows of at most ``BLOCK_CELLS`` cells.  Each
+    callback is called once per block with one dict: every wire its party
+    holds at that point, by name, each an integer array that broadcasts over
+    the grid, with size-1 axes where the wire does not vary.
+
+    ``alice_box_inputs`` gets Alice's task inputs and the shared randomness
+    ``"s"``; ``message`` and ``alice_outputs`` get those plus Alice's
+    resource outputs.  ``bob_box_inputs`` gets Bob's task inputs, ``"s"``
+    and, only when a message alphabet is declared, the message ``"m"``;
+    ``bob_outputs`` gets those plus Bob's resource outputs.  The box-input
+    callbacks return the resource wires in signature order, ``message`` the
+    message symbols, each in ``range(message_size)``, and ``alice_outputs``
+    and ``bob_outputs`` dicts that name every Alice and every Bob output
+    wire of ``iface``.  Alice's dicts span no Bob axis, so her side runs once
+    per (Alice task input, s, A) round and the message cannot depend on
+    Bob's task input.  A resource that signals from Bob to Alice, and a
+    party whose wires would repeat a name (a task input called ``s`` or
+    ``m``, or named like a resource output), are refused before any
+    callback runs.  Callbacks are evaluated on zero-probability A and B as
+    well, and every value they return is range-checked there too.
+
+    The resource numerators are read with one ``take`` from the table laid
+    flat as rows of B over the row-major (Alice row, Bob row, A) index, B
+    being the last axis of both the table and the grid.  The nonzero ones are
+    cast to the accumulator's dtype, int64 or Python-int ``object`` once a
+    sum could pass int64, and summed into the block's rows of the induced
+    table with one ``np.add.at``: with both operands of one dtype numpy runs
+    its typed loop, and both accumulators share this one path.  Each block's
+    rows are checked there to be normalized, and stored narrow.  This block
+    loop is shared with ``protocol_joint``, which keeps each block's nonzero
+    cells instead of the block.
+    """
+    blocks, denominator = _execute(name, resource, iface, lambda start, rows: rows, **protocol)
     table = np.concatenate(blocks).reshape(iface.input_sizes + iface.output_sizes)
-    return ProtocolRun(name, message_size, Box(iface, table, denominator))
+    # built without ``__post_init__``: the block loop has checked every row already
+    run = object.__new__(ProtocolRun)
+    vars(run).update(name=name, message_alphabet=protocol.get("message_size", 1),
+                     result=Box(iface, table, denominator))
+    return run
+
+
+def protocol_joint(
+    name: str, resource: Box, iface: BoxSignature, derived: Sequence[TableFn] = (), **protocol
+) -> JointDistribution:
+    """The joint that ``run_box_protocol(name, resource, iface, **protocol)``'s
+    induced box gives under uniform inputs, with a wire appended for each
+    table of ``derived``, in order, read at each support row.
+
+    That is ``derive(run.result.joint(), table)`` for each table in turn,
+    built without the dense induced table: each block of the shared block
+    loop keeps only its nonzero cells and their counts.  Blocks cover
+    consecutive Alice task rows of the row-major table, so the cells come
+    out sorted and distinct.  A cell's index within its block splits into
+    its Alice task row and its column, its (Bob task input, outputs) index.
+    Its key is the row's digits, from one table of every Alice task row,
+    beside the column's digits and derived values, from one table of every
+    column, both gathered into one preallocated array once the loop has
+    counted the cells.  So each table of ``derived`` may read Bob's task
+    inputs, the output wires and the wires derived before it, each with its
+    alphabet, and is read once per column rather than once per support row.
+    """
+    view_wires = iface.bob_inputs + iface.output_vars
+    for table in derived:
+        if not set(table.inputs) <= set(view_wires):
+            raise ProtocolError(
+                f"table {table.name!r} reads {table.inputs}; a derived wire reads only "
+                f"Bob's task inputs, the outputs and the wires derived before it: {view_wires}")
+        view_wires += ((table.name, table.output_size),)
+    variables = iface.alice_inputs + view_wires
+    # the joint's own key type, the narrowest that holds the largest alphabet,
+    # so ``from_support`` keeps the keys without a copy
+    key = numerator_dtype(max(size for _, size in variables), 1)
+    # every column's wires: its digits, then each derived wire read at them
+    digits = _digit_table(iface.bob_inputs + iface.output_vars)
+    values = dict(zip([nm for nm, _ in view_wires], digits))
+    for table in derived:
+        values[table.name] = np.broadcast_to(table.at(values), digits.shape[1:])
+    alice_keys = _digit_table(iface.alice_inputs).T.astype(key, order="C")
+    view = np.stack(list(values.values()), axis=1).astype(key)
+
+    def support(start: int, rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        cells = np.flatnonzero(rows)
+        return start, cells, rows[cells]
+
+    blocks, denominator = _execute(name, resource, iface, support, **protocol)
+    keys = np.empty((sum(len(cells) for _, cells, _ in blocks), len(variables)), dtype=key)
+    end = 0
+    for start, cells, _ in blocks:
+        row, column = np.divmod(cells, len(view))
+        end += len(cells)
+        # whole key rows gathered by ``take``, which copies each row as one run
+        np.concatenate((alice_keys.take(start + row, axis=0), view.take(column, axis=0)),
+                       axis=1, out=keys[end - len(cells):end])
+    counts = np.concatenate([counts for _, _, counts in blocks])
+    return JointDistribution.from_support(variables, keys, counts,
+                                          denominator * prod(iface.input_sizes))
+
+
+def _digit_table(wires: Sequence[tuple[str, int]]) -> np.ndarray:
+    """Each wire's value, one row per wire, at every row-major index over ``wires``."""
+    sizes = [size for _, size in wires]
+    return np.indices(sizes).reshape(len(sizes), prod(sizes))
 
 
 def _rac_iface(n: int, d: int) -> BoxSignature:

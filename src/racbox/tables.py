@@ -121,16 +121,18 @@ class TableFn:
 
     def index(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         """The row-major index over the inputs of every cell of ``columns``,
-        one integer array per input by name, broadcast together; built in
-        place.  Any table with the same declared inputs reads its entries
-        at it.  Unlike ``__call__`` nothing is range-checked: callers feed
+        one integer array per input by name, broadcast together: the first
+        input's column as intp, then one ``idx * size + column`` per further
+        input.  Any table with the same declared inputs reads its entries at
+        it.  Unlike ``__call__`` nothing is range-checked: callers feed
         columns whose values they know to lie inside the declared alphabets.
         """
-        shape = np.broadcast_shapes(*(columns[var].shape for var, _ in self.inputs))
-        idx = np.zeros(shape, dtype=np.int32 if self.entries.size < 2 ** 31 else np.int64)
-        for var, size in self.inputs:
-            idx *= size
-            idx += columns[var]
+        if not self.inputs:
+            return np.intp(0)
+        (first, _), *rest = self.inputs
+        idx = np.asarray(columns[first], dtype=np.intp)
+        for var, size in rest:
+            idx = idx * size + columns[var]
         return idx
 
     def at(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:

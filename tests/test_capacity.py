@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from racbox import capacity, protocols
 from racbox.capacity import (
     BUILTIN_STRATEGIES,
     CapacityStrategy,
@@ -23,8 +26,9 @@ from racbox.capacity import (
     verify_capacity_bound_bits,
     verify_capacity_bound_dits,
 )
-from racbox.dists import JointDistribution, marginalize
+from racbox.dists import JointDistribution, derive, marginalize
 from racbox.infotheory import log_exponents, mutual_information_exponents
+from racbox.protocols import run_box_protocol
 from racbox.tables import TableFn
 
 F = Fraction
@@ -195,3 +199,51 @@ def test_capacity_domains_are_shared_and_read_only():
     for _ in range(2):
         with pytest.raises(ValueError, match="more than the limit"):
             capacity_domains(12, 5)
+
+
+def _dense_joint(name, resource, iface, derived, **protocol):
+    """The composition the executor's joint end replaces: the dense induced
+    box's joint, then each derived wire appended by ``derive``."""
+    joint = run_box_protocol(name, resource, iface, **protocol).result.joint()
+    for table in derived:
+        joint = derive(joint, table)
+    return joint
+
+
+def _assert_joint_end_agrees(monkeypatch, strategy, block_cells):
+    variant = "signalinghalf" if strategy.d == 2 else "three"
+    with monkeypatch.context() as patched:
+        # BLOCK_CELLS = 1 takes one Alice task row per block
+        patched.setattr(protocols, "BLOCK_CELLS", block_cells)
+        fast = build_capacity_joint(strategy, variant)
+    with monkeypatch.context() as patched:
+        patched.setattr(capacity, "protocol_joint", _dense_joint)
+        slow = build_capacity_joint(strategy, variant)
+    assert fast == slow
+    assert (fast.keys.dtype, fast.counts.dtype) == (slow.keys.dtype, slow.counts.dtype)
+
+
+@pytest.mark.parametrize("block_cells", [protocols.BLOCK_CELLS, 1],
+                         ids=["one-block", "one-row-per-block"])
+@pytest.mark.parametrize(
+    "name,n,d",
+    [(name, n, d) for name in sorted(BUILTIN_STRATEGIES)
+     for n, d in ((2, 2), (3, 2), (2, 3), (3, 3)) if n == 2 or name != "send-x1"],
+)
+def test_joint_end_matches_the_dense_joint_then_derive(monkeypatch, name, n, d, block_cells):
+    _assert_joint_end_agrees(monkeypatch, BUILTIN_STRATEGIES[name](n, d), block_cells)
+
+
+@given(st.sampled_from([(2, 2), (2, 3)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_joint_end_matches_the_dense_joint_on_random_tables(size, data):
+    n, d = size
+    tables = {}
+    for name, (inputs, output_size) in capacity_domains(n, d).items():
+        cells = int(np.prod([s for _, s in inputs]))
+        entries = data.draw(st.lists(st.integers(0, output_size - 1), min_size=cells,
+                                     max_size=cells), label=name)
+        tables[name] = TableFn(name, inputs, output_size, np.array(entries, dtype=np.int64))
+    block_cells = data.draw(st.sampled_from([protocols.BLOCK_CELLS, 1]), label="block_cells")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_joint_end_agrees(monkeypatch, CapacityStrategy("random", n, d, tables), block_cells)

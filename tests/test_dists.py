@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assignments import iter_assignments
-from racbox.boxes import make_rb
+from racbox.boxes import Box, BoxSignature, make_rb
 from racbox.capacity import build_capacity_joint, protocol_strategy
 from racbox.dists import (
     JointDistribution,
     condition,
     derive,
     grouped_counts,
+    lowest_terms,
     marginalize,
 )
 from racbox.infotheory import entropy
@@ -186,6 +187,38 @@ def test_an_all_zero_table_is_refused(dtype):
     zero = type(box)(box.signature, np.zeros_like(box.table), 1)
     with pytest.raises(ValueError, match="positive probability"):
         zero.joint()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, object])
+def test_a_negative_cell_is_refused_by_name(dtype):
+    # a box's numerators may be negative; its joint may not hold them as counts
+    sig = BoxSignature(alice_inputs=(("x", 1),), alice_outputs=(("X", 2),),
+                       bob_inputs=(), bob_outputs=())
+    box = Box(sig, np.array([[2, -1]], dtype=dtype), 1)
+    with pytest.raises(ValueError, match=r"^cell \(x=0, X=1\) has the negative numerator -1$"):
+        box.joint()
+    with pytest.raises(ValueError, match=r"cell \(u=1, v=0\) has the negative numerator -3"):
+        JointDistribution.from_table((("u", 2), ("v", 2)),
+                                     np.array([[4, 1], [-3, 0]], dtype=dtype), 2)
+
+
+class _NoMin(np.ndarray):
+    """An array whose ``min`` may not be read."""
+
+    def min(self, *args, **kwargs):
+        raise AssertionError("min() read on counts known to be positive")
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_positive_counts_are_brought_to_lowest_terms_by_their_max_alone(dtype):
+    counts = np.array([6, 2, 4, 10**30 if dtype is object else 8], dtype=dtype)
+    reduced, den = lowest_terms(counts.view(_NoMin), 20, positive=True)
+    assert den == 10 and reduced.tolist() == (counts // 2).tolist()
+    assert reduced.dtype == lowest_terms(counts, 20)[0].dtype
+    # every joint is built through that path
+    joint = JointDistribution.from_support((("x", 4),), np.arange(4).reshape(4, 1).view(_NoMin),
+                                           counts.view(_NoMin), 20)
+    assert joint.denominator == 10
 
 
 def test_independent_uniform_factorizes():

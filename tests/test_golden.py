@@ -12,7 +12,11 @@ while the search's win-count table still held Bob's table index first.  The
 ``compile`` outputs and the Graphviz file of the 7-bit tree were captured
 before the wiring evaluators moved onto one flat form of the tree.  The two
 larger ``capacity`` outputs, (6,3) and (8,2), were captured before the
-protocol executor became one whole-array pass.
+protocol executor became one whole-array pass.  The outputs at the largest
+admitted sizes, ``capacity-protocol-9-3`` and ``capacity-protocol-14-2``,
+were captured while the capacity joint was still read off the dense induced
+box; each takes about a second, so the CI workflow diffs them rather than
+this module.
 """
 
 import io

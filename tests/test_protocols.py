@@ -19,7 +19,7 @@ from racbox.boxes import (
     make_bnd_box,
     make_rb,
 )
-from racbox.dists import marginalize
+from racbox.dists import derive, marginalize
 from racbox.infotheory import mutual_information
 from racbox.protocols import (
     ProtocolError,
@@ -28,6 +28,7 @@ from racbox.protocols import (
     bnd_box_via_rb,
     channel_joint,
     induced_bbox,
+    protocol_joint,
     rac_via_bn_box,
     rac_via_bnd_box,
     rac_win_probability,
@@ -35,6 +36,7 @@ from racbox.protocols import (
     run_box_protocol,
     verify_lemma1,
 )
+from racbox.tables import TableFn
 
 F = Fraction
 
@@ -243,20 +245,21 @@ _MUTE_IFACE = BoxSignature(
 )
 
 
-def _relay(resource, message=lambda a: a["A"], bob_outputs=None):
-    """Alice feeds (u, w) and sends her box output; Bob feeds it back with v."""
-    return run_box_protocol(
-        "relay",
-        resource,
-        _MUTE_IFACE,
-        alice_box_inputs=lambda a: (a["u"], a["w"]),
-        bob_box_inputs=lambda b: (b["m"], b["v"]),
-        alice_outputs=lambda a: {},
-        bob_outputs=bob_outputs or (lambda b: {"V": b["B"]}),
-        message=message,
-        message_size=2,
-        sr_size=2,
-    )
+# Alice feeds (u, w) and sends her box output; Bob feeds it back with v
+_RELAY = dict(
+    alice_box_inputs=lambda a: (a["u"], a["w"]),
+    bob_box_inputs=lambda b: (b["m"], b["v"]),
+    alice_outputs=lambda a: {},
+    bob_outputs=lambda b: {"V": b["B"]},
+    message=lambda a: a["A"],
+    message_size=2,
+    sr_size=2,
+)
+
+
+def _relay(resource, **changed):
+    """The relay protocol's run, with the callbacks in ``changed`` in place of its own."""
+    return run_box_protocol("relay", resource, _MUTE_IFACE, **{**_RELAY, **changed})
 
 
 @pytest.mark.parametrize("party,inputs", [("Alice", (0, 2)), ("Bob", (0, 5))])
@@ -313,6 +316,53 @@ def test_unnormalized_resource_is_rejected_at_its_induced_row():
     half = Box(rb.signature, rb.table, 2 * rb.denominator)
     with pytest.raises(ProtocolError, match=r"induced row at \(0, 0, 0\) sums to 1/2"):
         _relay(half)
+
+
+@pytest.mark.parametrize("end", [run_box_protocol, protocol_joint], ids=["box", "joint"])
+@pytest.mark.parametrize("fault", ["half", "negative"])
+def test_both_ends_refuse_an_unnormalized_row_as_a_hand_built_run_does(end, fault):
+    rb = make_rb(2, 2, "nosignaling")
+    if fault == "half":
+        resource = Box(rb.signature, rb.table, 2 * rb.denominator)
+    else:
+        # B's two values swap mass 2 and -1 where B would be 0: rows still sum to 1,
+        # and Alice's marginal, hence the b2a check, is left as it was
+        table = rb.table.astype(np.int64)
+        table = np.where(table[..., :1] > 0, np.stack([table[..., 0] * 2, -table[..., 0]], -1),
+                         table)
+        resource = Box(rb.signature, table, rb.denominator)
+    # the text ProtocolRun gives the same induced box, walked cell by cell
+    with pytest.raises(ProtocolError) as hand_built:
+        ProtocolRun("relay", 2, _walk_protocol("relay", resource, _MUTE_IFACE, **_RELAY))
+    with pytest.raises(ProtocolError) as executed:
+        end("relay", resource, _MUTE_IFACE, **_RELAY)
+    assert str(executed.value) == str(hand_built.value)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+def test_resource_inputs_are_range_checked_in_any_integer_type(dtype):
+    # an unsigned array is checked against its alphabet by its max alone
+    value = -1 if np.dtype(dtype).kind == "i" else 2
+    bad = np.array([[0, value], [1, 0]], dtype=dtype)
+    with pytest.raises(ProtocolError) as err:
+        protocols._checked_index("Alice's resource input", [np.zeros(2, dtype), bad],
+                                 [("a_0", 2), ("a_1", 2)])
+    assert str(err.value) == f"Alice's resource input a_1={value} outside its alphabet of size 2"
+    good = np.array([[0, 1], [1, 0]], dtype=dtype)
+    index = protocols._checked_index("Alice's resource input", [good, good.T],
+                                     [("a_0", 2), ("a_1", 2)])
+    assert index.tolist() == [[0, 3], [3, 0]]
+
+
+def test_derived_wires_read_bobs_task_inputs_outputs_and_earlier_derived_wires():
+    rb = make_rb(2, 2, "nosignaling")
+    flip = TableFn.from_array("W", (("v", 2), ("V", 2)), 2, np.array([[1, 0], [0, 1]]))
+    twice = TableFn.from_array("WW", (("W", 2), ("V", 2)), 4, np.array([[0, 1], [2, 3]]))
+    joint = protocol_joint("relay", rb, _MUTE_IFACE, (flip, twice), **_RELAY)
+    assert joint == derive(derive(_relay(rb).result.joint(), flip), twice)
+    alice_reads = TableFn.from_array("U", (("u", 2),), 2, np.array([0, 1]))
+    with pytest.raises(ProtocolError, match="a derived wire reads only Bob's task inputs"):
+        protocol_joint("relay", rb, _MUTE_IFACE, (alice_reads,), **_RELAY)
 
 
 def test_output_outside_its_alphabet_is_rejected():
@@ -524,7 +574,6 @@ def _executor_runs(monkeypatch, build):
         return runs[-1][-1]
 
     monkeypatch.setattr(protocols, "run_box_protocol", spy)
-    monkeypatch.setattr(capacity, "run_box_protocol", spy)
     build()
     return runs
 
@@ -537,6 +586,8 @@ def _assert_walk_agrees(monkeypatch, build):
         assert run.result == walked
         assert np.array_equal(run.result.table, walked.table)
         assert run.result.denominator == walked.denominator
+        # the joint end keeps the same run's nonzero cells
+        assert protocols.protocol_joint(*args, **kwargs) == walked.joint()
 
 
 COMPLETIONS = {2: ("nosignaling", "signalinghalf", "plus", "minus", "three"),
@@ -566,10 +617,23 @@ def test_executor_matches_the_reference_walk(monkeypatch, construction, n, d):
      for n, d in ((2, 2), (3, 2), (2, 3), (3, 3)) if n == 2 or name != "send-x1"],
 )
 def test_capacity_game_matches_the_reference_walk(monkeypatch, strategy, n, d):
+    # the joint end against the walked box's joint, its derived wires appended by ``derive``
+    joints = []
+    real = capacity.protocol_joint
+
+    def spy(name, resource, iface, derived, **protocol):
+        joints.append((name, resource, iface, derived, protocol,
+                       real(name, resource, iface, derived, **protocol)))
+        return joints[-1][-1]
+
+    monkeypatch.setattr(capacity, "protocol_joint", spy)
     variant = "signalinghalf" if d == 2 else "three"
-    build = capacity.BUILTIN_STRATEGIES[strategy]
-    _assert_walk_agrees(monkeypatch,
-                        lambda: capacity.build_capacity_joint(build(n, d), variant))
+    capacity.build_capacity_joint(capacity.BUILTIN_STRATEGIES[strategy](n, d), variant)
+    ((name, resource, iface, derived, protocol, joint),) = joints
+    walked = _walk_protocol(name, resource, iface, **protocol).joint()
+    for table in derived:
+        walked = derive(walked, table)
+    assert joint == walked
 
 
 def test_executor_sums_exactly_past_int64():
@@ -594,7 +658,12 @@ def test_executor_sums_exactly_past_int64():
     )
     run = run_box_protocol("relay", mixture, _MUTE_IFACE, **kwargs)
     assert run.result.table.dtype == object
-    assert run.result == _walk_protocol("relay", mixture, _MUTE_IFACE, **kwargs)
+    walked = _walk_protocol("relay", mixture, _MUTE_IFACE, **kwargs)
+    assert run.result == walked
+    # the joint end sums in the same Python-int accumulator
+    joint = protocol_joint("relay", mixture, _MUTE_IFACE, **kwargs)
+    assert joint.counts.dtype == object and joint.denominator > np.iinfo(np.int64).max
+    assert joint == walked.joint()
 
 
 @pytest.mark.parametrize("dtype,numerators", [(np.int8, [[60, 60], [6, 1]]),

@@ -38,6 +38,19 @@ def test_index_is_row_major_and_serves_every_table_with_the_same_inputs():
     assert u.entries[idx].tolist() == u.at(columns).tolist()
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+def test_index_does_not_wrap_in_narrow_column_types(dtype):
+    # 6 * 7 * 7 cells: the index passes 255, which a uint8 or int8 product would wrap
+    inputs = (("a", 6), ("b", 7), ("c", 7))
+    t = TableFn("f", inputs, 2, np.arange(6 * 7 * 7) % 2)
+    grid = np.indices((6, 7, 7), dtype=dtype)
+    columns = dict(zip("abc", grid))
+    assert t.index(columns).tolist() == np.arange(6 * 7 * 7).reshape(6, 7, 7).tolist()
+    assert t.at({"a": dtype(5), "b": dtype(6), "c": dtype(6)}) == t(5, 6, 6)
+    constant = TableFn("k", (), 3, [2])
+    assert constant.at(columns) == 2
+
+
 def test_from_array_broadcasts_a_scalar():
     t = TableFn.from_array("z", (("a", 2), ("b", 3)), 3, 2)
     assert t.entries.tolist() == [2] * 6
