@@ -334,18 +334,20 @@ def protocol_joint(
 
     def support(start: int, rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         cells = np.flatnonzero(rows)
-        return start, cells, rows[cells]
+        # a cell's index within its block is kept narrow until the keys are gathered
+        return start, cells.astype(np.int32 if rows.size < 2 ** 31 else np.intp), rows[cells]
 
     blocks, denominator = _execute(name, resource, iface, support, **protocol)
     keys = np.empty((sum(len(cells) for _, cells, _ in blocks), len(variables)), dtype=key)
     end = 0
-    for start, cells, _ in blocks:
+    for i, (start, cells, counts) in enumerate(blocks):
         row, column = np.divmod(cells, len(view))
         end += len(cells)
         # whole key rows gathered by ``take``, which copies each row as one run
         np.concatenate((alice_keys.take(start + row, axis=0), view.take(column, axis=0)),
                        axis=1, out=keys[end - len(cells):end])
-    counts = np.concatenate([counts for _, _, counts in blocks])
+        blocks[i] = counts  # the block's cells are spent once its keys are filled
+    counts = np.concatenate(blocks)
     return JointDistribution.from_support(variables, keys, counts,
                                           denominator * prod(iface.input_sizes))
 
