@@ -214,26 +214,6 @@ class JointDistribution:
         keys = _cell_keys(flat, table.shape, _wires(variables)[0])
         return _joint(variables, keys, counts, denominator)
 
-    @classmethod
-    def from_support(
-        cls, variables: Sequence[tuple[str, int]], keys: np.ndarray, counts: np.ndarray,
-        denominator: int
-    ) -> JointDistribution:
-        """The joint of a support its caller built in this module's form: ``keys``
-        one row per support point, sorted row-major with no repeated row, each
-        symbol inside its wire's alphabet, and ``counts`` their positive
-        numerators over ``denominator``.  Only the wires and the arrays' shapes
-        are checked, so a caller that builds its support sorted, as the protocol
-        executor does, pays for no sort or search here."""
-        variables = tuple(map(tuple, variables))
-        dtype = _wires(variables)[0]
-        if not len(counts):
-            raise ValueError(f"need assignments of positive probability for {variables}")
-        if keys.shape != (len(counts), len(variables)):
-            raise ValueError(f"keys of shape {keys.shape} are not one row of "
-                             f"{len(variables)} symbols for each of {len(counts)} counts")
-        return _joint(variables, keys.astype(dtype, copy=False), counts, denominator)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JointDistribution):
             return NotImplemented

@@ -13,15 +13,15 @@ resource's numerators with one flat ``take`` and adds them into the induced
 table with one integer scatter whose values have the accumulator's own
 dtype, so every sum is exact and runs on numpy's typed loop; there is no
 sampling and no float anywhere.  The run is taken in blocks of Alice task
-rows, each checked to be normalized as it is summed, and the one block loop
-has two ends: ``run_box_protocol`` joins the blocks into the induced box,
-and ``protocol_joint`` keeps only each block's nonzero cells, as the joint
-distribution the box gives under uniform inputs.
+rows, and the one block loop has two ends: ``run_box_protocol`` joins the
+blocks into the induced box, and ``protocol_joint`` keeps only each block's
+nonzero cells, as the joint distribution the box gives under uniform inputs.
 
 The resource box is queried sequentially (Alice first, then Bob, whose box
 inputs may depend on the message).  That split is only sound when the box
 cannot signal from Bob to Alice, so the executor validates that property
-before running.
+before running, and then that the resource is normalized.  The two together
+make every induced row normalized, so no block is checked.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .boxes import (
     sum_wires,
     unnormalized_row,
 )
-from .dists import JointDistribution, numerator_dtype
+from .dists import JointDistribution, _joint, _wires, numerator_dtype
 from .reports import ProbeReport
 from .tables import TableFn
 
@@ -62,12 +62,24 @@ class ProtocolError(ValueError):
     """A protocol violated its own contract (budget, normalization, shape)."""
 
 
+def _refuse_unnormalized(box: Box, whose: str, rows: str) -> None:
+    """Refuse ``box`` at its first row that has a negative cell or does not sum
+    exactly to 1, named as ``whose`` ``rows`` in the error."""
+    bad = unnormalized_row(box)
+    if bad is not None:
+        row = box.table[bad]
+        total = Fraction(int(sum_wires(row, 0, row.ndim)), box.denominator)
+        raise ProtocolError(f"{whose} is not normalized: {rows} at {bad} "
+                            f"sums to {total} or has a negative cell")
+
+
 @dataclass(frozen=True)
 class ProtocolRun:
     """A completed protocol: its message alphabet and the box it induces.
 
     A run built by hand has its box checked to be normalized here; the
-    executor checks each row as it computes it and skips this second pass.
+    executor refuses an unnormalized resource instead, which makes every
+    induced row normalized, and skips this pass.
     """
 
     name: str
@@ -77,14 +89,7 @@ class ProtocolRun:
     def __post_init__(self) -> None:
         if self.message_alphabet < 1:
             raise ProtocolError("the message alphabet must have size >= 1")
-        bad = unnormalized_row(self.result)
-        if bad is not None:
-            row = self.result.table[bad]
-            total = Fraction(int(sum_wires(row, 0, row.ndim)), self.result.denominator)
-            raise ProtocolError(
-                f"result of {self.name!r} is not normalized: induced row at {bad} "
-                f"sums to {total} or has a negative cell"
-            )
+        _refuse_unnormalized(self.result, f"result of {self.name!r}", "induced row")
 
 
 @dataclass(frozen=True)
@@ -152,8 +157,15 @@ def _execute(
     """The one block loop of ``run_box_protocol`` and ``protocol_joint``:
     ``keep(start, block)`` for each block, in order, and the induced table's
     denominator.  ``block`` holds the induced table's rows for the Alice task
-    rows from ``start`` on, laid flat and stored narrow, each row already
-    checked to be non-negative and to sum exactly to that denominator."""
+    rows from ``start`` on, laid flat and stored narrow.
+
+    Before any callback runs, the resource is refused if it signals from Bob
+    to Alice, then if it is not normalized.  The two checks make every
+    induced row normalized: at a fixed Alice task row, Bob task row and s,
+    each cell is a sum of non-negative resource cells, and the cells at one
+    A sum to Alice's marginal at A, at her box input and Bob's, which the
+    message may make depend on A.  Without b2a signaling that marginal is
+    free of Bob's input, so the row sums to one resource row's sum."""
     if message_size < 1:
         raise ProtocolError("the message alphabet must have size >= 1")
     if message_size > 1 and message is None:
@@ -166,6 +178,7 @@ def _execute(
             f"resource signals from Bob to Alice at input row {signaling}; "
             "sequential execution is unsound"
         )
+    _refuse_unnormalized(resource, f"resource of {name!r}", "input row")
     res_sig = resource.signature
     for party, names in (
             ("Alice", [nm for nm, _ in iface.alice_inputs + res_sig.alice_outputs] + ["s"]),
@@ -180,8 +193,6 @@ def _execute(
     n_brow = prod(s for _, s in res_sig.bob_inputs)
     # nums[(Alice row, Bob row, A) flat, B]: the resource's numerators
     nums = resource.table.reshape(-1, n_b)
-    peak = max(int(nums.max()), -int(nums.min()))
-    exact = object if peak * sr_size * n_a * n_b > np.iinfo(np.int64).max else np.int64
     s_val = np.arange(sr_size).reshape(1, -1, 1, 1, 1)
     a_out = _digits(res_sig.alice_outputs, np.arange(n_a), 2)
     tb = _digits(iface.bob_inputs, np.arange(n_tb), 3)
@@ -190,6 +201,9 @@ def _execute(
     tb_row = np.arange(n_tb).reshape(1, 1, 1, -1, 1)
     rows_per_block = max(1, BLOCK_CELLS // (sr_size * n_a * n_tb * n_b))
     denominator = resource.denominator * sr_size
+    # no induced cell, nor any partial sum of one, passes the denominator
+    exact = object if denominator > np.iinfo(np.int64).max else np.int64
+    narrow = numerator_dtype(denominator, n_ta * n_tb * n_out)
 
     def block(start: int) -> T:
         """``keep`` of the induced table's rows for Alice task rows from ``start``."""
@@ -221,22 +235,8 @@ def _execute(
         acc = np.zeros(len(rows) * n_tb * n_out, dtype=exact)
         # values of the accumulator's own dtype keep np.add.at on its typed loop
         np.add.at(acc, cells, cell_nums[nonzero].astype(exact, copy=False))
-        low, high = int(acc.min()), int(acc.max())
         # stored narrow at once, so the blocks never hold the whole table as int64
-        acc = acc.astype(numerator_dtype(max(high, -low, denominator), n_ta * n_tb * n_out))
-        # each induced row, one per (Alice task row, Bob task row), must be a distribution
-        sums = sum_wires(acc.reshape(-1, n_out), 1, 2)
-        flagged = sums != denominator
-        if low < 0:
-            flagged |= (acc.reshape(-1, n_out) < 0).any(axis=1)
-        if flagged.any():
-            first = int(np.argmax(flagged))
-            row = tuple(int(v) for v in np.unravel_index(start * n_tb + first, iface.input_sizes))
-            raise ProtocolError(
-                f"result of {name!r} is not normalized: induced row at {row} "
-                f"sums to {Fraction(int(sums[first]), denominator)} or has a negative cell"
-            )
-        return keep(start, acc)
+        return keep(start, acc.astype(narrow, copy=False))
 
     # one call per block, so no block's scratch arrays outlive it
     return [block(start) for start in range(0, n_ta, rows_per_block)], denominator
@@ -267,26 +267,28 @@ def run_box_protocol(name: str, resource: Box, iface: BoxSignature, **protocol) 
     and ``bob_outputs`` dicts that name every Alice and every Bob output
     wire of ``iface``.  Alice's dicts span no Bob axis, so her side runs once
     per (Alice task input, s, A) round and the message cannot depend on
-    Bob's task input.  A resource that signals from Bob to Alice, and a
+    Bob's task input.  A resource that signals from Bob to Alice, then one
+    with a row that is not normalized, read by the protocol or not, and a
     party whose wires would repeat a name (a task input called ``s`` or
     ``m``, or named like a resource output), are refused before any
-    callback runs.  Callbacks are evaluated on zero-probability A and B as
+    callback runs; the first two make every induced row normalized (see
+    ``_execute``).  Callbacks are evaluated on zero-probability A and B as
     well, and every value they return is range-checked there too.
 
     The resource numerators are read with one ``take`` from the table laid
     flat as rows of B over the row-major (Alice row, Bob row, A) index, B
     being the last axis of both the table and the grid.  The nonzero ones are
-    cast to the accumulator's dtype, int64 or Python-int ``object`` once a
-    sum could pass int64, and summed into the block's rows of the induced
+    cast to the accumulator's dtype, int64 or Python-int ``object`` once the
+    denominator, which bounds every sum, passes int64, and summed into the block's rows of the induced
     table with one ``np.add.at``: with both operands of one dtype numpy runs
     its typed loop, and both accumulators share this one path.  Each block's
-    rows are checked there to be normalized, and stored narrow.  This block
-    loop is shared with ``protocol_joint``, which keeps each block's nonzero
-    cells instead of the block.
+    rows are stored narrow at once.  This block loop is shared with
+    ``protocol_joint``, which keeps each block's nonzero cells instead of
+    the block.
     """
     blocks, denominator = _execute(name, resource, iface, lambda start, rows: rows, **protocol)
     table = np.concatenate(blocks).reshape(iface.input_sizes + iface.output_sizes)
-    # built without ``__post_init__``: the block loop has checked every row already
+    # built without ``__post_init__``: the checks on the resource make every row normalized
     run = object.__new__(ProtocolRun)
     vars(run).update(name=name, message_alphabet=protocol.get("message_size", 1),
                      result=Box(iface, table, denominator))
@@ -321,9 +323,8 @@ def protocol_joint(
                 f"Bob's task inputs, the outputs and the wires derived before it: {view_wires}")
         view_wires += ((table.name, table.output_size),)
     variables = iface.alice_inputs + view_wires
-    # the joint's own key type, the narrowest that holds the largest alphabet,
-    # so ``from_support`` keeps the keys without a copy
-    key = numerator_dtype(max(size for _, size in variables), 1)
+    # the joint's own key type, with the check of its wire list, before any callback runs
+    key = _wires(variables)[0]
     # every column's wires: its digits, then each derived wire read at them
     digits = _digit_table(iface.bob_inputs + iface.output_vars)
     values = dict(zip([nm for nm, _ in view_wires], digits))
@@ -347,9 +348,8 @@ def protocol_joint(
         np.concatenate((alice_keys.take(start + row, axis=0), view.take(column, axis=0)),
                        axis=1, out=keys[end - len(cells):end])
         blocks[i] = counts  # the block's cells are spent once its keys are filled
-    counts = np.concatenate(blocks)
-    return JointDistribution.from_support(variables, keys, counts,
-                                          denominator * prod(iface.input_sizes))
+    # sorted, distinct keys with positive counts: the form ``_joint`` takes
+    return _joint(variables, keys, np.concatenate(blocks), denominator * prod(iface.input_sizes))
 
 
 def _digit_table(wires: Sequence[tuple[str, int]]) -> np.ndarray:
@@ -469,7 +469,7 @@ def resource_inequality_sim(
     )
     # measure the channel: zhat must be z exactly when y = 0 and erased otherwise;
     # seen[z, y, zhat]: some cell with channel input z and query y outputs zhat
-    # (the run refuses negative cells, so a nonzero marginal has a nonzero cell)
+    # (the run's resource has no negative cell, so a nonzero marginal has a nonzero cell)
     seen = sum_wires(sum_wires(run.result.table, 0, n - 1), 2, 4) != 0
     if (seen[:, :, :d] & ~np.eye(d, dtype=bool)[:, None, :]).any():
         raise ProtocolError("non-erased channel output differs from z")

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assignments import iter_assignments
+from racbox import dists
 from racbox.boxes import Box, BoxSignature, make_rb
 from racbox.capacity import build_capacity_joint, protocol_strategy
 from racbox.dists import (
@@ -215,9 +216,11 @@ def test_positive_counts_are_brought_to_lowest_terms_by_their_max_alone(dtype):
     reduced, den = lowest_terms(counts.view(_NoMin), 20, positive=True)
     assert den == 10 and reduced.tolist() == (counts // 2).tolist()
     assert reduced.dtype == lowest_terms(counts, 20)[0].dtype
-    # every joint is built through that path
-    joint = JointDistribution.from_support((("x", 4),), np.arange(4).reshape(4, 1).view(_NoMin),
-                                           counts.view(_NoMin), 20)
+    # every joint is built through that path, the executor's joint end straight after
+    # the wire list's check
+    variables = (("x", 4),)
+    keys = np.arange(4, dtype=dists._wires(variables)[0]).reshape(4, 1)
+    joint = dists._joint(variables, keys.view(_NoMin), counts.view(_NoMin), 20)
     assert joint.denominator == 10
 
 

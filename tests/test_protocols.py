@@ -6,6 +6,8 @@ from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assignments import iter_assignments
 from racbox import capacity, protocols
@@ -309,13 +311,27 @@ def test_hand_built_run_with_a_negative_cell_is_rejected():
         ProtocolRun("hand-built", 1, box)
 
 
-def test_unnormalized_resource_is_rejected_at_its_induced_row():
+def test_unnormalized_resource_is_rejected_at_its_own_row():
     # halving every cell keeps Alice's marginal free of Bob's input, so the
     # resource passes the b2a check and only normalization can catch it
     rb = make_rb(2, 2, "nosignaling")
     half = Box(rb.signature, rb.table, 2 * rb.denominator)
-    with pytest.raises(ProtocolError, match=r"induced row at \(0, 0, 0\) sums to 1/2"):
+    with pytest.raises(ProtocolError) as err:
         _relay(half)
+    assert str(err.value) == ("resource of 'relay' is not normalized: input row at (0, 0, 0, 0) "
+                              "sums to 1/2 or has a negative cell")
+
+
+def _negative(rb: Box) -> Box:
+    """``rb`` with B's two values swapping mass 2 and -1 where B would be 0: rows
+    still sum to 1, and Alice's marginal, hence the b2a check, is left as it was."""
+    table = rb.table.astype(np.int64)
+    table = np.where(table[..., :1] > 0, np.stack([table[..., 0] * 2, -table[..., 0]], -1), table)
+    return Box(rb.signature, table, rb.denominator)
+
+
+def _never(*args):
+    pytest.fail("a callback ran before the resource was checked")
 
 
 @pytest.mark.parametrize("end", [run_box_protocol, protocol_joint], ids=["box", "joint"])
@@ -325,18 +341,95 @@ def test_both_ends_refuse_an_unnormalized_row_as_a_hand_built_run_does(end, faul
     if fault == "half":
         resource = Box(rb.signature, rb.table, 2 * rb.denominator)
     else:
-        # B's two values swap mass 2 and -1 where B would be 0: rows still sum to 1,
-        # and Alice's marginal, hence the b2a check, is left as it was
-        table = rb.table.astype(np.int64)
-        table = np.where(table[..., :1] > 0, np.stack([table[..., 0] * 2, -table[..., 0]], -1),
-                         table)
-        resource = Box(rb.signature, table, rb.denominator)
-    # the text ProtocolRun gives the same induced box, walked cell by cell
+        resource = _negative(rb)
+    # a run built by hand around the resource itself is refused at the same row and sum
     with pytest.raises(ProtocolError) as hand_built:
-        ProtocolRun("relay", 2, _walk_protocol("relay", resource, _MUTE_IFACE, **_RELAY))
+        ProtocolRun("relay", 2, resource)
+    callbacks = ("alice_box_inputs", "bob_box_inputs", "alice_outputs", "bob_outputs", "message")
     with pytest.raises(ProtocolError) as executed:
-        end("relay", resource, _MUTE_IFACE, **_RELAY)
-    assert str(executed.value) == str(hand_built.value)
+        end("relay", resource, _MUTE_IFACE, **{**_RELAY, **dict.fromkeys(callbacks, _never)})
+    where = str(hand_built.value).split(" induced row ", 1)[1]
+    assert str(executed.value) == f"resource of 'relay' is not normalized: input row {where}"
+
+
+@pytest.mark.parametrize("end", [run_box_protocol, protocol_joint], ids=["box", "joint"])
+def test_a_bad_row_the_protocol_never_reads_is_refused(end):
+    # rows with a_1 = 1 sum to 1/2, for every Bob input alike, so no b2a signaling;
+    # Alice always feeds a_1 = 0, so the induced box never reads them
+    rb = make_rb(2, 2, "nosignaling")
+    table = rb.table.astype(np.int64) * 2
+    table[:, 1] //= 2
+    resource = Box(rb.signature, table, 2 * rb.denominator)
+    assert check_no_signaling(resource, "b2a")
+    protocol = {**_RELAY, "alice_box_inputs": lambda a: (a["u"], 0 * a["w"])}
+    assert check_normalization(_walk_protocol("relay", resource, _MUTE_IFACE, **protocol))
+    with pytest.raises(ProtocolError, match=r"input row at \(0, 1, 0, 0\) sums to 1/2"):
+        end("relay", resource, _MUTE_IFACE, **protocol)
+
+
+@pytest.mark.parametrize("end", [run_box_protocol, protocol_joint], ids=["box", "joint"])
+def test_a_negative_cell_the_induced_sums_would_hide_is_refused(end):
+    # Bob answers his own input, so every induced cell sums over both values of B
+    resource = _negative(make_rb(2, 2, "nosignaling"))
+    protocol = {**_RELAY, "bob_outputs": lambda b: {"V": b["v"]}}
+    walked = _walk_protocol("relay", resource, _MUTE_IFACE, **protocol)
+    assert check_normalization(walked) and walked.table.min() >= 0
+    with pytest.raises(ProtocolError, match=r"input row at \(0, 0, 0, 0\) sums to 1 "
+                                            r"or has a negative cell"):
+        end("relay", resource, _MUTE_IFACE, **protocol)
+
+
+def _one_way_resource(rng: np.random.Generator, ka: int, na: int, kb: int, nb: int) -> Box:
+    """P(A|a) P(B|a,b,A) from random integer weights, one wire a side: normalized, and
+    free of signaling from Bob to Alice since P(A|a) does not read b."""
+    alice, bob = rng.integers(0, 4, (ka, na)), rng.integers(0, 4, (ka, kb, na, nb))
+    alice[..., 0] += alice.sum(-1) == 0
+    bob[..., 0] += bob.sum(-1) == 0
+    # dens[a, b, A]: the denominator of P(A|a) P(B|a,b,A) for every B
+    dens = alice.sum(-1)[:, None, None] * bob.sum(-1)
+    common = lcm(*map(int, dens.reshape(-1)))
+    table = (alice[:, None, :, None].astype(object) * bob.astype(object)
+             * (common // dens.astype(object))[..., None])
+    sig = BoxSignature(alice_inputs=(("a", ka),), alice_outputs=(("A", na),),
+                       bob_inputs=(("b", kb),), bob_outputs=(("B", nb),))
+    return Box(sig, table, common)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_normalized_resource_induces_normalized_rows_under_any_protocol(data):
+    # the checks on the resource stand in for a check of every induced row
+    ka, na, kb, nb, ku, kw, kv, nu, nv = (data.draw(st.integers(1, 3)) for _ in range(9))
+    sr_size, message_size = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    resource = _one_way_resource(rng, ka, na, kb, nb)
+    assert check_normalization(resource) and check_no_signaling(resource, "b2a")
+    iface = BoxSignature(alice_inputs=(("u", ku), ("w", kw)), alice_outputs=(("U", nu),),
+                         bob_inputs=(("v", kv),), bob_outputs=(("V", nv),))
+    # deterministic callbacks: a random table read at each party's wires
+    feed_a = rng.integers(0, ka, (ku, kw, sr_size))
+    send = rng.integers(0, message_size, (ku, kw, sr_size, na))
+    out_u = rng.integers(0, nu, (ku, kw, sr_size, na))
+    feed_b = rng.integers(0, kb, (kv, sr_size, message_size))
+    out_v = rng.integers(0, nv, (kv, sr_size, message_size, nb))
+    protocol = dict(
+        alice_box_inputs=lambda a: (feed_a[a["u"], a["w"], a["s"]],),
+        bob_box_inputs=lambda b: (feed_b[b["v"], b["s"], b["m"]],),
+        alice_outputs=lambda a: {"U": out_u[a["u"], a["w"], a["s"], a["A"]]},
+        bob_outputs=lambda b: {"V": out_v[b["v"], b["s"], b["m"], b["B"]]},
+        message=lambda a: send[a["u"], a["w"], a["s"], a["A"]],
+        message_size=message_size,
+        sr_size=sr_size,
+    )
+    block_cells = data.draw(st.sampled_from([protocols.BLOCK_CELLS, 1]), label="block_cells")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(protocols, "BLOCK_CELLS", block_cells)
+        run = run_box_protocol("random", resource, iface, **protocol)
+        joint = protocol_joint("random", resource, iface, **protocol)
+    assert check_normalization(run.result)
+    walked = _walk_protocol("random", resource, iface, **protocol)
+    assert run.result == walked
+    assert joint == walked.joint()
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
